@@ -108,6 +108,15 @@ MULTI_CELL_REPS = 2
 
 SPARSE_CONFIG = MachineConfig(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
 
+#: Span kernels the cold end-to-end Dirigent run may compile.  A
+#: deterministic count, so the gate does not depend on the host: one
+#: kernel per span shape (plus the clone-lane dedup twin) gives 9.
+#: Before phase-boundary guards and pending overhead left the shape,
+#: the same run compiled 32 (``E2E_KERNELS_BEFORE``, recorded beside
+#: the count in the artifact).
+E2E_KERNELS_MAX = 9
+E2E_KERNELS_BEFORE = 32
+
 
 def _sparse_machine(backend: str) -> Machine:
     """Event-sparse workload: one FG task alone, noise-free."""
@@ -254,15 +263,20 @@ def _multi_cell_rates(spec, cells: int):
     return batch_best, vector_best, stat_dict
 
 
-def _end_to_end_s(backend: str) -> float:
+def _end_to_end_s(backend: str):
     """Cold-cache Dirigent run_policy wall-clock under ``backend``.
 
-    Best of three runs — each from cold caches — so a scheduler hiccup
-    on a shared host does not distort the recorded ratio.
+    Best of three runs — each from cold result caches — so a scheduler
+    hiccup on a shared host does not distort the recorded ratio.
+    Returns ``(best_s, kernels)``: ``kernels`` counts the span kernels
+    the first run compiled, the entries the kernel code cache gains
+    after being cleared (0 under the scalar backend).
     """
     previous = os.environ.get(ENV_BACKEND)
     os.environ[ENV_BACKEND] = backend
     best = None
+    kernels = None
+    spanplan._KERNEL_CODE_CACHE.clear()
     try:
         for _ in range(3):
             harness.clear_caches()
@@ -273,7 +287,9 @@ def _end_to_end_s(backend: str) -> float:
             )
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
-        return best
+            if kernels is None:
+                kernels = len(spanplan._KERNEL_CODE_CACHE)
+        return best, kernels
     finally:
         harness.clear_caches()
         if previous is None:
@@ -418,8 +434,8 @@ def run_benchmark() -> dict:
     sparse_speedup = sparse_batch / sparse_scalar
     contended_speedup = contended_batch / contended_scalar
     noisy_contended_speedup = noisy_batch_r / noisy_scalar
-    e2e_scalar_s = _end_to_end_s(BACKEND_SCALAR)
-    e2e_batch_s = _end_to_end_s(BACKEND_BATCH)
+    e2e_scalar_s, _ = _end_to_end_s(BACKEND_SCALAR)
+    e2e_batch_s, e2e_kernels = _end_to_end_s(BACKEND_BATCH)
 
     # Multi-cell vector driver vs per-machine batch loop.
     long_phase = {}
@@ -530,6 +546,14 @@ def run_benchmark() -> dict:
                 "scalar_s": round(e2e_scalar_s, 3),
                 "batch_s": round(e2e_batch_s, 3),
                 "speedup": round(e2e_scalar_s / e2e_batch_s, 3),
+                "kernels_compiled": e2e_kernels,
+                "kernels_compiled_before": E2E_KERNELS_BEFORE,
+                "note": (
+                    "kernels_compiled: span kernels the first batch run "
+                    "compiled from an empty kernel code cache; "
+                    "kernels_compiled_before: the same run while guard "
+                    "lanes and pending overhead were span-shape axes"
+                ),
             },
             "fast_path": {
                 "note": (
@@ -614,6 +638,10 @@ def check_floors(artifact: dict) -> None:
     assert backends["end_to_end_dirigent"]["speedup"] >= 1.5, (
         backends["end_to_end_dirigent"]
     )
+    assert (
+        backends["end_to_end_dirigent"]["kernels_compiled"]
+        <= E2E_KERNELS_MAX
+    ), backends["end_to_end_dirigent"]
     fast_path = backends["fast_path"]
     for counter in ("table_hits", "table_builds", "rho_iterations"):
         assert fast_path["contended"][counter] > 0, (counter, fast_path)

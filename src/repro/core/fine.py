@@ -102,6 +102,11 @@ class FineGrainController:
             raise ControlError("deadline_guard must be in [0, 1)")
         self._sys = system
         self._bg_pids = list(bg_pids)
+        # ``(pid, core)`` per BG task, resolved once: a process's core is
+        # fixed at spawn.  Pause state and grades stay live reads.
+        self._bg_cores = [
+            (pid, system.core_of(pid)) for pid in self._bg_pids
+        ]
         self._ahead = ahead_margin
         self._pause = pause_margin
         self._target_ratio = 1.0 - deadline_guard
@@ -162,10 +167,8 @@ class FineGrainController:
             action=action,
             worst_ratio=worst.ratio,
             bg_grades={
-                self._sys.core_of(pid): self._sys.frequency_grade(
-                    self._sys.core_of(pid)
-                )
-                for pid in self._bg_pids
+                core: self._sys.frequency_grade(core)
+                for _, core in self._bg_cores
             },
             bg_paused=sum(1 for pid in self._bg_pids if self._sys.is_paused(pid)),
         )
@@ -184,13 +187,13 @@ class FineGrainController:
                 self._sys.resume(pid)
             return "bg-resume"
         throttled = [
-            pid
-            for pid in self._bg_pids
-            if self._sys.frequency_grade(self._sys.core_of(pid)) < self._max_grade
+            core
+            for _, core in self._bg_cores
+            if self._sys.frequency_grade(core) < self._max_grade
         ]
         if throttled:
-            for pid in throttled:
-                self._sys.step_frequency(self._sys.core_of(pid), +1)
+            for core in throttled:
+                self._sys.step_frequency(core, +1)
             return "bg-speedup"
         stepped = False
         for status in statuses:
@@ -213,22 +216,24 @@ class FineGrainController:
         if raised:
             return "fg-max"
         running_bg = [
-            pid for pid in self._bg_pids if not self._sys.is_paused(pid)
+            (pid, core) for pid, core in self._bg_cores
+            if not self._sys.is_paused(pid)
         ]
         throttleable = [
-            pid
-            for pid in running_bg
-            if self._sys.frequency_grade(self._sys.core_of(pid)) > 0
+            core for _, core in running_bg
+            if self._sys.frequency_grade(core) > 0
         ]
         if throttleable:
             # "Immediately throttle the frequency of the BG tasks": clamp
             # to the minimum grade at once.  Release is gradual (one grade
             # per decision), so the asymmetry protects the deadline.
-            for pid in throttleable:
-                self._sys.set_frequency_grade(self._sys.core_of(pid), 0)
+            for core in throttleable:
+                self._sys.set_frequency_grade(core, 0)
             return "bg-throttle"
         if worst.ratio > self._target_ratio + self._pause and running_bg:
-            victim = max(running_bg, key=lambda pid: intrusiveness.get(pid, 0.0))
+            victim, _ = max(
+                running_bg, key=lambda bg: intrusiveness.get(bg[0], 0.0)
+            )
             self._sys.pause(victim)
             return "bg-pause"
         return "none"

@@ -81,6 +81,9 @@ class CompletionTimePredictor:
         self._progress = [s.progress for s in profile.segments]
         self._bounds = list(profile.boundaries())
         self._penalty_ema: List[Optional[float]] = [None] * n
+        #: ``_typical_duration(i)`` per segment; the penalty EMAs change
+        #: only in ``finish_execution``, which refreshes it.
+        self._typical = list(self._durations)
         # Per-execution state.
         self._in_execution = False
         self._start_s = 0.0
@@ -204,9 +207,20 @@ class CompletionTimePredictor:
         seg_start = self._bounds[k - 1] if k > 0 else 0.0
         frac_done = (self._last_progress - seg_start) / self._progress[k]
         frac_done = min(max(frac_done, 0.0), 1.0)
-        remaining = (1.0 - frac_done) * self._expected_duration(k)
-        for i in range(k + 1, n):
-            remaining += self._expected_duration(i)
+        if self._scaling == "alpha":
+            remaining = (1.0 - frac_done) * self._alpha_duration(k)
+            for i in range(k + 1, n):
+                remaining += self._alpha_duration(i)
+            return elapsed + remaining
+        rate = self._rate_ma.value
+        if rate is None:
+            rate = 1.0
+        # Segment by segment, left to right: the float additions happen
+        # in exactly this order, so predictions are bit-stable.
+        typical = self._typical
+        remaining = (1.0 - frac_done) * (rate * typical[k])
+        for duration in typical[k + 1:]:
+            remaining += rate * duration
         return elapsed + remaining
 
     def finish_execution(self, end_s: float) -> None:
@@ -222,7 +236,7 @@ class CompletionTimePredictor:
         n = self._profile.num_segments
         if k < n and end_s > self._segment_entry_t:
             tail = end_s - self._segment_entry_t
-            weights = [self._typical_duration(i) for i in range(k, n)]
+            weights = self._typical[k:]
             total_weight = sum(weights)
             cursor = self._segment_entry_t
             for i, weight in zip(range(k, n), weights):
@@ -246,6 +260,7 @@ class CompletionTimePredictor:
                 self._penalty_ema[i] = (
                     self._weight * penalty + (1.0 - self._weight) * prior
                 )
+        self._typical = [self._typical_duration(i) for i in range(n)]
         self._in_execution = False
 
     def _close_segment(self, index: int, cross_t: float) -> None:
@@ -257,7 +272,7 @@ class CompletionTimePredictor:
         self._alpha_ma.update(alpha)
         measured = alpha * profiled
         self._measured[index] = measured
-        expected = self._typical_duration(index)
+        expected = self._typical[index]
         if expected > 0:
             rate = min(max(measured / expected, lo), hi)
             self._rate_ma.update(rate)
@@ -270,15 +285,12 @@ class CompletionTimePredictor:
             return base
         return max(base * ALPHA_CLAMP[0], base + penalty)
 
-    def _expected_duration(self, index: int) -> float:
-        """Expected duration of segment ``index`` under current contention."""
-        if self._scaling == "alpha":
-            ma = self._alpha_ma.value if self._alpha_ma.initialized else 1.0
-            penalty = self._penalty_ema[index]
-            if penalty is None:
-                # First execution: no penalty history yet; scale the
-                # profiled duration by the contention observed so far.
-                return ma * self._durations[index]
-            return self._durations[index] + ma * penalty
-        rate = self._rate_ma.value if self._rate_ma.initialized else 1.0
-        return rate * self._typical_duration(index)
+    def _alpha_duration(self, index: int) -> float:
+        """Expected duration of segment ``index`` under ``"alpha"`` scaling."""
+        ma = self._alpha_ma.value if self._alpha_ma.initialized else 1.0
+        penalty = self._penalty_ema[index]
+        if penalty is None:
+            # First execution: no penalty history yet; scale the
+            # profiled duration by the contention observed so far.
+            return ma * self._durations[index]
+        return self._durations[index] + ma * penalty

@@ -216,11 +216,14 @@ class DirigentRuntime:
         self._tasks = list(tasks)
         self._tasks_by_pid = {task.pid: task for task in self._tasks}
         self._bg_pids = list(bg_pids)
+        # ``(pid, core)`` per BG task, resolved once: a process's core is
+        # fixed at spawn and the fault wrappers pass ``core_of`` through.
+        self._bg_cores = [
+            (pid, system.core_of(pid)) for pid in self._bg_pids
+        ]
         self._opts = options or RuntimeOptions()
         # The runtime thread is pinned to a core shared with a BG task.
-        self._pinned_core = (
-            system.core_of(self._bg_pids[0]) if self._bg_pids else 0
-        )
+        self._pinned_core = self._bg_cores[0][1] if self._bg_cores else 0
         # Graceful-degradation machinery.  When hardened, controllers
         # actuate through a GuardedSystem (verify + bounded retry) and
         # predictors reject physically impossible samples; on a healthy
@@ -355,8 +358,7 @@ class DirigentRuntime:
                 task.core
             ).instructions
             task.predictor.start_execution(now)
-        for pid in self._bg_pids:
-            core = self._sys.core_of(pid)
+        for pid, core in self._bg_cores:
             self._bg_miss_base[pid] = self._sys.read_counters(core).llc_misses
         self._last_wakeup_s = now
         self._sys.schedule_wakeup(self._opts.sampling_period_s, self._on_wakeup)
@@ -423,10 +425,10 @@ class DirigentRuntime:
         self._sys.schedule_wakeup(self._opts.sampling_period_s, self._on_wakeup)
 
     def _record_bg_grades(self) -> None:
-        for pid in self._bg_pids:
+        for pid, core in self._bg_cores:
             if self._sys.is_paused(pid):
                 continue
-            grade = self._sys.frequency_grade(self._sys.core_of(pid))
+            grade = self._sys.frequency_grade(core)
             self.bg_grade_histogram[grade] = (
                 self.bg_grade_histogram.get(grade, 0) + 1
             )
@@ -552,8 +554,7 @@ class DirigentRuntime:
     def _bg_intrusiveness(self) -> Dict[int, float]:
         """LLC misses per BG task since the previous decision."""
         result: Dict[int, float] = {}
-        for pid in self._bg_pids:
-            core = self._sys.core_of(pid)
+        for pid, core in self._bg_cores:
             misses = self._sys.read_counters(core).llc_misses
             result[pid] = misses - self._bg_miss_base.get(pid, 0.0)
             self._bg_miss_base[pid] = misses

@@ -238,9 +238,10 @@ class BatchEngine:
         """Route a span to the compiled fast path or the generic kernel.
 
         Compiled kernels (see :mod:`repro.sim.spanplan`) cover the
-        common shapes; spans carrying stolen time, overlapping cache
-        groups, an idle machine, or a substituted jitter RNG fall back
-        to :meth:`_run_span`, whose semantics they replicate exactly.
+        common shapes, including spans carrying stolen time; overlapping
+        cache groups, an idle machine, or a substituted jitter RNG fall
+        back to :meth:`_run_span`, whose semantics they replicate
+        exactly.
         """
         stats = self.stats
         stats.spans += 1
@@ -249,11 +250,7 @@ class BatchEngine:
             plan = planner.plan_for_span()
             if plan is not None:
                 stats.compiled_spans += 1
-                # Overhead is only charged during callbacks, which never
-                # run mid-span, so exactly the span's first tick carries
-                # stolen time: the stolen kernel variants peel that tick
-                # and charge it scalar-style.
-                return plan.run(span, any(self._m._stolen_s))
+                return plan.run(span)
         stats.generic_spans += 1
         return self._run_span(span)
 

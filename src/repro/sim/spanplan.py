@@ -39,8 +39,8 @@ This module compiles each *span shape* into a specialized kernel:
   induction from a validated span entry) identical occupancy, so every
   per-tick solver quantity — miss curve, fixed-point term, increments,
   cache target — is bit-equal across them.  For jitter-free plans with
-  clone lanes a second kernel pair is compiled whose shape maps each
-  lane to its *class representative*: the solver runs once per class
+  clone lanes a second kernel is compiled whose shape maps each lane
+  to its *class representative*: the solver runs once per class
   and every clone reuses the representative's exact values, while
   per-lane state (progress, counters, guards, completions) keeps its
   own left-associated accumulation so results stay bit-identical.
@@ -139,7 +139,7 @@ class SpanStats:
       instead of recomputed — clone lanes reusing their class
       representative's per-tick solve in dedup kernels;
     * ``table_builds``: exact solver tables built — clone classes a
-      dedup kernel pair was compiled for;
+      dedup kernel was compiled for;
     * ``partial_peels``: cells evicted from a fused multi-cell span
       while the surviving cells kept running fused (wholesale span
       aborts do not count).
@@ -183,17 +183,20 @@ class SpanStats:
 #
 # A *shape* is everything the generated code depends on structurally:
 #
-#   (num_cores, cores, isfg, apki_pos, jitter, snap, groups, guard_lanes,
-#    has_energy, stolen, classes)
+#   (num_cores, cores, isfg, apki_pos, jitter, snap, groups, has_energy,
+#    classes)
 #
 # with ``cores`` the lane -> core map, ``groups`` the cache grouping in
-# lane indices, ``guard_lanes`` the lanes carrying a phase-boundary
-# guard, and ``classes`` the lane -> class-representative map for the
-# clone-lane dedup kernels (``tuple(range(n))`` — every lane its own
+# lane indices, and ``classes`` the lane -> class-representative map for
+# the clone-lane dedup kernels (``tuple(range(n))`` — every lane its own
 # representative — for the plain kernels).  All float constants stay
 # *outside* the shape — they are bound by the per-plan factory — so
 # kernels are shared across plans that differ only in model constants
-# (frequencies, phase parameters).
+# (frequencies, phase parameters).  Neither which lanes can cross a
+# phase boundary nor whether overhead is pending is part of the shape:
+# every lane takes a guard bound (``inf`` when it cannot cross one) and
+# every kernel peels its first tick to charge pending overhead, so both
+# vary per span without multiplying the compiled kernels.
 
 _KERNEL_CODE_CACHE: Dict[tuple, object] = {}
 
@@ -305,12 +308,17 @@ def _generate_source(shape: tuple) -> str:
     :meth:`repro.sim.machine.Machine.tick` and the generic
     ``BatchEngine._run_span``), with each lane unrolled into locals.
 
-    When ``shape`` carries the stolen flag, the span's first tick is
-    peeled out of the loop and charges each lane's pending runtime
-    overhead exactly as the scalar kernel does (``dt_eff = dt -
-    stolen``; a fully-stolen tick skips the lane's accumulation);
-    subsequent ticks are overhead-free by construction, so the main
-    loop is identical to the stolen-free kernel's.
+    The span's first tick is peeled out of the loop and charges each
+    lane's pending runtime overhead exactly as the scalar kernel does
+    (``dt_eff = dt - stolen``; a fully-stolen tick skips the lane's
+    accumulation).  With nothing pending it performs exactly a plain
+    tick's operations (``dt - 0.0 == dt``), and subsequent ticks are
+    overhead-free by construction (callbacks never run mid-span), so
+    one kernel serves spans with and without pending overhead.
+
+    ``run`` takes one phase-boundary guard bound per lane; a lane that
+    cannot cross a boundary passes ``inf``, which its ``p >= g`` test
+    never reaches.
 
     When ``classes`` maps any lane to an earlier representative, the
     emitted solver computes each class once per tick: the clone lane's
@@ -325,7 +333,7 @@ def _generate_source(shape: tuple) -> str:
     and only adds key-build cost — but keep the stationary fast path.
     """
     (num_cores, cores, isfg, apki_pos, jitter, snap, groups,
-     guard_lanes, has_energy, stolen, classes) = shape
+     has_energy, classes) = shape
     n = len(cores)
     reps = [i for i in range(n) if classes[i] == i]
     dedup = len(reps) != n
@@ -414,10 +422,9 @@ def _generate_source(shape: tuple) -> str:
         add("    acc_e = plan.energy_accumulate")
         add("    frl = plan.freqs_list")
         add("    bsl = plan.busy_list")
-    if stolen:
-        add("    sta = plan.stolen")
+    add("    sta = plan.stolen")
 
-    g_args = "".join(", g_%d" % j for j in range(len(guard_lanes)))
+    g_args = "".join(", g_%d" % i for i in range(n))
     add("    def run(span, rho, now%s):" % g_args)
 
     # ---- prologue: load mutable state into locals ----
@@ -450,8 +457,8 @@ def _generate_source(shape: tuple) -> str:
         add("        stationary = False")
 
     def emit_guards(ind: str) -> None:
-        for j, lane in enumerate(guard_lanes):
-            add(ind + "if p_%d >= g_%d:" % (lane, j))
+        for i in range(n):
+            add(ind + "if p_%d >= g_%d:" % (i, i))
             add(ind + "    break")
 
     def emit_completion(ind: str, i: int, inst: str, mis: str,
@@ -667,18 +674,15 @@ def _generate_source(shape: tuple) -> str:
         add(ind + "now += 1")
         add(ind + "executed += 1")
 
-    # ================= peeled stolen tick =================
-    if stolen:
-        # Only the span's first tick can carry overhead (callbacks never
-        # run mid-span); peeling it keeps the main loop overhead-free.
-        add("        while executed < span:")
-        emit_guards("            ")
-        emit_model_tick("            ", True)
-        add("            break")
-        add("        if executed and not completions:")
-        m0 = "            "
-    else:
-        m0 = "        "
+    # ================= peeled overhead tick =================
+    # Only the span's first tick can carry overhead (callbacks never
+    # run mid-span); peeling it keeps the main loop overhead-free.
+    add("        while executed < span:")
+    emit_guards("            ")
+    emit_model_tick("            ", True)
+    add("            break")
+    add("        if executed and not completions:")
+    m0 = "            "
     m1 = m0 + "    "
     m2 = m1 + "    "
 
@@ -1147,11 +1151,11 @@ def compile_cell_kernel(shape: tuple, plan, stats: SpanStats,
 def generate_kernel_source(shape: tuple) -> str:
     """Render the kernel source for one shape, without compiling.
 
-    Span shapes are the 11-tuple ``(num_cores, cores, isfg, apki_pos,
-    jitter, snap, groups, guard_lanes, has_energy, stolen, classes)``
-    described above (``groups`` must partition the ``apki_pos`` lanes;
-    ``classes`` maps each lane to its clone-class representative, the
-    identity for plain kernels); cell shapes are the ``("cell",
+    Span shapes are the 9-tuple ``(num_cores, cores, isfg, apki_pos,
+    jitter, snap, groups, has_energy, classes)`` described above
+    (``groups`` must partition the ``apki_pos`` lanes; ``classes`` maps
+    each lane to its clone-class representative, the identity for
+    plain kernels); cell shapes are the ``("cell",
     num_cores, cores, isfg, apki_pos, snap, groups, guard_lanes)``
     tuples of the vector backend.  Either way
     this is the exact string the compile helpers would
@@ -1163,14 +1167,14 @@ def generate_kernel_source(shape: tuple) -> str:
     return _generate_source(shape)
 
 
-#: Field names of the 11-tuple span shapes, positionally.  ``repro
+#: Field names of the 9-tuple span shapes, positionally.  ``repro
 #: lint``'s ``COV002`` asserts every ``template_shapes()`` entry has
 #: exactly this arity, so adding a shape axis without extending this
 #: registry (and the audit) fails lint instead of silently compiling
 #: kernels the analyzer no longer understands.
 SHAPE_FIELDS = (
     "num_cores", "cores", "isfg", "apki_pos", "jitter", "snap",
-    "groups", "guard_lanes", "has_energy", "stolen", "classes",
+    "groups", "has_energy", "classes",
 )
 
 #: Field names of the 8-tuple cell-axis shapes (``shape[0] == "cell"``).
@@ -1212,7 +1216,7 @@ KERNEL_STATE = {
     "governor": "event ticks stay outside spans (batch-engine horizon)",
     "timers": "event ticks stay outside spans (batch-engine horizon)",
     "_energy": "acc_e closure accumulates per span tick",
-    "_stolen_s": "the stolen-variant kernel peels the charged tick",
+    "_stolen_s": "every span kernel peels its first tick to charge it",
     "_gauss_fns": "per-lane rnd_<i> draws replay CPython's gauss",
 }
 
@@ -1223,51 +1227,47 @@ def template_shapes() -> Tuple[tuple, ...]:
     One shape per structurally distinct code path: jitter on/off (off
     enables the fixed-point memo and the stationary loop), snap vs
     inertia occupancy (inertia with an idle core enables idle-change
-    tracking), peeled stolen-tick prologue, energy accounting, FG and
-    BG phase guards, a zero-``apki`` lane, multi-group cache
-    partitions, and clone-lane dedup (non-identity ``classes`` folding
-    the solver per class).  ``repro lint`` audits the source generated
-    for every one of these, so a codegen change that breaks the
-    contract on any branch fails lint even if no benchmark happens to
-    exercise it.
+    tracking), energy accounting, a zero-``apki`` lane, multi-group
+    cache partitions, and clone-lane dedup (non-identity ``classes``
+    folding the solver per class).  Every kernel carries the peeled
+    overhead tick and one guard per lane, so neither needs a template
+    of its own.  ``repro lint`` audits the source generated for every
+    one of these, so a codegen change that breaks the contract on any
+    branch fails lint even if no benchmark happens to exercise it.
     """
     six = (0, 1, 2, 3, 4, 5)
     fg_of_six = (True, False, False, False, False, False)
     ident6 = tuple(range(6))
     return (
         # Canonical contended figure: 1 FG + 5 BG, jitter, inertia,
-        # energy accounting, FG + BG guards, one shared cache group.
+        # energy accounting, one shared cache group.
         (6, six, fg_of_six, (True,) * 6, True, False,
-         ((16, six),), (0, 1), True, False, ident6),
+         ((16, six),), True, ident6),
         # Jitter-free memo path with an idle core (inertia occupancy
         # decays toward zero, so idle-change tracking engages).
         (6, (0, 1, 2, 3, 4), (True, False, False, False, False),
-         (True,) * 5, False, False, ((16, (0, 1, 2, 3, 4)),), (0,),
-         False, False, tuple(range(5))),
-        # Snap occupancy, peeled stolen tick, split cache groups, no
-        # guards (every lane pinned to a full-program phase).
+         (True,) * 5, False, False, ((16, (0, 1, 2, 3, 4)),),
+         False, tuple(range(5))),
+        # Snap occupancy and split cache groups, as run right after a
+        # runtime wakeup: overhead pending on the peeled tick, and BG
+        # lanes pinned to full-program phases whose guards are
+        # inactive (``inf`` bounds).
         (6, six, fg_of_six, (True,) * 6, False, True,
-         ((8, (0, 1, 2)), (8, (3, 4, 5))), (), False, True, ident6),
-        # Jitter + snap + stolen + energy together.
-        (6, six, fg_of_six, (True,) * 6, True, True,
-         ((16, six),), (0,), True, True, ident6),
+         ((8, (0, 1, 2)), (8, (3, 4, 5))), False, ident6),
         # A zero-apki BG lane: no cache weight, miss accumulation in
         # the access counter, its core treated as cache-idle.
         (6, six, fg_of_six, (True, True, True, True, True, False),
-         False, False, ((16, (0, 1, 2, 3, 4)),), (0, 5), True, False,
-         tuple(range(6))),
+         False, False, ((16, (0, 1, 2, 3, 4)),), True, ident6),
         # Minimal standalone FG (the baseline/standalone measurements).
-        (6, (0,), (True,), (True,), False, True, ((16, (0,)),), (0,),
-         False, False, (0,)),
+        (6, (0,), (True,), (True,), False, True, ((16, (0,)),),
+         False, (0,)),
         # Clone-lane dedup: the sigma-0 contended mix where the five
         # BG lanes are one clone class — the solver-bound regime the
         # exact tabulation exists for (inertia occupancy, energy off).
+        # The peeled tick keeps per-lane arithmetic for the overhead
+        # charge while the solver stays per-class.
         (6, six, fg_of_six, (True,) * 6, False, False,
-         ((16, six),), (0, 1), False, False, (0, 1, 1, 1, 1, 1)),
-        # Dedup + snap occupancy + peeled stolen tick (the stolen tick
-        # keeps per-lane arithmetic while the solver stays per-class).
-        (6, six, fg_of_six, (True,) * 6, False, True,
-         ((16, six),), (0,), False, True, (0, 1, 1, 1, 1, 1)),
+         ((16, six),), False, (0, 1, 1, 1, 1, 1)),
         # ---- cell-axis shapes (vector backend) ----
         # Canonical contended fusion: 1 FG + 5 BG across cells,
         # inertia occupancy, FG + BG guards, one shared group.
@@ -1304,8 +1304,8 @@ class SpanPlan:
     """
 
     __slots__ = (
-        "machine", "stats", "kernel", "kernel_stolen", "kernel_dedup",
-        "kernel_dedup_stolen", "clone_checks", "stolen", "energy",
+        "machine", "stats", "kernel", "kernel_dedup", "clone_checks",
+        "stolen", "energy",
         "procs", "rngs", "floor", "delta", "wscale", "sens", "freq",
         "fh", "cpi0", "apki", "prev_w", "mpki_a", "coef",
         "eff", "cnt_i", "cnt_c", "cnt_a", "cnt_m", "ips_prev", "clock",
@@ -1313,28 +1313,27 @@ class SpanPlan:
         "inv_peak", "memo", "max_memo", "two_pi",
         "energy_accumulate", "freqs_list", "busy_list",
         "wbuf", "tbuf", "active_bits", "groups_commit", "disjoint",
-        "guard_procs",
+        "guard_procs", "bounds",
     )
 
-    def run(self, span: int, stolen: bool = False) -> int:
+    def run(self, span: int) -> int:
         """Run up to ``span`` event-free ticks; returns ticks executed.
 
         Mirrors the generic ``BatchEngine._run_span`` contract: may
         return early when a guard fires or an FG execution completes;
         rho observation, cache write-back, and completion listeners all
-        happen here, in the scalar kernel's order.  Pass ``stolen=True``
-        when a core carries stolen overhead time: that kernel variant
-        peels the span's first tick and charges the overhead exactly as
-        the scalar kernel would.
+        happen here, in the scalar kernel's order.  Pending overhead
+        time needs no routing: every kernel peels the span's first tick
+        and charges it exactly as the scalar kernel would.
 
-        When the plan compiled clone-dedup kernels, they are selected
+        When the plan compiled a clone-dedup kernel, it is selected
         only after revalidating the dedup invariant: every clone lane's
         occupancy and persistent miss-curve state must still compare
         bit-equal to its representative's (other plans run between
         spans of this one and update per-core state along their own
         trajectories, so equality is checked, never assumed).
         """
-        kernel = None
+        kernel = self.kernel
         if self.kernel_dedup is not None:
             eff = self.eff
             pwa = self.prev_w
@@ -1344,10 +1343,7 @@ class SpanPlan:
                         or mpa[r] != mpa[i]):
                     break
             else:
-                kernel = self.kernel_dedup_stolen if stolen \
-                    else self.kernel_dedup
-        if kernel is None:
-            kernel = self.kernel_stolen if stolen else self.kernel
+                kernel = self.kernel_dedup
         m = self.machine
         if not m._settled:
             m.settle_cache()
@@ -1355,15 +1351,17 @@ class SpanPlan:
             # Re-snapshot so idle cores' frequencies match the list the
             # scalar kernel would rebuild each tick.
             self.freqs_list[:] = m._gov_freqs
-        bounds = []
-        for proc, is_fg in self.guard_procs:
+        # Lanes that cannot cross a phase boundary keep their ``inf``
+        # bound; the rest are refreshed from the live phase cursors.
+        bounds = self.bounds
+        for i, proc, is_fg in self.guard_procs:
             if is_fg:
-                bounds.append(proc._phase_end)
+                bounds[i] = proc._phase_end
             else:
                 progress = proc.progress
                 total = proc._total
                 offset = progress % total if progress >= total else progress
-                bounds.append(progress - offset + proc._phase_end)
+                bounds[i] = progress - offset + proc._phase_end
         executed, rho, stat, mh, mm, mce, th, completions = kernel(
             span, m._rho, m.clock.tick, *bounds
         )
@@ -1498,21 +1496,19 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
         plan.busy_list = None
 
     guard_procs = []
-    guard_lanes = []
     for i, (core, proc, phase) in enumerate(lanes):
         if proc.is_fg:
             # FG pinned to its last phase only leaves it by completing,
             # which the completion path detects exactly.
             if proc._phase_index != len(proc._spec.phases) - 1:
-                guard_procs.append((proc, True))
-                guard_lanes.append(i)
+                guard_procs.append((i, proc, True))
         else:
             # BG phase windows cover the wrapped offset; a phase that
             # spans the whole program never produces a boundary.
             if proc._phase_start > 0.0 or proc._phase_end < proc._total:
-                guard_procs.append((proc, False))
-                guard_lanes.append(i)
+                guard_procs.append((i, proc, False))
     plan.guard_procs = guard_procs
+    plan.bounds = [math.inf] * n
 
     shape = (
         num_cores,
@@ -1525,25 +1521,18 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
             (ways, tuple(lane_index[c] for c in cores_g))
             for ways, cores_g in groups_cores
         ),
-        tuple(guard_lanes),
         energy is not None,
     )
     plan.stolen = m._stolen_s
     ident = tuple(range(n))
-    plan.kernel = _compile_kernel(shape + (False, ident), plan, stats)
-    # The stolen variant peels the span's first tick to charge pending
-    # overhead time; with no overhead pending it is bit-identical to the
-    # plain kernel (dt - 0.0 == dt), so routing between the two is purely
-    # a performance decision.
-    plan.kernel_stolen = _compile_kernel(shape + (True, ident), plan, stats)
+    plan.kernel = _compile_kernel(shape + (ident,), plan, stats)
 
     # Clone-lane dedup: jitter-free lanes running the same phase
     # constants at the same frequency in the same cache group compute
-    # bit-identical solver values every tick, so compile a kernel pair
-    # that solves once per clone class.  ``SpanPlan.run`` revalidates
-    # the per-core state equality before selecting these.
+    # bit-identical solver values every tick, so compile a kernel that
+    # solves once per clone class.  ``SpanPlan.run`` revalidates the
+    # per-core state equality before selecting it.
     plan.kernel_dedup = None
-    plan.kernel_dedup_stolen = None
     plan.clone_checks = ()
     if not jitter and n > 1 and misscurve_table_enabled():
         lane_group = {}
@@ -1563,10 +1552,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
         classes = tuple(cls)
         if classes != ident:
             plan.kernel_dedup = _compile_kernel(
-                shape + (False, classes), plan, stats
-            )
-            plan.kernel_dedup_stolen = _compile_kernel(
-                shape + (True, classes), plan, stats
+                shape + (classes,), plan, stats
             )
             plan.clone_checks = [
                 (classes[i], i, lanes[classes[i]][0], lanes[i][0])

@@ -39,9 +39,9 @@ def _shape_id(shape):
         return "cell-lanes%d-snap%d-g%d" % (
             len(shape[2]), shape[5], len(shape[7])
         )
-    dedup = shape[10] != tuple(range(len(shape[1])))
-    return "lanes%d-j%d-s%d-e%d-st%d-d%d" % (
-        len(shape[1]), shape[4], shape[5], shape[8], shape[9], dedup
+    dedup = shape[8] != tuple(range(len(shape[1])))
+    return "lanes%d-j%d-s%d-e%d-d%d" % (
+        len(shape[1]), shape[4], shape[5], shape[7], dedup
     )
 
 
@@ -75,20 +75,26 @@ class TestTemplatesConform:
         assert jitters == {True, False}
 
     def test_templates_cover_stolen_and_energy(self):
+        # Stolen time and phase guards are no longer shape axes: every
+        # span kernel peels its first tick to charge pending overhead
+        # and takes one guard bound per lane.  Energy stays an axis.
         shapes = _machine_shapes()
-        assert {shape[9] for shape in shapes} == {True, False}
-        assert {shape[8] for shape in shapes} == {True, False}
+        for shape in shapes:
+            source = spanplan.generate_kernel_source(shape)
+            assert "sta = plan.stolen" in source
+            guards = "".join(", g_%d" % i for i in range(len(shape[1])))
+            assert "def run(span, rho, now%s):" % guards in source
+        assert {shape[7] for shape in shapes} == {True, False}
 
     def test_templates_cover_clone_dedup_kernels(self):
         # The clone-lane dedup variants (classes mapping several lanes
-        # to one representative) must be in the audited matrix, plain
-        # and stolen/snap alike, alongside the identity-class shapes.
+        # to one representative) must be in the audited matrix
+        # alongside the identity-class shapes.
         dedup = [
             shape for shape in _machine_shapes()
-            if shape[10] != tuple(range(len(shape[1])))
+            if shape[8] != tuple(range(len(shape[1])))
         ]
         assert dedup, "template matrix must include dedup shapes"
-        assert {shape[9] for shape in dedup} == {True, False}
         for shape in dedup:
             assert not shape[4], "dedup kernels are jitter-free"
 

@@ -655,6 +655,25 @@ class TestCov002KernelStateCoverage:
         assert rule_ids(findings) == ["COV002"]
         assert "'_leak'" in findings[0].message
 
+    def test_flags_template_with_an_undeclared_axis(
+        self, tmp_path, monkeypatch
+    ):
+        # Re-adding the guard-lane and stolen axes the span shape
+        # dropped gives an 11-field template against the 9 declared.
+        from repro.sim import spanplan
+
+        shape = spanplan.template_shapes()[0]
+        legacy = shape[:7] + ((0, 1),) + (shape[7], False, shape[8])
+        monkeypatch.setattr(spanplan, "template_shapes", lambda: (legacy,))
+        findings = lint_tree(tmp_path, {
+            "repro/sim/machine.py": COV_MACHINE,
+            "repro/sim/spanplan.py": self.SPANPLAN,
+        }, select={"COV002"})
+        assert rule_ids(findings) == ["COV002"]
+        assert "has 11 fields but SHAPE_FIELDS declares 9" in (
+            findings[0].message
+        )
+
     def test_suppressed(self, tmp_path):
         machine = COV_MACHINE.replace(
             'SCALAR_ONLY_STATE = frozenset({"_scratch"})',

@@ -292,3 +292,134 @@ class TestSamplingArtifacts:
         assert predictor.segments_completed == 1
         predictor.observe(0.015, 2.4e7)
         assert predictor.segments_completed == 2
+
+
+def reference_predict(predictor, now_s):
+    """Equation 2 summed segment by segment, left to right.
+
+    Recomputes every segment's expected duration from the predictor's
+    penalty EMAs and profiled durations, in the exact float order of
+    the original per-segment formulation: any reordering of the sum
+    (``math.fsum``, compensated ``sum()``, suffix sums) shows up as a
+    last-bit difference against this reference.
+    """
+    elapsed = now_s - predictor._start_s
+    k = predictor._segment_index
+    durations = predictor._durations
+    penalties = predictor._penalty_ema
+    n = len(durations)
+    if k >= n:
+        return elapsed
+    seg_start = predictor._bounds[k - 1] if k > 0 else 0.0
+    frac_done = (predictor._last_progress - seg_start) / predictor._progress[k]
+    frac_done = min(max(frac_done, 0.0), 1.0)
+
+    def typical(i):
+        penalty = penalties[i]
+        if penalty is None:
+            return durations[i]
+        return max(durations[i] * ALPHA_CLAMP[0], durations[i] + penalty)
+
+    if predictor._scaling == "alpha":
+        ma = predictor._alpha_ma.value
+        ma = 1.0 if ma is None else ma
+
+        def expected(i):
+            penalty = penalties[i]
+            if penalty is None:
+                return ma * durations[i]
+            return durations[i] + ma * penalty
+    else:
+        rate = predictor._rate_ma.value
+        rate = 1.0 if rate is None else rate
+
+        def expected(i):
+            return rate * typical(i)
+
+    remaining = (1.0 - frac_done) * expected(k)
+    for i in range(k + 1, n):
+        remaining += expected(i)
+    return elapsed + remaining
+
+
+@st.composite
+def random_profiles(draw):
+    count = draw(st.integers(min_value=1, max_value=24))
+    segments = tuple(
+        ProfileSegment(
+            duration_s=draw(st.floats(min_value=1e-4, max_value=2e-2)),
+            progress=draw(st.floats(min_value=1e5, max_value=5e7)),
+        )
+        for _ in range(count)
+    )
+    return ExecutionProfile(
+        workload_name="random", sampling_period_s=0.005, segments=segments
+    )
+
+
+#: One sample event: a kind and the wall-clock step it takes.
+SAMPLE_EVENTS = st.tuples(
+    st.sampled_from(
+        ["sample", "sample", "sample", "stale", "zero", "outlier", "same"]
+    ),
+    st.floats(min_value=1e-4, max_value=8e-3),
+)
+
+EXECUTIONS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.4, max_value=3.0),  # slowdown vs profile
+        st.booleans(),  # hold_penalty_updates
+        st.lists(SAMPLE_EVENTS, min_size=1, max_size=40),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+class TestPredictBitIdentity:
+    """``predict`` equals the per-segment reference exactly (``==``)."""
+
+    @given(
+        profile=random_profiles(),
+        scaling=st.sampled_from(["penalty-ratio", "alpha"]),
+        executions=EXECUTIONS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_predict_matches_segment_by_segment_sum(
+        self, profile, scaling, executions
+    ):
+        predictor = CompletionTimePredictor(profile, scaling=scaling)
+        max_rate = max(s.rate for s in profile.segments)
+        t = 0.0
+        for slowdown, hold, events in executions:
+            predictor.hold_penalty_updates = hold
+            predictor.start_execution(t)
+            assert predictor.predict(t) == reference_predict(predictor, t)
+            rate = max_rate / slowdown
+            progress = 0.0
+            for kind, step in events:
+                if kind == "stale":
+                    # Time regresses: ignored as a stale sample.
+                    predictor.observe(t - step, progress)
+                elif kind == "zero":
+                    t += step
+                    predictor.observe(t, progress)
+                elif kind == "outlier":
+                    # Far above the rejection band: dropped without
+                    # advancing the sample cursor.
+                    predictor.observe(
+                        t + step, progress + 10.0 * max_rate * (2 * step)
+                    )
+                elif kind == "same":
+                    # Timer coalescing: progress moves, time does not.
+                    progress += rate * step
+                    predictor.observe(t, progress)
+                else:
+                    t += step
+                    progress += rate * step
+                    predictor.observe(t, progress)
+                for now in (t, t + step):
+                    assert predictor.predict(now) == reference_predict(
+                        predictor, now
+                    )
+            t += step
+            predictor.finish_execution(t)

@@ -3,9 +3,10 @@
 The compiled path is a pure performance layer: every test here pins
 either an observability contract (counters, plan reuse, kernel cache)
 or bit-exactness against the scalar reference under conditions that
-specifically stress the compiled kernels — stolen overhead time,
-partition-driven fallbacks, idle-core occupancy drift, and the exact
-float memoization.
+specifically stress the compiled kernels — stolen overhead time beside
+guarded and unguarded lanes, partition-driven fallbacks, idle-core
+occupancy drift, and the exact float memoization — plus the one
+kernel per shape that serves spans with and without pending overhead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from repro.sim import spanplan
 from repro.sim.batch import BACKEND_BATCH, BACKEND_SCALAR
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from tests.conftest import make_bg, make_fg
+from repro.workloads.spec import KIND_BG, WorkloadSpec
+from tests.conftest import make_bg, make_fg, make_phase
 
 
 def _machine(backend, *, sigma=0.015, tau=0.15, seed=9, cores_used=None):
@@ -37,6 +39,39 @@ def _machine(backend, *, sigma=0.015, tau=0.15, seed=9, cores_used=None):
             machine.spawn(make_bg(heavy=core % 2 == 0), core=core, nice=5)
     machine.settle_cache()
     return machine
+
+
+def _flat_bg(name="flat-bg"):
+    """A one-phase BG task: its phase spans the whole program, so its
+    lane never crosses a phase boundary (an ``inf`` guard bound)."""
+    return WorkloadSpec(
+        name=name, kind=KIND_BG,
+        phases=(make_phase("flat", instructions=5e8, apki=30.0),),
+    )
+
+
+def _mixed_guard_machine(backend, sigma):
+    """Guarded and unguarded lanes side by side, plus one paused BG.
+
+    Core 0 runs a two-phase FG (guarded until its last phase), cores 1
+    and 3 two-phase BG tasks (guarded), cores 4 and 5 identical
+    one-phase BG tasks (unguarded; clone lanes at sigma 0), and core
+    2's BG task is paused, leaving that core idle.
+    """
+    config = MachineConfig(
+        seed=13, os_jitter_sigma=sigma, cache_inertia_tau_s=0.15,
+        timer_jitter_prob=0.0,
+    )
+    machine = Machine(config, backend=backend)
+    machine.spawn(make_fg(input_noise=0.05), core=0, nice=-5)
+    machine.spawn(make_bg(heavy=True), core=1, nice=5)
+    parked = machine.spawn(make_bg(heavy=False), core=2, nice=5)
+    machine.spawn(make_bg(heavy=False), core=3, nice=5)
+    machine.spawn(_flat_bg(), core=4, nice=5)
+    machine.spawn(_flat_bg(), core=5, nice=5)
+    machine.pause(parked.pid)
+    machine.settle_cache()
+    return machine, parked.pid
 
 
 def _counters(machine):
@@ -152,6 +187,40 @@ class TestEquivalenceUnderStress:
         stats = batch.backend_stats()
         assert stats["generic_spans"] == 0  # stolen ticks stay compiled
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.015])
+    def test_pending_overhead_beside_unguarded_lanes_bit_identical(
+        self, sigma
+    ):
+        # Overhead lands on a guarded lane (1), an unguarded lane (4,
+        # whose clone on core 5 gets none), the FG, and the idle core
+        # 2, whose charge stays pending until its task resumes.  One
+        # charge exceeds a whole tick, so that lane's first tick is
+        # fully stolen.
+        scalar, parked_s = _mixed_guard_machine(BACKEND_SCALAR, sigma)
+        batch, parked_b = _mixed_guard_machine(BACKEND_BATCH, sigma)
+        steps = (3, 1, 40, 7, 300, 2, 900, 5, 60)
+        for index, step in enumerate(steps):
+            for machine, parked in ((scalar, parked_s), (batch, parked_b)):
+                machine.charge_overhead(1, 2e-5)
+                machine.charge_overhead(2, 3e-5)
+                machine.charge_overhead(4, 4e-5)
+                if index % 3 == 0:
+                    machine.charge_overhead(0, 1.5e-5)
+                if index == 3:
+                    machine.charge_overhead(
+                        3, 2 * machine.config.tick_s
+                    )
+                if index == 6:
+                    machine.resume(parked)
+                machine.run_ticks(step)
+            assert batch._stolen_s == scalar._stolen_s
+            if index < 6:
+                # Paused task: its core's stolen time keeps piling up.
+                assert scalar._stolen_s[2] > 0.0
+        assert scalar._stolen_s[2] == 0.0
+        _assert_identical(scalar, batch)
+        assert batch.backend_stats()["generic_spans"] == 0
+
     def test_idle_core_occupancy_drift_matches(self):
         # Only 3 of the cores run; with cache inertia the idle cores'
         # occupancy decays asymptotically and the stationary fast path
@@ -204,6 +273,81 @@ class TestEquivalenceUnderStress:
         compiled.run_ticks(4_000)
         assert compiled.backend_stats()["compiled_spans"] > 0
         _assert_identical(disabled, compiled)
+
+
+class TestOneKernelPerShape:
+    """Each 9-field shape compiles once and serves every span of it."""
+
+    def _record_kernels(self, monkeypatch):
+        """Route kernel compilation through a recorder.
+
+        Returns ``(requested, calls)``: every shape requested from
+        ``_compile_kernel``, and per kernel call its shape and whether
+        any of its lanes' cores had overhead pending.
+        """
+        monkeypatch.setattr(spanplan, "_KERNEL_CODE_CACHE", {})
+        original = spanplan._compile_kernel
+        requested = []
+        calls = []
+
+        def compile_kernel(shape, plan, stats):
+            requested.append(shape)
+            kernel = original(shape, plan, stats)
+            cores = shape[1]
+
+            def run(span, rho, now, *bounds):
+                pending = any(plan.stolen[core] for core in cores)
+                calls.append((shape, pending))
+                return kernel(span, rho, now, *bounds)
+
+            return run
+
+        monkeypatch.setattr(spanplan, "_compile_kernel", compile_kernel)
+        return requested, calls
+
+    def test_pending_overhead_runs_the_same_kernel(self, monkeypatch):
+        requested, calls = self._record_kernels(monkeypatch)
+        # One-phase tasks only: the running set keeps one plan (and one
+        # shape) however long the machine runs.
+        config = MachineConfig(
+            seed=3, os_jitter_sigma=0.015, timer_jitter_prob=0.0,
+        )
+        machine = Machine(config, backend=BACKEND_BATCH)
+        machine.spawn(
+            make_fg(phases=(make_phase("solo", instructions=4e7),)),
+            core=0, nice=-5,
+        )
+        for core in (1, 2, 3):
+            machine.spawn(_flat_bg(), core=core, nice=5)
+        machine.settle_cache()
+        for index in range(12):
+            if index % 2:
+                machine.charge_overhead(0, 2e-5)
+                machine.charge_overhead(2, 3e-5)
+            machine.run_ticks(25)
+        with_overhead = {shape for shape, pending in calls if pending}
+        without = {shape for shape, pending in calls if not pending}
+        assert with_overhead and with_overhead == without
+        assert machine.backend_stats()["kernels_compiled"] == 1
+        assert len(set(requested)) == 1
+
+    def test_kernels_compiled_counts_distinct_nine_field_shapes(
+        self, monkeypatch
+    ):
+        requested, _ = self._record_kernels(monkeypatch)
+        batch, parked = _mixed_guard_machine(BACKEND_BATCH, 0.0)
+        for index, step in enumerate((5, 200, 3, 900, 40, 1500)):
+            batch.charge_overhead(1, 2e-5)
+            batch.charge_overhead(4, 4e-5)
+            if index == 3:
+                batch.resume(parked)
+            batch.run_ticks(step)
+        stats = batch.backend_stats()
+        assert requested
+        assert len(spanplan.SHAPE_FIELDS) == 9
+        assert {len(shape) for shape in requested} == {9}
+        assert stats["kernels_compiled"] == len(set(requested))
+        assert stats["kernels_compiled"] == len(spanplan._KERNEL_CODE_CACHE)
 
 
 class TestPropertyEquivalence:
