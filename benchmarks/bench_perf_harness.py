@@ -59,7 +59,11 @@ from pathlib import Path
 
 from repro.core.policies import BASELINE, DIRIGENT
 from repro.experiments import harness
-from repro.experiments.harness import build_machine, run_policy
+from repro.experiments.harness import (
+    PolicySession,
+    build_machine,
+    run_policy,
+)
 from repro.experiments.mixes import mix_by_name
 from repro.experiments.parallel import (
     ENV_PACK_CELLS,
@@ -116,6 +120,15 @@ SPARSE_CONFIG = MachineConfig(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
 #: the count in the artifact).
 E2E_KERNELS_MAX = 9
 E2E_KERNELS_BEFORE = 32
+
+#: Spans the same run (``ferret rs`` under Dirigent, E=8, warmup 2,
+#: driven through a ``PolicySession``) opens on the batch backend.
+#: Deterministic, so host-independent: with Dirigent's sample-only
+#: wakeups taken inside the span kernels, spans end only at decision
+#: wakeups and machine events (1,278); when every 5 ms wakeup ended a
+#: span the run opened 2,726 (``E2E_SPANS_BEFORE``).
+E2E_SPANS_MAX = 1278
+E2E_SPANS_BEFORE = 2726
 
 
 def _sparse_machine(backend: str) -> Machine:
@@ -261,6 +274,33 @@ def _multi_cell_rates(spec, cells: int):
     )
     stat_dict = {key: stats.as_dict()[key] for key in keep}
     return batch_best, vector_best, stat_dict
+
+
+def _end_to_end_spans():
+    """Span and in-kernel wakeup counts of one batch Dirigent run.
+
+    Returns ``(spans, kernel_wakeups)`` from the machine's fast-path
+    counters after a ``PolicySession`` on ``ferret rs`` runs to done.
+    Both are deterministic for the fixed seed.
+    """
+    previous = os.environ.get(ENV_BACKEND)
+    os.environ[ENV_BACKEND] = BACKEND_BATCH
+    try:
+        harness.clear_caches()
+        session = PolicySession(
+            mix_by_name("ferret rs"), DIRIGENT,
+            executions=SWEEP_EXECUTIONS, warmup=SWEEP_WARMUP,
+        )
+        while not session.done:
+            session.advance()
+        stats = session.machine.backend_stats()
+        return stats["spans"], stats["kernel_wakeups"]
+    finally:
+        harness.clear_caches()
+        if previous is None:
+            os.environ.pop(ENV_BACKEND, None)
+        else:
+            os.environ[ENV_BACKEND] = previous
 
 
 def _end_to_end_s(backend: str):
@@ -436,6 +476,7 @@ def run_benchmark() -> dict:
     noisy_contended_speedup = noisy_batch_r / noisy_scalar
     e2e_scalar_s, _ = _end_to_end_s(BACKEND_SCALAR)
     e2e_batch_s, e2e_kernels = _end_to_end_s(BACKEND_BATCH)
+    e2e_spans, e2e_kernel_wakeups = _end_to_end_spans()
 
     # Multi-cell vector driver vs per-machine batch loop.
     long_phase = {}
@@ -548,11 +589,19 @@ def run_benchmark() -> dict:
                 "speedup": round(e2e_scalar_s / e2e_batch_s, 3),
                 "kernels_compiled": e2e_kernels,
                 "kernels_compiled_before": E2E_KERNELS_BEFORE,
+                "spans": e2e_spans,
+                "spans_before": E2E_SPANS_BEFORE,
+                "kernel_wakeups": e2e_kernel_wakeups,
                 "note": (
                     "kernels_compiled: span kernels the first batch run "
                     "compiled from an empty kernel code cache; "
                     "kernels_compiled_before: the same run while guard "
-                    "lanes and pending overhead were span-shape axes"
+                    "lanes and pending overhead were span-shape axes; "
+                    "spans / kernel_wakeups: spans opened and Dirigent "
+                    "sample-only wakeups taken inside span kernels by "
+                    "one batch PolicySession of the same run; "
+                    "spans_before: the same count while every wakeup "
+                    "ended a span"
                 ),
             },
             "fast_path": {
@@ -642,6 +691,12 @@ def check_floors(artifact: dict) -> None:
         backends["end_to_end_dirigent"]["kernels_compiled"]
         <= E2E_KERNELS_MAX
     ), backends["end_to_end_dirigent"]
+    assert (
+        backends["end_to_end_dirigent"]["spans"] <= E2E_SPANS_MAX
+    ), backends["end_to_end_dirigent"]
+    assert backends["end_to_end_dirigent"]["kernel_wakeups"] > 0, (
+        backends["end_to_end_dirigent"]
+    )
     fast_path = backends["fast_path"]
     for counter in ("table_hits", "table_builds", "rho_iterations"):
         assert fast_path["contended"][counter] > 0, (counter, fast_path)

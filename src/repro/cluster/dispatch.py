@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.policies import Policy
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
+    DRIVE_BLOCK_TICKS,
     PolicySession,
     RunResult,
     drive_sessions_vectorized,
@@ -160,8 +161,9 @@ class Cluster:
     (e.g. replicas of the same mix/policy at different seeds) fuse into
     cell-axis kernels.  Nodes share no simulated state, so the result
     of every node — and therefore of the cluster — is bit-identical to
-    the per-tick default; :attr:`vector_stats` exposes the driver's
-    fusion counters after a vectorized run.
+    the default, which advances each node in turn by one block;
+    :attr:`vector_stats` exposes the driver's fusion counters after a
+    vectorized run.
     """
 
     def __init__(
@@ -223,10 +225,15 @@ class Cluster:
             )
             self.vector_stats = driver.stats
         else:
+            # Each pending node advances one block through its batched
+            # fast path.  Done is detected on DRIVE_BLOCK_TICKS
+            # boundaries, where PolicySession.tick bookkeeps too, and
+            # nodes share no state, so advancing them one after another
+            # matches stepping them in lockstep.
             pending = list(self._nodes)
             while pending:
                 for node in pending:
-                    node.tick()
+                    node.session.advance(DRIVE_BLOCK_TICKS)
                 pending = [node for node in pending if not node.done]
         results = {node.name: node.result() for node in self._nodes}
         met = 0

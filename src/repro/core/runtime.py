@@ -265,6 +265,9 @@ class DirigentRuntime:
                 decision_every=self._opts.coarse_decision_every,
             )
         self._running = False
+        # The wakeup callback, bound once: a stable object the simulator
+        # can recognize on its timer wheel (see attach_sampler).
+        self._wakeup = self._on_wakeup
         self._sample_count = 0
         self._decisions_at_last_coarse = 0
         self._bg_miss_base: Dict[int, float] = {}
@@ -361,7 +364,16 @@ class DirigentRuntime:
         for pid, core in self._bg_cores:
             self._bg_miss_base[pid] = self._sys.read_counters(core).llc_misses
         self._last_wakeup_s = now
-        self._sys.schedule_wakeup(self._opts.sampling_period_s, self._on_wakeup)
+        self._sys.schedule_wakeup(self._opts.sampling_period_s, self._wakeup)
+        # A simulator may take the sample-only wakeups inside its span
+        # kernel.  It must be driven directly (a fault-injecting wrapper
+        # has no attach_sampler), and every sample must come from
+        # hardware counters.
+        attach = getattr(self._sys, "attach_sampler", None)
+        if attach is not None and all(
+            task.progress_fn is None for task in self._tasks
+        ):
+            attach(self)
 
     def stop(self) -> None:
         """Stop scheduling further wakeups."""
@@ -377,30 +389,8 @@ class DirigentRuntime:
         self._sys.charge_overhead(
             self._pinned_core, self._opts.invocation_overhead_s
         )
-        self.invocations += 1
         now = self._sys.now()
-
-        for task in self._tasks:
-            snap = self._sys.read_counters(task.core)
-            if task.progress_fn is not None:
-                progress = task.progress_fn()
-            else:
-                progress = snap.instructions - task.instruction_base
-            if progress < 0:
-                self.negative_progress_samples += 1
-            if progress >= 0 and task.predictor.in_execution:
-                task.predictor.observe(snap.time_s, progress)
-                if (
-                    self._opts.record_predictions
-                    and task.midpoint_prediction is None
-                    and task.predictor.progress_fraction >= 0.5
-                ):
-                    task.midpoint_prediction = task.predictor.predict(now)
-
-        self._record_bg_grades()
-        self._sample_count += 1
-        if self._hardening:
-            self._update_health(now)
+        self._sample(now, None)
         at_decision = self._sample_count % self._opts.decision_every == 0
         if self.mode == "safe":
             # Decisions are suspended under the static safe policy; just
@@ -422,7 +412,101 @@ class DirigentRuntime:
             if statuses:
                 self._fine.decide(statuses, self._bg_intrusiveness())
 
-        self._sys.schedule_wakeup(self._opts.sampling_period_s, self._on_wakeup)
+        self._sys.schedule_wakeup(self._opts.sampling_period_s, self._wakeup)
+
+    def _sample(self, now: float, replayed: Optional[Sequence[float]]) -> None:
+        """One wakeup's sampling: observe progress, grade BG, check health.
+
+        ``replayed`` is None to read each task's counters live, or a
+        sample the simulator buffered while taking the wakeup inside its
+        span kernel: ``(time_s, instructions of each task in task
+        order)`` (see :meth:`replay_samples`).
+        """
+        self.invocations += 1
+        for index, task in enumerate(self._tasks, 1):
+            if replayed is None:
+                snap = self._sys.read_counters(task.core)
+                time_s = snap.time_s
+                instructions = snap.instructions
+            else:
+                time_s = now
+                instructions = replayed[index]
+            if task.progress_fn is not None:
+                progress = task.progress_fn()
+            else:
+                progress = instructions - task.instruction_base
+            if progress < 0:
+                self.negative_progress_samples += 1
+            if progress >= 0 and task.predictor.in_execution:
+                task.predictor.observe(time_s, progress)
+                if (
+                    self._opts.record_predictions
+                    and task.midpoint_prediction is None
+                    and task.predictor.progress_fraction >= 0.5
+                ):
+                    task.midpoint_prediction = task.predictor.predict(now)
+
+        self._record_bg_grades()
+        self._sample_count += 1
+        if self._hardening:
+            self._update_health(now)
+
+    # ------------------------------------------------------------------
+    # In-kernel sampling (see Machine.attach_sampler)
+    # ------------------------------------------------------------------
+
+    @property
+    def sample_wakeup(self) -> Callable[[], None]:
+        """The callback every sampling wakeup is scheduled with."""
+        return self._wakeup
+
+    @property
+    def sample_terms(self) -> tuple:
+        """``(sampling_period_s, pinned_core, invocation_overhead_s,
+        task cores)``: what a sample-only wakeup does to the machine."""
+        return (
+            self._opts.sampling_period_s,
+            self._pinned_core,
+            self._opts.invocation_overhead_s,
+            tuple(task.core for task in self._tasks),
+        )
+
+    def sample_budget(self) -> int:
+        """How many upcoming wakeups provably cannot actuate.
+
+        Those wakeups only sample, so a simulator may take them inside
+        its span kernel and replay them through :meth:`replay_samples`.
+        A wakeup can actuate when it decides (every ``decision_every``
+        samples) or when its health update moves the runtime into or
+        out of safe mode.  So the budget is 0 outside "normal" mode, and
+        otherwise stops before the next decision and before the suspect
+        window could reach the safe threshold even if every sample in
+        between were suspect.
+        """
+        if not self._running or self.mode != "normal":
+            return 0
+        opts = self._opts
+        every = opts.decision_every
+        budget = every - 1 - self._sample_count % every
+        if self._hardening and budget:
+            window = self._suspects.maxlen
+            suspects = sum(self._suspects)
+            while budget and (
+                (suspects + budget) / window >= opts.safe_threshold
+            ):
+                budget -= 1
+        return budget
+
+    def replay_samples(self, samples: Sequence[Sequence[float]]) -> None:
+        """Replay wakeups a simulator took inside its span kernel.
+
+        Each sample is ``(time_s, instructions of each task in task
+        order)``, read at a wakeup granted by :meth:`sample_budget`; the
+        simulator has already charged its overhead and rescheduled the
+        next wakeup.  Each runs the very routine a live wakeup runs.
+        """
+        for sample in samples:
+            self._sample(sample[0], sample)
 
     def _record_bg_grades(self) -> None:
         for pid, core in self._bg_cores:

@@ -9,28 +9,28 @@ batching amortizes per-step cost in inference engines: it computes an
 can deviate from straight-line execution — and advances all ticks up to
 that horizon in one fused kernel.
 
-The horizon is the minimum of:
+The horizon is exact — the minimum of:
 
 (a) the timer wheel's next deadline (:meth:`TimerWheel.next_deadline`),
     since firing callbacks can pause/resume processes, change DVFS
-    grades, repartition the cache, or charge runtime overhead;
+    grades, repartition the cache, or charge runtime overhead; and
 (b) the governor's next pending DVFS transition
     (:meth:`FrequencyGovernor.next_transition_tick`), since an applied
-    grade changes every subsequent tick's frequency inputs;
-(c) each running process's estimated ticks to its next phase boundary
-    (``(phase_end - progress) / (ips * tick_s)``), since crossing one
-    swaps the per-phase model inputs; and
-(d) each FG task's estimated ticks to completion, since completions
-    dispatch listeners (prediction bookkeeping, BG rotation) that may
-    mutate arbitrary machine state.
+    grade changes every subsequent tick's frequency inputs.
 
-Estimates (c) and (d) use the previous tick's progress rates, which
-drift as cache occupancy and bandwidth contention evolve, so they bound
-the span *heuristically*; correctness never depends on them.  Inside
-the fused kernel every tick re-checks, before mutating anything, that
-each process is still inside its gathered phase window, and handles FG
+Phase boundaries and FG completions need no horizon term: inside the
+fused kernel every tick re-checks, before mutating anything, that each
+process is still inside its gathered phase window, and handles FG
 completions with exactly the scalar kernel's logic, exiting the span
-whenever an event actually occurs.
+whenever such an event actually occurs.
+
+One timer is not an event either: the wakeup of a periodic sampler
+attached with :meth:`Machine.attach_sampler` (the Dirigent runtime)
+while its ``sample_budget()`` says the wakeup only samples.  The
+compiled span kernels take such wakeups themselves — buffer the
+counter reads, charge the overhead, draw the next wakeup — and
+:meth:`SpanPlan.run` hands the samples back to the sampler, so spans
+end only at decision wakeups and real machine events.
 
 **Bit-identical semantics.**  The fused kernel performs the same
 floating-point operations in the same order as ``Machine.tick``: the
@@ -103,6 +103,25 @@ def resolve_backend(override: Optional[str] = None) -> str:
     return name
 
 
+def event_horizon(machine, budget: int) -> int:
+    """Ticks ``machine`` can run before its next timer or DVFS change.
+
+    Exact, and capped at ``budget``: 0 when an event is due at the
+    current tick.  Phase boundaries and FG completions need no term
+    here — every span kernel (and the vector backend's fused cell-axis
+    kernels) detects them exactly and stops at them.
+    """
+    now = machine.clock.tick
+    horizon = budget
+    deadline = machine.timers.next_deadline()
+    if deadline is not None and deadline - now < horizon:
+        horizon = deadline - now
+    transition = machine.governor.next_transition_tick()
+    if transition is not None and transition - now < horizon:
+        horizon = transition - now
+    return horizon
+
+
 class BatchEngine:
     """Advances a :class:`~repro.sim.machine.Machine` span-by-span.
 
@@ -122,6 +141,9 @@ class BatchEngine:
             SpanPlanner(machine, self.stats)
             if span_compile_enabled() else None
         )
+        # (sampler, wakeup, task cores, (period ticks, pinned core,
+        # overhead)) of the attached sampler, resolved once.
+        self._terms: Optional[tuple] = None
         num_cores = machine.config.num_cores
         self._cores = [0] * num_cores
         self._procs: List[Optional[Process]] = [None] * num_cores
@@ -153,20 +175,25 @@ class BatchEngine:
     def run_ticks(self, ticks: int) -> None:
         """Advance the machine by exactly ``ticks`` ticks."""
         m = self._m
+        sampler = m._sampler if self._planner is not None else None
         remaining = ticks
         while remaining > 0:
-            horizon = self._horizon(remaining)
-            if horizon < 1:
-                # An event is due at the current tick (timer or DVFS
-                # apply): run the start-of-tick preamble by itself, then
-                # re-plan.  The tick itself stays on the span path.
-                m.dispatch_events()
-                horizon = self._horizon(remaining)
-            if horizon >= 1:
-                executed = self._dispatch_span(horizon)
-                if executed:
-                    remaining -= executed
-                    continue
+            executed = None
+            if sampler is not None:
+                executed = self._sampled_span(sampler, remaining)
+            if executed is None:
+                horizon = event_horizon(m, remaining)
+                if horizon < 1:
+                    # An event is due at the current tick (timer or DVFS
+                    # apply): run the start-of-tick preamble by itself,
+                    # then re-plan.  The tick itself stays on the span
+                    # path.
+                    m.dispatch_events()
+                    horizon = event_horizon(m, remaining)
+                executed = self._dispatch_span(horizon) if horizon >= 1 else 0
+            if executed:
+                remaining -= executed
+                continue
             # No span progress (an in-span guard tripped immediately, or
             # a timer callback scheduled work for this same tick): the
             # scalar kernel handles it — it is the semantic reference.
@@ -174,61 +201,51 @@ class BatchEngine:
             remaining -= 1
 
     # ------------------------------------------------------------------
-    # Event horizon
+    # Sample-only wakeups inside the span kernel
     # ------------------------------------------------------------------
 
-    def _horizon(self, budget: int) -> int:
-        """Ticks that can run before the next discrete event (estimate).
+    def _sampled_span(self, sampler, budget: int) -> Optional[int]:
+        """Run one compiled span that takes ``sampler``'s wakeups itself.
 
-        Components (a) and (b) — timer deadlines and DVFS transitions —
-        are exact; (c) and (d) — phase boundaries and FG completions —
-        extrapolate the previous tick's progress rates and are verified
-        tick-by-tick inside the span.
+        Applies when the earliest timer is the sampler's wakeup, falls
+        inside this ``run_ticks`` call, and only samples
+        (``sampler.sample_budget()``); no other event may be due now,
+        and the span must compile with the sampler's task cores as its
+        FG lanes.  Returns the ticks executed (possibly 0: a sample
+        taken at a tick the kernel could not run), or None — with the
+        timer wheel untouched — when the plain path must run instead.
         """
+        allowed = sampler.sample_budget()
+        if not allowed:
+            return None
         m = self._m
-        now = m.clock.tick
-        horizon = budget
-        deadline = m.timers.next_deadline()
-        if deadline is not None and deadline - now < horizon:
-            horizon = deadline - now
-        transition = m.governor.next_transition_tick()
-        if transition is not None and transition - now < horizon:
-            horizon = transition - now
-        if horizon <= 1:
-            return horizon
-        dt = m.config.tick_s
-        ips_prev = m._ips_prev
-        for proc in m._procs_by_core:
-            if proc is None or proc.state != STATE_RUNNING:
-                continue
-            step = ips_prev[proc.core] * dt
-            if step <= 0.0:
-                continue  # no rate estimate yet; the span guard covers it
-            progress = proc.progress
-            if proc.is_fg:
-                if proc._phase_index != len(proc._spec.phases) - 1:
-                    ticks_to_boundary = int(
-                        (proc._phase_end - progress) / step
-                    ) + 1
-                    if ticks_to_boundary < horizon:
-                        horizon = ticks_to_boundary
-                to_target = proc._target_total - progress
-                if to_target > 0:
-                    ticks_to_completion = int(to_target / step) + 1
-                    if ticks_to_completion < horizon:
-                        horizon = ticks_to_completion
-            else:
-                # BG phase windows cover the *wrapped* offset; a phase
-                # spanning the whole program never produces an event.
-                total = proc._total
-                if proc._phase_start > 0.0 or proc._phase_end < total:
-                    offset = progress % total if progress >= total else progress
-                    ticks_to_boundary = int(
-                        (proc._phase_end - offset) / step
-                    ) + 1
-                    if ticks_to_boundary < horizon:
-                        horizon = ticks_to_boundary
-        return horizon
+        timers = m.timers
+        deadline = timers.next_deadline()
+        if deadline is None or deadline - m.clock.tick >= budget:
+            return None
+        terms = self._terms
+        if terms is None or terms[0] is not sampler:
+            period_s, core, overhead_s, cores = sampler.sample_terms
+            terms = self._terms = (
+                sampler, sampler.sample_wakeup, cores,
+                (m.clock.ticks_for(period_s), core, overhead_s),
+            )
+        _, wakeup, cores, kernel_terms = terms
+        fire = timers.take(wakeup)
+        if fire is None:
+            return None
+        horizon = event_horizon(m, budget)
+        if horizon >= 1:
+            plan = self._planner.plan_for_span()
+            if plan is not None and plan.fg_cores == cores:
+                stats = self.stats
+                stats.spans += 1
+                stats.compiled_spans += 1
+                return plan.run(
+                    horizon, (sampler, fire, allowed) + kernel_terms
+                )
+        timers.requeue(fire, 0)
+        return None
 
     # ------------------------------------------------------------------
     # Fused multi-tick kernel

@@ -107,6 +107,7 @@ class Machine:
         self._settled = False
         self._ips_prev: List[float] = [0.0] * self.config.num_cores
         self._energy = None  # optional EnergyModel
+        self._sampler = None  # see attach_sampler
         self._batch_engine = (
             None if self.backend == BACKEND_SCALAR else BatchEngine(self)
         )
@@ -259,6 +260,24 @@ class Machine:
         if not 0 <= core < self.config.num_cores:
             raise SimulationError("core %d out of range" % core)
         self._stolen_s[core] += seconds
+
+    def attach_sampler(self, sampler) -> None:
+        """Let the batch engine take ``sampler``'s sample-only wakeups.
+
+        ``sampler`` is a periodic monitor driving this machine directly
+        (the Dirigent runtime, which attaches itself on start).  It
+        schedules every wakeup with one stable callback,
+        ``sampler.sample_wakeup``; a wakeup granted by
+        ``sampler.sample_budget()`` only charges ``invocation_overhead_s``
+        to the pinned core, reads the task cores' instruction counters
+        and reschedules itself one ``sampling_period_s`` later (the
+        ``sampler.sample_terms`` tuple).  The span kernels do exactly
+        that in-kernel and hand the buffered reads to
+        ``sampler.replay_samples``, so a span need not end at such a
+        wakeup.  Only the batch engine's compiled spans use this;
+        ``tick`` and the scalar backend fire every wakeup as a timer.
+        """
+        self._sampler = sampler
 
     # ------------------------------------------------------------------
     # Simulation loop

@@ -48,6 +48,13 @@ This module compiles each *span shape* into a specialized kernel:
   that the clone lanes' occupancy and miss-curve state still compare
   bit-equal; ``REPRO_MISSCURVE_TABLE=0`` disables the dedup kernels
   (and the exact solver tables in :mod:`repro.sim.perf`) entirely.
+* **In-kernel sampler wakeups** — every span kernel can take the
+  sample-only wakeups of a sampler attached with
+  :meth:`repro.sim.machine.Machine.attach_sampler` (the Dirigent
+  runtime) without ending the span: it buffers the FG counters,
+  charges the wakeup's overhead through the next segment's peeled
+  tick, and redraws the timer; :meth:`SpanPlan.run` requeues the timer
+  and replays the buffered samples through the sampler.
 
 **Bit-exactness.**  Every generated kernel performs the same
 floating-point operations in the same order as ``Machine.tick``:
@@ -142,7 +149,10 @@ class SpanStats:
       dedup kernel was compiled for;
     * ``partial_peels``: cells evicted from a fused multi-cell span
       while the surviving cells kept running fused (wholesale span
-      aborts do not count).
+      aborts do not count);
+    * ``kernel_wakeups``: an attached sampler's sample-only wakeups the
+      span kernels took themselves (buffered, then replayed through
+      the sampler) instead of ending a span to fire them as timers.
     """
 
     __slots__ = (
@@ -166,6 +176,7 @@ class SpanStats:
         "table_hits",
         "table_builds",
         "partial_peels",
+        "kernel_wakeups",
     )
 
     def __init__(self) -> None:
@@ -308,13 +319,25 @@ def _generate_source(shape: tuple) -> str:
     :meth:`repro.sim.machine.Machine.tick` and the generic
     ``BatchEngine._run_span``), with each lane unrolled into locals.
 
-    The span's first tick is peeled out of the loop and charges each
-    lane's pending runtime overhead exactly as the scalar kernel does
-    (``dt_eff = dt - stolen``; a fully-stolen tick skips the lane's
-    accumulation).  With nothing pending it performs exactly a plain
-    tick's operations (``dt - 0.0 == dt``), and subsequent ticks are
-    overhead-free by construction (callbacks never run mid-span), so
-    one kernel serves spans with and without pending overhead.
+    The signature is ``run(span, rho, now, wk, nw, pt, pc, ov, g_0,
+    ...)``.  The kernel may take an attached sampler's wakeups itself
+    (see :meth:`repro.sim.machine.Machine.attach_sampler`): the next
+    one is due at absolute tick ``wk``, ``nw`` of them may be taken,
+    each reschedules ``pt`` ticks later (plus the timer wheel's jitter
+    draw from the closure-bound ``tr_``) and charges ``ov`` seconds to
+    core ``pc``.  A taken wakeup appends ``(time_s, FG lanes'
+    instruction counters)`` to the closure-bound buffer ``sb``; the
+    kernel returns the next wakeup tick last.  Spans without a sampler
+    pass ``wk = now + span`` and ``nw = 0``.
+
+    Wakeups split the span into segments.  Each segment's first tick
+    is peeled out of the loop and charges each lane's pending runtime
+    overhead exactly as the scalar kernel does (``dt_eff = dt -
+    stolen``; a fully-stolen tick skips the lane's accumulation).  With
+    nothing pending it performs exactly a plain tick's operations
+    (``dt - 0.0 == dt``), and subsequent ticks are overhead-free by
+    construction (callbacks never run mid-span), so one kernel serves
+    spans with and without pending overhead.
 
     ``run`` takes one phase-boundary guard bound per lane; a lane that
     cannot cross a boundary passes ``inf``, which its ``p >= g`` test
@@ -423,9 +446,12 @@ def _generate_source(shape: tuple) -> str:
         add("    frl = plan.freqs_list")
         add("    bsl = plan.busy_list")
     add("    sta = plan.stolen")
+    add("    sb = plan.samples")
+    add("    tr_ = plan.timer_random")
+    add("    jp = plan.timer_jitter")
 
     g_args = "".join(", g_%d" % i for i in range(n))
-    add("    def run(span, rho, now%s):" % g_args)
+    add("    def run(span, rho, now, wk, nw, pt, pc, ov%s):" % g_args)
 
     # ---- prologue: load mutable state into locals ----
     for c in range(num_cores):
@@ -447,7 +473,9 @@ def _generate_source(shape: tuple) -> str:
         add("        ca_%d = ca_a[%d]" % (i, core))
         add("        cm_%d = cm_a[%d]" % (i, core))
     add("        completions = []")
-    add("        executed = 0")
+    add("        now0 = now")
+    add("        stop = now + span")
+    add("        lim = wk if wk < stop else stop")
     add("        stat_ticks = 0")
     add("        mh = 0")
     add("        mm = 0")
@@ -672,22 +700,42 @@ def _generate_source(shape: tuple) -> str:
                     % (c, c, i, c))
 
         add(ind + "now += 1")
-        add(ind + "executed += 1")
+
+    # ================= in-kernel sampler wakeup =================
+    # What the sampler's timer callback would do at the top of this
+    # tick, in TimerWheel.schedule's order.  A wakeup beyond the budget
+    # (``nw == 0``) or at ``stop`` ends the span: the plain path fires
+    # it.
+    row = ["now * dt"] + ["ci_%d" % i for i in range(n) if isfg[i]]
+    s1 = "            "
+    m1 = s1 + "    "
+    m2 = m1 + "    "
+    add("        while True:")
+    add(s1 + "if now == wk:")
+    add(s1 + "    if not nw:")
+    add(s1 + "        break")
+    add(s1 + "    nw -= 1")
+    add(s1 + "    sb.append((%s,))" % ", ".join(row))
+    add(s1 + "    sta[pc] = sta[pc] + ov")
+    add(s1 + "    wk = now + pt")
+    add(s1 + "    if jp > 0.0 and tr_() < jp:")
+    add(s1 + "        wk += 1")
+    add(s1 + "    lim = wk if wk < stop else stop")
 
     # ================= peeled overhead tick =================
-    # Only the span's first tick can carry overhead (callbacks never
-    # run mid-span); peeling it keeps the main loop overhead-free.
-    add("        while executed < span:")
-    emit_guards("            ")
-    emit_model_tick("            ", True)
-    add("            break")
-    add("        if executed and not completions:")
-    m0 = "            "
-    m1 = m0 + "    "
-    m2 = m1 + "    "
+    # Only a segment's first tick can carry overhead (callbacks never
+    # run mid-span, in-kernel wakeups only at segment starts); peeling
+    # it keeps the main loop overhead-free.
+    add(s1 + "seg = now")
+    add(s1 + "while now < lim:")
+    emit_guards(m1)
+    emit_model_tick(m1, True)
+    add(m1 + "break")
+    add(s1 + "if now == seg or completions:")
+    add(s1 + "    break")
 
     # ================= full-model loop =================
-    add(m0 + "while executed < span:")
+    add(s1 + "while now < lim:")
     emit_guards(m1)
     emit_model_tick(m1, False)
     add(m1 + "if completions:")
@@ -707,9 +755,12 @@ def _generate_source(shape: tuple) -> str:
         add(m2 + "break")
 
     # ================= stationary loop =================
+    # Each segment re-detects stationarity, exactly as a fresh span
+    # would, so the counters match spans that end at every wakeup.
     if use_stationary:
-        add(m0 + "if stationary:")
-        add(m1 + "while executed < span:")
+        add(s1 + "if stationary:")
+        add(m1 + "stationary = False")
+        add(m1 + "while now < lim:")
         emit_guards(m2)
         for i in range(n):
             r = classes[i]
@@ -729,13 +780,17 @@ def _generate_source(shape: tuple) -> str:
         if has_energy:
             add(m2 + "acc_e(dt, frl, bsl)")
         add(m2 + "now += 1")
-        add(m2 + "executed += 1")
         add(m2 + "stat_ticks += 1")
         add(m2 + "if completions:")
         add(m2 + "    break")
 
+    # A segment ending anywhere but at the next wakeup before ``stop``
+    # (a guard trip, a completion, the span's end) ends the span.
+    add(s1 + "if completions or now != lim or now == stop:")
+    add(s1 + "    break")
+
     # ---- epilogue: write mutable state back ----
-    add("        if executed:")
+    add("        if now != now0:")
     for c in range(num_cores):
         add("            eff[%d] = ef_%d" % (c, c))
     for i in range(n):
@@ -765,7 +820,8 @@ def _generate_source(shape: tuple) -> str:
             add("            wb[%d] = wt_%d" % (c, classes[i]))
             add("            tb[%d] = tg_%d" % (c, classes[i]))
     add("            clock.tick = now")
-    add("        return executed, rho, stat_ticks, mh, mm, mce, th, completions")
+    add("        return (now - now0, rho, stat_ticks, mh, mm, mce, th, "
+        "completions, wk)")
     add("    return run")
     add("")
     return "\n".join(lines)
@@ -1214,9 +1270,15 @@ KERNEL_STATE = {
     "_settled": "plans are built only on settled machines",
     "_completion_listeners": "SpanPlan.run fires listeners on completion",
     "governor": "event ticks stay outside spans (batch-engine horizon)",
-    "timers": "event ticks stay outside spans (batch-engine horizon)",
+    "timers": (
+        "event ticks stay outside spans; a sampler's wakeups taken "
+        "in-kernel are requeued by SpanPlan.run"
+    ),
     "_energy": "acc_e closure accumulates per span tick",
-    "_stolen_s": "every span kernel peels its first tick to charge it",
+    "_stolen_s": (
+        "every span segment peels its first tick to charge it; "
+        "in-kernel wakeups add the sampler's overhead first"
+    ),
     "_gauss_fns": "per-lane rnd_<i> draws replay CPython's gauss",
 }
 
@@ -1230,8 +1292,11 @@ def template_shapes() -> Tuple[tuple, ...]:
     tracking), energy accounting, a zero-``apki`` lane, multi-group
     cache partitions, and clone-lane dedup (non-identity ``classes``
     folding the solver per class).  Every kernel carries the peeled
-    overhead tick and one guard per lane, so neither needs a template
-    of its own.  ``repro lint`` audits the source generated for every
+    overhead tick, one guard per lane and the in-kernel sampler
+    wakeups, so none needs a template of its own; the FG lanes set the
+    sample row, so sampling kernels of each kind (jittered, stationary,
+    dedup) carry FG lanes, one of them three (the x3 mixes).
+    ``repro lint`` audits the source generated for every
     one of these, so a codegen change that breaks the contract on any
     branch fails lint even if no benchmark happens to exercise it.
     """
@@ -1258,6 +1323,10 @@ def template_shapes() -> Tuple[tuple, ...]:
         # the access counter, its core treated as cache-idle.
         (6, six, fg_of_six, (True, True, True, True, True, False),
          False, False, ((16, (0, 1, 2, 3, 4)),), True, ident6),
+        # Three FG copies beside three BG tasks (the x3 mixes): the
+        # in-kernel sample row carries three instruction counters.
+        (6, six, (True, True, True, False, False, False), (True,) * 6,
+         True, False, ((16, six),), False, ident6),
         # Minimal standalone FG (the baseline/standalone measurements).
         (6, (0,), (True,), (True,), False, True, ((16, (0,)),),
          False, (0,)),
@@ -1305,7 +1374,8 @@ class SpanPlan:
 
     __slots__ = (
         "machine", "stats", "kernel", "kernel_dedup", "clone_checks",
-        "stolen", "energy",
+        "stolen", "energy", "samples", "timer_random", "timer_jitter",
+        "fg_cores",
         "procs", "rngs", "floor", "delta", "wscale", "sens", "freq",
         "fh", "cpi0", "apki", "prev_w", "mpki_a", "coef",
         "eff", "cnt_i", "cnt_c", "cnt_a", "cnt_m", "ips_prev", "clock",
@@ -1316,7 +1386,7 @@ class SpanPlan:
         "guard_procs", "bounds",
     )
 
-    def run(self, span: int) -> int:
+    def run(self, span: int, sampling: Optional[tuple] = None) -> int:
         """Run up to ``span`` event-free ticks; returns ticks executed.
 
         Mirrors the generic ``BatchEngine._run_span`` contract: may
@@ -1325,6 +1395,14 @@ class SpanPlan:
         happen here, in the scalar kernel's order.  Pending overhead
         time needs no routing: every kernel peels the span's first tick
         and charges it exactly as the scalar kernel would.
+
+        ``sampling`` is ``(sampler, fire_tick, budget, period_ticks,
+        pinned_core, overhead_s)`` when the batch engine took the
+        attached sampler's wakeup timer (fire tick ``fire_tick``) off
+        the timer wheel: the kernel takes up to ``budget`` wakeups
+        itself, and this method hands the timer back to the wheel and
+        replays the buffered samples through the sampler before any
+        completion listener runs — the order the plain path observes.
 
         When the plan compiled a clone-dedup kernel, it is selected
         only after revalidating the dedup invariant: every clone lane's
@@ -1362,9 +1440,14 @@ class SpanPlan:
                 total = proc._total
                 offset = progress % total if progress >= total else progress
                 bounds[i] = progress - offset + proc._phase_end
-        executed, rho, stat, mh, mm, mce, th, completions = kernel(
-            span, m._rho, m.clock.tick, *bounds
-        )
+        now = m.clock.tick
+        if sampling is None:
+            (executed, rho, stat, mh, mm, mce, th, completions,
+             _) = kernel(span, m._rho, now, now + span, 0, 0, 0, 0.0,
+                         *bounds)
+        else:
+            (executed, rho, stat, mh, mm, mce, th, completions,
+             wake) = kernel(span, m._rho, now, *sampling[1:], *bounds)
         stats = self.stats
         stats.memo_hits += mh
         stats.memo_misses += mm
@@ -1385,11 +1468,19 @@ class SpanPlan:
                 self.groups_commit, self.disjoint,
                 None if self.alpha is None else (self.dt, self.alpha),
             )
-            if completions:
-                listeners = m._completion_listeners
-                for proc, record in completions:
-                    for listener in listeners:
-                        listener(proc, record)
+        if sampling is not None:
+            samples = self.samples
+            taken = len(samples)
+            m.timers.requeue(wake, taken)
+            if taken:
+                stats.kernel_wakeups += taken
+                sampling[0].replay_samples(samples)
+                samples.clear()
+        if completions:
+            listeners = m._completion_listeners
+            for proc, record in completions:
+                for listener in listeners:
+                    listener(proc, record)
         return executed
 
 
@@ -1524,6 +1615,13 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
         energy is not None,
     )
     plan.stolen = m._stolen_s
+    # In-kernel sampler wakeups: the buffer SpanPlan.run replays, and
+    # the RNG and jitter probability the machine's timer wheel was
+    # built with (its ``schedule`` draws from them).
+    plan.samples = []
+    plan.timer_random = m._timer_rng.random
+    plan.timer_jitter = config.timer_jitter_prob
+    plan.fg_cores = tuple(core for core, proc, _ in lanes if proc.is_fg)
     ident = tuple(range(n))
     plan.kernel = _compile_kernel(shape + (ident,), plan, stats)
 

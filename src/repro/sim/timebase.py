@@ -66,6 +66,8 @@ class TimerWheel:
         self._jitter_prob = jitter_prob
         self._heap: List[Tuple[int, int, TimerCallback]] = []
         self._seq = 0
+        # (seq, callback) of the timer popped by take(), until requeue().
+        self._taken: Optional[Tuple[int, TimerCallback]] = None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -102,6 +104,50 @@ class TimerWheel:
         uses it for its is-anything-pending check).
         """
         return self._heap
+
+    def take(self, callback: TimerCallback) -> Optional[int]:
+        """Pop the earliest pending timer if it is ``callback``.
+
+        A wrapper made with :func:`functools.wraps` counts as the
+        callback it wraps, however deeply nested (tracers wrap timer
+        callbacks that way).  Returns the timer's fire tick, or None —
+        with nothing popped — when the earliest timer is another one.
+        The batch engine uses this to run a periodic callback's
+        invocations inside its span kernel; the popped timer must go
+        back through :meth:`requeue` before anything else touches the
+        wheel.
+        """
+        heap = self._heap
+        if not heap:
+            return None
+        fire_tick, seq, queued = heap[0]
+        fn = queued
+        while fn is not callback:
+            fn = getattr(fn, "__wrapped__", None)
+            if fn is None:
+                return None
+        heapq.heappop(heap)
+        self._taken = (seq, queued)
+        return fire_tick
+
+    def requeue(self, fire_tick: int, reschedules: int) -> None:
+        """Hand back the timer popped by :meth:`take`.
+
+        ``reschedules`` counts the times the engine ran the callback in
+        the meantime, each run rescheduling it once through the
+        :meth:`schedule` arithmetic (jitter drawn from this wheel's RNG
+        in the same order); ``fire_tick`` is the last of those fire
+        ticks.  The timer gets the sequence number the last
+        :meth:`schedule` call would have assigned, so timers due on the
+        same tick still fire in the order the plain path fires them.
+        With ``reschedules == 0`` the timer returns unchanged.
+        """
+        seq, callback = self._taken
+        self._taken = None
+        if reschedules:
+            self._seq += reschedules
+            seq = self._seq - 1
+        heapq.heappush(self._heap, (fire_tick, seq, callback))
 
     def due(self) -> List[TimerCallback]:
         """Pop and return every callback due at the current tick."""

@@ -20,14 +20,15 @@ floats and applies the resulting increments to all cells with one
 broadcast float64 array addition — IEEE-identical to each cell adding
 alone, so the fused path is bit-exact against the scalar reference.
 
-**Horizons come from trips, not estimates.**  The per-machine batch
-engine bounds its spans with heuristic phase/completion horizons
-because its span must not cross a divergence point.  The cell kernels
-instead *detect* divergence exactly — a phase-boundary guard or an FG
+**Horizons come from trips, not estimates.**  The cell kernels
+*detect* divergence exactly — a phase-boundary guard or an FG
 completion trips the kernel before the divergent tick is applied — so
 a fused span only needs the machine's exact discrete-event horizon
-(timer deadlines, DVFS transitions) and can otherwise run to the tick
-budget.  Trips peel *partially*: only the tripped cells are committed
+(:func:`repro.sim.batch.event_horizon`: timer deadlines, DVFS
+transitions) and can otherwise run to the tick budget.  Unlike the
+per-machine span kernels, they do not take a sampler's wakeups
+in-kernel: every timer deadline ends a fused span.  Trips peel
+*partially*: only the tripped cells are committed
 (at the exact tick they diverged) and evicted, while the surviving
 cells keep fusing over the remaining budget — the shared trajectory
 is a pure function of the shared state, never of the member set, so
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.sim.batch import event_horizon
 from repro.sim.config import (
     env_vector_cells,
     span_compile_enabled,
@@ -249,10 +251,10 @@ class MultiCell:
                     engine.run_ticks(rem)
                     del remaining[c]
                     continue
-                horizon = self._exact_horizon(m, rem)
+                horizon = event_horizon(m, rem)
                 if horizon < 1:
                     m.dispatch_events()
-                    horizon = self._exact_horizon(m, rem)
+                    horizon = event_horizon(m, rem)
                 if horizon < 1:
                     # Event work landed on this very tick: the scalar
                     # kernel is the semantic reference for it.
@@ -292,29 +294,11 @@ class MultiCell:
     # Horizons and per-engine advancement
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _exact_horizon(m, budget: int) -> int:
-        """Exact discrete-event horizon (timers, DVFS) — no estimates.
-
-        Phase boundaries and FG completions need no horizon here: the
-        fused kernel detects them exactly and trips before the
-        divergent tick is applied.
-        """
-        now = m.clock.tick
-        horizon = budget
-        deadline = m.timers.next_deadline()
-        if deadline is not None and deadline - now < horizon:
-            horizon = deadline - now
-        transition = m.governor.next_transition_tick()
-        if transition is not None and transition - now < horizon:
-            horizon = transition - now
-        return horizon
-
     def _engine_chunk(self, c: int, remaining: Dict[int, int]) -> None:
         """Advance one cell through its batch engine by one horizon."""
         m = self._machines[c]
         rem = remaining[c]
-        chunk = m._batch_engine._horizon(rem)
+        chunk = event_horizon(m, rem)
         if chunk < 1:
             chunk = 1
         m._batch_engine.run_ticks(chunk)

@@ -77,14 +77,50 @@ class TestTemplatesConform:
     def test_templates_cover_stolen_and_energy(self):
         # Stolen time and phase guards are no longer shape axes: every
         # span kernel peels its first tick to charge pending overhead
-        # and takes one guard bound per lane.  Energy stays an axis.
+        # and takes one guard bound per lane, after the sampler
+        # arguments (next wakeup, budget, period, pinned core,
+        # overhead).  Energy stays an axis.
         shapes = _machine_shapes()
         for shape in shapes:
             source = spanplan.generate_kernel_source(shape)
             assert "sta = plan.stolen" in source
             guards = "".join(", g_%d" % i for i in range(len(shape[1])))
-            assert "def run(span, rho, now%s):" % guards in source
+            assert (
+                "def run(span, rho, now, wk, nw, pt, pc, ov%s):" % guards
+                in source
+            )
         assert {shape[7] for shape in shapes} == {True, False}
+
+    def test_templates_cover_sampling_kernels(self):
+        # Every span kernel takes sampler wakeups, so the audited matrix
+        # must hold a sampling kernel of each kind — jittered, jitter-
+        # free with the stationary loop, clone dedup — with FG lanes
+        # whose counters the sample row carries, and one with several
+        # FG lanes (the x3 mixes).
+        kinds = set()
+        fg_lanes = set()
+        for shape in _machine_shapes():
+            source = spanplan.generate_kernel_source(shape)
+            row = ", ".join(
+                ["now * dt"]
+                + ["ci_%d" % i for i, fg in enumerate(shape[2]) if fg]
+            )
+            assert "sb.append((%s,))" % row in source
+            assert "sta[pc] = sta[pc] + ov" in source
+            assert "tr_() < jp" in source
+            if not any(shape[2]):
+                continue
+            fg_lanes.add(sum(shape[2]))
+            dedup = shape[8] != tuple(range(len(shape[1])))
+            if shape[4]:
+                kinds.add("jittered")
+            elif dedup:
+                kinds.add("dedup")
+            else:
+                assert "stationary = True" in source
+                kinds.add("stationary")
+        assert kinds == {"jittered", "stationary", "dedup"}
+        assert max(fg_lanes) > 1
 
     def test_templates_cover_clone_dedup_kernels(self):
         # The clone-lane dedup variants (classes mapping several lanes
@@ -162,6 +198,21 @@ class TestDoctoredSourcesCaught:
         )
         assert any("non-allowlisted name 'p'" in message
                    for message in messages)
+
+    def test_timer_rng_is_the_only_new_allowlisted_name(self):
+        # ``tr_`` (the closure-bound timer-RNG draw of in-kernel
+        # wakeups) passes; any other plain-name call is still flagged.
+        template = (
+            "def _factory(plan, e_):\n"
+            "    %s = plan.timer_random\n"
+            "    def run(span):\n"
+            "        return %s()\n"
+            "    return run\n"
+        )
+        assert _violation_messages(template % ("tr_", "tr_")) == []
+        for name in ("tr", "tr_0", "trx_", "rnd_", "timer_random"):
+            messages = _violation_messages(template % (name, name))
+            assert ("call to non-allowlisted name %r" % name) in messages
 
     def test_in_loop_attribute_caught(self):
         messages = _violation_messages(

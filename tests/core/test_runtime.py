@@ -228,3 +228,106 @@ class TestCompletionHandling:
             llc_misses=0.0,
         )
         assert not task.predictor.in_execution
+
+
+class _AttachingSystem(FakeSystem):
+    """A FakeSystem that, like the simulator, accepts a sampler."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.samplers = []
+
+    def attach_sampler(self, sampler):
+        self.samplers.append(sampler)
+
+
+class TestInKernelSampling:
+    """The sampler side of in-kernel wakeups (Machine.attach_sampler)."""
+
+    def test_budget_counts_down_to_each_decision(self):
+        system, task, runtime = build(decision_every=5)
+        runtime.start()
+        budgets = []
+        for i in range(1, 11):
+            budgets.append(runtime.sample_budget())
+            system.set_counters(0, instructions=1.1e7 * i)
+            system.fire_next_wakeup()
+        assert budgets == [4, 3, 2, 1, 0, 4, 3, 2, 1, 0]
+
+    def test_nothing_taken_outside_normal_mode_or_once_stopped(self):
+        system, task, runtime = build()
+        runtime.start()
+        assert runtime.sample_budget() == 4
+        for mode in ("degraded", "safe"):
+            runtime.mode = mode
+            assert runtime.sample_budget() == 0
+        runtime.mode = "normal"
+        runtime.stop()
+        assert runtime.sample_budget() == 0
+
+    def test_suspects_near_the_safe_threshold_shrink_the_budget(self):
+        # Window 40, safe threshold 0.35 = 14 suspects: even if every
+        # sample taken in-kernel were suspect, the window must stay
+        # below it (entering safe mode actuates).
+        system, task, runtime = build(hardening=True)
+        runtime.start()
+        for suspects, budget in ((0, 4), (10, 3), (12, 1), (13, 0),
+                                 (14, 0)):
+            runtime._suspects.clear()
+            runtime._suspects.extend([1] * suspects + [0] * (40 - suspects))
+            assert runtime.sample_budget() == budget, suspects
+        unhardened = build(hardening=False)[2]
+        unhardened.start()
+        unhardened._suspects.extend([1] * 40)
+        assert unhardened.sample_budget() == 4
+
+    def test_attaches_only_to_systems_that_accept_samplers(self):
+        system, task, runtime = build()
+        runtime.start()  # a FakeSystem (or FaultySystem) has no hook
+        attaching = _AttachingSystem(pid_to_core={1: 0, 11: 1, 12: 2})
+        task = ManagedTask(pid=1, core=0, profile=profile(),
+                           deadline_s=0.08, ema_weight=0.2)
+        runtime = DirigentRuntime(attaching, [task], [11, 12])
+        runtime.start()
+        assert attaching.samplers == [runtime]
+        assert runtime.sample_terms == (
+            runtime.options.sampling_period_s, 1,
+            runtime.options.invocation_overhead_s, (0,),
+        )
+        # The scheduled callback is the very object the runtime names.
+        assert attaching.wakeups[-1][1] is runtime.sample_wakeup
+
+    def test_progress_fn_tasks_never_attach(self):
+        system = _AttachingSystem(pid_to_core={1: 0, 11: 1})
+        task = ManagedTask(pid=1, core=0, profile=profile(),
+                           deadline_s=0.08, ema_weight=0.2,
+                           progress_fn=lambda: 0.0)
+        runtime = DirigentRuntime(system, [task], [11])
+        runtime.start()
+        assert system.samplers == []
+
+    def test_replayed_samples_match_live_wakeups(self):
+        # The same counter reads, taken live by one runtime and replayed
+        # by another, leave every observable in the same state.
+        live_sys, live_task, live = build(hardening=True)
+        replay_sys, replay_task, replayed = build(hardening=True)
+        live.start()
+        replayed.start()
+        replay_sys.grades[1] = 2
+        live_sys.grades[1] = 2
+        rows = []
+        for i in range(1, 5):  # the sample-only wakeups before a decision
+            live_sys.set_counters(0, instructions=1.2e7 * i)
+            live_sys.fire_next_wakeup()
+            rows.append((live_sys.time_s, 1.2e7 * i))
+        replayed.replay_samples(rows)
+        for attr in ("invocations", "negative_progress_samples",
+                     "late_wakeups", "suspect_samples", "health_samples",
+                     "bg_grade_histogram", "mode"):
+            assert getattr(replayed, attr) == getattr(live, attr), attr
+        assert (replay_task.predictor.expected_penalties()
+                == live_task.predictor.expected_penalties())
+        assert (replay_task.predictor.segments_completed
+                == live_task.predictor.segments_completed)
+        assert replay_task.midpoint_prediction == live_task.midpoint_prediction
+        assert replayed.sample_budget() == live.sample_budget() == 0

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.policies import DIRIGENT
 from repro.errors import ConfigurationError
-from repro.experiments.harness import clear_caches, run_policy
+from repro.experiments.harness import PolicySession, clear_caches, run_policy
 from repro.experiments.mixes import mix_by_name
 from repro.sim.batch import (
     BACKEND_BATCH,
@@ -23,7 +23,7 @@ from repro.sim.batch import (
     ENV_BACKEND,
     resolve_backend,
 )
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, misscurve_table_enabled
 from repro.sim.machine import Machine
 from tests.conftest import make_bg, make_fg
 
@@ -284,3 +284,160 @@ class TestFaultedEquivalence:
         assert rep_s.degraded_time_s == rep_b.degraded_time_s
         assert rep_s.actuations_retried == rep_b.actuations_retried
         assert rep_s.actuations_failed == rep_b.actuations_failed
+
+
+def _drive_session(monkeypatch, backend, mix, config=None, **kwargs):
+    monkeypatch.setenv(ENV_BACKEND, backend)
+    clear_caches()
+    session = PolicySession(
+        mix_by_name(mix), DIRIGENT, executions=4, warmup=1, config=config,
+        **kwargs,
+    )
+    while not session.done:
+        session.advance()
+    return session
+
+
+def _runtime_observables(session):
+    runtime = session.runtime
+    result = session.result()
+    return (
+        runtime.invocations,
+        [task.predictor.expected_penalties() for task in runtime.tasks],
+        [tuple(task.prediction_log) for task in runtime.tasks],
+        dict(runtime.bg_grade_histogram),
+        runtime.negative_progress_samples,
+        runtime.late_wakeups,
+        runtime.suspect_samples,
+        runtime.health_samples,
+        runtime.degraded_entries,
+        runtime.safe_entries,
+        result.durations_s,
+        result.fg_instr,
+        result.bg_instr,
+        result.partition_history,
+    )
+
+
+def _sample_only(runtime):
+    every = runtime.options.decision_every
+    return runtime.invocations - runtime.invocations // every
+
+
+class TestInKernelWakeupEquivalence:
+    """Dirigent's sample-only wakeups run inside the span kernels.
+
+    The batch backend buffers them in-kernel and replays them through
+    the runtime's sampling routine; every runtime observable must match
+    the scalar reference, which fires each wakeup as a timer.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    @pytest.mark.parametrize("mix,sigma,tau,kernel", [
+        ("raytrace x3 rs", 0.015, 0.15, "jittered"),
+        ("ferret rs", 0.0, 0.0, "stationary"),
+        ("ferret rs", 0.0, 0.15, "dedup"),
+    ])
+    def test_dirigent_runtime_identical(
+        self, monkeypatch, mix, sigma, tau, kernel
+    ):
+        config = MachineConfig(os_jitter_sigma=sigma, cache_inertia_tau_s=tau)
+        scalar = _drive_session(monkeypatch, BACKEND_SCALAR, mix, config)
+        batch = _drive_session(monkeypatch, BACKEND_BATCH, mix, config)
+        assert _runtime_observables(scalar) == _runtime_observables(batch)
+        stats = batch.machine.backend_stats()
+        assert stats["kernel_wakeups"] == _sample_only(batch.runtime) > 0
+        if kernel == "stationary":
+            assert stats["stationary_ticks"] > 0
+            assert stats["memo_hits"] > 0
+        if kernel == "dedup" and misscurve_table_enabled():
+            assert stats["table_hits"] > 0
+
+    def test_wraps_wrapped_wakeups_still_run_in_kernel(self, monkeypatch):
+        # A tracer wraps each schedule_wakeup callback with
+        # functools.wraps; the runtime's timer is still recognized.
+        import functools
+
+        plain = _drive_session(monkeypatch, BACKEND_BATCH, "ferret rs")
+        original = Machine.schedule_wakeup
+
+        def schedule_wakeup(machine, delay_s, callback):
+            @functools.wraps(callback)
+            def traced():
+                return callback()
+
+            return original(machine, delay_s, traced)
+
+        monkeypatch.setattr(Machine, "schedule_wakeup", schedule_wakeup)
+        traced = _drive_session(monkeypatch, BACKEND_BATCH, "ferret rs")
+        assert _runtime_observables(traced) == _runtime_observables(plain)
+        stats = traced.machine.backend_stats()
+        assert stats["kernel_wakeups"] == _sample_only(traced.runtime) > 0
+
+    def test_faulted_runs_take_nothing_in_kernel(self, monkeypatch):
+        from repro.faults import scenario
+
+        session = _drive_session(
+            monkeypatch, BACKEND_BATCH, "ferret rs",
+            fault_plan=scenario("sensor-degraded", seed=21),
+        )
+        assert session.machine._sampler is None
+        assert session.runtime.invocations > 0
+        assert session.machine.backend_stats()["kernel_wakeups"] == 0
+
+    def test_degraded_runtime_takes_nothing_in_kernel(self, monkeypatch):
+        from repro.core.runtime import RuntimeOptions
+
+        sessions = []
+        for backend in (BACKEND_SCALAR, BACKEND_BATCH):
+            monkeypatch.setenv(ENV_BACKEND, backend)
+            clear_caches()
+            session = PolicySession(
+                mix_by_name("ferret rs"), DIRIGENT, executions=3, warmup=1,
+                runtime_options=RuntimeOptions(hardening=False),
+            )
+            # Without hardening no health update moves the mode back.
+            session.runtime.mode = "degraded"
+            while not session.done:
+                session.advance()
+            sessions.append(session)
+        scalar, batch = sessions
+        assert _runtime_observables(scalar) == _runtime_observables(batch)
+        assert batch.runtime.invocations > 0
+        assert batch.machine.backend_stats()["kernel_wakeups"] == 0
+
+    @pytest.mark.parametrize("with_progress_fn", [True, False])
+    def test_progress_fn_tasks_take_nothing_in_kernel(self, with_progress_fn):
+        from repro.core.profile import ExecutionProfile, ProfileSegment
+        from repro.core.runtime import DirigentRuntime, ManagedTask
+
+        machine = Machine(MachineConfig(seed=3), backend=BACKEND_BATCH)
+        _spawn_mixed(machine)
+        fg = machine.process_on_core(0)
+        profile = ExecutionProfile("synthetic", 0.005, tuple(
+            ProfileSegment(0.005, 1e7) for _ in range(10)
+        ))
+        task = ManagedTask(
+            pid=fg.pid, core=0, profile=profile, deadline_s=1.0,
+            ema_weight=0.2,
+            progress_fn=(lambda: fg.progress) if with_progress_fn else None,
+        )
+        runtime = DirigentRuntime(
+            machine, [task],
+            [proc.pid for proc in machine.background_processes],
+        )
+        runtime.start()
+        machine.run_ticks(3_000)
+        assert runtime.invocations > 100
+        taken = machine.backend_stats()["kernel_wakeups"]
+        if with_progress_fn:
+            assert machine._sampler is None
+            assert taken == 0
+        else:
+            assert machine._sampler is runtime
+            assert taken == _sample_only(runtime)

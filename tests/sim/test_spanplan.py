@@ -6,7 +6,8 @@ or bit-exactness against the scalar reference under conditions that
 specifically stress the compiled kernels — stolen overhead time beside
 guarded and unguarded lanes, partition-driven fallbacks, idle-core
 occupancy drift, and the exact float memoization — plus the one
-kernel per shape that serves spans with and without pending overhead.
+kernel per shape that serves spans with and without pending overhead,
+and the sampler wakeups the kernels take themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.sim import spanplan
 from repro.sim.batch import BACKEND_BATCH, BACKEND_SCALAR
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, misscurve_table_enabled
 from repro.sim.machine import Machine
 from repro.workloads.spec import KIND_BG, WorkloadSpec
 from tests.conftest import make_bg, make_fg, make_phase
@@ -50,7 +51,7 @@ def _flat_bg(name="flat-bg"):
     )
 
 
-def _mixed_guard_machine(backend, sigma):
+def _mixed_guard_machine(backend, sigma, tau=0.15):
     """Guarded and unguarded lanes side by side, plus one paused BG.
 
     Core 0 runs a two-phase FG (guarded until its last phase), cores 1
@@ -59,7 +60,7 @@ def _mixed_guard_machine(backend, sigma):
     2's BG task is paused, leaving that core idle.
     """
     config = MachineConfig(
-        seed=13, os_jitter_sigma=sigma, cache_inertia_tau_s=0.15,
+        seed=13, os_jitter_sigma=sigma, cache_inertia_tau_s=tau,
         timer_jitter_prob=0.0,
     )
     machine = Machine(config, backend=backend)
@@ -348,6 +349,255 @@ class TestOneKernelPerShape:
         assert {len(shape) for shape in requested} == {9}
         assert stats["kernels_compiled"] == len(set(requested))
         assert stats["kernels_compiled"] == len(spanplan._KERNEL_CODE_CACHE)
+
+
+class _Sampler:
+    """A minimal periodic sampler honoring ``Machine.attach_sampler``.
+
+    Every ``every``-th wakeup is a decision: it steps its core's DVFS
+    grade, so it must fire as a timer at its exact tick.  The rest only
+    charge overhead, read the FG counters and reschedule, exactly like
+    the Dirigent runtime's sample-only wakeups.  ``events`` is shared
+    with other timers to pin firing order.
+    """
+
+    def __init__(self, machine, events, *, every=5, core=1, cores=(0,)):
+        self.machine = machine
+        self.events = events
+        self.every = every
+        self.core = core
+        self.cores = cores
+        self.count = 0
+        self.period_s = 5e-3
+        self.overhead_s = 1e-4
+        self._wakeup = self._on_wakeup
+        machine.schedule_wakeup(self.period_s, self._wakeup)
+        machine.attach_sampler(self)
+
+    @property
+    def sample_wakeup(self):
+        return self._wakeup
+
+    @property
+    def sample_terms(self):
+        return (self.period_s, self.core, self.overhead_s, self.cores)
+
+    def sample_budget(self):
+        return self.every - 1 - self.count % self.every
+
+    def replay_samples(self, samples):
+        for row in samples:
+            self._sample(tuple(row))
+
+    def _on_wakeup(self):
+        m = self.machine
+        m.charge_overhead(self.core, self.overhead_s)
+        self._sample((m.now(),) + tuple(
+            m.read_counters(core).instructions for core in self.cores
+        ))
+        if self.count % self.every == 0:
+            m.step_frequency(self.core, 1 if self.count % 2 else -1)
+        m.schedule_wakeup(self.period_s, self._wakeup)
+
+    def _sample(self, row):
+        self.count += 1
+        self.events.append(("sample",) + row)
+
+
+class TestInKernelWakeups:
+    """Sample-only wakeups taken inside the span kernels."""
+
+    def _pair(self, build, **sampler_kwargs):
+        pairs = []
+        for backend in (BACKEND_SCALAR, BACKEND_BATCH):
+            machine = build(backend)
+            events = []
+            pairs.append(
+                (machine, events, _Sampler(machine, events, **sampler_kwargs))
+            )
+        return pairs
+
+    @pytest.mark.parametrize("sigma,tau", [
+        (0.015, 0.15),  # jittered kernels
+        (0.0, 0.0),     # jitter-free: memo and stationary loop
+        (0.0, 0.15),    # clone dedup (the two flat BG lanes)
+    ])
+    def test_bit_identical_and_every_sample_only_wakeup_in_kernel(
+        self, sigma, tau
+    ):
+        # The sampler is pinned to the paused task's idle core, whose
+        # stolen time piles up outside every lane, as the runtime's
+        # does when the fine controller pauses its BG task.
+        (scalar, ev_s, smp_s), (batch, ev_b, smp_b) = self._pair(
+            lambda backend: _mixed_guard_machine(backend, sigma, tau)[0],
+            core=2,
+        )
+        for step in (1, 3, 32, 700, 5, 32, 32, 2_000):
+            scalar.run_ticks(step)
+            batch.run_ticks(step)
+        assert ev_s == ev_b
+        assert smp_s.count == smp_b.count > 100
+        assert batch._stolen_s == scalar._stolen_s
+        _assert_identical(scalar, batch)
+        stats = batch.backend_stats()
+        # Every sample-only wakeup ran in-kernel: a silent fallback to
+        # the plain path fails here.
+        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
+        if sigma == 0.0 and tau == 0.0:
+            assert stats["stationary_ticks"] > 0
+        if sigma == 0.0 and tau > 0.0 and misscurve_table_enabled():
+            assert stats["table_hits"] > 0
+
+    def test_several_fg_lanes_fill_the_sample_row(self):
+        def build(backend):
+            config = MachineConfig(seed=4, timer_jitter_prob=0.3)
+            machine = Machine(config, backend=backend)
+            for core in (0, 2, 3):
+                machine.spawn(make_fg(input_noise=0.05), core=core, nice=-5)
+            for core in (1, 4, 5):
+                machine.spawn(make_bg(heavy=core % 2 == 0), core=core,
+                              nice=5)
+            machine.settle_cache()
+            return machine
+
+        (scalar, ev_s, _), (batch, ev_b, smp_b) = self._pair(
+            build, cores=(0, 2, 3), core=4,
+        )
+        scalar.run_ticks(3_000)
+        batch.run_ticks(3_000)
+        assert ev_s == ev_b
+        assert all(len(event) == 5 for event in ev_b)
+        _assert_identical(scalar, batch)
+        stats = batch.backend_stats()
+        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
+
+    def test_foreign_timer_on_sample_ticks_fires_in_scalar_order(self):
+        # A second periodic timer shares the wheel (and its jitter RNG)
+        # and lands on sample ticks now and then; it actuates, so spans
+        # must stop at it and the requeued sampler timer must keep the
+        # sequence number the plain path gives it.
+        def build(backend):
+            config = MachineConfig(seed=13, timer_jitter_prob=0.5)
+            machine = Machine(config, backend=backend)
+            machine.spawn(make_fg(input_noise=0.05), core=0, nice=-5)
+            for core in range(1, config.num_cores):
+                machine.spawn(make_bg(heavy=core % 2 == 0), core=core,
+                              nice=5)
+            machine.settle_cache()
+            return machine
+
+        def start_foreign(machine, events):
+            def foreign():
+                events.append(("foreign", machine.clock.tick))
+                machine.charge_overhead(0, 2e-4)
+                machine.step_frequency(2, -1 if len(events) % 3 else 1)
+                machine.schedule_wakeup(7.3e-3, foreign)
+
+            machine.schedule_wakeup(7.3e-3, foreign)
+
+        (scalar, ev_s, _), (batch, ev_b, smp_b) = self._pair(build)
+        start_foreign(scalar, ev_s)
+        start_foreign(batch, ev_b)
+        for machine in (scalar, batch):
+            machine.run_ticks(6_000)
+        assert ev_s == ev_b
+        dt = scalar.config.tick_s
+        ticks = {}
+        for event in ev_b:
+            tick = event[1] if event[0] == "foreign" else round(event[1] / dt)
+            ticks.setdefault(tick, set()).add(event[0])
+        assert any(kinds == {"sample", "foreign"} for kinds in ticks.values())
+        _assert_identical(scalar, batch)
+        assert batch.backend_stats()["kernel_wakeups"] > 0
+
+    def test_zero_budget_and_unrecognized_timers_take_the_plain_path(self):
+        # A budget of 0 (every wakeup decides), and a sampler naming a
+        # callback other than the one it schedules (a fresh bound
+        # method per access), both leave every wakeup to the plain
+        # path: results match scalar and nothing runs in-kernel.
+        class Unnamed(_Sampler):
+            @property
+            def sample_wakeup(self):
+                return self._on_wakeup
+
+        for sampler_cls, every in ((_Sampler, 1), (Unnamed, 5)):
+            runs = []
+            for backend in (BACKEND_SCALAR, BACKEND_BATCH):
+                machine = _machine(backend)
+                events = []
+                sampler_cls(machine, events, every=every)
+                machine.run_ticks(1_500)
+                runs.append((machine, events))
+            (scalar, ev_s), (batch, ev_b) = runs
+            assert ev_s == ev_b
+            assert len(ev_b) > 200
+            _assert_identical(scalar, batch)
+            assert batch.backend_stats()["kernel_wakeups"] == 0
+
+    def test_wraps_wrapped_timer_callbacks_still_engage(self, monkeypatch):
+        # Tracers wrap every schedule_wakeup callback with
+        # functools.wraps; the wheel sees through the wrapper.
+        import functools
+
+        original = Machine.schedule_wakeup
+
+        def schedule_wakeup(machine, delay_s, callback):
+            @functools.wraps(callback)
+            def traced():
+                return callback()
+
+            return original(machine, delay_s, traced)
+
+        monkeypatch.setattr(Machine, "schedule_wakeup", schedule_wakeup)
+        (scalar, ev_s, _), (batch, ev_b, smp_b) = self._pair(
+            lambda backend: _machine(backend)
+        )
+        scalar.run_ticks(2_000)
+        batch.run_ticks(2_000)
+        assert ev_s == ev_b
+        _assert_identical(scalar, batch)
+        stats = batch.backend_stats()
+        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5 > 0
+
+    def test_sample_on_a_guard_trip_tick_is_requeued_and_replayed(self):
+        # Wakeups every tick-rounded period while the FG crosses phase
+        # boundaries and completes: some samples land on the tick a
+        # guard trips or an execution completes, where the kernel may
+        # run no tick at all; those are still replayed, in order,
+        # before the fallback tick.
+        def build(backend):
+            config = MachineConfig(seed=21, timer_jitter_prob=0.0)
+            machine = Machine(config, backend=backend)
+            machine.spawn(
+                make_fg(input_noise=0.05, phases=(
+                    make_phase("a", instructions=2e7),
+                    make_phase("b", instructions=3e7, apki=20.0),
+                    make_phase("c", instructions=1e7),
+                )),
+                core=0, nice=-5,
+            )
+            machine.spawn(make_bg(heavy=True), core=1, nice=5)
+            machine.settle_cache()
+            return machine
+
+        (scalar, ev_s, _), (batch, ev_b, smp_b) = self._pair(build)
+        records = {}
+        for machine in (scalar, batch):
+            log = records.setdefault(machine.backend, [])
+            machine.add_completion_listener(
+                lambda proc, record, log=log: log.append(
+                    (proc.pid, record.index, record.end_s)
+                )
+            )
+        for _ in range(60):
+            scalar.run_ticks(32)
+            batch.run_ticks(32)
+        assert ev_s == ev_b
+        assert len(records[BACKEND_BATCH]) > 5
+        assert records[BACKEND_SCALAR] == records[BACKEND_BATCH]
+        _assert_identical(scalar, batch)
+        stats = batch.backend_stats()
+        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
 
 
 class TestPropertyEquivalence:
