@@ -114,21 +114,22 @@ SPARSE_CONFIG = MachineConfig(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
 
 #: Span kernels the cold end-to-end Dirigent run may compile.  A
 #: deterministic count, so the gate does not depend on the host: one
-#: kernel per span shape (plus the clone-lane dedup twin) gives 9.
-#: Before phase-boundary guards and pending overhead left the shape,
-#: the same run compiled 32 (``E2E_KERNELS_BEFORE``, recorded beside
-#: the count in the artifact).
-E2E_KERNELS_MAX = 9
-E2E_KERNELS_BEFORE = 32
+#: kernel per span structure (plus the clone-lane dedup twin) gives 6.
+#: While the lanes' cores and the LLC way counts were part of the span
+#: shape, the same run compiled 9 (``E2E_KERNELS_BEFORE``, recorded
+#: beside the count in the artifact).
+E2E_KERNELS_MAX = 6
+E2E_KERNELS_BEFORE = 9
 
 #: Spans the same run (``ferret rs`` under Dirigent, E=8, warmup 2,
-#: driven through a ``PolicySession``) opens on the batch backend.
-#: Deterministic, so host-independent: with Dirigent's sample-only
-#: wakeups taken inside the span kernels, spans end only at decision
-#: wakeups and machine events (1,278); when every 5 ms wakeup ended a
-#: span the run opened 2,726 (``E2E_SPANS_BEFORE``).
-E2E_SPANS_MAX = 1278
-E2E_SPANS_BEFORE = 2726
+#: one ``PolicySession.run_to_end``, the path ``run_policy`` takes)
+#: opens on the batch backend.  Deterministic, so host-independent:
+#: spans end only at decision wakeups and machine events, and the
+#: sampling kernel runs the span right after each decision (554).
+#: While a plain span followed every decision and 32-tick drive blocks
+#: ended spans, the run opened 1,278 (``E2E_SPANS_BEFORE``).
+E2E_SPANS_MAX = 554
+E2E_SPANS_BEFORE = 1278
 
 
 def _sparse_machine(backend: str) -> Machine:
@@ -280,8 +281,9 @@ def _end_to_end_spans():
     """Span and in-kernel wakeup counts of one batch Dirigent run.
 
     Returns ``(spans, kernel_wakeups)`` from the machine's fast-path
-    counters after a ``PolicySession`` on ``ferret rs`` runs to done.
-    Both are deterministic for the fixed seed.
+    counters after a ``PolicySession`` on ``ferret rs`` runs to the end
+    the way ``run_policy`` drives it.  Both are deterministic for the
+    fixed seed.
     """
     previous = os.environ.get(ENV_BACKEND)
     os.environ[ENV_BACKEND] = BACKEND_BATCH
@@ -291,8 +293,7 @@ def _end_to_end_spans():
             mix_by_name("ferret rs"), DIRIGENT,
             executions=SWEEP_EXECUTIONS, warmup=SWEEP_WARMUP,
         )
-        while not session.done:
-            session.advance()
+        session.run_to_end()
         stats = session.machine.backend_stats()
         return stats["spans"], stats["kernel_wakeups"]
     finally:
@@ -595,13 +596,14 @@ def run_benchmark() -> dict:
                 "note": (
                     "kernels_compiled: span kernels the first batch run "
                     "compiled from an empty kernel code cache; "
-                    "kernels_compiled_before: the same run while guard "
-                    "lanes and pending overhead were span-shape axes; "
+                    "kernels_compiled_before: the same run while lane "
+                    "cores and LLC way counts were span-shape fields; "
                     "spans / kernel_wakeups: spans opened and Dirigent "
                     "sample-only wakeups taken inside span kernels by "
-                    "one batch PolicySession of the same run; "
-                    "spans_before: the same count while every wakeup "
-                    "ended a span"
+                    "one batch PolicySession of the same run, driven to "
+                    "the end as run_policy drives it; spans_before: the "
+                    "same count while a plain span followed every "
+                    "decision and 32-tick drive blocks ended spans"
                 ),
             },
             "fast_path": {

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.policies import Policy
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
-    DRIVE_BLOCK_TICKS,
     PolicySession,
     RunResult,
     drive_sessions_vectorized,
@@ -225,16 +224,13 @@ class Cluster:
             )
             self.vector_stats = driver.stats
         else:
-            # Each pending node advances one block through its batched
-            # fast path.  Done is detected on DRIVE_BLOCK_TICKS
-            # boundaries, where PolicySession.tick bookkeeps too, and
-            # nodes share no state, so advancing them one after another
-            # matches stepping them in lockstep.
-            pending = list(self._nodes)
-            while pending:
-                for node in pending:
-                    node.session.advance(DRIVE_BLOCK_TICKS)
-                pending = [node for node in pending if not node.done]
+            # Each node runs to the end through its batched fast path.
+            # Done is detected on DRIVE_BLOCK_TICKS boundaries, where
+            # PolicySession.tick bookkeeps too, and nodes share no
+            # state, so running them one after another matches stepping
+            # them in lockstep.
+            for node in self._nodes:
+                node.session.run_to_end()
         results = {node.name: node.result() for node in self._nodes}
         met = 0
         total = 0

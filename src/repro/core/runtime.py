@@ -420,7 +420,8 @@ class DirigentRuntime:
         ``replayed`` is None to read each task's counters live, or a
         sample the simulator buffered while taking the wakeup inside its
         span kernel: ``(time_s, instructions of each task in task
-        order)`` (see :meth:`replay_samples`).
+        order)`` (see :meth:`replay_samples`, which grades BG once for
+        all the samples it replays).
         """
         self.invocations += 1
         for index, task in enumerate(self._tasks, 1):
@@ -446,7 +447,8 @@ class DirigentRuntime:
                 ):
                     task.midpoint_prediction = task.predictor.predict(now)
 
-        self._record_bg_grades()
+        if replayed is None:
+            self._record_bg_grades(1)
         self._sample_count += 1
         if self._hardening:
             self._update_health(now)
@@ -503,19 +505,25 @@ class DirigentRuntime:
         Each sample is ``(time_s, instructions of each task in task
         order)``, read at a wakeup granted by :meth:`sample_budget`; the
         simulator has already charged its overhead and rescheduled the
-        next wakeup.  Each runs the very routine a live wakeup runs.
+        next wakeup.  Each runs the very routine a live wakeup runs,
+        except the BG-grade histogram: the samples come from one span,
+        inside which nothing can pause, resume or re-grade a BG task
+        (only timer callbacks and completion listeners actuate, and the
+        budget stops before safe mode), so every sample would record the
+        same grades.  They are recorded once, weighted by the count.
         """
+        self._record_bg_grades(len(samples))
         for sample in samples:
             self._sample(sample[0], sample)
 
-    def _record_bg_grades(self) -> None:
+    def _record_bg_grades(self, weight: int) -> None:
+        """Count each running BG core's grade ``weight`` times."""
+        histogram = self.bg_grade_histogram
         for pid, core in self._bg_cores:
             if self._sys.is_paused(pid):
                 continue
             grade = self._sys.frequency_grade(core)
-            self.bg_grade_histogram[grade] = (
-                self.bg_grade_histogram.get(grade, 0) + 1
-            )
+            histogram[grade] = histogram.get(grade, 0) + weight
 
     # ------------------------------------------------------------------
     # Health monitoring and degraded operation

@@ -66,8 +66,9 @@ from repro.workloads.rotate import spawn_rotating_background
 #: Executions discarded before measurement begins.
 DEFAULT_WARMUP = 5
 
-#: Ticks between bookkeeping checks while driving a session; the
-#: machine advances in blocks of this size through the batched engine.
+#: Ticks between bookkeeping checks while driving a session block by
+#: block (:meth:`PolicySession.advance`, the lockstep drivers).  Runs
+#: driven to the end in one call stop on the same block boundaries.
 DRIVE_BLOCK_TICKS = 32
 
 # All result caches (in memory and on disk) fold the active simulation
@@ -288,18 +289,19 @@ def run_policy(
         runtime_options=runtime_options,
         fault_plan=fault_plan,
     )
-    while not session.done:
-        session.advance(DRIVE_BLOCK_TICKS)
+    session.run_to_end()
     return session.result()
 
 
 class PolicySession:
     """An incrementally driven policy run (one node's experiment).
 
-    :func:`run_policy` drives one session to completion; the cluster
-    layer (:mod:`repro.cluster`) steps several sessions in lockstep.
-    Construction performs all setup (machine, static settings, runtime);
-    call :meth:`tick` until :attr:`done`, then :meth:`result`.
+    :func:`run_policy` drives one session to completion with
+    :meth:`run_to_end`; the cluster layer (:mod:`repro.cluster`) steps
+    several sessions in lockstep.  Construction performs all setup
+    (machine, static settings, runtime); call :meth:`run_to_end`, or
+    :meth:`advance` / :meth:`tick` until :attr:`done`, then
+    :meth:`result`.
     """
 
     def __init__(
@@ -524,6 +526,44 @@ class PolicySession:
         self._ticks += ticks
         self._bookkeep()
 
+    def run_to_end(self) -> None:
+        """Drive the node to :attr:`done` in one machine run.
+
+        Ends on the very tick ``while not done: advance()`` ends on, so
+        results are identical: when the last needed execution completes,
+        a completion listener ends the run at the close of that
+        ``DRIVE_BLOCK_TICKS`` block, the boundary where block driving
+        would first see the node done.  A node not done at the first
+        block boundary past the tick guard raises, as there.
+        """
+        if self._done:
+            return
+        machine = self.machine
+        clock = machine.clock
+        block = DRIVE_BLOCK_TICKS
+        # Block driving from here closes a block every ``block`` ticks
+        # counted from ``base`` (the lone no-warmup tick included).
+        base = clock.tick
+        blocks = max(1, (self._max_ticks - self._ticks) // block + 1)
+        last = base + blocks * block
+        if self._meas_start is None and self._warmup == 0:
+            self.advance(1)
+            if self._done:
+                return
+        target = self._target
+        buckets = list(self._records.values())
+
+        def end_with_block(proc: Process, record: ExecutionRecord) -> None:
+            if all(len(bucket) >= target for bucket in buckets):
+                now = clock.tick
+                machine.end_run_at(now + (base - now) % block)
+
+        machine.add_completion_listener(end_with_block)
+        start = clock.tick
+        machine.run_ticks(last - start)
+        self._ticks += clock.tick - start
+        self._bookkeep()
+
     def _bookkeep(self) -> None:
         done = self.completions()
         if self._meas_start is None and all(
@@ -658,11 +698,12 @@ def drive_sessions_vectorized(
 ) -> MultiCell:
     """Drive fresh policy sessions to completion through one MultiCell.
 
-    Observable-for-observable identical to :func:`run_policy`'s serial
-    block loop per session: every machine is advanced exactly as its
-    own backend would advance it — in the same ``DRIVE_BLOCK_TICKS``
-    cadence, with the same per-block bookkeeping — but cells whose
-    model state coincides fuse into cell-axis kernels
+    Observable-for-observable identical to :func:`run_policy` per
+    session: every machine is advanced exactly as its own backend
+    would advance it, block by block with
+    :meth:`PolicySession.advance`'s bookkeeping (run-to-end driving
+    stops on the same ``DRIVE_BLOCK_TICKS`` boundaries), but cells
+    whose model state coincides fuse into cell-axis kernels
     (:mod:`repro.sim.vector`).  Returns the driver so callers can
     inspect ``stats`` (``vector_spans``, ``cells_per_span``,
     ``vector_peels``).
@@ -775,8 +816,7 @@ def run_policy_batch(
             # are bit-identical by contract, but the keys exist exactly
             # so a regression in one backend cannot leak).
             for session in sessions:
-                while not session.done:
-                    session.advance(DRIVE_BLOCK_TICKS)
+                session.run_to_end()
         for seed, session in zip(pending, sessions):
             result = session.result()
             results[seed] = result
@@ -857,25 +897,30 @@ def measure_standalone(
     def on_completion(p: Process, r: ExecutionRecord) -> None:
         records.append(r)
         # Snapshot the window bounds at the exact completion ticks, so
-        # the machine can run in batched blocks in between.
+        # the machine can run in one call in between; the run ends at
+        # the close of the DRIVE_BLOCK_TICKS block (counted from
+        # ``base``) holding the last needed completion.
         if len(records) == warmup and warmup > 0:
             snaps["start"] = machine.read_counters(0)
         elif len(records) == target:
             snaps["end"] = machine.read_counters(0)
+            now = machine.clock.tick
+            machine.end_run_at(now + (base - now) % DRIVE_BLOCK_TICKS)
 
+    # Without warmup the window opens after a lone first tick; blocks
+    # are counted from there.
+    base = machine.clock.tick + (1 if warmup == 0 else 0)
     machine.add_completion_listener(on_completion)
     if warmup == 0:
         machine.run_ticks(1)
         snaps.setdefault("start", machine.read_counters(0))
+    # Block-by-block driving gave up on the first block past the guard.
     guard = int(600.0 / config.tick_s)
-    ticks = 0
-    while len(records) < target:
-        machine.run_ticks(DRIVE_BLOCK_TICKS)
-        ticks += DRIVE_BLOCK_TICKS
-        if ticks > guard:
-            raise ExperimentError(
-                "standalone run of %r did not finish in time" % fg_name
-            )
+    machine.run_ticks(guard // DRIVE_BLOCK_TICKS * DRIVE_BLOCK_TICKS)
+    if len(records) < target:
+        raise ExperimentError(
+            "standalone run of %r did not finish in time" % fg_name
+        )
     delta = snaps["end"].delta(snaps["start"])
     result = StandaloneResult(
         fg_name=fg_name,

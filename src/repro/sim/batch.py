@@ -173,11 +173,16 @@ class BatchEngine:
     # ------------------------------------------------------------------
 
     def run_ticks(self, ticks: int) -> None:
-        """Advance the machine by exactly ``ticks`` ticks."""
+        """Advance the machine by ``ticks`` ticks, or to an earlier end
+        a completion listener set with :meth:`Machine.end_run_at`."""
         m = self._m
+        clock = m.clock
         sampler = m._sampler if self._planner is not None else None
-        remaining = ticks
-        while remaining > 0:
+        m._run_end = clock.tick + ticks
+        while True:
+            remaining = m._run_end - clock.tick
+            if remaining <= 0:
+                return
             executed = None
             if sampler is not None:
                 executed = self._sampled_span(sampler, remaining)
@@ -187,18 +192,25 @@ class BatchEngine:
                     # An event is due at the current tick (timer or DVFS
                     # apply): run the start-of-tick preamble by itself,
                     # then re-plan.  The tick itself stays on the span
-                    # path.
+                    # path: after a decision wakeup, the sampling
+                    # kernel's span.  There is no second preamble, so a
+                    # timer a callback set for this very tick still
+                    # fires in the scalar kernel below, in scalar order.
                     m.dispatch_events()
-                    horizon = event_horizon(m, remaining)
-                executed = self._dispatch_span(horizon) if horizon >= 1 else 0
-            if executed:
-                remaining -= executed
-                continue
-            # No span progress (an in-span guard tripped immediately, or
-            # a timer callback scheduled work for this same tick): the
-            # scalar kernel handles it — it is the semantic reference.
-            m.tick()
-            remaining -= 1
+                    if sampler is not None:
+                        executed = self._sampled_span(sampler, remaining)
+                    if executed is None:
+                        horizon = event_horizon(m, remaining)
+                if executed is None:
+                    executed = (
+                        self._dispatch_span(horizon) if horizon >= 1 else 0
+                    )
+            if not executed:
+                # No span progress (an in-span guard tripped immediately,
+                # or a timer callback scheduled work for this same tick):
+                # the scalar kernel handles it — it is the semantic
+                # reference.
+                m.tick()
 
     # ------------------------------------------------------------------
     # Sample-only wakeups inside the span kernel

@@ -108,6 +108,9 @@ class Machine:
         self._ips_prev: List[float] = [0.0] * self.config.num_cores
         self._energy = None  # optional EnergyModel
         self._sampler = None  # see attach_sampler
+        # Clock tick at which the running run_ticks call returns; a
+        # completion listener may pull it in (see end_run_at).
+        self._run_end = 0
         self._batch_engine = (
             None if self.backend == BACKEND_SCALAR else BatchEngine(self)
         )
@@ -295,7 +298,8 @@ class Machine:
         With the batch backend, event-free spans are advanced by the
         fused multi-tick kernel in :mod:`repro.sim.batch`; the scalar
         backend (and every tick that carries an event) goes through the
-        reference :meth:`tick` kernel.
+        reference :meth:`tick` kernel.  A completion listener may end
+        the call sooner through :meth:`end_run_at`.
         """
         if ticks < 0:
             raise SimulationError("ticks must be >= 0")
@@ -303,9 +307,23 @@ class Machine:
         if engine is not None:
             engine.run_ticks(ticks)
             return
+        clock = self.clock
         tick = self.tick
-        for _ in range(ticks):
+        self._run_end = clock.tick + ticks
+        while clock.tick < self._run_end:
             tick()
+
+    def end_run_at(self, tick: int) -> None:
+        """Make the running :meth:`run_ticks` call return at clock ``tick``.
+
+        For completion listeners that see their run's goal reached: the
+        call stops once the clock reads ``tick`` (or at its own end, if
+        that comes first) instead of running on.  ``tick`` must not lie
+        before the current clock.  The batch engine and the scalar loop
+        both honour it, so the call ends on the same tick either way.
+        """
+        if tick < self._run_end:
+            self._run_end = tick
 
     def run_seconds(self, seconds: float) -> None:
         """Advance the machine by approximately ``seconds``.

@@ -17,14 +17,17 @@ This module compiles each *span shape* into a specialized kernel:
   signature (pid, spec epoch, phase index, frequency per lane, plus the
   cache-mask epoch), so back-to-back spans over the same machine state
   skip the gather entirely and only pay a cheap revalidation.
-* **Shape-specialized kernels** — for each distinct shape (lane count
-  and cores, jitter on/off, FG/BG roles, cache grouping, energy on/off,
+* **Shape-specialized kernels** — for each distinct shape (lane count,
+  jitter on/off, FG/BG roles, cache grouping, energy on/off,
   snap-vs-inertia occupancy) a Python kernel is *generated and
   ``exec``-compiled* with every lane unrolled into locals: no lists, no
-  indexing, no per-tick attribute lookups.  The OS-jitter draw inlines
-  CPython's ``random.Random.gauss`` (same algorithm, same RNG stream,
-  same draw order), and the cache target/inertia update inlines
-  ``SharedCache.tick_update`` for the span-constant grouping.
+  indexing, no per-tick attribute lookups.  Which cores the lanes run
+  on and how many LLC ways each cache group holds are plan constants,
+  so one kernel serves every core placement and partition size.  The
+  OS-jitter draw inlines CPython's ``random.Random.gauss`` (same
+  algorithm, same RNG stream, same draw order), and the cache
+  target/inertia update inlines ``SharedCache.tick_update`` for the
+  span-constant grouping.
 * **Exact-input memoization** — the rho fixed point is a pure function
   of ``(rho, mpki_0..mpki_{n-1})`` once the span constants are fixed;
   jitter-free kernels memoize its outputs keyed on those exact float
@@ -194,20 +197,21 @@ class SpanStats:
 #
 # A *shape* is everything the generated code depends on structurally:
 #
-#   (num_cores, cores, isfg, apki_pos, jitter, snap, groups, has_energy,
-#    classes)
+#   (num_cores, isfg, apki_pos, jitter, snap, groups, has_energy, classes)
 #
-# with ``cores`` the lane -> core map, ``groups`` the cache grouping in
-# lane indices, and ``classes`` the lane -> class-representative map for
-# the clone-lane dedup kernels (``tuple(range(n))`` — every lane its own
-# representative — for the plain kernels).  All float constants stay
-# *outside* the shape — they are bound by the per-plan factory — so
-# kernels are shared across plans that differ only in model constants
-# (frequencies, phase parameters).  Neither which lanes can cross a
-# phase boundary nor whether overhead is pending is part of the shape:
-# every lane takes a guard bound (``inf`` when it cannot cross one) and
-# every kernel peels its first tick to charge pending overhead, so both
-# vary per span without multiplying the compiled kernels.
+# with ``groups`` the cache grouping in lane indices, and ``classes``
+# the lane -> class-representative map for the clone-lane dedup kernels
+# (``tuple(range(n))`` — every lane its own representative — for the
+# plain kernels).  All constants stay *outside* the shape — they are
+# bound by the per-plan factory — so kernels are shared across plans
+# that differ only in model constants (frequencies, phase parameters),
+# in which cores the lanes run on (the ``k_<slot>`` core indices: lane
+# slots first, then the idle cores in core order), or in the groups'
+# way counts (``wy_<group>``).  Neither which lanes can cross a phase
+# boundary nor whether overhead is pending is part of the shape: every
+# lane takes a guard bound (``inf`` when it cannot cross one) and every
+# kernel peels its first tick to charge pending overhead, so both vary
+# per span without multiplying the compiled kernels.
 
 _KERNEL_CODE_CACHE: Dict[tuple, object] = {}
 
@@ -355,15 +359,15 @@ def _generate_source(shape: tuple) -> str:
     contended regime occupancy moves every tick, so the memo never hits
     and only adds key-build cost — but keep the stationary fast path.
     """
-    (num_cores, cores, isfg, apki_pos, jitter, snap, groups,
-     has_energy, classes) = shape
-    n = len(cores)
+    (num_cores, isfg, apki_pos, jitter, snap, groups, has_energy,
+     classes) = shape
+    n = len(isfg)
     reps = [i for i in range(n) if classes[i] == i]
     dedup = len(reps) != n
     if dedup and jitter:
         raise ValueError("clone-lane dedup requires a jitter-free shape")
     group_of = {}
-    for gi, (_ways, lanes_g) in enumerate(groups):
+    for gi, lanes_g in enumerate(groups):
         for l in lanes_g:
             group_of[l] = gi
     for i in range(n):
@@ -373,13 +377,13 @@ def _generate_source(shape: tuple) -> str:
         if (isfg[i] != isfg[r] or apki_pos[i] != apki_pos[r]
                 or group_of.get(i) != group_of.get(r)):
             raise ValueError("clone lanes must share role and cache group")
-        if r != i and cores[r] >= cores[i]:
-            # The clone core's occupancy assignment reads the rep
-            # core's already-updated value in core order.
-            raise ValueError("clone lanes must follow their rep in core order")
-    lane_of_core = {cores[i]: i for i in range(n) if apki_pos[i]}
-    inactive = [c for c in range(num_cores) if c not in lane_of_core]
-    track_idle = (not jitter) and (not snap) and bool(inactive)
+    # Core slots: slot ``i < n`` is lane ``i``'s core, the idle cores
+    # follow in core order; ``k_<slot>`` binds the core index.  The
+    # occupancy update runs in slot order, so a clone lane's slot reads
+    # its (earlier) representative's already-updated value.  Slots of
+    # lanes with cache weight hold a cache target; the rest decay.
+    weighted = {i for i in range(n) if apki_pos[i]}
+    track_idle = (not jitter) and (not snap) and len(weighted) < num_cores
     use_memo = not jitter and not dedup
     use_stationary = not jitter
 
@@ -408,6 +412,10 @@ def _generate_source(shape: tuple) -> str:
         if jitter:
             add("    rng_%d = plan.rngs[%d]" % (i, i))
             add("    rnd_%d = rng_%d.random" % (i, i))
+    for c in range(num_cores):
+        add("    k_%d = plan.slots[%d]" % (c, c))
+    for gi in range(len(groups)):
+        add("    wy_%d = plan.ways[%d]" % (gi, gi))
     add("    pwa = plan.prev_w")
     add("    mpa = plan.mpki_a")
     add("    coa = plan.coef")
@@ -455,7 +463,7 @@ def _generate_source(shape: tuple) -> str:
 
     # ---- prologue: load mutable state into locals ----
     for c in range(num_cores):
-        add("        ef_%d = eff[%d]" % (c, c))
+        add("        ef_%d = eff[k_%d]" % (c, c))
     for i in range(n):
         if classes[i] == i:
             add("        pw_%d = pwa[%d]" % (i, i))
@@ -467,11 +475,10 @@ def _generate_source(shape: tuple) -> str:
             add("        tt_%d = proc_%d._target_total" % (i, i))
         if jitter:
             add("        gn_%d = rng_%d.gauss_next" % (i, i))
-        core = cores[i]
-        add("        ci_%d = ci_a[%d]" % (i, core))
-        add("        cc_%d = cc_a[%d]" % (i, core))
-        add("        ca_%d = ca_a[%d]" % (i, core))
-        add("        cm_%d = cm_a[%d]" % (i, core))
+        add("        ci_%d = ci_a[k_%d]" % (i, i))
+        add("        cc_%d = cc_a[k_%d]" % (i, i))
+        add("        ca_%d = ca_a[k_%d]" % (i, i))
+        add("        cm_%d = cm_a[k_%d]" % (i, i))
     add("        completions = []")
     add("        now0 = now")
     add("        stop = now + span")
@@ -546,7 +553,7 @@ def _generate_source(shape: tuple) -> str:
             add(ind + "wch = False")
         for i in range(n):
             if classes[i] == i:
-                add(ind + "w = ef_%d" % cores[i])
+                add(ind + "w = ef_%d" % i)
                 add(ind + "if w < 0.0:")
                 add(ind + "    w = 0.0")
                 add(ind + "if w != pw_%d:" % i)
@@ -605,10 +612,9 @@ def _generate_source(shape: tuple) -> str:
                 # Overhead differs per core, so the stolen tick keeps
                 # per-lane arithmetic even for clone lanes.
                 jt = " * jt_%d" % i if jitter else ""
-                core = cores[i]
-                add(ind + "st = sta[%d]" % core)
+                add(ind + "st = sta[k_%d]" % i)
                 add(ind + "if st:")
-                add(ind + "    sta[%d] = 0.0" % core)
+                add(ind + "    sta[k_%d] = 0.0" % i)
                 add(ind + "de = dt - st")
                 add(ind + "if de > 0.0:")
                 bind = ind + "    "
@@ -662,7 +668,7 @@ def _generate_source(shape: tuple) -> str:
         # -- inline SharedCache.tick_update for the span grouping --
         if track_idle:
             add(ind + "ichg = False")
-        for ways, lanes_g in groups:
+        for gi, lanes_g in enumerate(groups):
             terms = " + ".join("wt_%d" % classes[l] for l in lanes_g)
             add(ind + "tot = %s" % terms)
             emitted = set()
@@ -671,9 +677,9 @@ def _generate_source(shape: tuple) -> str:
                 if r in emitted:
                     continue
                 emitted.add(r)
-                add(ind + "tg_%d = %d * wt_%d / tot" % (r, ways, r))
+                add(ind + "tg_%d = wy_%d * wt_%d / tot" % (r, gi, r))
         for c in range(num_cores):
-            i = lane_of_core.get(c)
+            i = c if c in weighted else None
             if snap:
                 if i is None:
                     add(ind + "ef_%d = 0.0" % c)
@@ -694,7 +700,7 @@ def _generate_source(shape: tuple) -> str:
                 # core's (bit-equal at span entry by revalidation, and
                 # both receive the identical update each tick), so the
                 # inertia step is assignment, not recomputation.
-                add(ind + "ef_%d = ef_%d" % (c, cores[classes[i]]))
+                add(ind + "ef_%d = ef_%d" % (c, classes[i]))
             else:
                 add(ind + "ef_%d = ef_%d + alpha * (tg_%d - ef_%d)"
                     % (c, c, i, c))
@@ -792,7 +798,7 @@ def _generate_source(shape: tuple) -> str:
     # ---- epilogue: write mutable state back ----
     add("        if now != now0:")
     for c in range(num_cores):
-        add("            eff[%d] = ef_%d" % (c, c))
+        add("            eff[k_%d] = ef_%d" % (c, c))
     for i in range(n):
         r = classes[i]
         # Clone lanes persist their representative's miss-curve state
@@ -805,20 +811,19 @@ def _generate_source(shape: tuple) -> str:
         add("            proc_%d.execution_misses = em_%d" % (i, i))
         if jitter:
             add("            rng_%d.gauss_next = gn_%d" % (i, i))
-        core = cores[i]
-        add("            ci_a[%d] = ci_%d" % (core, i))
-        add("            cc_a[%d] = cc_%d" % (core, i))
-        add("            ca_a[%d] = ca_%d" % (core, i))
-        add("            cm_a[%d] = cm_%d" % (core, i))
-        add("            ipv[%d] = ips_%d" % (core, r))
+        add("            ci_a[k_%d] = ci_%d" % (i, i))
+        add("            cc_a[k_%d] = cc_%d" % (i, i))
+        add("            ca_a[k_%d] = ca_%d" % (i, i))
+        add("            cm_a[k_%d] = cm_%d" % (i, i))
+        add("            ipv[k_%d] = ips_%d" % (i, r))
     for c in range(num_cores):
-        i = lane_of_core.get(c)
+        i = c if c in weighted else None
         if i is None:
-            add("            wb[%d] = 0.0" % c)
-            add("            tb[%d] = 0.0" % c)
+            add("            wb[k_%d] = 0.0" % c)
+            add("            tb[k_%d] = 0.0" % c)
         else:
-            add("            wb[%d] = wt_%d" % (c, classes[i]))
-            add("            tb[%d] = tg_%d" % (c, classes[i]))
+            add("            wb[k_%d] = wt_%d" % (c, classes[i]))
+            add("            tb[k_%d] = tg_%d" % (c, classes[i]))
     add("            clock.tick = now")
     add("        return (now - now0, rho, stat_ticks, mh, mm, mce, th, "
         "completions, wk)")
@@ -1207,11 +1212,11 @@ def compile_cell_kernel(shape: tuple, plan, stats: SpanStats,
 def generate_kernel_source(shape: tuple) -> str:
     """Render the kernel source for one shape, without compiling.
 
-    Span shapes are the 9-tuple ``(num_cores, cores, isfg, apki_pos,
-    jitter, snap, groups, has_energy, classes)`` described above
-    (``groups`` must partition the ``apki_pos`` lanes; ``classes`` maps
-    each lane to its clone-class representative, the identity for
-    plain kernels); cell shapes are the ``("cell",
+    Span shapes are the 8-tuple ``(num_cores, isfg, apki_pos, jitter,
+    snap, groups, has_energy, classes)`` described above (``groups``
+    must partition the ``apki_pos`` lanes; ``classes`` maps each lane
+    to its clone-class representative, the identity for plain
+    kernels); cell shapes are the ``("cell",
     num_cores, cores, isfg, apki_pos, snap, groups, guard_lanes)``
     tuples of the vector backend.  Either way
     this is the exact string the compile helpers would
@@ -1223,14 +1228,14 @@ def generate_kernel_source(shape: tuple) -> str:
     return _generate_source(shape)
 
 
-#: Field names of the 9-tuple span shapes, positionally.  ``repro
+#: Field names of the 8-tuple span shapes, positionally.  ``repro
 #: lint``'s ``COV002`` asserts every ``template_shapes()`` entry has
 #: exactly this arity, so adding a shape axis without extending this
 #: registry (and the audit) fails lint instead of silently compiling
 #: kernels the analyzer no longer understands.
 SHAPE_FIELDS = (
-    "num_cores", "cores", "isfg", "apki_pos", "jitter", "snap",
-    "groups", "has_energy", "classes",
+    "num_cores", "isfg", "apki_pos", "jitter", "snap", "groups",
+    "has_energy", "classes",
 )
 
 #: Field names of the 8-tuple cell-axis shapes (``shape[0] == "cell"``).
@@ -1306,37 +1311,34 @@ def template_shapes() -> Tuple[tuple, ...]:
     return (
         # Canonical contended figure: 1 FG + 5 BG, jitter, inertia,
         # energy accounting, one shared cache group.
-        (6, six, fg_of_six, (True,) * 6, True, False,
-         ((16, six),), True, ident6),
+        (6, fg_of_six, (True,) * 6, True, False, (six,), True, ident6),
         # Jitter-free memo path with an idle core (inertia occupancy
         # decays toward zero, so idle-change tracking engages).
-        (6, (0, 1, 2, 3, 4), (True, False, False, False, False),
-         (True,) * 5, False, False, ((16, (0, 1, 2, 3, 4)),),
-         False, tuple(range(5))),
+        (6, (True, False, False, False, False), (True,) * 5, False,
+         False, ((0, 1, 2, 3, 4),), False, tuple(range(5))),
         # Snap occupancy and split cache groups, as run right after a
         # runtime wakeup: overhead pending on the peeled tick, and BG
         # lanes pinned to full-program phases whose guards are
         # inactive (``inf`` bounds).
-        (6, six, fg_of_six, (True,) * 6, False, True,
-         ((8, (0, 1, 2)), (8, (3, 4, 5))), False, ident6),
+        (6, fg_of_six, (True,) * 6, False, True,
+         ((0, 1, 2), (3, 4, 5)), False, ident6),
         # A zero-apki BG lane: no cache weight, miss accumulation in
         # the access counter, its core treated as cache-idle.
-        (6, six, fg_of_six, (True, True, True, True, True, False),
-         False, False, ((16, (0, 1, 2, 3, 4)),), True, ident6),
+        (6, fg_of_six, (True, True, True, True, True, False),
+         False, False, ((0, 1, 2, 3, 4),), True, ident6),
         # Three FG copies beside three BG tasks (the x3 mixes): the
         # in-kernel sample row carries three instruction counters.
-        (6, six, (True, True, True, False, False, False), (True,) * 6,
-         True, False, ((16, six),), False, ident6),
+        (6, (True, True, True, False, False, False), (True,) * 6,
+         True, False, (six,), False, ident6),
         # Minimal standalone FG (the baseline/standalone measurements).
-        (6, (0,), (True,), (True,), False, True, ((16, (0,)),),
-         False, (0,)),
+        (6, (True,), (True,), False, True, ((0,),), False, (0,)),
         # Clone-lane dedup: the sigma-0 contended mix where the five
         # BG lanes are one clone class — the solver-bound regime the
         # exact tabulation exists for (inertia occupancy, energy off).
         # The peeled tick keeps per-lane arithmetic for the overhead
         # charge while the solver stays per-class.
-        (6, six, fg_of_six, (True,) * 6, False, False,
-         ((16, six),), False, (0, 1, 1, 1, 1, 1)),
+        (6, fg_of_six, (True,) * 6, False, False, (six,), False,
+         (0, 1, 1, 1, 1, 1)),
         # ---- cell-axis shapes (vector backend) ----
         # Canonical contended fusion: 1 FG + 5 BG across cells,
         # inertia occupancy, FG + BG guards, one shared group.
@@ -1364,8 +1366,10 @@ def template_shapes() -> Tuple[tuple, ...]:
 class SpanPlan:
     """Structure-of-arrays snapshot of one span's model inputs.
 
-    Lane ``i`` is the ``i``-th running process in core order.  The
-    constant arrays feed the generated kernel's factory; ``prev_w`` /
+    Lane ``i`` is the ``i``-th running process in core order; ``slots``
+    lists the lanes' cores, then the idle cores in core order, and
+    ``ways`` each cache group's way count.  The constant arrays feed
+    the generated kernel's factory; ``prev_w`` /
     ``mpki_a`` / ``coef`` persist *across* spans of the same plan — a
     lane whose occupancy did not move between spans keeps its memoized
     miss-curve outputs (recomputing a pure function on an equal input
@@ -1383,7 +1387,7 @@ class SpanPlan:
         "inv_peak", "memo", "max_memo", "two_pi",
         "energy_accumulate", "freqs_list", "busy_list",
         "wbuf", "tbuf", "active_bits", "groups_commit", "disjoint",
-        "guard_procs", "bounds",
+        "guard_procs", "bounds", "slots", "ways",
     )
 
     def run(self, span: int, sampling: Optional[tuple] = None) -> int:
@@ -1601,16 +1605,19 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     plan.guard_procs = guard_procs
     plan.bounds = [math.inf] * n
 
+    plan.slots = [core for core, _, _ in lanes] + [
+        core for core in range(num_cores) if core not in lane_index
+    ]
+    plan.ways = [ways for ways, _ in groups_cores]
     shape = (
         num_cores,
-        tuple(core for core, _, _ in lanes),
         tuple(proc.is_fg for _, proc, _ in lanes),
         tuple(apki > 0 for apki in plan.apki),
         jitter,
         snap,
         tuple(
-            (ways, tuple(lane_index[c] for c in cores_g))
-            for ways, cores_g in groups_cores
+            tuple(lane_index[c] for c in cores_g)
+            for _, cores_g in groups_cores
         ),
         energy is not None,
     )

@@ -33,15 +33,29 @@ def _violation_messages(source):
             for violation in audit_kernel_source(source)]
 
 
+def _fields(shape):
+    """A machine-span shape as ``{field: value}`` per ``SHAPE_FIELDS``."""
+    return dict(zip(spanplan.SHAPE_FIELDS, shape))
+
+
+def _lanes(shape):
+    return len(_fields(shape)["isfg"])
+
+
+def _is_dedup(shape):
+    return _fields(shape)["classes"] != tuple(range(_lanes(shape)))
+
+
 def _shape_id(shape):
     """Readable test id for both machine-span and cell-axis shapes."""
     if shape[0] == "cell":
         return "cell-lanes%d-snap%d-g%d" % (
             len(shape[2]), shape[5], len(shape[7])
         )
-    dedup = shape[8] != tuple(range(len(shape[1])))
+    f = _fields(shape)
     return "lanes%d-j%d-s%d-e%d-d%d" % (
-        len(shape[1]), shape[4], shape[5], shape[7], dedup
+        _lanes(shape), f["jitter"], f["snap"], f["has_energy"],
+        _is_dedup(shape),
     )
 
 
@@ -71,7 +85,7 @@ class TestTemplatesConform:
         assert callable(namespace["_factory"])
 
     def test_templates_cover_both_memo_modes(self):
-        jitters = {shape[4] for shape in _machine_shapes()}
+        jitters = {_fields(shape)["jitter"] for shape in _machine_shapes()}
         assert jitters == {True, False}
 
     def test_templates_cover_stolen_and_energy(self):
@@ -84,12 +98,14 @@ class TestTemplatesConform:
         for shape in shapes:
             source = spanplan.generate_kernel_source(shape)
             assert "sta = plan.stolen" in source
-            guards = "".join(", g_%d" % i for i in range(len(shape[1])))
+            guards = "".join(", g_%d" % i for i in range(_lanes(shape)))
             assert (
                 "def run(span, rho, now, wk, nw, pt, pc, ov%s):" % guards
                 in source
             )
-        assert {shape[7] for shape in shapes} == {True, False}
+        assert {_fields(shape)["has_energy"] for shape in shapes} == {
+            True, False,
+        }
 
     def test_templates_cover_sampling_kernels(self):
         # Every span kernel takes sampler wakeups, so the audited matrix
@@ -101,20 +117,20 @@ class TestTemplatesConform:
         fg_lanes = set()
         for shape in _machine_shapes():
             source = spanplan.generate_kernel_source(shape)
+            isfg = _fields(shape)["isfg"]
             row = ", ".join(
                 ["now * dt"]
-                + ["ci_%d" % i for i, fg in enumerate(shape[2]) if fg]
+                + ["ci_%d" % i for i, fg in enumerate(isfg) if fg]
             )
             assert "sb.append((%s,))" % row in source
             assert "sta[pc] = sta[pc] + ov" in source
             assert "tr_() < jp" in source
-            if not any(shape[2]):
+            if not any(isfg):
                 continue
-            fg_lanes.add(sum(shape[2]))
-            dedup = shape[8] != tuple(range(len(shape[1])))
-            if shape[4]:
+            fg_lanes.add(sum(isfg))
+            if _fields(shape)["jitter"]:
                 kinds.add("jittered")
-            elif dedup:
+            elif _is_dedup(shape):
                 kinds.add("dedup")
             else:
                 assert "stationary = True" in source
@@ -127,12 +143,13 @@ class TestTemplatesConform:
         # to one representative) must be in the audited matrix
         # alongside the identity-class shapes.
         dedup = [
-            shape for shape in _machine_shapes()
-            if shape[8] != tuple(range(len(shape[1])))
+            shape for shape in _machine_shapes() if _is_dedup(shape)
         ]
         assert dedup, "template matrix must include dedup shapes"
         for shape in dedup:
-            assert not shape[4], "dedup kernels are jitter-free"
+            assert not _fields(shape)["jitter"], (
+                "dedup kernels are jitter-free"
+            )
 
     def test_cell_templates_cover_snap_and_guard_modes(self):
         shapes = _cell_shapes()

@@ -658,19 +658,19 @@ class TestCov002KernelStateCoverage:
     def test_flags_template_with_an_undeclared_axis(
         self, tmp_path, monkeypatch
     ):
-        # Re-adding the guard-lane and stolen axes the span shape
-        # dropped gives an 11-field template against the 9 declared.
+        # Re-adding the lane -> core axis the span shape dropped gives
+        # a 9-field template against the 8 declared.
         from repro.sim import spanplan
 
         shape = spanplan.template_shapes()[0]
-        legacy = shape[:7] + ((0, 1),) + (shape[7], False, shape[8])
+        legacy = shape[:1] + (tuple(range(len(shape[1]))),) + shape[1:]
         monkeypatch.setattr(spanplan, "template_shapes", lambda: (legacy,))
         findings = lint_tree(tmp_path, {
             "repro/sim/machine.py": COV_MACHINE,
             "repro/sim/spanplan.py": self.SPANPLAN,
         }, select={"COV002"})
         assert rule_ids(findings) == ["COV002"]
-        assert "has 11 fields but SHAPE_FIELDS declares 9" in (
+        assert "has 9 fields but SHAPE_FIELDS declares 8" in (
             findings[0].message
         )
 

@@ -293,8 +293,7 @@ def _drive_session(monkeypatch, backend, mix, config=None, **kwargs):
         mix_by_name(mix), DIRIGENT, executions=4, warmup=1, config=config,
         **kwargs,
     )
-    while not session.done:
-        session.advance()
+    session.run_to_end()
     return session
 
 
@@ -305,7 +304,8 @@ def _runtime_observables(session):
         runtime.invocations,
         [task.predictor.expected_penalties() for task in runtime.tasks],
         [tuple(task.prediction_log) for task in runtime.tasks],
-        dict(runtime.bg_grade_histogram),
+        # Key order too: the results digest sees it, ``==`` on dicts not.
+        list(runtime.bg_grade_histogram.items()),
         runtime.negative_progress_samples,
         runtime.late_wakeups,
         runtime.suspect_samples,
@@ -357,6 +357,46 @@ class TestInKernelWakeupEquivalence:
             assert stats["memo_hits"] > 0
         if kernel == "dedup" and misscurve_table_enabled():
             assert stats["table_hits"] > 0
+
+    @pytest.mark.parametrize("mix", ["ferret rs", "raytrace x3 rs"])
+    def test_no_plain_span_ends_at_a_sample_only_wakeup(
+        self, monkeypatch, mix
+    ):
+        # Every wakeup sample_budget() grants is the sampling kernel's
+        # to take, the one right after a decision wakeup included: a
+        # plain span may end at the runtime's wakeup only when the
+        # wakeup decides (or the run itself ends there).
+        from repro.sim.batch import BatchEngine
+
+        monkeypatch.setenv(ENV_BACKEND, BACKEND_BATCH)
+        clear_caches()
+        session = PolicySession(
+            mix_by_name(mix), DIRIGENT, executions=4, warmup=1,
+        )
+        machine = session.machine
+        runtime = session.runtime
+        heap = machine.timers.pending_heap()
+        dispatch_span = BatchEngine._dispatch_span
+        stray = []
+
+        def plain_span(engine, span):
+            executed = dispatch_span(engine, span)
+            now = machine.clock.tick
+            if (
+                engine._m is machine and executed == span
+                and heap and heap[0][0] == now
+                and heap[0][2] is runtime.sample_wakeup
+                and runtime.sample_budget() > 0
+            ):
+                stray.append(now)
+            return executed
+
+        monkeypatch.setattr(BatchEngine, "_dispatch_span", plain_span)
+        session.run_to_end()
+        end = machine.clock.tick
+        assert runtime.invocations > 0
+        assert machine.backend_stats()["kernel_wakeups"] > 0
+        assert [tick for tick in stray if tick != end] == []
 
     def test_wraps_wrapped_wakeups_still_run_in_kernel(self, monkeypatch):
         # A tracer wraps each schedule_wakeup callback with

@@ -162,6 +162,9 @@ class TestMemoization:
             solve_tick,
         )
 
+        # With solver tables on, the repeated solve is a memo hit; with
+        # them off (REPRO_MISSCURVE_TABLE=0) the memo is bypassed, so
+        # its counters stay put.  Either way the outputs agree.
         clear_evaluate_memo()
         memory = MemorySystem(MachineConfig())
         inputs = [PerfInput(2.0, 0.8, 3.0, 1.0)]
@@ -169,8 +172,13 @@ class TestMemoization:
         before = evaluate_memo_stats()
         again, _ = solve_tick(inputs, memory)
         after = evaluate_memo_stats()
-        assert after["hits"] > before["hits"]
-        assert first[0] == again[0]
+        if misscurve_table_enabled():
+            assert after["hits"] > before["hits"]
+        else:
+            assert (after["hits"], after["misses"]) == (
+                before["hits"], before["misses"]
+            )
+        assert first == again
         clear_evaluate_memo()
         assert evaluate_memo_stats() == {"hits": 0, "misses": 0, "size": 0}
 
@@ -277,7 +285,7 @@ class TestEquivalenceUnderStress:
 
 
 class TestOneKernelPerShape:
-    """Each 9-field shape compiles once and serves every span of it."""
+    """Each 8-field shape compiles once and serves every span of it."""
 
     def _record_kernels(self, monkeypatch):
         """Route kernel compilation through a recorder.
@@ -294,7 +302,7 @@ class TestOneKernelPerShape:
         def compile_kernel(shape, plan, stats):
             requested.append(shape)
             kernel = original(shape, plan, stats)
-            cores = shape[1]
+            cores = plan.slots[:len(plan.procs)]
 
             def run(span, rho, now, *bounds):
                 pending = any(plan.stolen[core] for core in cores)
@@ -332,9 +340,7 @@ class TestOneKernelPerShape:
         assert machine.backend_stats()["kernels_compiled"] == 1
         assert len(set(requested)) == 1
 
-    def test_kernels_compiled_counts_distinct_nine_field_shapes(
-        self, monkeypatch
-    ):
+    def test_kernels_compiled_counts_distinct_shapes(self, monkeypatch):
         requested, _ = self._record_kernels(monkeypatch)
         batch, parked = _mixed_guard_machine(BACKEND_BATCH, 0.0)
         for index, step in enumerate((5, 200, 3, 900, 40, 1500)):
@@ -345,10 +351,50 @@ class TestOneKernelPerShape:
             batch.run_ticks(step)
         stats = batch.backend_stats()
         assert requested
-        assert len(spanplan.SHAPE_FIELDS) == 9
-        assert {len(shape) for shape in requested} == {9}
+        assert len(spanplan.SHAPE_FIELDS) == 8
+        assert {len(shape) for shape in requested} == {8}
         assert stats["kernels_compiled"] == len(set(requested))
         assert stats["kernels_compiled"] == len(spanplan._KERNEL_CODE_CACHE)
+
+    @staticmethod
+    def _partitioned(backend, fg_ways, paused_core=None):
+        """1 FG + 4 one-phase BG tasks under an FG partition of
+        ``fg_ways`` ways, with the BG task on ``paused_core`` stopped."""
+        config = MachineConfig(
+            seed=21, os_jitter_sigma=0.015, timer_jitter_prob=0.0,
+        )
+        machine = Machine(config, backend=backend)
+        machine.spawn(make_fg(input_noise=0.05), core=0, nice=-5)
+        for core in (1, 2, 3, 4):
+            bg = machine.spawn(_flat_bg(), core=core, nice=5)
+            if core == paused_core:
+                machine.pause(bg.pid)
+        machine.set_fg_partition([0], fg_ways)
+        machine.settle_cache()
+        return machine
+
+    @pytest.mark.parametrize("variants", [
+        # Only the FG partition size differs: way counts are plan
+        # constants, not shape.
+        ((4, None), (10, None)),
+        # Only which BG core is paused differs: the lanes' cores are
+        # plan constants, and the idle core takes the slot after them.
+        ((6, 2), (6, 4)),
+    ], ids=["fg-ways", "paused-core"])
+    def test_placement_and_way_counts_share_one_kernel(
+        self, monkeypatch, variants
+    ):
+        requested, _ = self._record_kernels(monkeypatch)
+        for fg_ways, paused in variants:
+            scalar = self._partitioned(BACKEND_SCALAR, fg_ways, paused)
+            batch = self._partitioned(BACKEND_BATCH, fg_ways, paused)
+            for step in (7, 300, 2_000):
+                scalar.run_ticks(step)
+                batch.run_ticks(step)
+            _assert_identical(scalar, batch)
+            assert batch.backend_stats()["compiled_spans"] > 0
+        assert len(set(requested)) == 1
+        assert len(spanplan._KERNEL_CODE_CACHE) == 1
 
 
 class _Sampler:
