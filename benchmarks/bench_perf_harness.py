@@ -28,7 +28,10 @@ along and emits ``BENCH_harness.json`` at the repository root:
    cold pool (re-spawned per sweep) vs one reused warm pool (persistent
    kernel cache, warm-seeded solver memos, work-stealing dispatch) —
    the cost repeated interactive figure runs actually pay.
-6. **Correctness**: the serial and parallel sweeps must produce
+6. **Fleet chaos**: machine ticks the fleet node-fault catalog
+   simulates at the CI smoke size, where faulted rows replay the
+   fault-free nodes the zero-fault row recorded.
+7. **Correctness**: the serial and parallel sweeps must produce
    identical RunResults (also property-tested in
    ``tests/experiments/test_parallel.py``; scalar/batch equivalence is
    pinned by ``tests/sim/test_batch_equivalence.py``, vector
@@ -58,7 +61,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core.policies import BASELINE, DIRIGENT
-from repro.experiments import harness
+from repro.experiments import chaos, harness
 from repro.experiments.harness import (
     PolicySession,
     build_machine,
@@ -71,6 +74,7 @@ from repro.experiments.parallel import (
     run_grid,
     shutdown_pool,
 )
+from repro.faults import FLEET_SCENARIO_NAMES
 from repro.sim import spanplan
 from repro.sim.config import (
     ENV_KERNEL_DISK_CACHE,
@@ -130,6 +134,21 @@ E2E_KERNELS_BEFORE = 9
 #: ended spans, the run opened 1,278 (``E2E_SPANS_BEFORE``).
 E2E_SPANS_MAX = 554
 E2E_SPANS_BEFORE = 1278
+
+#: The fleet chaos catalog at the CI smoke size (``repro chaos --fleet
+#: --nodes 4 --executions 6 --seed 3``), one ``run_fleet_cell`` per row.
+FLEET_NODES = 4
+FLEET_EXECUTIONS = 6
+FLEET_WARMUP = 3
+FLEET_SEED = 3
+
+#: Machine ticks of every node and replacement session over that
+#: catalog, node Baselines warmed first.  Deterministic, so the gate
+#: does not depend on the host: faulted rows replay the fault-free
+#: nodes the zero-fault row recorded (359,744).  While every row
+#: simulated every node, the count was 475,360 (``FLEET_TICKS_BEFORE``).
+FLEET_TICKS_MAX = 359_744
+FLEET_TICKS_BEFORE = 475_360
 
 
 def _sparse_machine(backend: str) -> Machine:
@@ -339,6 +358,42 @@ def _end_to_end_s(backend: str):
             os.environ[ENV_BACKEND] = previous
 
 
+def _fleet_ticks() -> int:
+    """Machine ticks of the fleet chaos catalog's node sessions.
+
+    Sums the clocks of every machine a policy session builds while
+    :func:`repro.experiments.chaos.run_fleet_cell` runs each catalog
+    row in order: home nodes and replacement sessions (the node
+    Baselines are warmed before counting starts).
+    """
+    machines = []
+    build = harness.build_machine
+
+    def recording(*args, **kwargs):
+        built = build(*args, **kwargs)
+        machines.append(built[0])
+        return built
+
+    harness.clear_caches()
+    mix = mix_by_name(chaos.DEFAULT_FLEET_MIX)
+    for i in range(FLEET_NODES):
+        harness.measure_baseline(
+            mix, executions=FLEET_EXECUTIONS, warmup=FLEET_WARMUP,
+            seed=FLEET_SEED + i,
+        )
+    harness.build_machine = recording
+    try:
+        for name in FLEET_SCENARIO_NAMES:
+            chaos.run_fleet_cell(
+                name, num_nodes=FLEET_NODES, executions=FLEET_EXECUTIONS,
+                warmup=FLEET_WARMUP, seed=FLEET_SEED,
+            )
+    finally:
+        harness.build_machine = build
+        harness.clear_caches()
+    return sum(machine.clock.tick for machine in machines)
+
+
 def _snapshot(sweep) -> dict:
     return {"%s|%s" % key: repr(result) for key, result in sweep.results.items()}
 
@@ -478,6 +533,7 @@ def run_benchmark() -> dict:
     e2e_scalar_s, _ = _end_to_end_s(BACKEND_SCALAR)
     e2e_batch_s, e2e_kernels = _end_to_end_s(BACKEND_BATCH)
     e2e_spans, e2e_kernel_wakeups = _end_to_end_spans()
+    fleet_ticks = _fleet_ticks()
 
     # Multi-cell vector driver vs per-machine batch loop.
     long_phase = {}
@@ -654,6 +710,22 @@ def run_benchmark() -> dict:
             ),
         },
         "warm_worker": warm_worker,
+        "fleet": {
+            "workload": (
+                "run_fleet_cell over the %d-row fleet node-fault catalog, "
+                "%d nodes, %d executions, seed %d, node Baselines warmed"
+                % (len(FLEET_SCENARIO_NAMES), FLEET_NODES,
+                   FLEET_EXECUTIONS, FLEET_SEED)
+            ),
+            "ticks": fleet_ticks,
+            "ticks_before": FLEET_TICKS_BEFORE,
+            "note": (
+                "ticks: machine ticks of every node and replacement "
+                "session, with faulted rows replaying the fault-free "
+                "nodes the zero-fault row recorded; ticks_before: the "
+                "same count while every row simulated every node"
+            ),
+        },
         "identical_results": True,
     }
     ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
@@ -699,6 +771,7 @@ def check_floors(artifact: dict) -> None:
     assert backends["end_to_end_dirigent"]["kernel_wakeups"] > 0, (
         backends["end_to_end_dirigent"]
     )
+    assert artifact["fleet"]["ticks"] <= FLEET_TICKS_MAX, artifact["fleet"]
     fast_path = backends["fast_path"]
     for counter in ("table_hits", "table_builds", "rho_iterations"):
         assert fast_path["contended"][counter] > 0, (counter, fast_path)

@@ -199,6 +199,9 @@ def _run_bench(args) -> int:
     noisy = artifact["multi_cell"]["noisy_stock"]
     print("noisy multi-cell vector/batch: %.3fx (%d partial peels)"
           % (noisy["speedup"], noisy["stats"]["partial_peels"]))
+    fleet = artifact["fleet"]
+    print("fleet catalog ticks:           %d (was %d)"
+          % (fleet["ticks"], fleet["ticks_before"]))
     print("sweep speedup (warm cache):    %.3fx"
           % artifact["sweep"]["speedup_vs_pre_pr_serial_warm"])
     warm = artifact["warm_worker"]

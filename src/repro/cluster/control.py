@@ -34,6 +34,17 @@ the round (the driver-level analogue of a partial peel), replacement
 machines join mid-run via :meth:`MultiCell.add_cell`, and throttled
 cells stop fusing on their own because their governor state diverges.
 
+A home node no fault names runs exactly the session a zero-fault run
+of it runs, unless fleet degraded mode sheds BG work on it.  When an
+earlier run in the process filed that session's outcome (zero-fault
+:meth:`repro.cluster.Cluster.run` files every node; the controller
+files the fault-free nodes it finished live and never shed), the
+controller replays it: a :class:`_Replay` counts rounds instead of
+simulating and answers everything the controller reads of a session
+as the real one would at the same round.  A shed before the replay is
+done first catches the real session up, round for round, and runs it
+live from there.
+
 Accounting is partial-credit: a stream's target is its node's measured
 execution count, credit comes from completions delivered before the
 placement's loss-of-service cutover plus everything its replacements
@@ -280,10 +291,65 @@ class FailoverDispatcher:
         return self._config.capacity_cores * len(nodes)
 
 
+class _Replay:
+    """A fault-free home session replayed from its filed outcome.
+
+    Answers ``done``, ``_ticks``, ``measured_records()``, ``result()``
+    and ``deadlines`` exactly as the real session would after as many
+    ``advance(DRIVE_BLOCK_TICKS)`` calls as rounds counted; a round
+    costs a counter increment.
+    """
+
+    def __init__(self, session: PolicySession, record) -> None:
+        #: The node's real session, built but never advanced.
+        self.session = session
+        self._rounds, self._records, self._result = record
+        self.rounds = 0
+
+    @property
+    def done(self) -> bool:
+        return self.rounds >= self._rounds
+
+    @property
+    def _ticks(self) -> int:
+        return self.rounds * DRIVE_BLOCK_TICKS
+
+    @property
+    def deadlines(self) -> Optional[Tuple[float, ...]]:
+        return self.session.deadlines
+
+    def advance(self, ticks: int) -> None:
+        """Count one round (``ticks`` is always ``DRIVE_BLOCK_TICKS``)."""
+        if not self.done:
+            self.rounds += 1
+
+    def measured_records(self) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
+        """Mid-run: the records that ended by the real session's clock."""
+        if self.done:
+            return self._records
+        now = self._ticks * self.session.machine.config.tick_s
+        return tuple(
+            tuple(record for record in task if record[0] <= now)
+            for task in self._records
+        )
+
+    def result(self) -> RunResult:
+        if not self.done:
+            raise ExperimentError("session has not finished")
+        return self._result
+
+    def catch_up(self) -> PolicySession:
+        """The real session, advanced through the rounds counted."""
+        for _ in range(self.rounds):
+            self.session.advance(DRIVE_BLOCK_TICKS)
+        return self.session
+
+
 @dataclass
 class _Placement:
     """One hosting assignment of a stream: a session on a host node."""
 
+    #: A :class:`_Replay` stands in for a recorded fault-free home run.
     session: PolicySession
     host: str
     label: str
@@ -413,16 +479,29 @@ class FleetController:
         config = self._config
         monitor = HeartbeatMonitor(self._names, config)
         dispatcher = FailoverDispatcher(self._names, config)
+        specs: Dict[str, Optional[NodeFaultSpec]] = {
+            name: self._schedule.spec_for(name) for name in self._names
+        }
+        # Fault-free home sessions still at tick 0 replay when recorded
+        # and are recorded when they finish live and unshed.
+        clean = {
+            node.name for node in self._nodes
+            if specs[node.name] is None and not node.session._ticks
+        }
         streams: Dict[str, _Stream] = {}
         for node in self._nodes:
             dispatcher.admit_home(node.name, self._streams_for(node))
+            session = node.session
+            record = node.recorded() if node.name in clean else None
             streams[node.name] = _Stream(
                 home=node.name,
                 target=node.executions,
                 warmup=node.warmup,
-                deadlines=node.session.deadlines,
+                deadlines=session.deadlines,
                 placements=[_Placement(
-                    session=node.session, host=node.name, label=node.name,
+                    session=_Replay(session, record) if record else session,
+                    host=node.name,
+                    label=node.name,
                 )],
             )
 
@@ -441,9 +520,6 @@ class FleetController:
         for t, node_name, kind, detail in self._schedule.injection_events():
             self._record(self._quantize(t), node_name, kind, detail)
 
-        specs: Dict[str, Optional[NodeFaultSpec]] = {
-            name: self._schedule.spec_for(name) for name in self._names
-        }
         onset_latched: Set[str] = set()
         flap_down_now: Dict[str, bool] = {}
         detected: Set[str] = set()
@@ -714,6 +790,12 @@ class FleetController:
                     "(%d rounds)" % rounds
                 )
 
+        # A clean node's live, unshed run is its zero-fault run.
+        for node in self._nodes:
+            if node.name in clean and node.name not in shed_hosts \
+                    and streams[node.name].hosting.session is node.session:
+                node.record()
+
         report = FleetFaultReport(
             scenario=self._plan.scenario,
             fault_seed=self._plan.seed,
@@ -757,9 +839,12 @@ class FleetController:
             return
         vector: List[int] = []
         for session in ordered:
-            if session._warmup == 0 and session._meas_start is None:
-                # PolicySession.advance owns the lone-tick window-open
-                # dance; run this first block serially, join next round.
+            if isinstance(session, _Replay) or (
+                session._warmup == 0 and session._meas_start is None
+            ):
+                # A replay only counts the round.  PolicySession.advance
+                # owns the lone-tick window-open dance; run this first
+                # block serially, join next round.
                 session.advance(DRIVE_BLOCK_TICKS)
                 continue
             vector.append(cell_of[id(session)])
@@ -851,6 +936,12 @@ class FleetController:
             for placement in stream.placements:
                 if placement.live and placement.host == host:
                     session = placement.session
+                    if isinstance(session, _Replay):
+                        if session.done:
+                            # A finished run's counters no longer move.
+                            continue
+                        # The real session takes over from here.
+                        session = placement.session = session.catch_up()
                     for proc in session._bg_procs:
                         session.machine.pause(proc.pid)
 

@@ -7,7 +7,7 @@ integration point on the simulated substrate:
 
 * :class:`ClusterNode` — one node running a mix under a policy (a
   wrapped :class:`repro.experiments.harness.PolicySession`);
-* :class:`Cluster` — steps many nodes in lockstep and aggregates FG
+* :class:`Cluster` — runs many nodes to completion and aggregates FG
   success and batch throughput cluster-wide; with ``vectorized=True``
   the nodes advance through one multi-cell structure-of-arrays driver
   (:func:`repro.experiments.harness.drive_sessions_vectorized`), so
@@ -29,6 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.policies import Policy
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
+    DRIVE_BLOCK_TICKS,
+    _NODE_RECORDS,
     PolicySession,
     RunResult,
     drive_sessions_vectorized,
@@ -48,9 +50,10 @@ class ClusterNode:
     """One node of the cluster: a named policy session.
 
     The construction arguments are kept on the node: the fleet control
-    plane replays them when it spawns a replacement session for a
+    plane reuses them when it spawns a replacement session for a
     failed-over stream, and ``ClusterResult.node_labels`` reports them
-    so chaos tables are self-describing.
+    so chaos tables are self-describing.  They also key the node's
+    entry in the in-memory replay memo (:meth:`record`).
     """
 
     def __init__(
@@ -78,6 +81,12 @@ class ClusterNode:
             config=config,
             seed=seed,
         )
+        # The "run" cache key fields the session is built from, which
+        # file its outcome in the fleet replay memo.
+        self._run_key = (
+            mix, policy, executions, warmup, config or MachineConfig(),
+            seed, self.session.machine.backend,
+        )
 
     @property
     def done(self) -> bool:
@@ -91,6 +100,23 @@ class ClusterNode:
     def result(self) -> RunResult:
         """The node's measured results (valid once done)."""
         return self.session.result()
+
+    def record(self) -> None:
+        """File the finished session's outcome for fleet runs to replay.
+
+        Only for a session driven from tick 0 to done with nothing but
+        its own runtime acting on the machine.
+        """
+        session = self.session
+        _NODE_RECORDS[self._run_key] = (
+            session._ticks // DRIVE_BLOCK_TICKS,
+            session.measured_records(),
+            session.result(),
+        )
+
+    def recorded(self) -> Optional[Tuple[int, tuple, RunResult]]:
+        """The filed ``(rounds, measured_records, result)``, or None."""
+        return _NODE_RECORDS.get(self._run_key)
 
 
 @dataclass(frozen=True)
@@ -152,17 +178,17 @@ class ClusterResult:
 
 
 class Cluster:
-    """A set of nodes driven in lockstep.
+    """A set of nodes run to completion.
 
-    ``vectorized=True`` opts the run into the multi-cell
-    structure-of-arrays driver: all unfinished nodes advance together
-    in block-tick lockstep, and nodes whose simulated state coincides
-    (e.g. replicas of the same mix/policy at different seeds) fuse into
-    cell-axis kernels.  Nodes share no simulated state, so the result
-    of every node — and therefore of the cluster — is bit-identical to
-    the default, which advances each node in turn by one block;
-    :attr:`vector_stats` exposes the driver's fusion counters after a
-    vectorized run.
+    By default a clean run drives each node to the end in turn with
+    :meth:`PolicySession.run_to_end`.  ``vectorized=True`` opts the run
+    into the multi-cell structure-of-arrays driver: all unfinished
+    nodes advance together in block-tick lockstep, and nodes whose
+    simulated state coincides (e.g. replicas of the same mix/policy at
+    different seeds) fuse into cell-axis kernels.  Nodes share no
+    simulated state, so the result of every node — and therefore of
+    the cluster — is bit-identical either way; :attr:`vector_stats`
+    exposes the driver's fusion counters after a vectorized run.
     """
 
     def __init__(
@@ -202,7 +228,9 @@ class Cluster:
         carries a :class:`repro.cluster.control.ControlPlaneConfig`.
         A ``None`` or zero plan takes the exact pre-fleet code path, so
         zero-fault runs are bit-identical to plain runs by construction
-        (the only addition is the empty report / label metadata).
+        (the only addition is the empty report / label metadata).  It
+        files each node's outcome in memory, so later faulted runs of
+        the same nodes replay the ones no fault names.
         """
         if fault_plan is not None and not fault_plan.is_zero:
             # Imported here: control.py imports ClusterResult from this
@@ -218,6 +246,7 @@ class Cluster:
             result = controller.run()
             self.vector_stats = controller.vector_stats
             return result
+        fresh = [node for node in self._nodes if not node.session._ticks]
         if self._vectorized:
             driver = drive_sessions_vectorized(
                 [node.session for node in self._nodes]
@@ -231,6 +260,10 @@ class Cluster:
             # them in lockstep.
             for node in self._nodes:
                 node.session.run_to_end()
+        # Nodes run from tick 0 to done untouched: faulted fleets of
+        # the same nodes replay them instead of simulating them again.
+        for node in fresh:
+            node.record()
         results = {node.name: node.result() for node in self._nodes}
         met = 0
         total = 0

@@ -9,13 +9,19 @@ is corrupted), so success ratios measure how well the control loop copes
 with bad inputs, not a different workload.
 
 Chaos runs are never disk-cached: they are cheap at smoke sizes and the
-fault surface is exactly what the cache key does not capture.
+fault surface is exactly what the cache key does not capture.  Fleet
+cells keep to that, but within one process a fleet node that no fault
+names replays the in-memory record of its fault-free run instead of
+simulating it again: the zero-fault ``none`` row records every node,
+and a node the control plane sheds BG work on before it is done is
+caught up and run live (:mod:`repro.cluster.control`).  Results are
+identical with or without records; ``clear_caches()`` drops them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster, ClusterNode, ClusterResult
 from repro.core.policies import BASELINE, DIRIGENT
@@ -248,13 +254,23 @@ def run_fleet_chaos(
         tuple(scenarios) if scenarios else FLEET_SCENARIO_NAMES
     )
     mix_names = tuple(mixes) if mixes else (DEFAULT_FLEET_MIX,)
-    warm_sweep = run_grid(
-        [mix_by_name(name) for name in mix_names],
-        [BASELINE],
-        executions=executions,
-        warmup=warmup,
-        seed=seed,
-    )
+    # Exactly the (mix, seed) pairs build_fleet creates: node i runs
+    # mix i mod len(mix_names) at seed + i.
+    node_seeds: Dict[str, List[int]] = {}
+    for i in range(num_nodes):
+        node_seeds.setdefault(mix_names[i % len(mix_names)], []).append(
+            seed + i
+        )
+    warm_sweeps = [
+        run_grid(
+            [mix_by_name(name)],
+            [BASELINE],
+            executions=executions,
+            warmup=warmup,
+            seeds=seeds,
+        )
+        for name, seeds in node_seeds.items()
+    ]
     rows: List[Tuple[object, ...]] = []
     failover_enabled = True
     for name in scenario_names:
@@ -303,6 +319,7 @@ def run_fleet_chaos(
             "failover kill switch: REPRO_FLEET_FAILOVER=0; heartbeat "
             "knobs: REPRO_FLEET_SUSPECT_S / REPRO_FLEET_DEAD_S",
         ) + tuple(
-            "baseline warm-up %s" % line for line in sweep_summary(warm_sweep)
+            "baseline warm-up %s" % line
+            for sweep in warm_sweeps for line in sweep_summary(sweep)
         ),
     )

@@ -103,6 +103,14 @@ _BASELINE_CACHE: Dict[
     Tuple[str, MachineConfig, int, int, int, str], "RunResult"
 ] = {}
 _PARTITION_CACHE: Dict[Tuple[str, MachineConfig, int, str], int] = {}
+#: Fleet node sessions that ran to the end untouched by the control
+#: plane, as ``(rounds to done, measured_records(), result())`` keyed
+#: on the "run" key fields; :mod:`repro.cluster` records and replays
+#: them.  In memory only.
+_NODE_RECORDS: Dict[
+    Tuple[Mix, Policy, int, int, MachineConfig, int, str],
+    Tuple[int, Tuple[Tuple[Tuple[float, float], ...], ...], "RunResult"],
+] = {}
 
 
 @dataclass(frozen=True)
@@ -1083,6 +1091,7 @@ def clear_caches() -> None:
     _BASELINE_CACHE.clear()
     _PARTITION_CACHE.clear()
     _STANDALONE_CACHE.clear()
+    _NODE_RECORDS.clear()
     get_cache().clear()
 
 

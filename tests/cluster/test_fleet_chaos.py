@@ -9,12 +9,19 @@ and vector backends.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterNode, ControlPlaneConfig
-from repro.core.policies import DIRIGENT
-from repro.experiments.harness import clear_caches
+from repro.cluster import Cluster, ClusterNode, ControlPlaneConfig, control
+from repro.core.policies import BASELINE, DIRIGENT, Policy
+from repro.experiments import chaos, harness
+from repro.experiments.harness import DRIVE_BLOCK_TICKS, clear_caches
 from repro.experiments.mixes import mix_by_name
-from repro.faults import NodeFaultPlan, NodeFaultSpec
-from repro.sim.batch import ENV_BACKEND
+from repro.faults import FLEET_SCENARIO_NAMES, NodeFaultPlan, NodeFaultSpec
+from repro.sim.batch import (
+    BACKEND_BATCH,
+    BACKEND_SCALAR,
+    ENV_BACKEND,
+    resolve_backend,
+)
+from repro.sim.config import ENV_WORKERS, MachineConfig
 
 EXECS = 10
 WARMUP = 3
@@ -142,8 +149,13 @@ def _small_fleet_run(vectorized=False):
 
 
 class TestDeterminism:
+    # The two-leg tests clear caches between the legs: the first leg
+    # records its fault-free nodes, and a second leg that replayed them
+    # would no longer check the simulator.
+
     def test_repeat_runs_identical(self):
         first = _small_fleet_run()
+        clear_caches()
         second = _small_fleet_run()
         assert first.fleet_report.event_signature == \
             second.fleet_report.event_signature
@@ -152,6 +164,7 @@ class TestDeterminism:
 
     def test_serial_vs_vectorized_bit_identical(self):
         serial = _small_fleet_run(vectorized=False)
+        clear_caches()
         vector = _small_fleet_run(vectorized=True)
         assert serial.fleet_report.event_signature == \
             vector.fleet_report.event_signature
@@ -178,3 +191,183 @@ class TestDeterminism:
         assert signatures["scalar"] == signatures["batch"]
         assert signatures["batch"] == signatures["vector"]
         assert outcomes["scalar"] == outcomes["batch"] == outcomes["vector"]
+
+
+@pytest.fixture
+def replay_counts(monkeypatch):
+    """Count the replays the controller starts and the ones caught up."""
+    counts = {"replays": 0, "catch_ups": 0}
+    init = control._Replay.__init__
+    catch_up = control._Replay.catch_up
+
+    def counting_init(self, *args):
+        counts["replays"] += 1
+        init(self, *args)
+
+    def counting_catch_up(self):
+        counts["catch_ups"] += 1
+        return catch_up(self)
+
+    monkeypatch.setattr(control._Replay, "__init__", counting_init)
+    monkeypatch.setattr(control._Replay, "catch_up", counting_catch_up)
+    return counts
+
+
+DRIVERS = pytest.mark.parametrize(
+    "vectorized", [False, True], ids=["serial", "vectorized"]
+)
+
+
+def _assert_same(result, expected, label=""):
+    assert result == expected, label
+    assert repr(result) == repr(expected), label
+
+
+class TestNodeReplay:
+    """Replaying recorded fault-free nodes changes no result."""
+
+    @DRIVERS
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_catalog_identical_with_and_without_records(
+        self, seed, vectorized, replay_counts
+    ):
+        def cell(name):
+            return chaos.run_fleet_cell(
+                name, num_nodes=3, executions=3, warmup=1, seed=seed,
+                vectorized=vectorized,
+            )
+
+        in_order = [cell(name) for name in FLEET_SCENARIO_NAMES]
+        assert replay_counts["replays"] > 0
+        for name, warm in zip(FLEET_SCENARIO_NAMES, in_order):
+            clear_caches()
+            _assert_same(warm, cell(name), name)
+
+    @DRIVERS
+    def test_shed_catches_a_replay_up(self, vectorized, replay_counts):
+        # n0 crashes early; its stream moves to n1, and at this low
+        # threshold fleet degraded mode sheds BG work on n1 while n1's
+        # recorded run is still replaying.
+        plan = NodeFaultPlan(
+            scenario="pinned-early-crash", seed=SEED,
+            overrides=(NodeFaultSpec(node="n0", kind="crash", onset_s=0.2),),
+        )
+        config = ControlPlaneConfig(shed_threshold=0.05)
+
+        def fleet_run():
+            cluster = Cluster(
+                build_fleet(num_nodes=3, executions=4, warmup=2),
+                vectorized=vectorized,
+            )
+            return cluster.run(fault_plan=plan, control=config)
+
+        Cluster(build_fleet(num_nodes=3, executions=4, warmup=2)).run()
+        replayed = fleet_run()
+        assert replay_counts["catch_ups"] > 0
+        assert replayed.fleet_report.sheds > 0
+        clear_caches()
+        _assert_same(replayed, fleet_run())
+
+    @DRIVERS
+    def test_fault_free_nodes_replay_without_simulating(self, vectorized):
+        # One crash and no shedding: the control plane acts on no
+        # fault-free node, so none of them simulates.
+        plan = NodeFaultPlan(
+            scenario="pinned-crash", seed=SEED,
+            overrides=(NodeFaultSpec(node="n1", kind="crash", onset_s=0.5),),
+        )
+        Cluster(build_fleet(num_nodes=4, executions=6, warmup=2)).run()
+        nodes = build_fleet(num_nodes=4, executions=6, warmup=2)
+        result = Cluster(nodes, vectorized=vectorized).run(
+            fault_plan=plan, control=ControlPlaneConfig(shed_threshold=1.0)
+        )
+        assert result.failovers == 1
+        assert result.fleet_report.sheds == 0
+        for node in nodes:
+            if node.name != "n1":
+                assert node.session.machine.clock.tick == 0, node.name
+                assert node.name in result.node_results
+
+
+class TestNodeRecords:
+    """The replay memo: dropped by clear_caches, keyed on every field."""
+
+    ARGS = dict(
+        name="n0", mix=mix_by_name("ferret rs"), policy=BASELINE,
+        executions=2, warmup=1, config=None, seed=5,
+    )
+
+    def _node(self, **changes):
+        return ClusterNode(**dict(self.ARGS, **changes))
+
+    def test_clear_caches_drops_records(self):
+        Cluster([self._node()]).run()
+        assert self._node().recorded() is not None
+        clear_caches()
+        assert not harness._NODE_RECORDS
+        assert self._node().recorded() is None
+
+    def test_record_holds_rounds_records_and_result(self):
+        node = self._node()
+        Cluster([node]).run()
+        session = node.session
+        # A None config resolves to the default machine, as in the
+        # run cache key.
+        assert self._node(config=MachineConfig()).recorded() == (
+            session._ticks // DRIVE_BLOCK_TICKS,
+            session.measured_records(),
+            node.result(),
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("mix", mix_by_name("bodytrack bwaves")),
+        # Same name, different settings: keyed on the policy itself.
+        ("policy", Policy(name="Baseline", static_bg_grade=0)),
+        ("executions", 3),
+        ("warmup", 2),
+        ("config", MachineConfig(os_jitter_sigma=0.0)),
+        ("seed", 6),
+    ])
+    def test_record_never_serves_another_run(self, field, value):
+        Cluster([self._node()]).run()
+        assert self._node(**{field: value}).recorded() is None
+
+    def test_record_never_serves_another_backend(self, monkeypatch):
+        Cluster([self._node()]).run()
+        other = (
+            BACKEND_SCALAR if resolve_backend() != BACKEND_SCALAR
+            else BACKEND_BATCH
+        )
+        monkeypatch.setenv(ENV_BACKEND, other)
+        assert self._node().recorded() is None
+
+
+class TestFleetChaosWarmup:
+    def test_no_baseline_runs_inside_fleet_cells(self, monkeypatch):
+        monkeypatch.setenv(ENV_WORKERS, "1")
+        inside = []
+        baselines_inside = []
+        run_policy = harness.run_policy
+        run_fleet_cell = chaos.run_fleet_cell
+
+        def counting_run_policy(mix, policy, *args, **kwargs):
+            if inside and policy == BASELINE:
+                baselines_inside.append((mix.name, kwargs.get("seed")))
+            return run_policy(mix, policy, *args, **kwargs)
+
+        def fleet_cell(*args, **kwargs):
+            inside.append(True)
+            try:
+                return run_fleet_cell(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(harness, "run_policy", counting_run_policy)
+        monkeypatch.setattr(chaos, "run_fleet_cell", fleet_cell)
+        # Nodes run raytrace at seeds 3 and 5 and ferret at seed 4.
+        chaos.run_fleet_chaos(
+            scenarios=("none", "node-crash"), num_nodes=3,
+            mixes=("raytrace rs", "ferret rs"), executions=3, warmup=2,
+            seed=3,
+        )
+        assert baselines_inside == []
