@@ -29,8 +29,8 @@ along and emits ``BENCH_harness.json`` at the repository root:
    kernel cache, warm-seeded solver memos, work-stealing dispatch) —
    the cost repeated interactive figure runs actually pay.
 6. **Fleet chaos**: machine ticks the fleet node-fault catalog
-   simulates at the CI smoke size, where faulted rows replay the
-   fault-free nodes the zero-fault row recorded.
+   simulates at the CI smoke size, where faulted rows replay every
+   session an earlier row ran to done untouched.
 7. **Correctness**: the serial and parallel sweeps must produce
    identical RunResults (also property-tested in
    ``tests/experiments/test_parallel.py``; scalar/batch equivalence is
@@ -144,11 +144,14 @@ FLEET_SEED = 3
 
 #: Machine ticks of every node and replacement session over that
 #: catalog, node Baselines warmed first.  Deterministic, so the gate
-#: does not depend on the host: faulted rows replay the fault-free
-#: nodes the zero-fault row recorded (359,744).  While every row
-#: simulated every node, the count was 475,360 (``FLEET_TICKS_BEFORE``).
-FLEET_TICKS_MAX = 359_744
-FLEET_TICKS_BEFORE = 475_360
+#: does not depend on the host: faulted rows replay every session an
+#: earlier row ran from tick 0 to done untouched, home nodes and
+#: failover replacements alike, until the control plane acts on its
+#: machine (281,056).  While they replayed only the nodes no fault
+#: names, the count was 359,744 (``FLEET_TICKS_BEFORE``); while every
+#: row simulated every node, 475,360.
+FLEET_TICKS_MAX = 281_056
+FLEET_TICKS_BEFORE = 359_744
 
 
 def _sparse_machine(backend: str) -> Machine:
@@ -721,9 +724,9 @@ def run_benchmark() -> dict:
             "ticks_before": FLEET_TICKS_BEFORE,
             "note": (
                 "ticks: machine ticks of every node and replacement "
-                "session, with faulted rows replaying the fault-free "
-                "nodes the zero-fault row recorded; ticks_before: the "
-                "same count while every row simulated every node"
+                "session, with faulted rows replaying every session an "
+                "earlier row ran to done untouched; ticks_before: the "
+                "same count while only nodes no fault names replayed"
             ),
         },
         "identical_results": True,

@@ -34,16 +34,21 @@ the round (the driver-level analogue of a partial peel), replacement
 machines join mid-run via :meth:`MultiCell.add_cell`, and throttled
 cells stop fusing on their own because their governor state diverges.
 
-A home node no fault names runs exactly the session a zero-fault run
-of it runs, unless fleet degraded mode sheds BG work on it.  When an
-earlier run in the process filed that session's outcome (zero-fault
-:meth:`repro.cluster.Cluster.run` files every node; the controller
-files the fault-free nodes it finished live and never shed), the
-controller replays it: a :class:`_Replay` counts rounds instead of
+The controller changes a session in three ways only: it advances it
+one round at a time while its host is up, fleet degraded mode pauses
+its BG work, and a slow-node fault pins its core frequencies.  Crash,
+partition and flap faults only withhold rounds, so until the
+controller acts on its machine a session's state is a function of its
+build arguments and the rounds it was advanced.  Every session the
+controller starts at tick 0 — home node or failover replacement —
+replays when an earlier run in the process filed its outcome
+(zero-fault :meth:`repro.cluster.Cluster.run` files every node; the
+controller files every session it started at tick 0 and ran live to
+done untouched): a :class:`_Replay` counts rounds instead of
 simulating and answers everything the controller reads of a session
-as the real one would at the same round.  A shed before the replay is
-done first catches the real session up, round for round, and runs it
-live from there.
+as the real one would at the same round.  Acting on a replay's machine
+(:meth:`FleetController._act_on`) first catches the real session up,
+round for round, and runs it live from there.
 
 Accounting is partial-credit: a stream's target is its node's measured
 execution count, credit comes from completions delivered before the
@@ -56,14 +61,18 @@ visibly costs it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
+    _NODE_RECORDS,
     DRIVE_BLOCK_TICKS,
     PolicySession,
     RunResult,
+    node_record_key,
+    record_node,
 )
 from repro.experiments.metrics import (
     DEADLINE_SIGMA_FACTOR,
@@ -292,18 +301,20 @@ class FailoverDispatcher:
 
 
 class _Replay:
-    """A fault-free home session replayed from its filed outcome.
+    """A session replayed from its filed outcome.
 
     Answers ``done``, ``_ticks``, ``measured_records()``, ``result()``
     and ``deadlines`` exactly as the real session would after as many
     ``advance(DRIVE_BLOCK_TICKS)`` calls as rounds counted; a round
-    costs a counter increment.
+    costs a counter increment.  Mid-run it holds the records the real
+    session's completion listener would have seen by then, by the
+    clock tick each was seen at.
     """
 
     def __init__(self, session: PolicySession, record) -> None:
-        #: The node's real session, built but never advanced.
+        #: The real session, built but never advanced.
         self.session = session
-        self._rounds, self._records, self._result = record
+        self._rounds, self._records, self._seen, self._result = record
         self.rounds = 0
 
     @property
@@ -324,13 +335,13 @@ class _Replay:
             self.rounds += 1
 
     def measured_records(self) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
-        """Mid-run: the records that ended by the real session's clock."""
+        """Mid-run: the records seen by the real session's clock tick."""
         if self.done:
             return self._records
-        now = self._ticks * self.session.machine.config.tick_s
+        now = self._ticks
         return tuple(
-            tuple(record for record in task if record[0] <= now)
-            for task in self._records
+            task[:bisect_right(seen, now)]
+            for task, seen in zip(self._records, self._seen)
         )
 
     def result(self) -> RunResult:
@@ -349,7 +360,8 @@ class _Replay:
 class _Placement:
     """One hosting assignment of a stream: a session on a host node."""
 
-    #: A :class:`_Replay` stands in for a recorded fault-free home run.
+    #: A :class:`_Replay` stands in for a filed run until the
+    #: controller acts on its machine.
     session: PolicySession
     host: str
     label: str
@@ -413,6 +425,9 @@ class FleetController:
         self._events: List[Tuple[float, str, str, str]] = []
         self._retry_rng = derive_rng(plan.seed, "fleet/failover")
         self._cell_sessions: Dict[int, PolicySession] = {}
+        #: Sessions started at tick 0 and not yet acted on, with their
+        #: replay-memo keys.
+        self._untouched: Dict[PolicySession, tuple] = {}
         self.vector_stats = None
 
     # ------------------------------------------------------------------
@@ -482,24 +497,20 @@ class FleetController:
         specs: Dict[str, Optional[NodeFaultSpec]] = {
             name: self._schedule.spec_for(name) for name in self._names
         }
-        # Fault-free home sessions still at tick 0 replay when recorded
-        # and are recorded when they finish live and unshed.
-        clean = {
-            node.name for node in self._nodes
-            if specs[node.name] is None and not node.session._ticks
-        }
         streams: Dict[str, _Stream] = {}
         for node in self._nodes:
             dispatcher.admit_home(node.name, self._streams_for(node))
             session = node.session
-            record = node.recorded() if node.name in clean else None
             streams[node.name] = _Stream(
                 home=node.name,
                 target=node.executions,
                 warmup=node.warmup,
                 deadlines=session.deadlines,
                 placements=[_Placement(
-                    session=_Replay(session, record) if record else session,
+                    session=(
+                        session if session._ticks
+                        else self._start(session, node._run_key)
+                    ),
                     host=node.name,
                     label=node.name,
                 )],
@@ -790,11 +801,13 @@ class FleetController:
                     "(%d rounds)" % rounds
                 )
 
-        # A clean node's live, unshed run is its zero-fault run.
-        for node in self._nodes:
-            if node.name in clean and node.name not in shed_hosts \
-                    and streams[node.name].hosting.session is node.session:
-                node.record()
+        # A session that ran live from tick 0 to done untouched ran
+        # exactly the run its key names.
+        for stream in streams.values():
+            for placement in stream.placements:
+                key = self._untouched.get(placement.session)
+                if key is not None and placement.session.done:
+                    record_node(key, placement.session)
 
         report = FleetFaultReport(
             scenario=self._plan.scenario,
@@ -855,6 +868,28 @@ class FleetController:
                 session._ticks += DRIVE_BLOCK_TICKS
                 session._bookkeep()
 
+    def _start(self, session: PolicySession, key: tuple) -> PolicySession:
+        """A session starting at tick 0, as a replay when one is filed."""
+        self._untouched[session] = key
+        record = _NODE_RECORDS.get(key)
+        return session if record is None else _Replay(session, record)
+
+    def _act_on(self, placement: _Placement) -> Optional[PolicySession]:
+        """The real session of a placement the controller acts on.
+
+        The only way the controller reaches a session's machine.  A
+        replay is caught up first and runs live from here; the session
+        counts as touched, so it is never filed.  None for a finished
+        session, whose outcome no action changes any more.
+        """
+        session = placement.session
+        if session.done:
+            return None
+        if isinstance(session, _Replay):
+            session = placement.session = session.catch_up()
+        self._untouched.pop(session, None)
+        return session
+
     def _apply_throttle(
         self, name: str, spec: NodeFaultSpec,
         streams: Dict[str, _Stream],
@@ -862,7 +897,10 @@ class FleetController:
         for stream in streams.values():
             for placement in stream.placements:
                 if placement.live and placement.host == name:
-                    machine = placement.session.machine
+                    session = self._act_on(placement)
+                    if session is None:
+                        continue
+                    machine = session.machine
                     for core in range(machine.config.num_cores):
                         machine.set_frequency_grade(
                             core, spec.throttle_grade
@@ -908,7 +946,9 @@ class FleetController:
             seed=seed,
         )
         stream.placements.append(_Placement(
-            session=session,
+            session=self._start(
+                session, node_record_key(session, node.config, seed)
+            ),
             host=host,
             label="%s@%s" % (stream.home, host),
         ))
@@ -935,13 +975,9 @@ class FleetController:
         for stream in streams.values():
             for placement in stream.placements:
                 if placement.live and placement.host == host:
-                    session = placement.session
-                    if isinstance(session, _Replay):
-                        if session.done:
-                            # A finished run's counters no longer move.
-                            continue
-                        # The real session takes over from here.
-                        session = placement.session = session.catch_up()
+                    session = self._act_on(placement)
+                    if session is None:
+                        continue
                     for proc in session._bg_procs:
                         session.machine.pause(proc.pid)
 

@@ -29,11 +29,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.policies import Policy
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
-    DRIVE_BLOCK_TICKS,
     _NODE_RECORDS,
     PolicySession,
     RunResult,
     drive_sessions_vectorized,
+    node_record_key,
+    record_node,
 )
 from repro.experiments.mixes import Mix
 from repro.faults.fleet import FleetFaultReport, NodeFaultPlan
@@ -53,7 +54,10 @@ class ClusterNode:
     plane reuses them when it spawns a replacement session for a
     failed-over stream, and ``ClusterResult.node_labels`` reports them
     so chaos tables are self-describing.  They also key the node's
-    entry in the in-memory replay memo (:meth:`record`).
+    entry in the in-memory replay memo (:meth:`record`,
+    :func:`repro.experiments.harness.node_record_key`), which a faulted
+    fleet replays the node from until its control plane acts on the
+    node's machine.
     """
 
     def __init__(
@@ -81,12 +85,8 @@ class ClusterNode:
             config=config,
             seed=seed,
         )
-        # The "run" cache key fields the session is built from, which
-        # file its outcome in the fleet replay memo.
-        self._run_key = (
-            mix, policy, executions, warmup, config or MachineConfig(),
-            seed, self.session.machine.backend,
-        )
+        # The session's key in the fleet replay memo.
+        self._run_key = node_record_key(self.session, config, seed)
 
     @property
     def done(self) -> bool:
@@ -107,15 +107,10 @@ class ClusterNode:
         Only for a session driven from tick 0 to done with nothing but
         its own runtime acting on the machine.
         """
-        session = self.session
-        _NODE_RECORDS[self._run_key] = (
-            session._ticks // DRIVE_BLOCK_TICKS,
-            session.measured_records(),
-            session.result(),
-        )
+        record_node(self._run_key, self.session)
 
-    def recorded(self) -> Optional[Tuple[int, tuple, RunResult]]:
-        """The filed ``(rounds, measured_records, result)``, or None."""
+    def recorded(self) -> Optional[Tuple[int, tuple, tuple, RunResult]]:
+        """The filed ``(rounds, measured_records, seen, result)``, or None."""
         return _NODE_RECORDS.get(self._run_key)
 
 
@@ -230,7 +225,8 @@ class Cluster:
         zero-fault runs are bit-identical to plain runs by construction
         (the only addition is the empty report / label metadata).  It
         files each node's outcome in memory, so later faulted runs of
-        the same nodes replay the ones no fault names.
+        the same nodes replay each node until the control plane acts on
+        its machine.
         """
         if fault_plan is not None and not fault_plan.is_zero:
             # Imported here: control.py imports ClusterResult from this
@@ -261,7 +257,8 @@ class Cluster:
             for node in self._nodes:
                 node.session.run_to_end()
         # Nodes run from tick 0 to done untouched: faulted fleets of
-        # the same nodes replay them instead of simulating them again.
+        # the same nodes replay them, whatever fault a plan names for
+        # them, until the control plane acts on their machines.
         for node in fresh:
             node.record()
         results = {node.name: node.result() for node in self._nodes}

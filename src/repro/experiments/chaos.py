@@ -10,11 +10,15 @@ with bad inputs, not a different workload.
 
 Chaos runs are never disk-cached: they are cheap at smoke sizes and the
 fault surface is exactly what the cache key does not capture.  Fleet
-cells keep to that, but within one process a fleet node that no fault
-names replays the in-memory record of its fault-free run instead of
-simulating it again: the zero-fault ``none`` row records every node,
-and a node the control plane sheds BG work on before it is done is
-caught up and run live (:mod:`repro.cluster.control`).  Results are
+cells keep to that, but within one process a fleet session replays
+the in-memory record of an earlier identical run instead of simulating
+it again, until the control plane acts on its machine: the zero-fault
+``none`` row records every node, faulted rows record every session
+they ran live to done untouched (failover replacements recur across
+rows), and a replay the control plane sheds BG work on or throttles
+before it is done is caught up and run live
+(:mod:`repro.cluster.control`).  Crash, partition and flap faults only
+withhold rounds, so the nodes they name replay too.  Results are
 identical with or without records; ``clear_caches()`` drops them.
 """
 

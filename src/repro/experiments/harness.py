@@ -103,14 +103,61 @@ _BASELINE_CACHE: Dict[
     Tuple[str, MachineConfig, int, int, int, str], "RunResult"
 ] = {}
 _PARTITION_CACHE: Dict[Tuple[str, MachineConfig, int, str], int] = {}
-#: Fleet node sessions that ran to the end untouched by the control
-#: plane, as ``(rounds to done, measured_records(), result())`` keyed
-#: on the "run" key fields; :mod:`repro.cluster` records and replays
+#: Fleet sessions that ran from tick 0 to done untouched by the control
+#: plane, keyed by :func:`node_record_key`, as ``(rounds to done,
+#: measured_records(), the clock tick the session saw each of those
+#: records at, result())``; :mod:`repro.cluster` records and replays
 #: them.  In memory only.
 _NODE_RECORDS: Dict[
-    Tuple[Mix, Policy, int, int, MachineConfig, int, str],
-    Tuple[int, Tuple[Tuple[Tuple[float, float], ...], ...], "RunResult"],
+    Tuple[
+        Mix, Policy, int, int, MachineConfig, int, str,
+        Optional[Tuple[float, ...]],
+    ],
+    Tuple[
+        int,
+        Tuple[Tuple[Tuple[float, float], ...], ...],
+        Tuple[Tuple[int, ...], ...],
+        "RunResult",
+    ],
 ] = {}
+
+
+def node_record_key(
+    session: "PolicySession", config: Optional[MachineConfig], seed: int
+) -> Tuple[
+    Mix, Policy, int, int, MachineConfig, int, str,
+    Optional[Tuple[float, ...]],
+]:
+    """A fleet session's key in :data:`_NODE_RECORDS`.
+
+    The "run" cache-key fields the session was built from (``config``
+    and ``seed`` as passed to it) plus the deadlines it is judged by:
+    a failover replacement takes its home stream's deadlines, not its
+    own Baseline's.
+    """
+    return (
+        session.mix, session.policy, session._executions, session._warmup,
+        config or MachineConfig(), seed, session.machine.backend,
+        session.deadlines,
+    )
+
+
+def record_node(key: tuple, session: "PolicySession") -> None:
+    """File a finished fleet session's outcome under ``key``.
+
+    Only for a session driven from tick 0 to done with nothing but its
+    own runtime acting on the machine.
+    """
+    warmup, target = session._warmup, session._target
+    _NODE_RECORDS[key] = (
+        session._ticks // DRIVE_BLOCK_TICKS,
+        session.measured_records(),
+        tuple(
+            tuple(session._seen[p.pid][warmup:target])
+            for p in session._fg_procs
+        ),
+        session.result(),
+    )
 
 
 @dataclass(frozen=True)
@@ -422,15 +469,20 @@ class PolicySession:
             runtime.start()
             self.runtime = runtime
 
-        # Collect execution records per FG task.
+        # Collect execution records per FG task, with the clock tick
+        # each was seen at (the machine starts at tick 0): fleet replays
+        # answer mid-run by it.
         self._records: Dict[int, List[ExecutionRecord]] = {
             p.pid: [] for p in fg_procs
         }
+        self._seen: Dict[int, List[int]] = {p.pid: [] for p in fg_procs}
+        clock = machine.clock
 
         def collect(proc: Process, record: ExecutionRecord) -> None:
             bucket = self._records.get(proc.pid)
             if bucket is not None:
                 bucket.append(record)
+                self._seen[proc.pid].append(clock.tick)
 
         machine.add_completion_listener(collect)
 

@@ -7,12 +7,20 @@ the fleet ``event_signature`` is identical across the scalar, batch,
 and vector backends.
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterNode, ControlPlaneConfig, control
 from repro.core.policies import BASELINE, DIRIGENT, Policy
 from repro.experiments import chaos, harness
-from repro.experiments.harness import DRIVE_BLOCK_TICKS, clear_caches
+from repro.experiments.harness import (
+    DRIVE_BLOCK_TICKS,
+    PolicySession,
+    clear_caches,
+)
 from repro.experiments.mixes import mix_by_name
 from repro.faults import FLEET_SCENARIO_NAMES, NodeFaultPlan, NodeFaultSpec
 from repro.sim.batch import (
@@ -150,8 +158,9 @@ def _small_fleet_run(vectorized=False):
 
 class TestDeterminism:
     # The two-leg tests clear caches between the legs: the first leg
-    # records its fault-free nodes, and a second leg that replayed them
-    # would no longer check the simulator.
+    # records every session it ran live to done untouched, home nodes
+    # and failover replacements alike, and a second leg that replayed
+    # them would no longer check the simulator.
 
     def test_repeat_runs_identical(self):
         first = _small_fleet_run()
@@ -195,20 +204,37 @@ class TestDeterminism:
 
 @pytest.fixture
 def replay_counts(monkeypatch):
-    """Count the replays the controller starts and the ones caught up."""
-    counts = {"replays": 0, "catch_ups": 0}
-    init = control._Replay.__init__
+    """Count the replays the controller starts and the ones caught up.
+
+    ``fault_named`` counts replayed home nodes the fault schedule names,
+    ``replacements`` lists the real sessions of replayed failover
+    replacements, and ``caught_up_at`` the rounds each catch-up
+    replayed first.
+    """
+    counts = {
+        "replays": 0, "fault_named": 0, "replacements": [],
+        "catch_ups": 0, "caught_up_at": [],
+    }
+    start = control.FleetController._start
     catch_up = control._Replay.catch_up
 
-    def counting_init(self, *args):
-        counts["replays"] += 1
-        init(self, *args)
+    def counting_start(self, session, key):
+        started = start(self, session, key)
+        if isinstance(started, control._Replay):
+            counts["replays"] += 1
+            homes = {node.session: node.name for node in self._nodes}
+            if session not in homes:
+                counts["replacements"].append(session)
+            elif self._schedule.spec_for(homes[session]) is not None:
+                counts["fault_named"] += 1
+        return started
 
     def counting_catch_up(self):
         counts["catch_ups"] += 1
+        counts["caught_up_at"].append(self.rounds)
         return catch_up(self)
 
-    monkeypatch.setattr(control._Replay, "__init__", counting_init)
+    monkeypatch.setattr(control.FleetController, "_start", counting_start)
     monkeypatch.setattr(control._Replay, "catch_up", counting_catch_up)
     return counts
 
@@ -223,8 +249,31 @@ def _assert_same(result, expected, label=""):
     assert repr(result) == repr(expected), label
 
 
+#: One crash and no shedding: the control plane acts on no session.
+ONE_CRASH_PLAN = NodeFaultPlan(
+    scenario="pinned-crash", seed=SEED,
+    overrides=(NodeFaultSpec(node="n1", kind="crash", onset_s=0.5),),
+)
+NO_SHED = ControlPlaneConfig(shed_threshold=1.0)
+
+#: n0 crashes early and its stream moves to n1; at a low threshold
+#: fleet degraded mode then sheds BG work on n1 (3-node fleets).
+EARLY_CRASH_PLAN = NodeFaultPlan(
+    scenario="pinned-early-crash", seed=SEED,
+    overrides=(NodeFaultSpec(node="n0", kind="crash", onset_s=0.2),),
+)
+LOW_SHED = ControlPlaneConfig(shed_threshold=0.05)
+
+#: n1 is throttled from 0.5 s on.
+SLOW_ONSET_S = 0.5
+SLOW_PLAN = NodeFaultPlan(
+    scenario="pinned-slow", seed=SEED,
+    overrides=(NodeFaultSpec(node="n1", kind="slow", onset_s=SLOW_ONSET_S),),
+)
+
+
 class TestNodeReplay:
-    """Replaying recorded fault-free nodes changes no result."""
+    """Replaying recorded sessions changes no result."""
 
     @DRIVERS
     @pytest.mark.parametrize("seed", [0, 3])
@@ -238,28 +287,26 @@ class TestNodeReplay:
             )
 
         in_order = [cell(name) for name in FLEET_SCENARIO_NAMES]
-        assert replay_counts["replays"] > 0
+        # At this size both seeds replay fault-named homes from the
+        # node-crash row on, and failover replacements an earlier row
+        # filed (seed 0: slow-node, flapping and fleet-chaos; seed 3:
+        # slow-node, rack-failure and fleet-chaos).
+        assert replay_counts["fault_named"] > 0
+        assert replay_counts["replacements"]
         for name, warm in zip(FLEET_SCENARIO_NAMES, in_order):
             clear_caches()
             _assert_same(warm, cell(name), name)
 
     @DRIVERS
     def test_shed_catches_a_replay_up(self, vectorized, replay_counts):
-        # n0 crashes early; its stream moves to n1, and at this low
-        # threshold fleet degraded mode sheds BG work on n1 while n1's
-        # recorded run is still replaying.
-        plan = NodeFaultPlan(
-            scenario="pinned-early-crash", seed=SEED,
-            overrides=(NodeFaultSpec(node="n0", kind="crash", onset_s=0.2),),
-        )
-        config = ControlPlaneConfig(shed_threshold=0.05)
-
+        # The shed on n1 comes while n1's recorded run is still
+        # replaying.
         def fleet_run():
             cluster = Cluster(
                 build_fleet(num_nodes=3, executions=4, warmup=2),
                 vectorized=vectorized,
             )
-            return cluster.run(fault_plan=plan, control=config)
+            return cluster.run(fault_plan=EARLY_CRASH_PLAN, control=LOW_SHED)
 
         Cluster(build_fleet(num_nodes=3, executions=4, warmup=2)).run()
         replayed = fleet_run()
@@ -270,23 +317,64 @@ class TestNodeReplay:
 
     @DRIVERS
     def test_fault_free_nodes_replay_without_simulating(self, vectorized):
-        # One crash and no shedding: the control plane acts on no
-        # fault-free node, so none of them simulates.
-        plan = NodeFaultPlan(
-            scenario="pinned-crash", seed=SEED,
-            overrides=(NodeFaultSpec(node="n1", kind="crash", onset_s=0.5),),
-        )
+        # The control plane acts on no session, so no home node
+        # simulates: the crashed n1's replay just stops counting rounds.
         Cluster(build_fleet(num_nodes=4, executions=6, warmup=2)).run()
         nodes = build_fleet(num_nodes=4, executions=6, warmup=2)
         result = Cluster(nodes, vectorized=vectorized).run(
-            fault_plan=plan, control=ControlPlaneConfig(shed_threshold=1.0)
+            fault_plan=ONE_CRASH_PLAN, control=NO_SHED
         )
         assert result.failovers == 1
         assert result.fleet_report.sheds == 0
         for node in nodes:
+            assert node.session.machine.clock.tick == 0, node.name
             if node.name != "n1":
-                assert node.session.machine.clock.tick == 0, node.name
                 assert node.name in result.node_results
+
+    @DRIVERS
+    def test_replacement_replays_on_a_second_run(
+        self, vectorized, replay_counts
+    ):
+        # The first run files every session it ran live to done
+        # untouched, n1's replacement included; the second replays it.
+        def fleet_run():
+            cluster = Cluster(
+                build_fleet(num_nodes=4, executions=6, warmup=2),
+                vectorized=vectorized,
+            )
+            return cluster.run(fault_plan=ONE_CRASH_PLAN, control=NO_SHED)
+
+        first = fleet_run()
+        assert first.failovers == 1
+        assert replay_counts["replays"] == 0
+        second = fleet_run()
+        [replacement] = replay_counts["replacements"]
+        assert replacement.machine.clock.tick == 0
+        assert replay_counts["catch_ups"] == 0
+        _assert_same(second, first)
+
+    @DRIVERS
+    def test_slow_node_replays_until_its_throttle(
+        self, vectorized, replay_counts
+    ):
+        # n1 starts as a replay of its zero-fault run and is caught up
+        # in the round its throttle first applies, then runs live.
+        def fleet_run():
+            cluster = Cluster(
+                build_fleet(num_nodes=3, executions=4, warmup=2),
+                vectorized=vectorized,
+            )
+            return cluster.run(fault_plan=SLOW_PLAN, control=NO_SHED)
+
+        Cluster(build_fleet(num_nodes=3, executions=4, warmup=2)).run()
+        replayed = fleet_run()
+        assert replay_counts["fault_named"] == 1
+        round_s = DRIVE_BLOCK_TICKS * MachineConfig().tick_s
+        assert replay_counts["caught_up_at"] == [
+            int(SLOW_ONSET_S / round_s)
+        ]
+        clear_caches()
+        _assert_same(replayed, fleet_run())
 
 
 class TestNodeRecords:
@@ -313,11 +401,17 @@ class TestNodeRecords:
         session = node.session
         # A None config resolves to the default machine, as in the
         # run cache key.
-        assert self._node(config=MachineConfig()).recorded() == (
-            session._ticks // DRIVE_BLOCK_TICKS,
-            session.measured_records(),
-            node.result(),
-        )
+        rounds, records, seen, result = self._node(
+            config=MachineConfig()
+        ).recorded()
+        assert rounds == session._ticks // DRIVE_BLOCK_TICKS
+        assert records == session.measured_records()
+        assert result == node.result()
+        # The clock tick each measured record was seen at, in order.
+        assert [len(task) for task in seen] == [len(t) for t in records]
+        for task_seen in seen:
+            assert list(task_seen) == sorted(task_seen)
+            assert 0 < task_seen[0] and task_seen[-1] <= session._ticks
 
     @pytest.mark.parametrize("field, value", [
         ("mix", mix_by_name("bodytrack bwaves")),
@@ -340,6 +434,121 @@ class TestNodeRecords:
         )
         monkeypatch.setenv(ENV_BACKEND, other)
         assert self._node().recorded() is None
+
+    def test_record_never_serves_other_deadlines(self):
+        # A failover replacement is judged by its home stream's
+        # deadlines, which its own run arguments do not determine.
+        Cluster([self._node()]).run()
+        args = {k: v for k, v in self.ARGS.items() if k != "name"}
+        seed = args["seed"]
+        same = PolicySession(**args)
+        other = PolicySession(deadlines_s=(0.5,), **args)
+        records = harness._NODE_RECORDS
+        assert harness.node_record_key(same, None, seed) in records
+        assert harness.node_record_key(other, None, seed) not in records
+
+    @pytest.mark.parametrize("plan, config, kind", [
+        (EARLY_CRASH_PLAN, LOW_SHED, "shed"),
+        (SLOW_PLAN, NO_SHED, "throttle"),
+    ], ids=["shed", "throttle"])
+    def test_touched_sessions_never_filed(self, plan, config, kind):
+        nodes = build_fleet(num_nodes=3, executions=4, warmup=2)
+        result = Cluster(nodes).run(fault_plan=plan, control=config)
+        assert (result.fleet_report.sheds > 0) == (kind == "shed")
+        # n1 was acted on before it was done; n2, untouched, is filed.
+        assert nodes[1].recorded() is None
+        assert nodes[2].recorded() is not None
+
+
+class TestReplayAnswers:
+    """A replay answers as its real session would, round for round."""
+
+    @DRIVERS
+    @pytest.mark.parametrize("warmup", [0, 2])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_round_matches_the_real_session(
+        self, seed, warmup, vectorized
+    ):
+        # Recorded under either zero-fault driver, replayed against
+        # block-by-block driving.
+        def node():
+            return ClusterNode(
+                "n0", mix_by_name("raytrace rs"), DIRIGENT, executions=3,
+                warmup=warmup, seed=seed,
+            )
+
+        recorded = node()
+        Cluster([recorded], vectorized=vectorized).run()
+        replay = control._Replay(node().session, recorded.recorded())
+        real = node().session
+        while True:
+            assert replay.measured_records() == real.measured_records()
+            assert (replay.done, replay._ticks) == (real.done, real._ticks)
+            if real.done:
+                break
+            real.advance(DRIVE_BLOCK_TICKS)
+            replay.advance(DRIVE_BLOCK_TICKS)
+        assert replay.result() == real.result()
+
+    def test_record_seen_in_a_blocks_last_tick_counts_that_round(self):
+        # Completing in block 11's last tick, a dt-long finish puts
+        # end_s one ulp past the block's end time: the tick it was seen
+        # at, not end_s, decides the round it counts from.
+        tick_s = MachineConfig().tick_s
+        end_s = 0.35100000000000003 + tick_s
+        assert end_s > 11 * DRIVE_BLOCK_TICKS * tick_s
+        record = ((end_s, 0.3),)
+        replay = control._Replay(
+            None, (20, (record,), ((11 * DRIVE_BLOCK_TICKS,),), None)
+        )
+        for _ in range(10):
+            replay.advance(DRIVE_BLOCK_TICKS)
+        assert replay.measured_records() == ((),)
+        replay.advance(DRIVE_BLOCK_TICKS)
+        assert replay.measured_records() == (record,)
+
+
+RATES = st.sampled_from([0.0, 0.5, 1.0])
+
+
+class TestRandomNodeFaultPlans:
+    """Random node-fault plans: no raise, and replays change nothing."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        crash=RATES, partition=RATES, slow=RATES, flap=RATES,
+        # The zero-fault nodes run about 5.6 s.
+        onset_lo=st.floats(min_value=0.0, max_value=5.0),
+        onset_width=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @example(seed=0, crash=0.0, partition=0.0, slow=0.0, flap=0.0,
+             onset_lo=2.0, onset_width=0.5)
+    @settings(max_examples=10, deadline=None)
+    def test_replays_change_no_result(
+        self, seed, crash, partition, slow, flap, onset_lo, onset_width
+    ):
+        plan = NodeFaultPlan(
+            scenario="random", seed=seed, crash_rate=crash,
+            partition_rate=partition, slow_rate=slow, flap_rate=flap,
+            onset_window_s=(onset_lo, onset_lo + onset_width),
+        )
+
+        def fleet_run(fault_plan):
+            nodes = build_fleet(num_nodes=3, executions=2, warmup=1)
+            return Cluster(nodes).run(fault_plan=fault_plan)
+
+        clear_caches()
+        plain = fleet_run(None)
+        first = fleet_run(plan)
+        if plan.is_zero:
+            assert first.fleet_report.event_signature == ()
+            _assert_same(replace(first, fleet_report=None), plain)
+            return
+        second = fleet_run(plan)
+        clear_caches()
+        third = fleet_run(plan)
+        _assert_same(second, first)
+        _assert_same(third, first)
 
 
 class TestFleetChaosWarmup:
