@@ -19,7 +19,8 @@ Environment knobs:
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``.repro_cache`` in the
   working directory).
-* ``REPRO_CACHE=0`` — disable reads and writes entirely.
+* ``REPRO_CACHE=0`` (or ``off``/``false``) — disable reads and writes
+  entirely.
 """
 
 from __future__ import annotations

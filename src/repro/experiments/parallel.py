@@ -69,8 +69,7 @@ overhead, all result-neutral and individually kill-switchable:
 * **Warm initializer**: respawned workers run :func:`_warm_worker`
   once, preloading compiled span kernels from the persistent kernel
   cache (``REPRO_KERNEL_DISK_CACHE``, see
-  :mod:`repro.experiments.diskcache`) and pre-seeding the solver memos
-  for the sweep's workload phases.
+  :mod:`repro.experiments.diskcache`) and the shipped template shapes.
 * **Work stealing** (``REPRO_STEAL``): packs are seeded one per worker
   and the remainder drained from a deque as futures complete, with the
   largest remaining pack split at seed-group boundaries when workers
@@ -119,9 +118,7 @@ from repro.sim.config import (
     pool_reuse_enabled,
     steal_enabled,
 )
-from repro.sim.perf import warm_solver_tables
 from repro.sim.spanplan import consume_kernel_cache_stats, preload_kernels
-from repro.workloads.catalog import get_rotate_pair, get_workload
 
 _log = logging.getLogger(__name__)
 
@@ -303,50 +300,17 @@ def _run_pack_encoded(pack: List[Tuple]) -> EncodedPack:
     return encode_pack(_run_pack(pack), consume_kernel_cache_stats())
 
 
-def _warm_payload(
-    mixes: Sequence[Mix], config: MachineConfig
-) -> Tuple[Tuple, MachineConfig]:
-    """Initializer payload: the sweep's distinct phase specs + config.
-
-    Collected parent-side (phase specs are small frozen dataclasses, so
-    the payload pickles cheaply) and handed to every respawned worker's
-    :func:`_warm_worker`.
-    """
-    phases: List[object] = []
-    seen = set()
-    specs: List[object] = []
-    for mix in mixes:
-        specs.append(get_workload(mix.fg_name))
-        if mix.is_rotate:
-            pair = get_rotate_pair(mix.rotate_name)
-            specs.append(pair.first)
-            specs.append(pair.second)
-        else:
-            specs.append(get_workload(mix.bg_name))
-    for spec in specs:
-        for phase in spec.phases:
-            key = (spec.name, phase.name)
-            if key not in seen:
-                seen.add(key)
-                phases.append(phase)
-    return tuple(phases), config
-
-
-def _warm_worker(payload: Tuple[Tuple, MachineConfig]) -> None:
-    """Pool initializer: warm a fresh worker's per-process caches.
+def _warm_worker() -> None:
+    """Pool initializer: warm a fresh worker's kernel code cache.
 
     Runs once per worker process before its first task: compiles the
     shipped template shapes plus every persisted kernel-cache entry
-    into the in-process code cache, and pre-seeds the solver memos for
-    the sweep's workload phases.  Warming is purely accelerative — a
-    seeded memo entry is bit-identical to the one a cold run would
-    build — and best-effort: a failure here logs and leaves the worker
-    cold rather than breaking the pool.
+    into the in-process code cache.  Warming is purely accelerative and
+    best-effort: a failure here logs and leaves the worker cold rather
+    than breaking the pool.
     """
-    phases, config = payload
     try:
         preload_kernels()
-        warm_solver_tables(config, phases)
     except Exception:  # pragma: no cover - warming must never kill a pool
         _log.exception("worker warm-up failed; continuing cold")
 
@@ -370,9 +334,7 @@ class WorkerPool:
         self._key: Optional[Tuple] = None
         self.generation = 0
 
-    def acquire(
-        self, workers: int, payload: Tuple[Tuple, MachineConfig]
-    ) -> Tuple[ProcessPoolExecutor, bool]:
+    def acquire(self, workers: int) -> Tuple[ProcessPoolExecutor, bool]:
         """A pool of ``workers`` processes; returns ``(pool, warm)``.
 
         ``warm`` is True when the returned pool was already alive (its
@@ -387,9 +349,7 @@ class WorkerPool:
             return self._pool, True
         self.discard()
         pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_warm_worker,
-            initargs=(payload,),
+            max_workers=workers, initializer=_warm_worker,
         )
         self._pool = pool
         self._key = key
@@ -613,7 +573,7 @@ def _run_parallel(
     # sweeps of different sizes.
     size = workers if pool_reuse_enabled() else min(workers, len(cells))
     try:
-        pool, warm = _POOL.acquire(size, _warm_payload(mixes, config))
+        pool, warm = _POOL.acquire(size)
     except (OSError, RuntimeError, PermissionError) as exc:
         _fall_back(sweep, exc)
         return None

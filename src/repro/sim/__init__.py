@@ -15,14 +15,7 @@ from repro.sim.machine import Machine
 from repro.sim.memguard import BandwidthBudget, MemGuard
 from repro.sim.memory import MemorySystem
 from repro.sim.osal import SystemInterface
-from repro.sim.perf import (
-    MissCurveTable,
-    PerfInput,
-    PerfOutput,
-    clear_solver_tables,
-    solve_tick,
-    solver_table_stats,
-)
+from repro.sim.perf import PerfInput, PerfOutput, solve_tick
 from repro.sim.process import (
     STATE_PAUSED,
     STATE_RUNNING,
@@ -52,12 +45,9 @@ __all__ = [
     "MemorySystem",
     "MemGuard",
     "BandwidthBudget",
-    "MissCurveTable",
     "PerfInput",
     "PerfOutput",
     "solve_tick",
-    "solver_table_stats",
-    "clear_solver_tables",
     "Process",
     "ExecutionRecord",
     "STATE_RUNNING",

@@ -170,26 +170,18 @@ ENV_BACKEND = "REPRO_SIM_BACKEND"
 #: Cap on machines fused per vector-kernel call (multi-cell backend).
 ENV_VECTOR_CELLS = "REPRO_VECTOR_CELLS"
 
-#: Multi-cell numpy kill switch (``0``/``off``/``false`` disables).
-ENV_VECTOR_NUMPY = "REPRO_VECTOR_NUMPY"
-
-#: Span-compilation kill switch (``0``/``off``/``false`` disables).
-ENV_SPAN_COMPILE = "REPRO_SPAN_COMPILE"
-
-#: Exact-solver tabulation kill switch (``0``/``off``/``false`` disables
-#: the miss-curve/penalty tables and the clone-lane dedup kernels).
-ENV_MISSCURVE_TABLE = "REPRO_MISSCURVE_TABLE"
-
 #: Root directory of the persistent result cache.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
-#: Persistent-cache master switch (``0`` disables reads and writes).
+#: Persistent-cache master switch (``0``/``off``/``false`` disables
+#: reads and writes).
 ENV_CACHE = "REPRO_CACHE"
 
 #: Per-cell wall-clock timeout for parallel sweep workers (seconds).
 ENV_CELL_TIMEOUT_S = "REPRO_CELL_TIMEOUT_S"
 
-#: Graceful-degradation kill switch (``0`` disables all hardening).
+#: Graceful-degradation kill switch (``0``/``off``/``false`` disables
+#: all hardening).
 ENV_DEGRADED_MODE = "REPRO_DEGRADED_MODE"
 
 #: Worker-pool reuse kill switch (``0``/``off``/``false`` disables).
@@ -201,7 +193,8 @@ ENV_KERNEL_DISK_CACHE = "REPRO_KERNEL_DISK_CACHE"
 #: Work-stealing sweep dispatch kill switch (``0``/``off``/``false``).
 ENV_STEAL = "REPRO_STEAL"
 
-#: Fleet failover kill switch (``0`` disables stream re-placement).
+#: Fleet failover kill switch (``0``/``off``/``false`` disables stream
+#: re-placement).
 ENV_FLEET_FAILOVER = "REPRO_FLEET_FAILOVER"
 
 #: Heartbeat gap (seconds) before the fleet monitor suspects a node.
@@ -231,6 +224,8 @@ class EnvKnob:
         name: The environment variable.
         accessor: Name of the typed accessor function in this module.
         kind: Value shape (``int``/``flag``/``str``/``path``), for docs.
+            Every ``flag`` accessor parses its value with
+            :func:`_flag_enabled`.
         default: Human-readable default, for docs and ``--help`` text.
         cache_key_symbol: When the knob can change *simulation results*,
             the identifier that must appear inside the experiment
@@ -273,33 +268,12 @@ KNOBS: Tuple[EnvKnob, ...] = (
         "Simulation backend (scalar reference or batch engine).",
     ),
     EnvKnob(
-        ENV_SPAN_COMPILE, "span_compile_enabled", "flag", "1", None,
-        "Span-compiled kernel kill switch (bit-identical either way).",
-    ),
-    EnvKnob(
-        # Result-neutral: the tables serve exact-key lookups of pure
-        # float computations and the clone-dedup kernels only fold
-        # lanes whose inputs compare bit-equal, so every tabulated
-        # value is bit-identical to the direct computation — pinned by
-        # tests/sim/test_solver_tables.py and the scalar/batch/vector
-        # equivalence suites with the knob both on and off.
-        ENV_MISSCURVE_TABLE, "misscurve_table_enabled", "flag", "1", None,
-        "Exact solver tabulation kill switch (bit-identical either way).",
-    ),
-    EnvKnob(
         # Scheduling-only: the cap changes how many machines share one
         # fused kernel call, never what any machine computes — fused and
         # per-machine advancement are bit-identical, pinned by
         # tests/sim/test_vector_equivalence.py.
         ENV_VECTOR_CELLS, "env_vector_cells", "int", "unlimited", None,
         "Machines fused per vector kernel call (scheduling only).",
-    ),
-    EnvKnob(
-        # Result-neutral: without numpy the vector backend advances each
-        # cell through its own batch engine, which the equivalence suite
-        # pins bit-identical to the fused path.
-        ENV_VECTOR_NUMPY, "vector_numpy_enabled", "flag", "1", None,
-        "Multi-cell numpy kill switch (bit-identical either way).",
     ),
     EnvKnob(
         ENV_CACHE_DIR, "cache_dir", "path", DEFAULT_CACHE_DIR, None,
@@ -456,44 +430,20 @@ def env_vector_cells() -> Optional[int]:
         return None
 
 
-def vector_numpy_enabled() -> bool:
-    """True unless ``REPRO_VECTOR_NUMPY`` disables the fused numpy path.
+#: Values that switch a ``flag`` knob off, compared after stripping
+#: surrounding whitespace and lower-casing.
+_FLAG_OFF = ("0", "off", "false")
 
-    Recognized off-values are ``0``, ``off``, and ``false``
-    (case-insensitive); anything else — including unset — enables the
-    fused structure-of-arrays kernels when numpy is importable.  With
-    the switch off (or numpy missing) the vector backend advances each
-    cell through its own batch engine, which is bit-identical, so this
-    knob is result-neutral.
+
+def _flag_enabled(name: str) -> bool:
+    """Parse the ``flag`` knob ``name``: on unless set to an off-value.
+
+    Every flag accessor below calls this, so all of them agree that
+    ``0``, ``off`` and ``false`` (any case, surrounding whitespace
+    ignored) switch a knob off, and that anything else — unset
+    included — leaves it on.
     """
-    flag = os.environ.get(ENV_VECTOR_NUMPY, "").strip().lower()
-    return flag not in ("0", "off", "false")
-
-
-def span_compile_enabled() -> bool:
-    """True unless ``REPRO_SPAN_COMPILE`` disables the compiled path.
-
-    Recognized off-values are ``0``, ``off``, and ``false``
-    (case-insensitive); anything else — including unset — enables span
-    compilation.  The compiled path is bit-identical to the generic
-    kernel, so this knob is result-neutral.
-    """
-    flag = os.environ.get(ENV_SPAN_COMPILE, "").strip().lower()
-    return flag not in ("0", "off", "false")
-
-
-def misscurve_table_enabled() -> bool:
-    """True unless ``REPRO_MISSCURVE_TABLE`` disables solver tabulation.
-
-    Recognized off-values are ``0``, ``off``, and ``false``
-    (case-insensitive); anything else — including unset — enables the
-    exact miss-curve/penalty tables in :mod:`repro.sim.perf` and the
-    clone-lane dedup kernels in :mod:`repro.sim.spanplan`.  Both serve
-    only exact-key lookups of pure float computations, so results are
-    bit-identical either way and the knob is result-neutral.
-    """
-    flag = os.environ.get(ENV_MISSCURVE_TABLE, "").strip().lower()
-    return flag not in ("0", "off", "false")
+    return os.environ.get(name, "").strip().lower() not in _FLAG_OFF
 
 
 def cache_dir() -> str:
@@ -502,8 +452,8 @@ def cache_dir() -> str:
 
 
 def cache_enabled() -> bool:
-    """False when ``REPRO_CACHE=0`` disables the persistent cache."""
-    return os.environ.get(ENV_CACHE, "1") != "0"
+    """False when ``REPRO_CACHE`` disables the persistent cache."""
+    return _flag_enabled(ENV_CACHE)
 
 
 def env_cell_timeout_s() -> Optional[float]:
@@ -525,7 +475,7 @@ def env_cell_timeout_s() -> Optional[float]:
 
 
 def degraded_mode_enabled() -> bool:
-    """False when ``REPRO_DEGRADED_MODE=0`` disables all hardening.
+    """False when ``REPRO_DEGRADED_MODE`` disables all hardening.
 
     With hardening off the runtime never rejects outlier samples,
     never retries failed actuations, and never enters the degraded or
@@ -534,53 +484,47 @@ def degraded_mode_enabled() -> bool:
     both settings because every hardening path is trigger-gated on
     fault symptoms that clean runs never produce.
     """
-    return os.environ.get(ENV_DEGRADED_MODE, "1") != "0"
+    return _flag_enabled(ENV_DEGRADED_MODE)
 
 
 def pool_reuse_enabled() -> bool:
     """True unless ``REPRO_POOL_REUSE`` disables worker-pool reuse.
 
-    Recognized off-values are ``0``, ``off``, and ``false``
-    (case-insensitive); anything else — including unset — keeps the
-    sweep engine's ``ProcessPoolExecutor`` alive across consecutive
-    ``run_grid`` calls.  A reused pool runs the same module-level worker
-    functions on the same pickled arguments as a fresh one, so this
-    knob is result-neutral (pinned by the warm-pool determinism suite).
+    When on, the sweep engine keeps its ``ProcessPoolExecutor`` alive
+    across consecutive ``run_grid`` calls.  A reused pool runs the same
+    module-level worker functions on the same pickled arguments as a
+    fresh one, so this knob is result-neutral (pinned by the warm-pool
+    determinism suite).
     """
-    flag = os.environ.get(ENV_POOL_REUSE, "").strip().lower()
-    return flag not in ("0", "off", "false")
+    return _flag_enabled(ENV_POOL_REUSE)
 
 
 def kernel_disk_cache_enabled() -> bool:
     """True unless ``REPRO_KERNEL_DISK_CACHE`` disables the kernel cache.
 
-    Recognized off-values are ``0``, ``off``, and ``false``
-    (case-insensitive); anything else — including unset — lets
-    :mod:`repro.sim.spanplan` persist generated kernel sources under
-    ``<cache_dir>/kernels/`` and load them instead of regenerating.
-    Loads are digest-verified against the stored source, and entries are
-    keyed by the code-version tag, so the knob is result-neutral.
+    When on, :mod:`repro.sim.spanplan` persists generated kernel
+    sources under ``<cache_dir>/kernels/`` and loads them instead of
+    regenerating.  Loads are digest-verified against the stored source,
+    and entries are keyed by the code-version tag, so the knob is
+    result-neutral.
     """
-    flag = os.environ.get(ENV_KERNEL_DISK_CACHE, "").strip().lower()
-    return flag not in ("0", "off", "false")
+    return _flag_enabled(ENV_KERNEL_DISK_CACHE)
 
 
 def steal_enabled() -> bool:
     """True unless ``REPRO_STEAL`` disables work-stealing dispatch.
 
-    Recognized off-values are ``0``, ``off``, and ``false``
-    (case-insensitive); anything else — including unset — replaces the
-    static submit-everything-up-front sweep dispatch with the adaptive
-    seed/steal/split scheme.  Stealing only changes which worker runs a
-    pack and when, never a pack's cells or lane packing, so this knob
-    is result-neutral (pinned by the warm-pool determinism suite).
+    When on, the adaptive seed/steal/split scheme replaces the static
+    submit-everything-up-front sweep dispatch.  Stealing only changes
+    which worker runs a pack and when, never a pack's cells or lane
+    packing, so this knob is result-neutral (pinned by the warm-pool
+    determinism suite).
     """
-    flag = os.environ.get(ENV_STEAL, "").strip().lower()
-    return flag not in ("0", "off", "false")
+    return _flag_enabled(ENV_STEAL)
 
 
 def fleet_failover_enabled() -> bool:
-    """False when ``REPRO_FLEET_FAILOVER=0`` disables stream re-placement.
+    """False when ``REPRO_FLEET_FAILOVER`` disables stream re-placement.
 
     With failover off the fleet control plane still monitors heartbeats
     and accounts detection times, but never re-places streams off dead
@@ -588,7 +532,7 @@ def fleet_failover_enabled() -> bool:
     compare against.  Zero-node-fault runs install no control plane at
     all, so the knob cannot affect them.
     """
-    return os.environ.get(ENV_FLEET_FAILOVER, "1") != "0"
+    return _flag_enabled(ENV_FLEET_FAILOVER)
 
 
 def _env_positive_float(name: str, default: float) -> float:

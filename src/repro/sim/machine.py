@@ -296,10 +296,11 @@ class Machine:
         """Advance the machine by ``ticks`` ticks.
 
         With the batch backend, event-free spans are advanced by the
-        fused multi-tick kernel in :mod:`repro.sim.batch`; the scalar
-        backend (and every tick that carries an event) goes through the
-        reference :meth:`tick` kernel.  A completion listener may end
-        the call sooner through :meth:`end_run_at`.
+        compiled span kernels the engine in :mod:`repro.sim.batch`
+        dispatches; the scalar backend (and every tick no span kernel
+        covers) goes through the reference :meth:`tick` kernel.  A
+        completion listener may end the call sooner through
+        :meth:`end_run_at`.
         """
         if ticks < 0:
             raise SimulationError("ticks must be >= 0")
@@ -344,7 +345,7 @@ class Machine:
         Applies due DVFS transitions and fires due timers exactly as the
         first lines of :meth:`tick` would.  The batch engine calls this
         when an event lands on the current tick, then advances the tick
-        itself through the fused span kernel; :meth:`tick` performs the
+        itself through a span kernel; :meth:`tick` performs the
         same preamble inline, so scalar semantics are unchanged.
         """
         if not self._settled:

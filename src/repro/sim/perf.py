@@ -16,16 +16,21 @@ mechanisms act on:
 Demand and latency are mutually dependent (faster cores emit more misses,
 raising the penalty, slowing everyone), so the tick solves a small fixed
 point over the aggregate utilization ``rho``.
+
+:func:`solve_tick` is that fixed point written out plainly.  The hot
+loops (``Machine.tick`` and the span kernels of
+:mod:`repro.sim.spanplan`) inline the same operations in the same order
+and never call it; it stays as the reference the model-consistency
+tests check them against.  No solver memo lives here: the span kernels'
+per-plan fixed-point memo is the only one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.config import misscurve_table_enabled
 from repro.sim.memory import MemorySystem
 
 #: Fixed-point iterations over the aggregate utilization ``rho``.  Shared
@@ -102,17 +107,12 @@ def solve_tick(
     """
     if iterations < 1:
         raise SimulationError("iterations must be >= 1")
-    tabulate = misscurve_table_enabled()
     rho = max(0.0, rho_hint)
     outputs: List[PerfOutput] = []
     converged = False
     for _ in range(iterations):
-        if tabulate:
-            penalty_ns = _penalty_memo(memory, rho)
-            outputs = [_evaluate_memo(entry, penalty_ns) for entry in inputs]
-        else:
-            penalty_ns = memory.penalty_ns(rho)
-            outputs = [_evaluate(entry, penalty_ns) for entry in inputs]
+        penalty_ns = memory.penalty_ns(rho)
+        outputs = [_evaluate(entry, penalty_ns) for entry in inputs]
         total_miss_rate = sum(out.miss_rate for out in outputs)
         new_rho = memory.utilization_for(total_miss_rate)
         if new_rho == rho:
@@ -128,237 +128,20 @@ def solve_tick(
     if refine_final and not converged:
         # Final evaluation at the converged utilization so outputs and
         # rho agree.
-        if tabulate:
-            penalty_ns = _penalty_memo(memory, rho)
-            outputs = [_evaluate_memo(entry, penalty_ns) for entry in inputs]
-        else:
-            penalty_ns = memory.penalty_ns(rho)
-            outputs = [_evaluate(entry, penalty_ns) for entry in inputs]
+        penalty_ns = memory.penalty_ns(rho)
+        outputs = [_evaluate(entry, penalty_ns) for entry in inputs]
     return outputs, rho
 
 
-#: Exact-input memo over :func:`_evaluate`.  The function is pure and its
-#: inputs are plain floats, so a hit returns a bit-identical (and shared,
-#: frozen) PerfOutput; keys are the exact float tuple, never a rounded or
-#: hashed approximation.  Offline profiling sweeps re-solve the same
-#: (phase, allocation, frequency) points many times, which is where the
-#: memo pays.  Bounded to keep long parameter sweeps from hoarding memory.
-_EVAL_MEMO: Dict[Tuple[float, ...], PerfOutput] = {}
-_EVAL_MEMO_MAX = 4096
-_eval_memo_hits = 0
-_eval_memo_misses = 0
-
-
-def _evaluate_memo(entry: PerfInput, penalty_ns: float) -> PerfOutput:
-    global _eval_memo_hits, _eval_memo_misses
-    key = (
-        entry.freq_ghz, entry.base_cpi, entry.mpki,
-        entry.mem_sensitivity, entry.jitter, penalty_ns,
-    )
-    out = _EVAL_MEMO.get(key)
-    if out is not None:
-        _eval_memo_hits += 1
-        return out
-    _eval_memo_misses += 1
-    out = _evaluate(entry, penalty_ns)
-    if len(_EVAL_MEMO) >= _EVAL_MEMO_MAX:
-        _EVAL_MEMO.clear()
-    _EVAL_MEMO[key] = out
-    return out
-
-
-def evaluate_memo_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the :func:`solve_tick` evaluation memo."""
-    return {
-        "hits": _eval_memo_hits,
-        "misses": _eval_memo_misses,
-        "size": len(_EVAL_MEMO),
-    }
-
-
-def clear_evaluate_memo() -> None:
-    """Drop the evaluation memo and reset its counters (test isolation)."""
-    global _eval_memo_hits, _eval_memo_misses
-    _EVAL_MEMO.clear()
-    _eval_memo_hits = 0
-    _eval_memo_misses = 0
-
-
-#: Exact-key table over :meth:`MemorySystem.penalty_ns`.  The penalty is a
-#: pure function of the curve constants and the (clamped) utilization, and
-#: warm-started solves revisit the same handful of rho values, so a hit
-#: returns the bit-identical float without re-running the queueing curve.
-_PENALTY_TABLE: Dict[Tuple[float, float, float, float], float] = {}
-_PENALTY_TABLE_MAX = 4096
-_penalty_hits = 0
-_penalty_builds = 0
-
-
-def _penalty_memo(memory: MemorySystem, rho: float) -> float:
-    global _penalty_hits, _penalty_builds
-    key = (memory.base_latency_ns, memory.contention_scale, memory.rho_cap, rho)
-    pen = _PENALTY_TABLE.get(key)
-    if pen is not None:
-        _penalty_hits += 1
-        return pen
-    _penalty_builds += 1
-    pen = memory.penalty_ns(rho)
-    if len(_PENALTY_TABLE) >= _PENALTY_TABLE_MAX:
-        _PENALTY_TABLE.clear()
-    _PENALTY_TABLE[key] = pen
-    return pen
-
-
 def solver_table_stats() -> Dict[str, int]:
-    """Hit/build counters across the solver's exact tables.
+    """Counters of module-level solver tables: always empty.
 
-    ``output_*`` mirrors :func:`evaluate_memo_stats` (the PerfOutput
-    table); ``penalty_*`` counts the loaded-penalty table.  A *build* is
-    a direct evaluation that populated an entry, a *hit* an exact-key
-    lookup that skipped it.
+    The simulator keeps no solver table outside the span kernels' own
+    per-plan fixed-point memo, whose counters ``Machine.backend_stats``
+    reports.  The function stays so callers that diff these counters
+    around a run keep working; they read zeros.
     """
-    return {
-        "penalty_hits": _penalty_hits,
-        "penalty_builds": _penalty_builds,
-        "penalty_entries": len(_PENALTY_TABLE),
-        "output_hits": _eval_memo_hits,
-        "output_builds": _eval_memo_misses,
-        "output_entries": len(_EVAL_MEMO),
-    }
-
-
-def clear_solver_tables() -> None:
-    """Drop every solver table and reset counters (test isolation)."""
-    global _penalty_hits, _penalty_builds
-    _PENALTY_TABLE.clear()
-    _penalty_hits = 0
-    _penalty_builds = 0
-    clear_evaluate_memo()
-
-
-def warm_solver_tables(config, phases: Sequence[object]) -> int:
-    """Pre-seed the solver memos for a sweep's workload phases.
-
-    Evaluates every ``(phase, DVFS grade, integer LLC ways)`` state at
-    the cold-start utilization (``rho = 0``, the first iteration of
-    every fixed point) through the exact-key memos, so a fresh worker
-    process enters its first simulation with the hottest solver states
-    already tabulated.  Seeding goes through the same
-    :func:`_penalty_memo`/:func:`_evaluate_memo` code as live solves
-    with the same expression for the miss curve, so a seeded entry is
-    bit-identical to the one a cold run would build — warming changes
-    hit counters, never results.  Fractional occupancy-weighted ways
-    and jittered lanes simply miss the memo as before.
-
-    Returns the number of memo entries evaluated (0 when tabulation is
-    disabled via ``REPRO_MISSCURVE_TABLE``).
-    """
-    if not misscurve_table_enabled():
-        return 0
-    memory = MemorySystem(config)
-    penalty_ns = _penalty_memo(memory, 0.0)
-    seeded = 0
-    for phase in phases:
-        floor = phase.mpki_floor
-        scale = phase.ways_scale
-        for freq_ghz in config.freq_grades_ghz:
-            for ways in range(1, config.llc_ways + 1):
-                w = float(ways)
-                # Same association as the scalar reference
-                # (machine.py) so seeded keys are bit-equal to live
-                # ones.
-                mpki = floor + (phase.mpki_peak - floor) * math.exp(
-                    -w / scale
-                )
-                entry = PerfInput(
-                    freq_ghz=freq_ghz,
-                    base_cpi=phase.base_cpi,
-                    mpki=mpki,
-                    mem_sensitivity=phase.mem_sensitivity,
-                    jitter=1.0,
-                )
-                _evaluate_memo(entry, penalty_ns)
-                seeded += 1
-    return seeded
-
-
-class MissCurveTable:
-    """Exact per-process ``PerfOutput`` table over reachable solver states.
-
-    For one phase the model inputs are fully determined by three axes:
-    the effective LLC ways ``w`` (fixes MPKI via the miss curve
-    ``floor + delta * exp(-w / ways_scale)``), the core frequency, and
-    the utilization ``rho`` (fixes the loaded penalty).  Partitions and
-    DVFS grades are drawn from small discrete sets, so contended solves
-    revisit the same states over and over; this table keys outputs on
-    the *exact* float triple ``(ways, freq_ghz, rho)`` — never a rounded
-    bucket — which makes every lookup bit-identical to re-running
-    :meth:`MemorySystem.penalty_ns` and the evaluation, a property
-    pinned by a hypothesis suite in ``tests/sim/test_solver_tables.py``.
-
-    When ``REPRO_MISSCURVE_TABLE`` disables tabulation the table stores
-    nothing and every call falls through to the direct computation.
-    """
-
-    __slots__ = (
-        "_memory", "_freq_default", "_base_cpi", "_sens", "_jitter",
-        "_floor", "_delta", "_ways_scale", "_mpki", "_out",
-        "hits", "builds",
-    )
-
-    def __init__(
-        self,
-        memory: MemorySystem,
-        *,
-        base_cpi: float,
-        mem_sensitivity: float,
-        mpki_floor: float,
-        mpki_delta: float,
-        ways_scale: float,
-        jitter: float = 1.0,
-    ) -> None:
-        self._memory = memory
-        self._base_cpi = base_cpi
-        self._sens = mem_sensitivity
-        self._jitter = jitter
-        self._floor = mpki_floor
-        self._delta = mpki_delta
-        self._ways_scale = ways_scale
-        self._mpki: Dict[float, float] = {}
-        self._out: Dict[Tuple[float, float, float], PerfOutput] = {}
-        self.hits = 0
-        self.builds = 0
-
-    def mpki(self, ways: float) -> float:
-        """Miss curve at ``ways``, served from the exact-key table."""
-        mp = self._mpki.get(ways)
-        if mp is None:
-            # Same expression (and association) as the scalar reference
-            # and the generated span kernels.
-            mp = self._floor + self._delta * math.exp(-ways / self._ways_scale)
-            if misscurve_table_enabled():
-                self._mpki[ways] = mp
-        return mp
-
-    def output(self, ways: float, freq_ghz: float, rho: float) -> PerfOutput:
-        """Tabulated solve of one (ways, frequency, rho) state."""
-        key = (ways, freq_ghz, rho)
-        out = self._out.get(key)
-        if out is not None:
-            self.hits += 1
-            return out
-        self.builds += 1
-        entry = PerfInput(
-            freq_ghz=freq_ghz,
-            base_cpi=self._base_cpi,
-            mpki=self.mpki(ways),
-            mem_sensitivity=self._sens,
-            jitter=self._jitter,
-        )
-        out = _evaluate(entry, self._memory.penalty_ns(rho))
-        if misscurve_table_enabled():
-            self._out[key] = out
-        return out
+    return {}
 
 
 def _evaluate(entry: PerfInput, penalty_ns: float) -> PerfOutput:

@@ -1,14 +1,12 @@
-"""Span-compiled fast path for the batch engine's contended spans.
+"""Span-compiled kernels: the batch engine's one span path.
 
-The generic fused kernel in :mod:`repro.sim.batch` already amortizes
-event checks across a span, but its inner loop still pays interpreted
-``for i in range(n)`` dispatch, list indexing, and per-tick method calls
-(``rng.gauss``, ``SharedCache.tick_update``) for every tick.  On the
-contended shapes every Dirigent figure simulates (1 FG + 5 BG, jitter
-on), that interpreter overhead dominates — the stationary fast path
-never engages because jittered spans never converge.
-
-This module compiles each *span shape* into a specialized kernel:
+The batch engine (:mod:`repro.sim.batch`) advances a machine to its
+next event in one span.  A span written as an interpreted loop would
+still pay ``for i in range(n)`` dispatch, list indexing, and per-tick
+method calls (``rng.gauss``, ``SharedCache.tick_update``) for every
+tick; on the contended shapes every Dirigent figure simulates (1 FG +
+5 BG, jitter on) that overhead dominates.  This module compiles each
+*span shape* into a specialized kernel instead:
 
 * **Span plan** — when a span opens, the gathered per-core state is
   frozen into a structure-of-arrays plan (one lane per running process)
@@ -30,12 +28,13 @@ This module compiles each *span shape* into a specialized kernel:
   span-constant grouping.
 * **Exact-input memoization** — the rho fixed point is a pure function
   of ``(rho, mpki_0..mpki_{n-1})`` once the span constants are fixed;
-  jitter-free kernels memoize its outputs keyed on those exact float
-  inputs, so a revisited input tuple replays bit-identical outputs
-  without re-running the iterations.  Together with the per-lane
+  jitter-free kernels memoize its outputs per plan, keyed on those
+  exact float inputs, so a revisited input tuple replays bit-identical
+  outputs without re-running the iterations.  This per-plan memo is
+  the simulator's one solver memo.  Together with the per-lane
   ``prev_w`` guard (only lanes whose occupancy moved re-evaluate their
-  miss curve — per-core partial recompute), this generalizes the
-  whole-machine stationary fast path to per-core stationarity.
+  miss curve — per-core partial recompute), it extends the kernels'
+  whole-machine stationary loop to per-core stationarity.
 * **Clone-lane tabulation (dedup kernels)** — contended mixes run the
   same BG spec on several cores, and at sigma 0 those lanes are exact
   clones: identical phase constants, frequency, cache group, and (by
@@ -49,8 +48,7 @@ This module compiles each *span shape* into a specialized kernel:
   own left-associated accumulation so results stay bit-identical.
   ``SpanPlan.run`` routes to the dedup kernel only after revalidating
   that the clone lanes' occupancy and miss-curve state still compare
-  bit-equal; ``REPRO_MISSCURVE_TABLE=0`` disables the dedup kernels
-  (and the exact solver tables in :mod:`repro.sim.perf`) entirely.
+  bit-equal.
 * **In-kernel sampler wakeups** — every span kernel can take the
   sample-only wakeups of a sampler attached with
   :meth:`repro.sim.machine.Machine.attach_sampler` (the Dirigent
@@ -70,9 +68,9 @@ equivalence suite (``tests/sim/test_batch_equivalence.py`` and
 ``tests/sim/test_spanplan.py``) pins all of this against the scalar
 reference.
 
-Set ``REPRO_SPAN_COMPILE=0`` to disable the compiled path (the generic
-fused kernel then handles every span); this is a debugging aid, not a
-supported configuration knob.
+The planner declines three shapes: no running task, overlapping
+cache-mask groups, and a jitter RNG that is not ``random.Random``.
+The batch engine runs those one ``Machine.tick`` at a time.
 """
 
 from __future__ import annotations
@@ -81,11 +79,6 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.config import (
-    ENV_SPAN_COMPILE,
-    misscurve_table_enabled,
-    span_compile_enabled,
-)
 from repro.sim.perf import (
     FIXED_POINT_ITERATIONS as _FIXED_POINT_ITERATIONS,
     MPKI_SCALE,
@@ -93,10 +86,10 @@ from repro.sim.perf import (
 from repro.sim.process import STATE_RUNNING
 
 __all__ = [
-    "ENV_SPAN_COMPILE", "SpanPlan", "SpanPlanner", "SpanStats",
+    "SpanPlan", "SpanPlanner", "SpanStats",
     "compile_cell_kernel", "consume_kernel_cache_stats",
     "generate_kernel_source", "kernel_cache_stats", "preload_kernels",
-    "span_compile_enabled", "template_shapes",
+    "template_shapes",
 ]
 
 #: Cap on cached plans per engine; machine states cycle through a
@@ -119,11 +112,9 @@ class SpanStats:
 
     Attributes mirror the benchmark's ``fast_path`` block:
 
-    * ``spans``: spans the batch engine opened (compiled or generic);
-    * ``compiled_spans`` / ``generic_spans``: which kernel ran them;
+    * ``spans``: spans the batch engine ran in compiled kernels;
     * ``compiled_ticks``: ticks executed by compiled kernels;
-    * ``stationary_ticks``: ticks that skipped the model entirely
-      (compiled kernels only; the generic kernel keeps its own path);
+    * ``stationary_ticks``: ticks that skipped the model entirely;
     * ``memo_hits`` / ``memo_misses``: fixed-point memo lookups;
     * ``misscurve_evals``: per-lane miss-curve re-evaluations (the
       per-core partial recomputes; lanes whose occupancy did not move
@@ -160,8 +151,6 @@ class SpanStats:
 
     __slots__ = (
         "spans",
-        "compiled_spans",
-        "generic_spans",
         "compiled_ticks",
         "stationary_ticks",
         "memo_hits",
@@ -267,15 +256,13 @@ def _compile_filename(shape: tuple) -> str:
         else "<spanplan>"
 
 
-def preload_kernels(extra_shapes: Tuple[tuple, ...] = ()) -> int:
+def preload_kernels() -> int:
     """Warm the in-process kernel code cache; returns kernels compiled.
 
-    Compiles every valid persistent-cache entry, the shipped
-    :func:`template_shapes`, and any ``extra_shapes`` the caller
-    observed (e.g. the previous sweep's shapes) into
-    ``_KERNEL_CODE_CACHE``.  Worker-pool initializers call this once
-    per process so the first simulated span of every sweep cell finds
-    its kernel already compiled.
+    Compiles every valid persistent-cache entry and the shipped
+    :func:`template_shapes` into ``_KERNEL_CODE_CACHE``.  Worker-pool
+    initializers call this once per process so the first simulated
+    span of every sweep cell finds its kernel already compiled.
     """
     count = 0
     cache = _kernel_disk_cache()
@@ -290,7 +277,7 @@ def preload_kernels(extra_shapes: Tuple[tuple, ...] = ()) -> int:
             _KERNEL_CODE_CACHE[shape] = code
             _KERNEL_DISK_COUNTERS["kernel_disk_hits"] += 1
             count += 1
-    for shape in tuple(template_shapes()) + tuple(extra_shapes):
+    for shape in template_shapes():
         if shape in _KERNEL_CODE_CACHE:
             continue
         source = _kernel_source(shape)
@@ -320,8 +307,8 @@ def _generate_source(shape: tuple) -> str:
 
     The emitted ``run`` performs, tick by tick, exactly the float
     operations of the scalar reference (see the per-section comments in
-    :meth:`repro.sim.machine.Machine.tick` and the generic
-    ``BatchEngine._run_span``), with each lane unrolled into locals.
+    :meth:`repro.sim.machine.Machine.tick`), with each lane unrolled
+    into locals.
 
     The signature is ``run(span, rho, now, wk, nw, pt, pc, ov, g_0,
     ...)``.  The kernel may take an attached sampler's wakeups itself
@@ -1393,8 +1380,7 @@ class SpanPlan:
     def run(self, span: int, sampling: Optional[tuple] = None) -> int:
         """Run up to ``span`` event-free ticks; returns ticks executed.
 
-        Mirrors the generic ``BatchEngine._run_span`` contract: may
-        return early when a guard fires or an FG execution completes;
+        May return early when a guard fires or an FG execution completes;
         rho observation, cache write-back, and completion listeners all
         happen here, in the scalar kernel's order.  Pending overhead
         time needs no routing: every kernel peels the span's first tick
@@ -1493,7 +1479,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
 
     Returns None for shapes the compiled path does not cover (no
     running lanes, overlapping cache-mask groups, or a non-standard
-    jitter RNG); the generic fused kernel handles those.
+    jitter RNG); the batch engine ticks those in ``Machine.tick``.
     """
     m = machine
     config = m.config
@@ -1512,7 +1498,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     if jitter:
         for core, _, _ in lanes:
             # The inline gauss replays CPython's exact algorithm; any
-            # substituted RNG type falls back to the generic kernel.
+            # substituted RNG type falls back to ``Machine.tick``.
             if type(m._jitter_rngs[core]) is not random.Random:
                 return None
     active_bits = 0
@@ -1639,7 +1625,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     # per-core state equality before selecting it.
     plan.kernel_dedup = None
     plan.clone_checks = ()
-    if not jitter and n > 1 and misscurve_table_enabled():
+    if not jitter and n > 1:
         lane_group = {}
         for gi, (_ways, cores_g) in enumerate(groups_cores):
             for c in cores_g:
@@ -1705,9 +1691,8 @@ class SpanPlanner:
         """A plan matching the machine's current state, or None.
 
         None means the shape is unsupported here and the caller should
-        run the generic fused kernel (which also re-syncs any stale
-        phase cursors — this method syncs them first, exactly as the
-        generic gather does).
+        tick the machine in ``Machine.tick``.  Stale phase cursors are
+        synced first, as the scalar kernel's gather does.
         """
         m = self._m
         gov_freqs = m._gov_freqs

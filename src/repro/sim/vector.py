@@ -46,11 +46,10 @@ memos) serves any group of matching cells regardless of membership.
 Padding columns carry ``inf`` guard bounds and targets — they can
 never trip — and their accumulator garbage is never read back.
 
-**Without numpy** (an optional dependency) or with
-``REPRO_VECTOR_NUMPY=0`` the fused kernels stay off and every cell
-advances through its own batch engine — the pure-Python fallback is
-the peel-off path applied to everything, so results are identical
-either way; only the throughput changes.
+**Without numpy** (an optional dependency) the fused kernels stay off
+and every cell advances through its own batch engine — the pure-Python
+fallback is the peel-off path applied to everything, so results are
+identical either way; only the throughput changes.
 """
 
 from __future__ import annotations
@@ -58,11 +57,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.batch import event_horizon
-from repro.sim.config import (
-    env_vector_cells,
-    span_compile_enabled,
-    vector_numpy_enabled,
-)
+from repro.sim.config import env_vector_cells
 from repro.sim.perf import FIXED_POINT_ITERATIONS as _FIXED_POINT_ITERATIONS
 from repro.sim.process import STATE_RUNNING
 from repro.sim.spanplan import (
@@ -222,11 +217,7 @@ class MultiCell:
         machines = self._machines
         cells = range(len(machines)) if indices is None else indices
         remaining: Dict[int, int] = {c: ticks for c in cells}
-        fused_ok = (
-            _np is not None
-            and vector_numpy_enabled()
-            and span_compile_enabled()
-        )
+        fused_ok = _np is not None
         cap = env_vector_cells()
         if cap is not None and cap < 2:
             fused_ok = False

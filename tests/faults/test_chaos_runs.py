@@ -9,9 +9,17 @@ plans.  The two load-bearing properties:
 * under the documented ``sensor-degraded`` rates the hardened runtime
   keeps FG QoS high while the unhardened one (kill switch thrown)
   demonstrably misses more deadlines.
+
+A hypothesis sweep over random plans adds the properties every plan
+must keep: no exception, same plan ==> same result, and the
+degraded-mode ladder (safe mode only after degraded mode).
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import DIRIGENT
 from repro.experiments.chaos import (
@@ -21,7 +29,8 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.harness import clear_caches, run_policy
 from repro.experiments.mixes import mix_by_name
-from repro.faults import SCENARIO_NAMES, ZERO_FAULTS, scenario
+from repro.faults import SCENARIO_NAMES, ZERO_FAULTS, FaultPlan, scenario
+from repro.sim.config import ENV_DEGRADED_MODE
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +60,64 @@ class TestZeroFaultIdentity:
         assert report.event_signature == ()
         assert report.degraded_entries == 0
         assert report.safe_entries == 0
+
+
+#: Grid every random plan draws each rate and sigma from.
+GRID = st.sampled_from([0.0, 0.3, 1.0])
+
+
+class TestRandomFaultPlans:
+    """Random single-node plans: no raise, reproducible, ladder holds."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        drop=GRID, noise=GRID, glitch=GRID, delay=GRID, miss=GRID,
+        actuation=GRID, beat_loss=GRID, beat_dup=GRID, profile=GRID,
+    )
+    @example(seed=0, drop=0.0, noise=0.0, glitch=0.0, delay=0.0, miss=0.0,
+             actuation=0.0, beat_loss=0.0, beat_dup=0.0, profile=0.0)
+    @settings(max_examples=10, deadline=None)
+    def test_plan_properties(
+        self, seed, drop, noise, glitch, delay, miss, actuation,
+        beat_loss, beat_dup, profile,
+    ):
+        plan = FaultPlan(
+            scenario="random", seed=seed, counter_drop_rate=drop,
+            counter_noise_sigma=noise, counter_glitch_rate=glitch,
+            wakeup_delay_rate=delay, wakeup_miss_rate=miss,
+            actuation_fail_rate=actuation, heartbeat_loss_rate=beat_loss,
+            heartbeat_dup_rate=beat_dup, profile_noise_sigma=profile,
+        )
+        mix = mix_by_name("ferret rs")
+
+        def run(fault_plan):
+            return run_policy(
+                mix, DIRIGENT, executions=2, warmup=1, fault_plan=fault_plan
+            )
+
+        clear_caches()
+        first = run(plan)
+        second = run(plan)
+        assert first == second
+        assert repr(first) == repr(second)
+        report = first.fault_report
+        if plan.is_zero:
+            assert report.total_injected == 0
+            assert report.event_signature == ()
+            plain = run(None)
+            assert replace(first, fault_report=None) == plain
+            assert repr(replace(first, fault_report=None)) == repr(plain)
+        # The ladder: safe mode is entered only from degraded mode, and
+        # degraded time includes the time spent safe.
+        if report.safe_entries > 0:
+            assert report.degraded_entries > 0
+        assert report.safe_time_s <= report.degraded_time_s
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv(ENV_DEGRADED_MODE, "0")
+            unhardened = run(plan).fault_report
+        assert not unhardened.hardening_enabled
+        assert unhardened.degraded_entries == 0
+        assert unhardened.safe_entries == 0
 
 
 class TestFaultedReproducibility:

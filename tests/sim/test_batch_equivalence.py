@@ -23,7 +23,7 @@ from repro.sim.batch import (
     ENV_BACKEND,
     resolve_backend,
 )
-from repro.sim.config import MachineConfig, misscurve_table_enabled
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from tests.conftest import make_bg, make_fg
 
@@ -355,7 +355,7 @@ class TestInKernelWakeupEquivalence:
         if kernel == "stationary":
             assert stats["stationary_ticks"] > 0
             assert stats["memo_hits"] > 0
-        if kernel == "dedup" and misscurve_table_enabled():
+        if kernel == "dedup":
             assert stats["table_hits"] > 0
 
     @pytest.mark.parametrize("mix", ["ferret rs", "raytrace x3 rs"])

@@ -2,8 +2,12 @@
 
 import pytest
 
+import repro.sim.config as config_module
 from repro.errors import ConfigurationError
 from repro.sim.config import DEFAULT_FREQ_GRADES_GHZ, PAPER_MACHINE, MachineConfig
+
+#: Every boolean knob, one parametrized case each.
+FLAG_KNOBS = [knob for knob in config_module.KNOBS if knob.kind == "flag"]
 
 
 class TestDefaults:
@@ -150,16 +154,20 @@ class TestEnvKnobAccessors:
         monkeypatch.setenv("REPRO_WORKERS", "typo")
         assert env_workers() is None
 
-    def test_span_compile_flag_off_values(self, monkeypatch):
-        from repro.sim.config import span_compile_enabled
-
-        monkeypatch.delenv("REPRO_SPAN_COMPILE", raising=False)
-        assert span_compile_enabled() is True
-        for off in ("0", "off", "FALSE"):
-            monkeypatch.setenv("REPRO_SPAN_COMPILE", off)
-            assert span_compile_enabled() is False
-        monkeypatch.setenv("REPRO_SPAN_COMPILE", "1")
-        assert span_compile_enabled() is True
+    @pytest.mark.parametrize(
+        "knob", FLAG_KNOBS, ids=[knob.name for knob in FLAG_KNOBS]
+    )
+    def test_flag_knobs_agree_on_off_values(self, monkeypatch, knob):
+        # One parser for every flag: unset and 1 enable; 0, off, false
+        # disable in any case and with surrounding whitespace.
+        accessor = getattr(config_module, knob.accessor)
+        monkeypatch.delenv(knob.name, raising=False)
+        assert accessor() is True
+        monkeypatch.setenv(knob.name, "1")
+        assert accessor() is True
+        for off in ("0", "off", "false", " OFF "):
+            monkeypatch.setenv(knob.name, off)
+            assert accessor() is False, off
 
     def test_harness_resolves_executions_at_call_time(self, monkeypatch):
         # End-to-end: the experiment harness observes the env change made

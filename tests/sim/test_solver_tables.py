@@ -1,50 +1,34 @@
-"""Exact solver tabulation: bit-identity against the direct model.
+"""Exact solver shortcuts: bit-identity against the direct model.
 
-The contended fast path replaces direct ``MemorySystem.penalty_ns`` /
-``_evaluate`` calls with exact-key tables (:class:`MissCurveTable`, the
-module-level penalty/output memos in :mod:`repro.sim.perf`) and an
-early exit in the rho fixed point.  None of that is an approximation:
-every lookup must return the bit-identical float the direct computation
-produces, with tabulation on *or* off (``REPRO_MISSCURVE_TABLE=0``),
-and the clone-lane dedup kernels in the batch backend must leave the
-machine bit-equal to the scalar reference.  Hypothesis drives the state
-axes (partition ways, occupancy, frequency grade, rho) through the
-reachable discrete-ish ranges.
+The rho fixed point exits early once an update leaves rho
+bit-unchanged, and the batch backend's clone-lane dedup kernels solve
+once per class of identical lanes.  Neither is an approximation: the
+early exit must return the floats the full loop produces, and the
+dedup kernels must leave the machine bit-equal to the scalar
+reference.
 """
 
 from __future__ import annotations
 
-import math
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.batch import BACKEND_BATCH, BACKEND_SCALAR
-from repro.sim.config import ENV_MISSCURVE_TABLE, MachineConfig
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.memory import MemorySystem
 from repro.sim.perf import (
     FIXED_POINT_ITERATIONS,
     MPKI_SCALE,
-    MissCurveTable,
     PerfInput,
-    clear_solver_tables,
     solve_tick,
-    solver_table_stats,
 )
 from repro.sim.perf import _evaluate  # the direct reference evaluation
 from tests.conftest import make_bg, make_fg
 
 QUIET = dict(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
 
-#: Reachable axes: effective ways are inertia-filtered floats in
-#: [0, cache_ways]; frequencies come from the small DVFS grade set;
 #: rho is clamped to the cap by construction.
-ways_st = st.floats(
-    min_value=0.0, max_value=16.0, allow_nan=False, allow_infinity=False
-)
-freq_st = st.sampled_from([1.2, 1.6, 2.0, 2.4, 2.8, 3.2])
 rho_st = st.floats(
     min_value=0.0, max_value=0.95, allow_nan=False, allow_infinity=False
 )
@@ -54,62 +38,8 @@ def _memory() -> MemorySystem:
     return MemorySystem(MachineConfig())
 
 
-def _table(memory: MemorySystem) -> MissCurveTable:
-    return MissCurveTable(
-        memory,
-        base_cpi=0.8,
-        mem_sensitivity=1.0,
-        mpki_floor=0.3,
-        mpki_delta=1.7,
-        ways_scale=4.0,
-    )
-
-
-class TestMissCurveTableBitIdentity:
-    """Tabulated PerfOutput == direct penalty_ns/_evaluate, bit for bit."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(ways=ways_st, freq=freq_st, rho=rho_st)
-    def test_output_matches_direct_evaluation(self, ways, freq, rho):
-        memory = _memory()
-        table = _table(memory)
-        direct = _evaluate(
-            PerfInput(
-                freq_ghz=freq,
-                base_cpi=0.8,
-                mpki=0.3 + 1.7 * math.exp(-ways / 4.0),
-                mem_sensitivity=1.0,
-            ),
-            memory.penalty_ns(rho),
-        )
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setenv(ENV_MISSCURVE_TABLE, "1")
-            tabulated = table.output(ways, freq, rho)
-            assert tabulated == direct
-            # A repeat lookup is a hit and returns the identical output.
-            again = table.output(ways, freq, rho)
-            assert again is tabulated or again == tabulated
-            assert table.hits >= 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(ways=ways_st)
-    def test_mpki_matches_direct_curve(self, ways):
-        table = _table(_memory())
-        assert table.mpki(ways) == 0.3 + 1.7 * math.exp(-ways / 4.0)
-        assert table.mpki(ways) == table.mpki(ways)
-
-    def test_kill_switch_stores_nothing(self, monkeypatch):
-        monkeypatch.setenv(ENV_MISSCURVE_TABLE, "0")
-        memory = _memory()
-        table = _table(memory)
-        first = table.output(8.0, 2.0, 0.5)
-        second = table.output(8.0, 2.0, 0.5)
-        assert first == second
-        assert table.hits == 0 and table.builds == 2
-
-
 class TestSolveTickTabulation:
-    """solve_tick: tabulation and early exit are identities."""
+    """solve_tick: the early exit is an identity."""
 
     def _inputs(self, mpkis):
         return [
@@ -121,25 +51,6 @@ class TestSolveTickTabulation:
             )
             for i, mpki in enumerate(mpkis)
         ]
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        mpkis=st.lists(
-            st.floats(min_value=0.05, max_value=8.0, allow_nan=False),
-            min_size=1, max_size=6,
-        ),
-        hint=rho_st,
-    )
-    def test_knob_off_is_bitwise_identical(self, mpkis, hint):
-        memory = _memory()
-        inputs = self._inputs(mpkis)
-        clear_solver_tables()
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setenv(ENV_MISSCURVE_TABLE, "1")
-            on = solve_tick(inputs, memory, rho_hint=hint)
-            monkeypatch.setenv(ENV_MISSCURVE_TABLE, "0")
-            off = solve_tick(inputs, memory, rho_hint=hint)
-        assert on == off
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -163,27 +74,9 @@ class TestSolveTickTabulation:
             )
         penalty = memory.penalty_ns(rho)
         outputs = [_evaluate(entry, penalty) for entry in inputs]
-        clear_solver_tables()
         got_outputs, got_rho = solve_tick(inputs, memory, rho_hint=hint)
         assert got_rho == rho
         assert got_outputs == outputs
-
-    def test_table_stats_count_hits_and_builds(self, monkeypatch):
-        monkeypatch.setenv(ENV_MISSCURVE_TABLE, "1")
-        clear_solver_tables()
-        memory = _memory()
-        inputs = self._inputs([1.0, 3.0])
-        solve_tick(inputs, memory, rho_hint=0.0)
-        warm = solver_table_stats()
-        assert warm["penalty_builds"] > 0
-        assert warm["output_builds"] > 0
-        # Re-solving the identical tick replays the converged states.
-        solve_tick(inputs, memory, rho_hint=0.0)
-        again = solver_table_stats()
-        assert again["penalty_hits"] > warm["penalty_hits"]
-        assert again["output_hits"] > warm["output_hits"]
-        clear_solver_tables()
-        assert solver_table_stats()["penalty_entries"] == 0
 
 
 class TestContendedDedupIntegration:
@@ -211,8 +104,7 @@ class TestContendedDedupIntegration:
             assert a.cache.effective_ways(core) == \
                 b.cache.effective_ways(core)
 
-    def test_dedup_kernels_match_scalar_and_count(self, monkeypatch):
-        monkeypatch.setenv(ENV_MISSCURVE_TABLE, "1")
+    def test_dedup_kernels_match_scalar_and_count(self):
         scalar = self._machine(BACKEND_SCALAR)
         batch = self._machine(BACKEND_BATCH)
         scalar.run_ticks(6_000)
@@ -224,15 +116,6 @@ class TestContendedDedupIntegration:
         assert stats["table_builds"] > 0
         assert stats["table_hits"] > 0
         assert stats["rho_iterations"] > 0
-
-    def test_dedup_disabled_by_kill_switch_still_exact(self, monkeypatch):
-        monkeypatch.setenv(ENV_MISSCURVE_TABLE, "0")
-        scalar = self._machine(BACKEND_SCALAR)
-        batch = self._machine(BACKEND_BATCH)
-        scalar.run_ticks(6_000)
-        batch.run_ticks(6_000)
-        self._assert_equal(scalar, batch)
-        assert batch.backend_stats()["table_hits"] == 0
 
     def test_warm_start_counters_in_sparse_regime(self):
         machine = Machine(
@@ -250,6 +133,6 @@ class TestContendedDedupIntegration:
 
 
 def test_mpki_scale_is_the_canonical_constant():
-    # The tables key on exact floats; the shared constant keeps every
-    # path rounding identically.
+    # The scalar kernel, the span kernels and solve_tick share one
+    # constant, so every path rounds identically.
     assert MPKI_SCALE == 1e-3

@@ -4,7 +4,8 @@ The compiled path is a pure performance layer: every test here pins
 either an observability contract (counters, plan reuse, kernel cache)
 or bit-exactness against the scalar reference under conditions that
 specifically stress the compiled kernels — stolen overhead time beside
-guarded and unguarded lanes, partition-driven fallbacks, idle-core
+guarded and unguarded lanes, the shapes the planner declines
+(overlapping partitions, a substituted RNG, an idle machine), idle-core
 occupancy drift, and the exact float memoization — plus the one
 kernel per shape that serves spans with and without pending overhead,
 and the sampler wakeups the kernels take themselves.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.sim import spanplan
 from repro.sim.batch import BACKEND_BATCH, BACKEND_SCALAR
-from repro.sim.config import MachineConfig, misscurve_table_enabled
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads.spec import KIND_BG, WorkloadSpec
 from tests.conftest import make_bg, make_fg, make_phase
@@ -102,7 +103,6 @@ class TestStatsSurface:
         stats = machine.backend_stats()
         assert stats is not None
         assert stats["spans"] > 0
-        assert stats["compiled_spans"] > 0
         assert stats["compiled_ticks"] > 0
         assert stats["plan_builds"] >= 1
         assert set(stats) == set(spanplan.SpanStats().as_dict())
@@ -153,35 +153,6 @@ class TestMemoization:
         assert stats["memo_hits"] == 0
         assert stats["memo_misses"] == 0
 
-    def test_evaluate_memo_counters(self):
-        from repro.sim.memory import MemorySystem
-        from repro.sim.perf import (
-            PerfInput,
-            clear_evaluate_memo,
-            evaluate_memo_stats,
-            solve_tick,
-        )
-
-        # With solver tables on, the repeated solve is a memo hit; with
-        # them off (REPRO_MISSCURVE_TABLE=0) the memo is bypassed, so
-        # its counters stay put.  Either way the outputs agree.
-        clear_evaluate_memo()
-        memory = MemorySystem(MachineConfig())
-        inputs = [PerfInput(2.0, 0.8, 3.0, 1.0)]
-        first, _ = solve_tick(inputs, memory)
-        before = evaluate_memo_stats()
-        again, _ = solve_tick(inputs, memory)
-        after = evaluate_memo_stats()
-        if misscurve_table_enabled():
-            assert after["hits"] > before["hits"]
-        else:
-            assert (after["hits"], after["misses"]) == (
-                before["hits"], before["misses"]
-            )
-        assert first == again
-        clear_evaluate_memo()
-        assert evaluate_memo_stats() == {"hits": 0, "misses": 0, "size": 0}
-
 
 class TestEquivalenceUnderStress:
     def test_stolen_overhead_time_bit_identical(self):
@@ -193,8 +164,8 @@ class TestEquivalenceUnderStress:
                 machine.charge_overhead(2, 5e-5)
                 machine.run_ticks(step)
         _assert_identical(scalar, batch)
-        stats = batch.backend_stats()
-        assert stats["generic_spans"] == 0  # stolen ticks stay compiled
+        # Stolen ticks stay compiled: no tick fell back to Machine.tick.
+        assert batch.backend_stats()["compiled_ticks"] == batch.clock.tick
 
     @pytest.mark.parametrize("sigma", [0.0, 0.015])
     def test_pending_overhead_beside_unguarded_lanes_bit_identical(
@@ -228,7 +199,7 @@ class TestEquivalenceUnderStress:
                 assert scalar._stolen_s[2] > 0.0
         assert scalar._stolen_s[2] == 0.0
         _assert_identical(scalar, batch)
-        assert batch.backend_stats()["generic_spans"] == 0
+        assert batch.backend_stats()["compiled_ticks"] == batch.clock.tick
 
     def test_idle_core_occupancy_drift_matches(self):
         # Only 3 of the cores run; with cache inertia the idle cores'
@@ -252,7 +223,9 @@ class TestEquivalenceUnderStress:
         scalar.run_ticks(3_000)
         batch.run_ticks(3_000)
         _assert_identical(scalar, batch)
-        assert batch.backend_stats()["generic_spans"] > 0
+        # The planner declines overlapping groups: those ticks ran in
+        # Machine.tick.
+        assert batch.backend_stats()["compiled_ticks"] < batch.clock.tick
 
     def test_non_standard_rng_falls_back_generically(self):
         class LoudRandom(random.Random):
@@ -268,20 +241,71 @@ class TestEquivalenceUnderStress:
         scalar.run_ticks(2_000)
         batch.run_ticks(2_000)
         _assert_identical(scalar, batch)
+        # Every tick ran in Machine.tick: no span compiled.
         stats = batch.backend_stats()
-        assert stats["compiled_spans"] == 0
-        assert stats["generic_spans"] > 0
+        assert stats["spans"] == 0
+        assert stats["compiled_ticks"] == 0 < batch.clock.tick
 
-    def test_span_compile_disabled_still_identical(self, monkeypatch):
-        monkeypatch.setenv(spanplan.ENV_SPAN_COMPILE, "0")
-        disabled = _machine(BACKEND_BATCH)
-        disabled.run_ticks(4_000)
-        assert disabled.backend_stats()["compiled_spans"] == 0
-        monkeypatch.delenv(spanplan.ENV_SPAN_COMPILE)
-        compiled = _machine(BACKEND_BATCH)
-        compiled.run_ticks(4_000)
-        assert compiled.backend_stats()["compiled_spans"] > 0
-        _assert_identical(disabled, compiled)
+    def test_idle_machine_matches_scalar(self):
+        # No running task is the third shape the planner declines.
+        # Every task pauses mid-run with cache inertia on, an energy
+        # model attached, a periodic timer and overhead pending, then
+        # resumes; scalar and batch must agree after every step.
+        from repro.sim.energy import EnergyModel
+
+        def build(backend):
+            machine = _machine(backend, sigma=0.015, tau=0.15)
+            machine.attach_energy_model(
+                EnergyModel(machine.config.num_cores)
+            )
+            fired = []
+
+            def periodic():
+                fired.append(machine.clock.tick)
+                machine.charge_overhead(len(fired) % 6, 3e-5)
+                machine.schedule_wakeup(4.1e-3, periodic)
+
+            machine.schedule_wakeup(4.1e-3, periodic)
+            return machine, fired
+
+        def state(machine):
+            energy = machine.energy
+            return (
+                machine.clock.tick,
+                machine.rho,
+                [(c.instructions, c.cycles, c.llc_accesses, c.llc_misses)
+                 for c in _counters(machine)],
+                [machine.cache.effective_ways(core)
+                 for core in range(machine.config.num_cores)],
+                list(machine._stolen_s),
+                (energy.system_joules, energy.elapsed_s),
+            )
+
+        (scalar, fired_s), (batch, fired_b) = build(BACKEND_SCALAR), \
+            build(BACKEND_BATCH)
+        pids = [proc.pid for proc in scalar.processes]
+        assert pids == [proc.pid for proc in batch.processes]
+        idle_from = None
+        for index, step in enumerate((300, 1, 40, 900, 7, 500, 2_000)):
+            for machine in (scalar, batch):
+                if index == 1:
+                    for pid in pids:
+                        machine.pause(pid)
+                    machine.charge_overhead(0, 2e-5)
+                    machine.charge_overhead(3, 5e-5)
+                if index == 5:
+                    for pid in pids:
+                        machine.resume(pid)
+                machine.run_ticks(step)
+            if index == 1:
+                idle_from = batch.backend_stats()["compiled_ticks"]
+            assert state(scalar) == state(batch), index
+            assert fired_s == fired_b
+            if 1 <= index < 5:
+                # Idle: every tick ran in Machine.tick.
+                assert batch.backend_stats()["compiled_ticks"] == idle_from
+        assert batch.backend_stats()["compiled_ticks"] > idle_from
+        assert len(fired_b) > 100
 
 
 class TestOneKernelPerShape:
@@ -392,7 +416,7 @@ class TestOneKernelPerShape:
                 scalar.run_ticks(step)
                 batch.run_ticks(step)
             _assert_identical(scalar, batch)
-            assert batch.backend_stats()["compiled_spans"] > 0
+            assert batch.backend_stats()["spans"] > 0
         assert len(set(requested)) == 1
         assert len(spanplan._KERNEL_CODE_CACHE) == 1
 
@@ -491,7 +515,7 @@ class TestInKernelWakeups:
         assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
         if sigma == 0.0 and tau == 0.0:
             assert stats["stationary_ticks"] > 0
-        if sigma == 0.0 and tau > 0.0 and misscurve_table_enabled():
+        if sigma == 0.0 and tau > 0.0:
             assert stats["table_hits"] > 0
 
     def test_several_fg_lanes_fill_the_sample_row(self):

@@ -13,7 +13,9 @@ closes the triangle scalar == batch == vector.
 A hypothesis layer samples workload shapes, seeds, cell counts, and
 drive chunkings; a policy layer checks the harness/cluster consumers
 (``run_policy_batch``, vectorized sessions) against their serial
-twins, including a faulted plan.
+twins, including a faulted plan.  Fusion counters are asserted only
+when numpy imports; the equivalence assertions hold either way (the
+no-numpy CI legs run this suite on the per-machine fallback).
 """
 
 from __future__ import annotations
@@ -32,29 +34,13 @@ from repro.experiments.harness import (
 )
 from repro.experiments.mixes import mix_by_name
 from repro.sim.batch import BACKEND_BATCH, BACKEND_SCALAR, ENV_BACKEND
-from repro.sim.config import (
-    ENV_VECTOR_CELLS,
-    ENV_VECTOR_NUMPY,
-    MachineConfig,
-    vector_numpy_enabled,
-)
+from repro.sim.config import ENV_VECTOR_CELLS, MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.vector import MultiCell, numpy_available
 from tests.conftest import make_bg, make_fg
 
 #: Quiet config: no per-cell entropy, so identical cells can fuse.
 QUIET = dict(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
-
-
-def _fusion_active() -> bool:
-    """Whether fused cell-axis kernels can run at all.
-
-    Needs numpy importable *and* not disabled by REPRO_VECTOR_NUMPY —
-    equivalence assertions hold either way, but fusion-counter
-    assertions only apply when the fused path is reachable (the
-    no-numpy CI leg runs this suite with the fallback active).
-    """
-    return numpy_available() and vector_numpy_enabled()
 
 
 def _records_of(machine):
@@ -130,7 +116,7 @@ class TestMultiCellBitEquivalence:
         driver.run_ticks(12_000)
         _assert_fleets_equal(scalar, logs_s, vector, logs_v)
         _assert_fleets_equal(batch, logs_b, vector, logs_v)
-        if _fusion_active():
+        if numpy_available():
             assert driver.stats.vector_spans > 0
             assert driver.stats.cells_per_span >= (
                 2 * driver.stats.vector_spans
@@ -149,7 +135,7 @@ class TestMultiCellBitEquivalence:
         driver = MultiCell(vector)
         driver.run_ticks(15_000)
         _assert_fleets_equal(reference, logs_r, vector, logs_v)
-        if _fusion_active():
+        if numpy_available():
             assert driver.stats.vector_spans > 0
             assert driver.stats.vector_peels > 0
             # Noise-drawn targets land completions at different ticks,
@@ -261,7 +247,7 @@ class TestPartialPeels:
         driver = MultiCell(vector)
         driver.run_ticks(15_000)
         _assert_fleets_equal(reference, logs_r, vector, logs_v)
-        if _fusion_active():
+        if numpy_available():
             assert driver.stats.partial_peels > 0
             assert driver.stats.vector_peels > 0
 
@@ -317,13 +303,13 @@ class TestPartialPeels:
             m.run_ticks(18_000)
         driver = MultiCell(vector)
         driver.run_ticks(9_000)
-        if _fusion_active():
+        if numpy_available():
             assert driver.stats.partial_peels > 0
         before = driver.stats.vector_spans
         cells_before = driver.stats.cells_per_span
         driver.run_ticks(9_000)
         _assert_fleets_equal(reference, logs_r, vector, logs_v)
-        if _fusion_active():
+        if numpy_available():
             # Peels happened in the first half, yet full-width fused
             # spans keep forming in the second: cells regrouped.
             new_spans = driver.stats.vector_spans - before
@@ -333,12 +319,14 @@ class TestPartialPeels:
 
 
 class TestKnobsAndFallbacks:
-    """REPRO_VECTOR_* knobs are scheduling-only; results never move."""
+    """The cell cap and the no-numpy fallback only change scheduling."""
 
     def test_numpy_kill_switch_disables_fusion_not_results(
         self, monkeypatch
     ):
-        monkeypatch.setenv(ENV_VECTOR_NUMPY, "0")
+        # Without numpy the driver advances every cell through its own
+        # batch engine: nothing fuses, and results stay the same.
+        monkeypatch.setattr("repro.sim.vector._np", None)
         seeds = [71, 72, 73]
         reference, logs_r = _fleet(seeds, BACKEND_BATCH, **QUIET)
         vector, logs_v = _fleet(seeds, BACKEND_BATCH, **QUIET)
@@ -361,7 +349,7 @@ class TestKnobsAndFallbacks:
         driver = MultiCell(vector)
         driver.run_ticks(8_000)
         _assert_fleets_equal(reference, logs_r, vector, logs_v)
-        if _fusion_active():
+        if numpy_available():
             assert driver.stats.vector_spans > 0
             assert driver.stats.cells_per_span <= \
                 2 * driver.stats.vector_spans
@@ -541,7 +529,7 @@ class TestPolicyDecisionEquivalence:
             assert result.durations_s == solo.durations_s
             assert result.elapsed_s == solo.elapsed_s
             assert result.bg_instr_per_s == solo.bg_instr_per_s
-        if _fusion_active():
+        if numpy_available():
             assert driver.stats.vector_spans > 0
             assert driver.stats.vector_peels > 0
 
