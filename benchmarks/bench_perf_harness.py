@@ -13,29 +13,20 @@ along and emits ``BENCH_harness.json`` at the repository root:
    clone-lane dedup kernels target) and under the default noise config —
    plus an end-to-end Dirigent ``run_policy`` wall-clock under each
    backend.
-3. **Multi-cell vector driver**: cell-ticks/s of N homogeneous
-   single-FG machines advanced per-machine (batch engines) vs fused
-   through one :class:`repro.sim.vector.MultiCell`, at
-   N in {1, 16, 64, 256} — a noise-free seed batch with
-   execution-scale phases (the floor workload) and the noisy stock
-   ferret batch, where per-cell completions trip fused spans
-   constantly; partial peels evict only the tripped cells, so the
-   fused group survives and the floor is parity vs batch.
-4. **Sweep engine + persistent cache**: wall-clock of a 3-mix x
+3. **Sweep engine + persistent cache**: wall-clock of a 3-mix x
    2-policy figure sweep — serial with cold caches, 4-worker parallel
    with cold caches, and 4-worker parallel with a warm disk cache.
-5. **Warm workers**: repeated small sweeps with cleared result caches,
+4. **Warm workers**: repeated small sweeps with cleared result caches,
    cold pool (re-spawned per sweep) vs one reused warm pool (persistent
    kernel cache, preloaded span kernels, work-stealing dispatch) —
    the cost repeated interactive figure runs actually pay.
-6. **Fleet chaos**: machine ticks the fleet node-fault catalog
+5. **Fleet chaos**: machine ticks the fleet node-fault catalog
    simulates at the CI smoke size, where faulted rows replay every
    session an earlier row ran to done untouched.
-7. **Correctness**: the serial and parallel sweeps must produce
+6. **Correctness**: the serial and parallel sweeps must produce
    identical RunResults (also property-tested in
    ``tests/experiments/test_parallel.py``; scalar/batch equivalence is
-   pinned by ``tests/sim/test_batch_equivalence.py``, vector
-   equivalence by ``tests/sim/test_vector_equivalence.py``).
+   pinned by ``tests/sim/test_batch_equivalence.py``).
 
 On a single-core host the parallel-cold time roughly matches the
 serial-cold time (there is nothing to fan out onto) and the headline
@@ -57,7 +48,6 @@ import json
 import os
 import platform
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.core.policies import BASELINE, DIRIGENT
@@ -89,7 +79,6 @@ from repro.sim.batch import (
 )
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.sim.vector import MultiCell, numpy_available
 from repro.workloads.catalog import get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -109,10 +98,6 @@ SWEEP_WORKERS = 4
 WARM_SWEEP_REPS = 3
 WARM_SWEEP_EXECUTIONS = 2
 WARM_SWEEP_WARMUP = 1
-
-MULTI_CELL_NS = (1, 16, 64, 256)
-MULTI_CELL_TICKS = 12_000
-MULTI_CELL_REPS = 2
 
 SPARSE_CONFIG = MachineConfig(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
 
@@ -228,75 +213,6 @@ def _backend_rate(factory, backend: str):
     if stats is not None:
         stats["kernels_compiled"] = compiled
     return best, stats
-
-
-def _long_phase_ferret():
-    """Noise-free ferret with execution-scale phases.
-
-    Stretching each phase 20x makes spans long enough that the
-    cell-axis kernel amortizes its per-span setup — the regime the
-    vector backend is built for (thousands of homogeneous seed-batch
-    simulations), and the workload the multi-cell floor is measured on.
-    """
-    spec = get_workload("ferret")
-    return replace(
-        spec,
-        input_noise=0.0,
-        phases=tuple(
-            replace(p, instructions=p.instructions * 20) for p in spec.phases
-        ),
-    )
-
-
-def _cell_fleet(spec, cells: int):
-    """N single-FG machines differing only in seed (a seed batch)."""
-    machines = []
-    for index in range(cells):
-        machine = Machine(
-            MachineConfig(
-                seed=SPARSE_CONFIG.seed + index,
-                os_jitter_sigma=0.0,
-                timer_jitter_prob=0.0,
-            ),
-            backend=BACKEND_BATCH,
-        )
-        machine.spawn(spec, core=0, nice=-5)
-        machine.settle_cache()
-        machines.append(machine)
-    return machines
-
-
-def _multi_cell_rates(spec, cells: int):
-    """Best-of-reps cell-ticks/s: per-machine batch loop vs MultiCell.
-
-    Returns ``(batch_rate, vector_rate, stats)`` where rates count
-    cells x ticks per second and ``stats`` are the vector driver's
-    fusion counters from the last rep.
-    """
-    cell_ticks = cells * MULTI_CELL_TICKS
-    batch_best = 0.0
-    for _ in range(MULTI_CELL_REPS):
-        machines = _cell_fleet(spec, cells)
-        start = time.perf_counter()
-        for machine in machines:
-            machine.run_ticks(MULTI_CELL_TICKS)
-        elapsed = time.perf_counter() - start
-        batch_best = max(batch_best, cell_ticks / elapsed)
-    vector_best = 0.0
-    stats = None
-    for _ in range(MULTI_CELL_REPS):
-        driver = MultiCell(_cell_fleet(spec, cells))
-        start = time.perf_counter()
-        driver.run_ticks(MULTI_CELL_TICKS)
-        elapsed = time.perf_counter() - start
-        vector_best = max(vector_best, cell_ticks / elapsed)
-        stats = driver.stats
-    keep = (
-        "vector_spans", "cells_per_span", "vector_ticks", "vector_peels",
-        "partial_peels", "plan_builds", "plan_reuses",
-    )
-    stat_dict = {key: stats.as_dict()[key] for key in keep}
-    return batch_best, vector_best, stat_dict
 
 
 def _end_to_end_spans():
@@ -538,31 +454,6 @@ def run_benchmark() -> dict:
     e2e_spans, e2e_kernel_wakeups = _end_to_end_spans()
     fleet_ticks = _fleet_ticks()
 
-    # Multi-cell vector driver vs per-machine batch loop.
-    long_phase = {}
-    long_spec = _long_phase_ferret()
-    for cells in MULTI_CELL_NS:
-        batch_rate, vector_rate, cell_stats = _multi_cell_rates(
-            long_spec, cells
-        )
-        long_phase["n%d" % cells] = {
-            "cells": cells,
-            "batch_cell_ticks_per_s": round(batch_rate, 2),
-            "vector_cell_ticks_per_s": round(vector_rate, 2),
-            "speedup": round(vector_rate / batch_rate, 3),
-            "stats": cell_stats,
-        }
-    noisy_batch, noisy_vector, noisy_stats = _multi_cell_rates(
-        get_workload("ferret"), 64
-    )
-    noisy_stock = {
-        "cells": 64,
-        "batch_cell_ticks_per_s": round(noisy_batch, 2),
-        "vector_cell_ticks_per_s": round(noisy_vector, 2),
-        "speedup": round(noisy_vector / noisy_batch, 3),
-        "stats": noisy_stats,
-    }
-
     harness.clear_caches()
     serial = run_grid(
         mixes, SWEEP_POLICIES, executions=SWEEP_EXECUTIONS,
@@ -677,21 +568,6 @@ def run_benchmark() -> dict:
                 "contended_noisy": noisy_contended_stats,
             },
         },
-        "multi_cell": {
-            "note": (
-                "N homogeneous single-FG seed-batch machines: per-machine "
-                "batch loop vs one fused MultiCell driver "
-                "(repro.sim.vector), as cells x ticks per second; "
-                "noisy_stock is the divergent regime — partial peels "
-                "evict only tripped cells, so the fused group survives "
-                "per-cell completions (floor: parity vs batch)"
-            ),
-            "numpy": numpy_available(),
-            "ticks": MULTI_CELL_TICKS,
-            "reps": MULTI_CELL_REPS,
-            "long_phase": long_phase,
-            "noisy_stock": noisy_stock,
-        },
         "sweep": {
             "mixes": list(SWEEP_MIXES),
             "policies": [p.name for p in SWEEP_POLICIES],
@@ -739,11 +615,10 @@ def check_stable_floors(artifact: dict) -> None:
     """Assert the floors that hold on any host against an artifact.
 
     These are ratios of two legs measured on the same host in the same
-    run (backend, multi-cell and warm-pool speedups) and deterministic
-    counts (span kernels compiled, spans, fleet ticks, fast-path
-    counters).  CI gates on exactly this set; :func:`check_floors`
-    adds the floors that depend on the host.  The multi-cell floors
-    apply only when numpy imported (the fused kernels need it).
+    run (backend and warm-pool speedups) and deterministic counts (span
+    kernels compiled, spans, fleet ticks, fast-path counters).  CI
+    gates on exactly this set; :func:`check_floors` adds the floors
+    that depend on the host.
     """
     backends = artifact["backends"]
     assert backends["event_sparse"]["speedup"] >= 3.0, (
@@ -764,15 +639,6 @@ def check_stable_floors(artifact: dict) -> None:
     for counter in ("table_hits", "table_builds", "rho_iterations"):
         assert fast_path["contended"][counter] > 0, (counter, fast_path)
     assert fast_path["event_sparse"]["rho_warm_hits"] > 0, fast_path
-    multi = artifact["multi_cell"]
-    if multi["numpy"]:
-        assert multi["long_phase"]["n64"]["speedup"] >= 5.0, (
-            multi["long_phase"]["n64"]
-        )
-        assert multi["noisy_stock"]["speedup"] >= 1.0, multi["noisy_stock"]
-        assert multi["noisy_stock"]["stats"]["partial_peels"] > 0, (
-            multi["noisy_stock"]
-        )
     warm_worker = artifact["warm_worker"]
     assert warm_worker["speedup_warm_vs_cold"] >= 2.0, warm_worker
     for counter in ("warm_starts", "kernels_preloaded", "kernel_disk_hits",

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--nodes", type=int, default=None, metavar="N",
-        help="fleet size for --fleet (default: 5)",
+        help="fleet size for --fleet, at least 2 (default: 5)",
     )
     bench = sub.add_parser(
         "bench",
@@ -196,9 +196,6 @@ def _run_bench(args) -> int:
           "%d table hits / %d builds"
           % (solver["rho_iterations"], solver["rho_warm_hits"],
              solver["table_hits"], solver["table_builds"]))
-    noisy = artifact["multi_cell"]["noisy_stock"]
-    print("noisy multi-cell vector/batch: %.3fx (%d partial peels)"
-          % (noisy["speedup"], noisy["stats"]["partial_peels"]))
     fleet = artifact["fleet"]
     print("fleet catalog ticks:           %d (was %d)"
           % (fleet["ticks"], fleet["ticks_before"]))
@@ -248,9 +245,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                       % (name, ", ".join(catalog)))
                 return 2
         if args.fleet:
+            if args.nodes is not None and args.nodes < 2:
+                print("--nodes must be at least 2 (got %d)" % args.nodes)
+                return 2
             result = run_fleet_chaos(
                 scenarios=args.scenarios,
-                num_nodes=args.nodes or DEFAULT_FLEET_NODES,
+                num_nodes=(
+                    DEFAULT_FLEET_NODES if args.nodes is None else args.nodes
+                ),
                 mixes=args.mixes,
                 executions=(
                     args.executions if args.executions is not None

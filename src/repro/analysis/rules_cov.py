@@ -1,12 +1,12 @@
 """COV rules: cross-backend state-coverage audit.
 
-Four backends advance the same machine state — the scalar reference
-kernel (``Machine.tick``), the batch engine, the span-compiled kernels,
-and the multi-cell vector driver — and the runtime equivalence suites
-can only *sample* their agreement.  The #1 silent-corruption risk as
-the simulator grows is a new hot-state field that the scalar kernel
-mutates and another backend never mirrors: every sampled run still
-matches until a workload touches the forgotten field.
+Two backends advance the same machine state — the scalar reference
+kernel (``Machine.tick``) and the batch engine's span-compiled kernels
+— and the runtime equivalence suites can only *sample* their
+agreement.  The #1 silent-corruption risk as the simulator grows is a
+new hot-state field that the scalar kernel mutates and the span
+kernels never mirror: every sampled run still matches until a workload
+touches the forgotten field.
 
 These project rules close that hole statically.  An AST def-use pass
 extracts the set of state mutations in the scalar hot path — attribute
@@ -15,33 +15,31 @@ stores, stores through hoisted aliases (``clock = self.clock``;
 calls on machine sub-objects and processes, RNG draws through hoisted
 bound-method tables, and calls of state-advancing callable attributes
 — and cross-checks it against the machine-readable mirrored-state
-registries the backends export:
+registry the span kernels export:
 
-* ``COV001`` — scalar extraction vs the vector backend's
-  :data:`repro.sim.vector.CELL_COLUMNS`.  A hot-state mutation absent
+* ``COV002`` — scalar extraction vs the span-kernel registry
+  :data:`repro.sim.spanplan.KERNEL_STATE`.  A hot-state mutation absent
   from the registry (and not in the machine module's
   ``SCALAR_ONLY_STATE`` allowlist) is an error; so is a registry entry
   with no scalar counterpart (stale documentation) and a stale
-  allowlist row.
-* ``COV002`` — scalar extraction vs the span-kernel registry
-  :data:`repro.sim.spanplan.KERNEL_STATE`, plus a shape-arity audit:
-  every ``template_shapes()`` entry must have exactly the arity its
-  field registry (``SHAPE_FIELDS`` / ``CELL_SHAPE_FIELDS``) declares,
-  so a new shape axis cannot land without the audit learning about it.
+  allowlist row.  A shape-arity audit rides along: every
+  ``template_shapes()`` entry must have exactly the arity
+  ``SHAPE_FIELDS`` declares, so a new shape axis cannot land without
+  the audit learning about it.
 * ``COV003`` — the experiment harness's declared
   ``CACHE_KEY_FIELDS`` registry vs its actual disk-cache
   ``get``/``put`` call sites: undeclared namespaces, declared-but-
   unused namespaces, and key tuples missing a declared identifier are
   all errors.
 
-The registries are read from the *analyzed* modules' ASTs when those
+The registry is read from the *analyzed* modules' ASTs when those
 modules are part of the run (so fixture trees are self-contained), and
 from the live package otherwise (so ``repro lint --changed`` with only
 ``machine.py`` in the set still cross-checks).  Like the other project
 rules, each rule skips silently when its subject module is not in the
 analyzed set.
 
-Naming convention shared by the extraction and the registries: plain
+Naming convention shared by the extraction and the registry: plain
 machine attributes (``_rho``), per-process members
 (``process.progress``), mutating process method calls
 (``process.advance()``), and state-advancing callable attributes
@@ -63,7 +61,6 @@ from repro.analysis.core import (
 
 #: Module suffixes of the audited subjects.
 MACHINE_MODULE_SUFFIX = "repro/sim/machine.py"
-VECTOR_MODULE_SUFFIX = "repro/sim/vector.py"
 SPANPLAN_MODULE_SUFFIX = "repro/sim/spanplan.py"
 HARNESS_MODULE_SUFFIX = "repro/experiments/harness.py"
 
@@ -345,7 +342,7 @@ def _live_registry_keys(module_name: str, attr: str) -> Optional[Set[str]]:
 
 
 # ---------------------------------------------------------------------------
-# COV001 / COV002: machine hot state vs backend registries
+# COV002: machine hot state vs the span-kernel registry
 # ---------------------------------------------------------------------------
 
 
@@ -354,13 +351,20 @@ def _find(modules: Sequence[SourceModule],
     return next((m for m in modules if m.path_matches(suffix)), None)
 
 
-class _BackendCoverageRule(ProjectRule):
-    """Shared cross-check of the scalar extraction vs one registry."""
+@register
+class KernelStateCoverage(ProjectRule):
+    """COV002: span-kernel KERNEL_STATE + template shape arity."""
 
-    registry_suffix = ""       # analyzed module carrying the registry
-    registry_module = ""       # live module fallback
-    registry_name = ""         # dict name
-    backend_label = ""         # human name for messages
+    id = "COV002"
+    severity = "error"
+    description = (
+        "a hot-state attribute mutated by the scalar Machine.tick is "
+        "missing from the span-kernel KERNEL_STATE registry, or a "
+        "template_shapes() entry does not match the declared "
+        "SHAPE_FIELDS arity"
+    )
+    registry_module = "repro.sim.spanplan"
+    registry_name = "KERNEL_STATE"
 
     def _registry_finding(self, module: SourceModule,
                           message: str) -> Finding:
@@ -369,13 +373,40 @@ class _BackendCoverageRule(ProjectRule):
             path=str(module.path), line=1, col=0, message=message,
         )
 
+    def check_project(
+        self, modules: Sequence[SourceModule]
+    ) -> Iterator[Finding]:
+        yield from self.coverage_findings(modules)
+        spanplan = _find(modules, SPANPLAN_MODULE_SUFFIX)
+        if spanplan is None:
+            return
+        try:
+            from repro.sim.spanplan import SHAPE_FIELDS, template_shapes
+        except ImportError as exc:
+            yield self._registry_finding(
+                spanplan,
+                "cannot import the shape-field registry: %s" % exc,
+            )
+            return
+        for shape in template_shapes():
+            if len(shape) != len(SHAPE_FIELDS):
+                yield self._registry_finding(
+                    spanplan,
+                    "template shape %r has %d fields but SHAPE_FIELDS "
+                    "declares %d (%s); extend the registry (and the "
+                    "kernel audit) when adding a shape axis"
+                    % (shape, len(shape), len(SHAPE_FIELDS),
+                       ", ".join(SHAPE_FIELDS)),
+                )
+
     def coverage_findings(
         self, modules: Sequence[SourceModule]
     ) -> Iterator[Finding]:
+        """The scalar extraction vs ``KERNEL_STATE``, both directions."""
         machine = _find(modules, MACHINE_MODULE_SUFFIX)
         if machine is None:
             return
-        registry_mod = _find(modules, self.registry_suffix)
+        registry_mod = _find(modules, SPANPLAN_MODULE_SUFFIX)
         if registry_mod is not None:
             registry = parse_registry_keys(registry_mod,
                                            self.registry_name)
@@ -387,11 +418,10 @@ class _BackendCoverageRule(ProjectRule):
         if registry is None:
             yield self._registry_finding(
                 anchor,
-                "cannot resolve the %s mirrored-state registry %s.%s "
-                "(neither a module-level dict literal in the analyzed "
-                "tree nor a live import)"
-                % (self.backend_label, self.registry_module,
-                   self.registry_name),
+                "cannot resolve the span-kernel mirrored-state registry "
+                "%s.%s (neither a module-level dict literal in the "
+                "analyzed tree nor a live import)"
+                % (self.registry_module, self.registry_name),
             )
             return
         extracted = extract_hot_state(machine)
@@ -408,11 +438,11 @@ class _BackendCoverageRule(ProjectRule):
             yield self._registry_finding(
                 machine,
                 "hot-state mutation %r in the scalar kernel has no "
-                "entry in %s (%s) and is not allowlisted in %s; the %s "
-                "backend would silently drop it — mirror it or "
-                "allowlist it explicitly"
+                "entry in %s (%s) and is not allowlisted in %s; the "
+                "span-compiled backend would silently drop it — mirror "
+                "it or allowlist it explicitly"
                 % (name, self.registry_name, self.registry_module,
-                   SCALAR_ONLY_NAME, self.backend_label),
+                   SCALAR_ONLY_NAME),
             )
         for name in sorted(registry - extracted):
             yield self._registry_finding(
@@ -436,81 +466,6 @@ class _BackendCoverageRule(ProjectRule):
                 "scalar hot path; remove the stale row"
                 % (name, SCALAR_ONLY_NAME),
             )
-
-
-@register
-class VectorColumnCoverage(_BackendCoverageRule):
-    """COV001: vector CELL_COLUMNS mirrors every scalar hot mutation."""
-
-    id = "COV001"
-    severity = "error"
-    description = (
-        "a hot-state attribute mutated by the scalar Machine.tick is "
-        "missing from the vector backend's CELL_COLUMNS registry (or a "
-        "registry/allowlist row went stale): the fused cell path would "
-        "silently drop the mutation"
-    )
-    registry_suffix = VECTOR_MODULE_SUFFIX
-    registry_module = "repro.sim.vector"
-    registry_name = "CELL_COLUMNS"
-    backend_label = "multi-cell vector"
-
-    def check_project(
-        self, modules: Sequence[SourceModule]
-    ) -> Iterator[Finding]:
-        yield from self.coverage_findings(modules)
-
-
-@register
-class KernelStateCoverage(_BackendCoverageRule):
-    """COV002: span-kernel KERNEL_STATE + template shape arity."""
-
-    id = "COV002"
-    severity = "error"
-    description = (
-        "a hot-state attribute mutated by the scalar Machine.tick is "
-        "missing from the span-kernel KERNEL_STATE registry, or a "
-        "template_shapes() entry does not match the declared "
-        "SHAPE_FIELDS/CELL_SHAPE_FIELDS arity"
-    )
-    registry_suffix = SPANPLAN_MODULE_SUFFIX
-    registry_module = "repro.sim.spanplan"
-    registry_name = "KERNEL_STATE"
-    backend_label = "span-compiled"
-
-    def check_project(
-        self, modules: Sequence[SourceModule]
-    ) -> Iterator[Finding]:
-        yield from self.coverage_findings(modules)
-        spanplan = _find(modules, SPANPLAN_MODULE_SUFFIX)
-        if spanplan is None:
-            return
-        try:
-            from repro.sim.spanplan import (
-                CELL_SHAPE_FIELDS,
-                SHAPE_FIELDS,
-                template_shapes,
-            )
-        except ImportError as exc:
-            yield self._registry_finding(
-                spanplan,
-                "cannot import the shape-field registries: %s" % exc,
-            )
-            return
-        for shape in template_shapes():
-            if shape and shape[0] == "cell":
-                fields, label = CELL_SHAPE_FIELDS, "CELL_SHAPE_FIELDS"
-            else:
-                fields, label = SHAPE_FIELDS, "SHAPE_FIELDS"
-            if len(shape) != len(fields):
-                yield self._registry_finding(
-                    spanplan,
-                    "template shape %r has %d fields but %s declares "
-                    "%d (%s); extend the registry (and the kernel "
-                    "audit) when adding a shape axis"
-                    % (shape, len(shape), label, len(fields),
-                       ", ".join(fields)),
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ reach a benchmark.
     ``global`` statements;
   - every call inside the kernel must target an allowlisted name
     (the math closures ``e_``/``lg_``/``cs_``/``sn_``/``sq_``/``ln_``,
-    the cell-axis array reductions ``an_``/``mn_``, the per-lane RNG
-    draws ``rnd_<i>``, the timer-RNG draw ``tr_`` of in-kernel sampler
-    wakeups, ``memo_get``, ``acc_e``) or an allowlisted
+    the per-lane RNG draws ``rnd_<i>``, the timer-RNG draw ``tr_`` of
+    in-kernel sampler wakeups, ``memo_get``, ``acc_e``) or an allowlisted
     method (``advance``, ``complete_execution``, ``append``,
     ``clear``) on a bound name;
   - no name anywhere in the generated code may resolve to a global
@@ -70,13 +69,11 @@ SPANPLAN_MODULE_SUFFIX = "repro/sim/spanplan.py"
 #: Entry points a codegen module must export to be auditable.
 TEMPLATE_ENTRY_POINTS = ("template_shapes", "generate_kernel_source")
 
-#: Plain-name callables the generated kernels may invoke.  ``an_`` and
-#: ``mn_`` are the cell-axis kernels' array ``any``/``min`` reductions
-#: (bound by the vector driver; numpy never enters the codegen module);
-#: ``tr_`` is the timer wheel's ``random``, drawn when a span kernel
-#: reschedules a sampler wakeup it took in-kernel.
+#: Plain-name callables the generated kernels may invoke.  ``tr_`` is
+#: the timer wheel's ``random``, drawn when a span kernel reschedules a
+#: sampler wakeup it took in-kernel.
 ALLOWED_CALLS = re.compile(
-    r"^(e_|lg_|cs_|sn_|sq_|ln_|ms_|an_|mn_|memo_get|acc_e|tr_|rnd_\d+)$"
+    r"^(e_|lg_|cs_|sn_|sq_|ln_|ms_|memo_get|acc_e|tr_|rnd_\d+)$"
 )
 
 #: Methods the generated kernels may invoke (on plain bound names).

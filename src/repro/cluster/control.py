@@ -23,16 +23,10 @@ control plane would run real nodes:
 Determinism: the controller advances every live session in fixed
 rounds of ``DRIVE_BLOCK_TICKS`` machine ticks, and every control-plane
 event time is derived from the round counter.  Machines are
-bit-identical across the scalar/batch/vector backends (pinned by the
+bit-identical across the scalar and batch backends (pinned by the
 equivalence suites), so completions land in the same rounds and the
 merged injection + control event stream — the fleet
-``event_signature`` — is identical across backends, repeat runs, and
-serial vs. vectorized driving.  With ``vectorized=True`` the rounds go
-through one :class:`repro.sim.vector.MultiCell`; crashed and
-flap-down cells are peeled off simply by leaving their indices out of
-the round (the driver-level analogue of a partial peel), replacement
-machines join mid-run via :meth:`MultiCell.add_cell`, and throttled
-cells stop fusing on their own because their governor state diverges.
+``event_signature`` — is identical across backends and repeat runs.
 
 The controller changes a session in three ways only: it advances it
 one round at a time while its host is up, fleet degraded mode pauses
@@ -87,7 +81,6 @@ from repro.sim.config import (
     fleet_failover_enabled,
 )
 from repro.sim.timebase import derive_rng
-from repro.sim.vector import MultiCell
 from repro.workloads import get_workload
 
 #: Node health states the monitor reports.
@@ -407,12 +400,10 @@ class FleetController:
         nodes: Sequence,  # Sequence[repro.cluster.dispatch.ClusterNode]
         plan: NodeFaultPlan,
         config: Optional[ControlPlaneConfig] = None,
-        vectorized: bool = False,
     ) -> None:
         self._nodes = list(nodes)
         self._plan = plan
         self._config = config or ControlPlaneConfig.from_env()
-        self._vectorized = vectorized
         self._names = [node.name for node in self._nodes]
         self._schedule = plan.schedule(self._names)
         tick_values = {
@@ -424,11 +415,9 @@ class FleetController:
         self._round_s = DRIVE_BLOCK_TICKS * self._tick_s
         self._events: List[Tuple[float, str, str, str]] = []
         self._retry_rng = derive_rng(plan.seed, "fleet/failover")
-        self._cell_sessions: Dict[int, PolicySession] = {}
         #: Sessions started at tick 0 and not yet acted on, with their
         #: replay-memo keys.
         self._untouched: Dict[PolicySession, tuple] = {}
-        self.vector_stats = None
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -515,18 +504,6 @@ class FleetController:
                     label=node.name,
                 )],
             )
-
-        cells: Optional[MultiCell] = None
-        if self._vectorized:
-            cells = MultiCell([node.session.machine for node in self._nodes])
-            self._cell_sessions = {
-                i: node.session for i, node in enumerate(self._nodes)
-            }
-            self.vector_stats = cells.stats
-        cell_of: Dict[int, int] = {
-            id(session): index
-            for index, session in self._cell_sessions.items()
-        }
 
         for t, node_name, kind, detail in self._schedule.injection_events():
             self._record(self._quantize(t), node_name, kind, detail)
@@ -638,7 +615,7 @@ class FleetController:
                             and not placement.session.done
                         ):
                             advancing.append(placement.session)
-            self._advance(advancing, cells, cell_of)
+            self._advance(advancing)
 
             # 3. Heartbeats that survive the schedule reach the monitor.
             for name in self._names:
@@ -735,7 +712,6 @@ class FleetController:
                     continue
                 outcome = self._try_failover(
                     stream, monitor, dispatcher, quarantine_until, t_end,
-                    cells, cell_of,
                 )
                 if outcome == "done":
                     continue
@@ -835,38 +811,13 @@ class FleetController:
     # Round mechanics
     # ------------------------------------------------------------------
 
-    def _advance(
-        self,
-        sessions: Sequence[PolicySession],
-        cells: Optional[MultiCell],
-        cell_of: Dict[int, int],
-    ) -> None:
+    def _advance(self, sessions: Sequence[PolicySession]) -> None:
         """One round of machine time for each distinct session."""
         seen: Dict[int, PolicySession] = {}
         for session in sessions:
             seen.setdefault(id(session), session)
-        ordered = list(seen.values())
-        if cells is None:
-            for session in ordered:
-                session.advance(DRIVE_BLOCK_TICKS)
-            return
-        vector: List[int] = []
-        for session in ordered:
-            if isinstance(session, _Replay) or (
-                session._warmup == 0 and session._meas_start is None
-            ):
-                # A replay only counts the round.  PolicySession.advance
-                # owns the lone-tick window-open dance; run this first
-                # block serially, join next round.
-                session.advance(DRIVE_BLOCK_TICKS)
-                continue
-            vector.append(cell_of[id(session)])
-        if vector:
-            cells.run_ticks(DRIVE_BLOCK_TICKS, indices=vector)
-            for index in vector:
-                session = self._cell_sessions[index]
-                session._ticks += DRIVE_BLOCK_TICKS
-                session._bookkeep()
+        for session in seen.values():
+            session.advance(DRIVE_BLOCK_TICKS)
 
     def _start(self, session: PolicySession, key: tuple) -> PolicySession:
         """A session starting at tick 0, as a replay when one is filed."""
@@ -913,8 +864,6 @@ class FleetController:
         dispatcher: FailoverDispatcher,
         quarantine_until: Dict[str, float],
         t_end: float,
-        cells: Optional[MultiCell],
-        cell_of: Dict[int, int],
     ) -> str:
         """One placement attempt: 'placed', 'done', or 'no-capacity'."""
         node = self._node_by_name(stream.home)
@@ -953,10 +902,6 @@ class FleetController:
             label="%s@%s" % (stream.home, host),
         ))
         stream.state = "running"
-        if cells is not None:
-            index = cells.add_cell(session.machine)
-            self._cell_sessions[index] = session
-            cell_of[id(session)] = index
         self._record(
             t_end, stream.home, "failover-placed",
             "host=%s remaining=%d attempt=%d"

@@ -8,12 +8,7 @@ integration point on the simulated substrate:
 * :class:`ClusterNode` — one node running a mix under a policy (a
   wrapped :class:`repro.experiments.harness.PolicySession`);
 * :class:`Cluster` — runs many nodes to completion and aggregates FG
-  success and batch throughput cluster-wide; with ``vectorized=True``
-  the nodes advance through one multi-cell structure-of-arrays driver
-  (:func:`repro.experiments.harness.drive_sessions_vectorized`), so
-  nodes whose simulated state coincides fuse into cell-axis kernels —
-  node results are bit-identical either way, because nodes share no
-  simulated state and the vector driver is bit-exact per machine;
+  success and batch throughput cluster-wide;
 * :class:`ReservationDispatcher` — admission control that places FG task
   streams onto nodes using the tail reservations of their measured
   completion-time distributions (:mod:`repro.sched`), the hand-off a
@@ -32,7 +27,6 @@ from repro.experiments.harness import (
     _NODE_RECORDS,
     PolicySession,
     RunResult,
-    drive_sessions_vectorized,
     node_record_key,
     record_node,
 )
@@ -44,7 +38,6 @@ from repro.sched.reservation import (
     reservation_for,
 )
 from repro.sim.config import MachineConfig, fleet_failover_enabled
-from repro.sim.spanplan import SpanStats
 
 
 class ClusterNode:
@@ -175,20 +168,11 @@ class ClusterResult:
 class Cluster:
     """A set of nodes run to completion.
 
-    By default a clean run drives each node to the end in turn with
-    :meth:`PolicySession.run_to_end`.  ``vectorized=True`` opts the run
-    into the multi-cell structure-of-arrays driver: all unfinished
-    nodes advance together in block-tick lockstep, and nodes whose
-    simulated state coincides (e.g. replicas of the same mix/policy at
-    different seeds) fuse into cell-axis kernels.  Nodes share no
-    simulated state, so the result of every node — and therefore of
-    the cluster — is bit-identical either way; :attr:`vector_stats`
-    exposes the driver's fusion counters after a vectorized run.
+    A clean run drives each node to the end in turn with
+    :meth:`PolicySession.run_to_end`.
     """
 
-    def __init__(
-        self, nodes: Sequence[ClusterNode], vectorized: bool = False
-    ) -> None:
+    def __init__(self, nodes: Sequence[ClusterNode]) -> None:
         if not nodes:
             raise ExperimentError("cluster needs at least one node")
         names = [node.name for node in nodes]
@@ -201,8 +185,6 @@ class Cluster:
                 % ", ".join(repr(name) for name in duplicates)
             )
         self._nodes = list(nodes)
-        self._vectorized = vectorized
-        self.vector_stats: Optional[SpanStats] = None
 
     @property
     def nodes(self) -> List[ClusterNode]:
@@ -233,29 +215,17 @@ class Cluster:
             # module, so a top-level import would be a cycle.
             from repro.cluster.control import FleetController
 
-            controller = FleetController(
-                self._nodes,
-                fault_plan,
-                config=control,
-                vectorized=self._vectorized,
-            )
-            result = controller.run()
-            self.vector_stats = controller.vector_stats
-            return result
+            return FleetController(
+                self._nodes, fault_plan, config=control
+            ).run()
         fresh = [node for node in self._nodes if not node.session._ticks]
-        if self._vectorized:
-            driver = drive_sessions_vectorized(
-                [node.session for node in self._nodes]
-            )
-            self.vector_stats = driver.stats
-        else:
-            # Each node runs to the end through its batched fast path.
-            # Done is detected on DRIVE_BLOCK_TICKS boundaries, where
-            # PolicySession.tick bookkeeps too, and nodes share no
-            # state, so running them one after another matches stepping
-            # them in lockstep.
-            for node in self._nodes:
-                node.session.run_to_end()
+        # Each node runs to the end through its batched fast path.  Done
+        # is detected on DRIVE_BLOCK_TICKS boundaries, where
+        # PolicySession.tick bookkeeps too, and nodes share no state, so
+        # running them one after another matches stepping them in
+        # lockstep.
+        for node in self._nodes:
+            node.session.run_to_end()
         # Nodes run from tick 0 to done untouched: faulted fleets of
         # the same nodes replay them, whatever fault a plan names for
         # them, until the control plane acts on their machines.

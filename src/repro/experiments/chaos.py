@@ -200,7 +200,6 @@ def run_fleet_cell(
     executions: int = DEFAULT_FLEET_EXECUTIONS,
     warmup: int = 3,
     seed: int = 0,
-    vectorized: bool = False,
 ) -> ClusterResult:
     """One fleet chaos cell: a fresh fleet under one node-fault scenario."""
     cluster = Cluster(
@@ -210,8 +209,7 @@ def run_fleet_cell(
             executions=executions,
             warmup=warmup,
             seed=seed,
-        ),
-        vectorized=vectorized,
+        )
     )
     return cluster.run(fault_plan=fleet_scenario(scenario_name, seed=seed))
 
@@ -241,7 +239,6 @@ def run_fleet_chaos(
     executions: int = DEFAULT_FLEET_EXECUTIONS,
     warmup: int = 3,
     seed: int = 0,
-    vectorized: bool = False,
 ) -> FigureResult:
     """Run the fleet scenario catalog and tabulate fleet-wide QoS.
 
@@ -285,7 +282,6 @@ def run_fleet_chaos(
             executions=executions,
             warmup=warmup,
             seed=seed,
-            vectorized=vectorized,
         )
         report = result.fleet_report
         if report is None:

@@ -47,9 +47,8 @@ from repro.experiments.metrics import (
     success_ratio,
 )
 from repro.experiments.mixes import Mix
-from repro.sim.batch import BACKEND_VECTOR, resolve_backend
+from repro.sim.batch import resolve_backend
 from repro.sim.config import MachineConfig, default_executions
-from repro.sim.vector import MultiCell
 from repro.sim.counters import CounterSnapshot
 from repro.sim.machine import Machine
 from repro.sim.process import ExecutionRecord, Process
@@ -67,7 +66,7 @@ from repro.workloads.rotate import spawn_rotating_background
 DEFAULT_WARMUP = 5
 
 #: Ticks between bookkeeping checks while driving a session block by
-#: block (:meth:`PolicySession.advance`, the lockstep drivers).  Runs
+#: block (:meth:`PolicySession.advance`, the fleet controller).  Runs
 #: driven to the end in one call stop on the same block boundaries.
 DRIVE_BLOCK_TICKS = 32
 
@@ -751,153 +750,6 @@ class PolicySession:
             + runtime.safe_time_s(now),
             safe_time_s=runtime.safe_time_s(now),
         )
-
-
-def drive_sessions_vectorized(
-    sessions: Sequence[PolicySession],
-) -> MultiCell:
-    """Drive fresh policy sessions to completion through one MultiCell.
-
-    Observable-for-observable identical to :func:`run_policy` per
-    session: every machine is advanced exactly as its own backend
-    would advance it, block by block with
-    :meth:`PolicySession.advance`'s bookkeeping (run-to-end driving
-    stops on the same ``DRIVE_BLOCK_TICKS`` boundaries), but cells
-    whose model state coincides fuse into cell-axis kernels
-    (:mod:`repro.sim.vector`).  Returns the driver so callers can
-    inspect ``stats`` (``vector_spans``, ``cells_per_span``,
-    ``vector_peels``).
-    """
-    sessions = list(sessions)
-    cells = MultiCell([session.machine for session in sessions])
-
-    def _step(indices: List[int], ticks: int) -> None:
-        cells.run_ticks(ticks, indices=indices)
-        for i in indices:
-            sessions[i]._ticks += ticks
-            sessions[i]._bookkeep()
-
-    # Mirror PolicySession.advance's no-warmup window opening: one lone
-    # tick, then the remainder of the first block.
-    short_first = set()
-    for i, session in enumerate(sessions):
-        if session._warmup == 0 and session._meas_start is None \
-                and not session.done:
-            session.advance(1)
-            short_first.add(i)
-    if short_first:
-        short = [i for i in sorted(short_first) if not sessions[i].done]
-        if short:
-            _step(short, DRIVE_BLOCK_TICKS - 1)
-    while True:
-        active = [i for i, s in enumerate(sessions) if not s.done]
-        if not active:
-            return cells
-        _step(active, DRIVE_BLOCK_TICKS)
-
-
-def run_policy_batch(
-    mix: Mix,
-    policy: Policy,
-    executions: Optional[int] = None,
-    warmup: int = DEFAULT_WARMUP,
-    config: Optional[MachineConfig] = None,
-    seeds: Sequence[int] = (0,),
-    fault_plan: Optional[FaultPlan] = None,
-) -> List[RunResult]:
-    """Run one (mix, policy) cell at many seeds as one vectorized batch.
-
-    Returns exactly ``[run_policy_cached(..., seed=s) for s in seeds]``
-    (or plain per-seed :func:`run_policy` runs when ``fault_plan``
-    makes the cell uncacheable): results are bit-identical to serial
-    runs and land in the same disk-cache namespaces
-    :func:`run_policy_cached` and :func:`measure_baseline` use, so
-    batch-produced cells are shared with — and reused from — the
-    serial paths.  Under the vector backend the uncached seeds advance
-    together through :func:`drive_sessions_vectorized`; homogeneous
-    seed batches (same mix, same policy, differing only in their
-    noise-drawn completion targets) are exactly the cells that fuse.
-    """
-    if executions is None:
-        executions = default_executions()
-    config = config or MachineConfig()
-    backend = resolve_backend()
-    is_baseline = policy == BASELINE
-    cacheable = fault_plan is None
-    disk = get_cache() if cacheable else None
-    results: Dict[int, RunResult] = {}
-    pending: List[int] = []
-    for seed in dict.fromkeys(seeds):
-        if not cacheable:
-            pending.append(seed)
-            continue
-        if is_baseline:
-            mem_key = (mix.name, config, executions, warmup, seed, backend)
-            cached = _BASELINE_CACHE.get(mem_key)
-            if cached is None:
-                hit, cached = disk.get(
-                    "baseline",
-                    (mix, config, executions, warmup, seed, backend),
-                )
-                if not hit:
-                    pending.append(seed)
-                    continue
-                _BASELINE_CACHE[mem_key] = cached
-            results[seed] = cached
-        else:
-            hit, cached = disk.get(
-                "run",
-                (mix, policy, executions, warmup, config, seed, backend),
-            )
-            if hit:
-                results[seed] = cached
-            else:
-                pending.append(seed)
-    if pending:
-        if not is_baseline:
-            # Deadlines come from the Baseline runs; batch those first
-            # so session construction finds them already cached.
-            run_policy_batch(
-                mix, BASELINE, executions=executions, warmup=warmup,
-                config=config, seeds=pending,
-            )
-        sessions = [
-            PolicySession(
-                mix, policy, executions=executions, warmup=warmup,
-                config=config, seed=seed, fault_plan=fault_plan,
-            )
-            for seed in pending
-        ]
-        if backend == BACKEND_VECTOR:
-            drive_sessions_vectorized(sessions)
-        else:
-            # Per-backend cache purity: never let the multi-cell driver
-            # produce results filed under another backend's keys (they
-            # are bit-identical by contract, but the keys exist exactly
-            # so a regression in one backend cannot leak).
-            for session in sessions:
-                session.run_to_end()
-        for seed, session in zip(pending, sessions):
-            result = session.result()
-            results[seed] = result
-            if not cacheable:
-                continue
-            if is_baseline:
-                disk.put(
-                    "baseline",
-                    (mix, config, executions, warmup, seed, backend),
-                    result,
-                )
-                _BASELINE_CACHE[
-                    (mix.name, config, executions, warmup, seed, backend)
-                ] = result
-            else:
-                disk.put(
-                    "run",
-                    (mix, policy, executions, warmup, config, seed, backend),
-                    result,
-                )
-    return [results[seed] for seed in seeds]
 
 
 @dataclass(frozen=True)

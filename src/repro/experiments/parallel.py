@@ -33,16 +33,7 @@ changes scheduling only, never results.  ``REPRO_PACK_CELLS`` overrides
 the per-pack cell cap.
 
 With ``seeds`` the grid grows a Monte-Carlo axis — every
-(mix, policy, seed) combination is a cell — and lane packing
-generalizes to **machine packing**: under the vector backend
-(``REPRO_SIM_BACKEND=vector``) packs group by (mix, policy) so each
-worker advances a whole seed batch through one
-:class:`~repro.sim.vector.MultiCell` driver
-(:func:`~repro.experiments.harness.run_policy_batch`), fusing agreeing
-cells into cell-axis kernels; ``REPRO_VECTOR_CELLS`` caps the machines
-per kernel inside the driver.  Machine packing, like lane packing,
-changes scheduling only — per-cell results stay bit-identical to
-serial single-seed runs and share the same disk-cache entries.
+(mix, policy, seed) combination is a cell, still packed by mix.
 
 The engine degrades rather than dies: a pool that cannot be created (or
 collapses during the prepare phase) falls back to the serial path with
@@ -72,8 +63,8 @@ overhead, all result-neutral and individually kill-switchable:
   :mod:`repro.experiments.diskcache`) and the shipped template shapes.
 * **Work stealing** (``REPRO_STEAL``): packs are seeded one per worker
   and the remainder drained from a deque as futures complete, with the
-  largest remaining pack split at seed-group boundaries when workers
-  idle — a straggler pack no longer bounds wall-clock.
+  largest remaining pack split in two when workers idle — a straggler
+  pack no longer bounds wall-clock.
 * **Columnar transport**: workers return packs as flat
   :class:`~repro.experiments.transport.EncodedPack` columns instead of
   pickled ``RunResult`` graphs; the parent decodes bit-identical
@@ -100,12 +91,10 @@ from repro.experiments.harness import (
     find_static_partition,
     get_profile,
     measure_baseline,
-    run_policy_batch,
     run_policy_cached,
 )
 from repro.experiments.mixes import Mix
 from repro.experiments.transport import EncodedPack, decode_pack, encode_pack
-from repro.sim.batch import BACKEND_VECTOR, resolve_backend
 from repro.sim.config import (
     ENV_CELL_TIMEOUT_S,
     ENV_PACK_CELLS,
@@ -240,54 +229,16 @@ def _policy_cell(args: Tuple) -> Tuple[Tuple, RunResult, float]:
     return key, result, time.perf_counter() - start
 
 
-def _seed_groups(pack: List[Tuple]) -> List[List[Tuple]]:
-    """Split a pack into runs of cells identical up to the seed."""
-    groups: List[List[Tuple]] = []
-    signature = None
-    for cell in pack:
-        sig = (cell[0].name, cell[1], cell[2], cell[3], cell[4])
-        if groups and sig == signature:
-            groups[-1].append(cell)
-        else:
-            groups.append([cell])
-            signature = sig
-    return groups
-
-
 def _run_pack(pack: List[Tuple]) -> List[Tuple[Tuple, RunResult, float]]:
     """Worker: run a lane pack of cells back to back.
 
     Cells in a pack share a mix, so after the first cell the worker's
     in-process caches hold the mix's profile, baseline, and partition;
     the remaining cells skip the disk-cache round trips entirely.
-    Consecutive cells that differ only in their seed (a machine pack)
-    advance as one :func:`~repro.experiments.harness.run_policy_batch`
-    seed batch — under the vector backend that is a fused MultiCell
-    drive; under the others it degrades to the serial per-seed loop.
-    Either way each cell's result is byte-identical to unpacked
-    dispatch and lands in the same disk-cache entry.
+    Each cell's result is byte-identical to unpacked dispatch and lands
+    in the same disk-cache entry.
     """
-    out: List[Tuple[Tuple, RunResult, float]] = []
-    for group in _seed_groups(pack):
-        if len(group) < 2:
-            out.append(_policy_cell(group[0]))
-            continue
-        mix, policy, executions, warmup, config = group[0][:5]
-        seeds = [cell[5] for cell in group]
-        start = time.perf_counter()
-        batch = run_policy_batch(
-            mix,
-            policy,
-            executions=executions,
-            warmup=warmup,
-            config=config,
-            seeds=seeds,
-        )
-        spent = (time.perf_counter() - start) / len(group)
-        out.extend(
-            (cell[6], result, spent) for cell, result in zip(group, batch)
-        )
-    return out
+    return [_policy_cell(cell) for cell in pack]
 
 
 def _run_pack_encoded(pack: List[Tuple]) -> EncodedPack:
@@ -394,27 +345,21 @@ def last_sweep() -> Optional[SweepResult]:
     return _LAST_SWEEP
 
 
-def _pack_cells(
-    cells: List[Tuple], workers: int, by_policy: bool = False
-) -> List[List[Tuple]]:
+def _pack_cells(cells: List[Tuple], workers: int) -> List[List[Tuple]]:
     """Group cells into per-mix packs of at most K cells.
 
     K defaults to an even split of the grid over the workers (so packing
     never *reduces* parallelism when there are spare workers) and can be
-    pinned with ``REPRO_PACK_CELLS``.  With ``by_policy`` (a seeded
-    sweep under the vector backend) packs group by (mix, policy)
-    instead of by mix alone, so each pack is a seed batch the worker
-    can advance through one MultiCell driver — machine packing.
+    pinned with ``REPRO_PACK_CELLS``.
     """
     cap = env_pack_cells() or 0
     if cap < 1:
         cap = max(1, -(-len(cells) // max(1, workers)))
-    by_group: Dict[Tuple, List[Tuple]] = {}
+    by_mix: Dict[str, List[Tuple]] = {}
     for cell in cells:
-        key = (cell[0].name, cell[1].name) if by_policy else (cell[0].name,)
-        by_group.setdefault(key, []).append(cell)
+        by_mix.setdefault(cell[0].name, []).append(cell)
     packs: List[List[Tuple]] = []
-    for group in by_group.values():
+    for group in by_mix.values():
         for index in range(0, len(group), cap):
             packs.append(group[index:index + cap])
     return packs
@@ -441,9 +386,7 @@ def run_grid(
 
     ``executions`` defaults from ``REPRO_EXECUTIONS`` (resolved here,
     once, so every fanned-out cell sees the same value).  ``seeds``
-    turns the sweep into a Monte-Carlo grid; under the vector backend
-    the per-(mix, policy) seed batches advance through fused MultiCell
-    drivers (see the module docstring).
+    turns the sweep into a Monte-Carlo grid.
     """
     if executions is None:
         executions = default_executions()
@@ -465,12 +408,10 @@ def run_grid(
                     (mix, policy, executions, warmup, config, cell_seed,
                      key)
                 )
-    by_policy = seeded and resolve_backend() == BACKEND_VECTOR
     start = time.perf_counter()
     sweep = SweepResult(workers=workers)
     if workers > 1 and len(cells) > 1:
-        lost = _run_parallel(sweep, mixes, policies, cells, workers,
-                             by_policy)
+        lost = _run_parallel(sweep, mixes, policies, cells, workers)
         if lost is not None:
             sweep.mode = "parallel"
             _retry_lost_cells(sweep, lost)
@@ -481,7 +422,7 @@ def run_grid(
                             fallback_reason=sweep.fallback_reason)
     sweep.mode = "serial"
     sweep.workers = 1
-    for pack in _pack_cells(cells, 1, by_policy):
+    for pack in _pack_cells(cells, 1):
         for key, result, spent in _run_pack(pack):
             sweep.results[key] = result
             sweep.cell_timings[key] = spent
@@ -535,7 +476,6 @@ def _run_parallel(
     policies: Sequence[Policy],
     cells: List[Tuple],
     workers: int,
-    by_policy: bool = False,
 ) -> Optional[List[Tuple]]:
     """Execute the two-phase fan-out.
 
@@ -564,7 +504,7 @@ def _run_parallel(
                 (cell[0], tuple(policies), executions, warmup, config,
                  cell[5])
             )
-    packs = _pack_cells(cells, workers, by_policy)
+    packs = _pack_cells(cells, workers)
     timeout_s = env_cell_timeout_s()
     mix_map = {mix.name: mix for mix in mixes}
     # Without pool reuse the pool is sized to the cell count exactly as
@@ -683,11 +623,10 @@ def _dispatch_stealing(
 
     The remaining packs wait in a largest-first deque and are handed
     out as futures complete; when idle capacity exceeds the queue
-    length the largest queued pack is split at a seed-group boundary.
-    Which worker runs a pack — and how packs are split — changes
-    scheduling only: every cell's result depends on its arguments
-    alone, and ``run_policy_batch`` sub-batches are bit-identical to
-    the unsplit batch (pinned by the warm-pool determinism suite).
+    length the largest queued pack is split in two.  Which worker runs
+    a pack — and how packs are split — changes scheduling only: every
+    cell's result depends on its arguments alone (pinned by the
+    warm-pool determinism suite).
 
     Per-pack deadlines (``REPRO_CELL_TIMEOUT_S``) run from submission;
     an expired pack is cancelled and its cells lost for the serial
@@ -812,38 +751,20 @@ def _submit_pack(
 def _split_largest(
     sweep: SweepResult, queue: Deque[List[Tuple]]
 ) -> bool:
-    """Split the largest queued pack in two; False when none can split."""
+    """Split the largest queued pack at its midpoint; False when none
+    can split."""
     if not queue:
         return False
     index = max(range(len(queue)), key=lambda i: len(queue[i]))
     pack = queue[index]
     if len(pack) < 2:
         return False
-    head, tail = _split_pack(pack)
+    half = len(pack) // 2
     del queue[index]
-    queue.append(head)
-    queue.append(tail)
+    queue.append(pack[:half])
+    queue.append(pack[half:])
     sweep.packs_split += 1
     return True
-
-
-def _split_pack(pack: List[Tuple]) -> Tuple[List[Tuple], List[Tuple]]:
-    """Cut a pack near its midpoint, preferring a seed-group boundary.
-
-    A cut inside a seed group merely splits one ``run_policy_batch``
-    call into two smaller ones (bit-identical per cell, slightly less
-    fusion), so it is allowed when the pack is a single group.
-    """
-    half = len(pack) // 2
-    cut = half
-    boundaries = []
-    total = 0
-    for group in _seed_groups(pack)[:-1]:
-        total += len(group)
-        boundaries.append(total)
-    if boundaries:
-        cut = min(boundaries, key=lambda b: abs(b - half))
-    return pack[:cut], pack[cut:]
 
 
 def _collect_pack(

@@ -21,7 +21,7 @@ Every fault time in a materialized :class:`FleetSchedule` is a plain
 float of virtual fleet seconds, independent of the simulation backend;
 the control plane quantizes them to its round cadence, so the combined
 :class:`FleetFaultReport` ``event_signature`` is comparable across
-scalar/batch/vector backends the same way the single-node signature is.
+scalar and batch backends the same way the single-node signature is.
 """
 
 from __future__ import annotations

@@ -63,14 +63,8 @@ BACKEND_SCALAR = "scalar"
 #: Run-to-next-event batch engine (this module).
 BACKEND_BATCH = "batch"
 
-#: Multi-cell structure-of-arrays backend (:mod:`repro.sim.vector`).
-#: A single machine under this backend advances through its batch
-#: engine (bit-identical); the fused cell-axis kernels engage when a
-#: :class:`repro.sim.vector.MultiCell` drives many machines at once.
-BACKEND_VECTOR = "vector"
-
 #: All recognized backends.
-BACKENDS = (BACKEND_SCALAR, BACKEND_BATCH, BACKEND_VECTOR)
+BACKENDS = (BACKEND_SCALAR, BACKEND_BATCH)
 
 # ENV_BACKEND (re-exported from repro.sim.config) selects the backend.
 
@@ -103,8 +97,7 @@ def event_horizon(machine, budget: int) -> int:
 
     Exact, and capped at ``budget``: 0 when an event is due at the
     current tick.  Phase boundaries and FG completions need no term
-    here — every span kernel (and the vector backend's fused cell-axis
-    kernels) detects them exactly and stops at them.
+    here — every span kernel detects them exactly and stops at them.
     """
     now = machine.clock.tick
     horizon = budget

@@ -164,11 +164,8 @@ ENV_WORKERS = "REPRO_WORKERS"
 #: Cap on cells per lane pack in the parallel sweep engine.
 ENV_PACK_CELLS = "REPRO_PACK_CELLS"
 
-#: Simulation backend selector (``scalar``, ``batch``, or ``vector``).
+#: Simulation backend selector (``scalar`` or ``batch``).
 ENV_BACKEND = "REPRO_SIM_BACKEND"
-
-#: Cap on machines fused per vector-kernel call (multi-cell backend).
-ENV_VECTOR_CELLS = "REPRO_VECTOR_CELLS"
 
 #: Root directory of the persistent result cache.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -266,14 +263,6 @@ KNOBS: Tuple[EnvKnob, ...] = (
     EnvKnob(
         ENV_BACKEND, "env_backend", "str", "batch", "resolve_backend",
         "Simulation backend (scalar reference or batch engine).",
-    ),
-    EnvKnob(
-        # Scheduling-only: the cap changes how many machines share one
-        # fused kernel call, never what any machine computes — fused and
-        # per-machine advancement are bit-identical, pinned by
-        # tests/sim/test_vector_equivalence.py.
-        ENV_VECTOR_CELLS, "env_vector_cells", "int", "unlimited", None,
-        "Machines fused per vector kernel call (scheduling only).",
     ),
     EnvKnob(
         ENV_CACHE_DIR, "cache_dir", "path", DEFAULT_CACHE_DIR, None,
@@ -411,23 +400,6 @@ def env_backend() -> Optional[str]:
     cache key folds in.
     """
     return os.environ.get(ENV_BACKEND) or None
-
-
-def env_vector_cells() -> Optional[int]:
-    """``REPRO_VECTOR_CELLS`` as a positive int, or None when unset.
-
-    None means "no cap" (every lockstep group fuses whole).  Invalid
-    values degrade to None rather than failing a run over a typo; the
-    knob only affects scheduling — fused and per-machine advancement
-    are bit-identical.
-    """
-    raw = os.environ.get(ENV_VECTOR_CELLS)
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 #: Values that switch a ``flag`` knob off, compared after stripping

@@ -26,15 +26,14 @@ from repro.workloads.spec import WorkloadSpec
 CompletionListener = Callable[[Process, ExecutionRecord], None]
 
 #: Hot-state attributes the scalar ``tick`` kernel mutates that are
-#: *intentionally* absent from the other backends' mirrored-state
-#: registries (:data:`repro.sim.vector.CELL_COLUMNS`,
-#: :data:`repro.sim.spanplan.KERNEL_STATE`): the ``_b_*`` names are
-#: per-tick scratch buffers — gather arrays reloaded from scratch at
-#: the top of every tick, never read across ticks — so a backend that
-#: skips them loses nothing.  ``repro lint``'s ``COV`` rules parse this
-#: allowlist from the module source and flag any entry that stops
-#: matching a mutation in the hot path (a stale allowlist is itself an
-#: error), so additions here stay honest.
+#: *intentionally* absent from the span kernels' mirrored-state
+#: registry (:data:`repro.sim.spanplan.KERNEL_STATE`): the ``_b_*``
+#: names are per-tick scratch buffers — gather arrays reloaded from
+#: scratch at the top of every tick, never read across ticks — so a
+#: backend that skips them loses nothing.  ``repro lint``'s ``COV002``
+#: parses this allowlist from the module source and flags any entry
+#: that stops matching a mutation in the hot path (a stale allowlist is
+#: itself an error), so additions here stay honest.
 SCALAR_ONLY_STATE = frozenset({
     "_b_core", "_b_proc", "_b_phase", "_b_mpki", "_b_freq", "_b_coef",
     "_b_sens", "_b_fh", "_b_cpi0", "_b_jit", "_b_ips",
@@ -50,14 +49,10 @@ class Machine:
         backend: Optional[str] = None,
     ) -> None:
         self.config = config or MachineConfig()
-        #: Active simulation backend ("scalar", "batch", or "vector");
-        #: resolved from the ``backend`` argument, then
-        #: ``REPRO_SIM_BACKEND``, then the default.  Only affects how
-        #: ``run_ticks`` advances the machine; ``tick()`` is always the
-        #: scalar reference kernel.  A lone vector-backend machine
-        #: advances through its batch engine (bit-identical); the fused
-        #: cell-axis kernels engage when a
-        #: :class:`repro.sim.vector.MultiCell` drives many machines.
+        #: Active simulation backend ("scalar" or "batch"); resolved
+        #: from the ``backend`` argument, then ``REPRO_SIM_BACKEND``,
+        #: then the default.  Only affects how ``run_ticks`` advances
+        #: the machine; ``tick()`` is always the scalar reference kernel.
         self.backend = resolve_backend(backend)
         self.clock = VirtualClock(self.config.tick_s)
         self._timer_rng = derive_rng(self.config.seed, "timer")

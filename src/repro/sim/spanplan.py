@@ -86,8 +86,7 @@ from repro.sim.perf import (
 from repro.sim.process import STATE_RUNNING
 
 __all__ = [
-    "SpanPlan", "SpanPlanner", "SpanStats",
-    "compile_cell_kernel", "consume_kernel_cache_stats",
+    "SpanPlan", "SpanPlanner", "SpanStats", "consume_kernel_cache_stats",
     "generate_kernel_source", "kernel_cache_stats", "preload_kernels",
     "template_shapes",
 ]
@@ -121,15 +120,6 @@ class SpanStats:
       skip this);
     * ``plan_builds`` / ``plan_reuses``: span-plan cache behavior;
     * ``kernels_compiled``: distinct span shapes compiled to code;
-    * ``vector_spans``: fused multi-cell spans run by the vector
-      backend's cell-axis kernels (:mod:`repro.sim.vector`);
-    * ``cells_per_span``: total cells across those fused spans (the
-      mean fusion width is ``cells_per_span / vector_spans``);
-    * ``vector_ticks``: cell-ticks executed by cell-axis kernels (one
-      fused span of ``C`` cells times ``T`` ticks counts ``C * T``);
-    * ``vector_peels``: cells that diverged mid-span (phase boundary or
-      execution completion) and peeled off to their per-machine batch
-      engine for one tick before regrouping;
     * ``rho_iterations``: fixed-point iterations run by compiled
       kernels (cold-solved ticks times the unrolled iteration count;
       warm ticks contribute nothing);
@@ -141,9 +131,6 @@ class SpanStats:
       representative's per-tick solve in dedup kernels;
     * ``table_builds``: exact solver tables built — clone classes a
       dedup kernel was compiled for;
-    * ``partial_peels``: cells evicted from a fused multi-cell span
-      while the surviving cells kept running fused (wholesale span
-      aborts do not count);
     * ``kernel_wakeups``: an attached sampler's sample-only wakeups the
       span kernels took themselves (buffered, then replayed through
       the sampler) instead of ending a span to fire them as timers.
@@ -159,15 +146,10 @@ class SpanStats:
         "plan_builds",
         "plan_reuses",
         "kernels_compiled",
-        "vector_spans",
-        "cells_per_span",
-        "vector_ticks",
-        "vector_peels",
         "rho_iterations",
         "rho_warm_hits",
         "table_hits",
         "table_builds",
-        "partial_peels",
         "kernel_wakeups",
     )
 
@@ -251,11 +233,6 @@ def _kernel_source(shape: tuple) -> str:
     return source
 
 
-def _compile_filename(shape: tuple) -> str:
-    return "<spanplan-cell>" if shape and shape[0] == "cell" \
-        else "<spanplan>"
-
-
 def preload_kernels() -> int:
     """Warm the in-process kernel code cache; returns kernels compiled.
 
@@ -271,7 +248,7 @@ def preload_kernels() -> int:
             if shape in _KERNEL_CODE_CACHE:
                 continue
             try:
-                code = compile(source, _compile_filename(shape), "exec")
+                code = compile(source, "<spanplan>", "exec")
             except SyntaxError:  # pragma: no cover - digest-verified
                 continue
             _KERNEL_CODE_CACHE[shape] = code
@@ -281,9 +258,7 @@ def preload_kernels() -> int:
         if shape in _KERNEL_CODE_CACHE:
             continue
         source = _kernel_source(shape)
-        _KERNEL_CODE_CACHE[shape] = compile(
-            source, _compile_filename(shape), "exec"
-        )
+        _KERNEL_CODE_CACHE[shape] = compile(source, "<spanplan>", "exec")
         count += 1
     _KERNEL_DISK_COUNTERS["kernels_preloaded"] += count
     return count
@@ -820,371 +795,6 @@ def _generate_source(shape: tuple) -> str:
 
 
 # ----------------------------------------------------------------------
-# Cell-axis kernel code generation (vector backend)
-# ----------------------------------------------------------------------
-#
-# A *cell shape* batches the same span across C independent machines
-# ("cells") whose shared model state — per-lane phase constants,
-# occupancy, rho, frequencies — is bit-identical:
-#
-#   ("cell", num_cores, cores, isfg, apki_pos, snap, groups, guard_lanes)
-#
-# Cell kernels are always jitter-free, energy-free, and stolen-free
-# (the vector driver only fuses machines that qualify).  Because every
-# per-tick model quantity (miss curves, the rho fixed point, the cache
-# occupancy update) is a pure function of the *shared* state, it is
-# computed once per tick in scalar Python floats — the very same
-# emission as the span kernels — and only the per-cell accumulation
-# crosses into array land: the per-lane increments land in a (6n, 1)
-# column buffer and a single broadcast ``st += bu`` applies the tick to
-# every cell's counters, progress, and misses at once.  Elementwise
-# float64 array addition is IEEE-identical to the scalar ``a + b``, and
-# each cell's row accumulates left-associated in tick order, so the
-# fused path is bit-identical to advancing each cell alone.
-#
-# Divergence is handled by *trip-and-discard*: phase-boundary guards
-# and FG completion predicates are evaluated across the cell axis
-# before a tick is applied; if any cell trips, the kernel discards the
-# tick (restoring rho) and returns the boolean trip mask.  The driver
-# replays that one tick through each tripped cell's own batch engine —
-# bit-identical by the span-equivalence contract — while the rest stay
-# fused.
-
-
-def _generate_cell_source(shape: tuple) -> str:
-    """Generate the ``_factory``/``run`` source for one cell shape.
-
-    The emitted ``run(span, rho, g_0...)`` advances up to ``span``
-    ticks of C cells at once.  Guard bounds ``g_j`` arrive as per-cell
-    arrays (length C) because wrapped BG phase offsets differ across
-    cells even when the model state agrees.  Returns ``(executed, rho,
-    stat_ticks, mh, mm, mce, trip)`` where ``trip`` is ``None`` or a
-    per-cell boolean mask of the cells that must peel off.
-
-    The stationary fast path amortizes trip checks: once increments
-    are span-constant, a conservatively under-estimated safe tick
-    count (0.1% margin against accumulated rounding, minus two ticks)
-    runs check-free — the per-tick cost collapses to one broadcast
-    array addition.
-    """
-    (_tag, num_cores, cores, isfg, apki_pos, snap, groups,
-     guard_lanes) = shape
-    n = len(cores)
-    lane_of_core = {cores[i]: i for i in range(n) if apki_pos[i]}
-    inactive = [c for c in range(num_cores) if c not in lane_of_core]
-    track_idle = (not snap) and bool(inactive)
-    fg_lanes = [i for i in range(n) if isfg[i]]
-
-    lines: List[str] = []
-    add = lines.append
-
-    add("def _factory(plan, e_, ln_, ms_, an_, mn_):")
-    # ---- per-plan constant bindings (closure cells of ``run``) ----
-    for i in range(n):
-        add("    fl_%d = plan.floor[%d]" % (i, i))
-        add("    dl_%d = plan.delta[%d]" % (i, i))
-        add("    ws_%d = plan.wscale[%d]" % (i, i))
-        add("    se_%d = plan.sens[%d]" % (i, i))
-        add("    fq_%d = plan.freq[%d]" % (i, i))
-        add("    fh_%d = plan.fh[%d]" % (i, i))
-        add("    cp_%d = plan.cpi0[%d]" % (i, i))
-        if apki_pos[i]:
-            add("    ap_%d = plan.apki[%d]" % (i, i))
-    add("    pwa = plan.prev_w")
-    add("    mpa = plan.mpki_a")
-    add("    coa = plan.coef")
-    add("    eff = plan.eff")
-    add("    ipv = plan.ips_prev")
-    add("    wb = plan.wbuf")
-    add("    tb = plan.tbuf")
-    add("    dt = plan.dt")
-    add("    base_ns = plan.base_ns")
-    add("    scl = plan.scale")
-    add("    rho_cap = plan.rho_cap")
-    add("    inv_peak = plan.inv_peak")
-    if not snap:
-        add("    alpha = plan.alpha")
-    add("    memo = plan.memo")
-    add("    memo_get = memo.get")
-    add("    maxm = plan.max_memo")
-    # Cell-axis state: st stacks [CI; CC; CA; CM; P; EM] lane-blocks as
-    # a (6n, C) array; bu is the (6n, 1) per-tick increment column.
-    add("    st_c = plan.state")
-    add("    bu = plan.buf")
-    for i in range(n):
-        add("    pr_%d = plan.prows[%d]" % (i, i))
-    for i in fg_lanes:
-        add("    tt_%d = plan.tts[%d]" % (i, i))
-
-    g_args = "".join(", g_%d" % j for j in range(len(guard_lanes)))
-    add("    def run(span, rho%s):" % g_args)
-
-    # ---- prologue: load shared mutable state into locals ----
-    for c in range(num_cores):
-        add("        ef_%d = eff[%d]" % (c, c))
-    for i in range(n):
-        add("        pw_%d = pwa[%d]" % (i, i))
-        add("        mp_%d = mpa[%d]" % (i, i))
-        add("        co_%d = coa[%d]" % (i, i))
-    add("        trip = None")
-    # tck reports the trip kind: True for an FG completion (the cell
-    # must replay the divergent tick through the scalar kernel), False
-    # for a phase-boundary guard (a cursor resync suffices — the next
-    # tick is a normal model tick under the advanced cursor).
-    add("        tck = False")
-    # ``st += bu`` rebinds: st must be a local, seeded from the closure
-    # cell (the ndarray itself is shared; += mutates it in place).
-    add("        st = st_c")
-    add("        executed = 0")
-    add("        stat_ticks = 0")
-    add("        mh = 0")
-    add("        mm = 0")
-    add("        mce = 0")
-    add("        stationary = False")
-
-    def emit_guard_trip(ind: str) -> None:
-        # Same top-of-tick position and predicate as the span kernels'
-        # ``if p_l >= g_j: break``, evaluated across the cell axis.
-        if not guard_lanes:
-            return
-        for j, lane in enumerate(guard_lanes):
-            if j == 0:
-                add(ind + "tm = pr_%d >= g_%d" % (lane, j))
-            else:
-                add(ind + "tm = tm | (pr_%d >= g_%d)" % (lane, j))
-        add(ind + "if an_(tm):")
-        add(ind + "    trip = tm")
-        add(ind + "    break")
-
-    ips_tuple = ", ".join("ips_%d" % i for i in range(n))
-    mp_tuple = ", ".join("mp_%d" % i for i in range(n))
-
-    def emit_fixed_point(ind: str) -> None:
-        for _ in range(_FIXED_POINT_ITERATIONS):
-            add(ind + "pen = base_ns * (1.0 + scl * rho / (1.0 - rho))")
-            for i in range(n):
-                add(ind + "ips_%d = fh_%d / (cp_%d + co_%d * pen * "
-                    "se_%d * fq_%d)" % (i, i, i, i, i, i))
-                if i == 0:
-                    add(ind + "tmr = ips_0 * mp_0 * ms_")
-                else:
-                    add(ind + "tmr = tmr + ips_%d * mp_%d * ms_" % (i, i))
-            add(ind + "nr = tmr * inv_peak")
-            add(ind + "rho = nr if nr < rho_cap else rho_cap")
-
-    def emit_completion_trip(ind: str, inc: str) -> None:
-        # The span kernels' FG completion predicate ``inst >= rem > 0``
-        # across the cell axis, with ``rem`` evaluated on pre-add
-        # progress exactly as the scalar kernel evaluates it.
-        if not fg_lanes:
-            return
-        for j, i in enumerate(fg_lanes):
-            add(ind + "rm = tt_%d - pr_%d" % (i, i))
-            expr = "(rm <= %s) & (rm > 0.0)" % (inc % i)
-            if j == 0:
-                add(ind + "cmv = %s" % expr)
-            else:
-                add(ind + "cmv = cmv | (%s)" % expr)
-        add(ind + "if an_(cmv):")
-        add(ind + "    trip = cmv")
-        add(ind + "    tck = True")
-
-    m1 = "            "
-    m2 = m1 + "    "
-
-    # ================= full-model loop =================
-    add("        while executed < span:")
-    emit_guard_trip(m1)
-
-    # -- shared miss curves (same emission as the span kernels) --
-    add(m1 + "wch = False")
-    for i in range(n):
-        add(m1 + "w = ef_%d" % cores[i])
-        add(m1 + "if w < 0.0:")
-        add(m1 + "    w = 0.0")
-        add(m1 + "if w != pw_%d:" % i)
-        add(m1 + "    wch = True")
-        add(m1 + "    pw_%d = w" % i)
-        add(m1 + "    mce += 1")
-        add(m1 + "    mp_%d = fl_%d + dl_%d * e_(-w / ws_%d)"
-            % (i, i, i, i))
-        add(m1 + "    co_%d = mp_%d * ms_" % (i, i))
-
-    # -- shared rho fixed point, memoized on exact inputs --
-    add(m1 + "rho_in = rho")
-    add(m1 + "mk = (rho, %s)" % mp_tuple)
-    add(m1 + "hit = memo_get(mk)")
-    add(m1 + "if hit is None:")
-    add(m1 + "    mm += 1")
-    emit_fixed_point(m1 + "    ")
-    add(m1 + "    if ln_(memo) >= maxm:")
-    add(m1 + "        memo.clear()")
-    add(m1 + "    memo[mk] = (%s, rho)" % ips_tuple)
-    add(m1 + "else:")
-    add(m1 + "    mh += 1")
-    add(m1 + "    %s, rho = hit" % ips_tuple)
-
-    # -- per-lane shared increments, completion trip, tick apply --
-    for i in range(n):
-        add(m1 + "in_%d = ips_%d * dt" % (i, i))
-        add(m1 + "mi_%d = ips_%d * mp_%d * ms_ * dt" % (i, i, i))
-    if fg_lanes:
-        emit_completion_trip(m1, "in_%d")
-        # Discard the tick: rho reverts to its entering value; the
-        # locally recomputed miss curves are pure functions of the
-        # unchanged occupancy, so dropping them is bit-neutral.
-        add(m1 + "    rho = rho_in")
-        add(m1 + "    break")
-    for i in range(n):
-        add(m1 + "cy_%d = fh_%d * dt" % (i, i))
-        if apki_pos[i]:
-            add(m1 + "ac_%d = in_%d * ap_%d * ms_" % (i, i, i))
-            add(m1 + "wt_%d = ap_%d * ips_%d" % (i, i, i))
-        else:
-            add(m1 + "ac_%d = mi_%d" % (i, i))
-    buf_vals = (
-        ["in_%d" % i for i in range(n)]
-        + ["cy_%d" % i for i in range(n)]
-        + ["ac_%d" % i for i in range(n)]
-        + ["mi_%d" % i for i in range(n)]
-        + ["in_%d" % i for i in range(n)]
-        + ["mi_%d" % i for i in range(n)]
-    )
-    add(m1 + "bu[:, 0] = (%s)" % ", ".join(buf_vals))
-    add(m1 + "st += bu")
-
-    # -- inline SharedCache.tick_update for the span grouping --
-    if track_idle:
-        add(m1 + "ichg = False")
-    for ways, lanes_g in groups:
-        terms = " + ".join("wt_%d" % l for l in lanes_g)
-        add(m1 + "tot = %s" % terms)
-        for l in lanes_g:
-            add(m1 + "tg_%d = %d * wt_%d / tot" % (l, ways, l))
-    for c in range(num_cores):
-        i = lane_of_core.get(c)
-        if snap:
-            if i is None:
-                add(m1 + "ef_%d = 0.0" % c)
-            else:
-                add(m1 + "ef_%d = tg_%d" % (c, i))
-        elif i is None:
-            if track_idle:
-                add(m1 + "nef = ef_%d + alpha * (0.0 - ef_%d)" % (c, c))
-                add(m1 + "if nef != ef_%d:" % c)
-                add(m1 + "    ichg = True")
-                add(m1 + "ef_%d = nef" % c)
-            else:
-                add(m1 + "ef_%d = ef_%d + alpha * (0.0 - ef_%d)"
-                    % (c, c, c))
-        else:
-            add(m1 + "ef_%d = ef_%d + alpha * (tg_%d - ef_%d)"
-                % (c, c, i, c))
-    add(m1 + "executed += 1")
-
-    # -- stationarity entry: shared state at its exact fixed point --
-    cond = "not wch and rho == rho_in"
-    if track_idle:
-        cond += " and not ichg"
-    add(m1 + "if %s:" % cond)
-    for i in range(n):
-        add(m2 + "ii_%d = ips_%d * dt" % (i, i))
-        add(m2 + "ic_%d = fh_%d * dt" % (i, i))
-        add(m2 + "im_%d = ips_%d * mp_%d * ms_ * dt" % (i, i, i))
-        if apki_pos[i]:
-            add(m2 + "ia_%d = ii_%d * ap_%d * ms_" % (i, i, i))
-        else:
-            add(m2 + "ia_%d = im_%d" % (i, i))
-    stat_vals = (
-        ["ii_%d" % i for i in range(n)]
-        + ["ic_%d" % i for i in range(n)]
-        + ["ia_%d" % i for i in range(n)]
-        + ["im_%d" % i for i in range(n)]
-        + ["ii_%d" % i for i in range(n)]
-        + ["im_%d" % i for i in range(n)]
-    )
-    add(m2 + "bu[:, 0] = (%s)" % ", ".join(stat_vals))
-    add(m2 + "stationary = True")
-    add(m2 + "break")
-
-    # ================= stationary loop =================
-    add("        if stationary:")
-    add(m1 + "while executed < span:")
-    emit_guard_trip(m2)
-    if fg_lanes:
-        emit_completion_trip(m2, "ii_%d")
-        add(m2 + "    break")
-    add(m2 + "st += bu")
-    add(m2 + "executed += 1")
-    add(m2 + "stat_ticks += 1")
-    # Amortized check-free block: the next trip needs at least
-    # margin/increment more ticks; 0.1% slack plus two ticks bounds
-    # the accumulated rounding of the sequential adds (relative error
-    # < span * 2^-52, nine orders of magnitude below the slack), so
-    # running that many ticks without checks cannot overshoot a trip.
-    add(m2 + "k = span - executed")
-    for j, lane in enumerate(guard_lanes):
-        add(m2 + "kg = (mn_(g_%d - pr_%d) / ii_%d) * 0.999 - 2.0"
-            % (j, lane, lane))
-        add(m2 + "if kg < k:")
-        add(m2 + "    k = kg")
-    for i in fg_lanes:
-        add(m2 + "kc = ((mn_(tt_%d - pr_%d) - ii_%d) / ii_%d)"
-            " * 0.999 - 2.0" % (i, i, i, i))
-        add(m2 + "if kc < k:")
-        add(m2 + "    k = kc")
-    add(m2 + "while k >= 1.0:")
-    add(m2 + "    st += bu")
-    add(m2 + "    executed += 1")
-    add(m2 + "    stat_ticks += 1")
-    add(m2 + "    k = k - 1.0")
-
-    # ---- epilogue: write shared state back (per-cell state lives in
-    # ``st`` and is scattered by the driver) ----
-    add("        if executed:")
-    for c in range(num_cores):
-        add("            eff[%d] = ef_%d" % (c, c))
-    for i in range(n):
-        add("            pwa[%d] = pw_%d" % (i, i))
-        add("            mpa[%d] = mp_%d" % (i, i))
-        add("            coa[%d] = co_%d" % (i, i))
-        add("            ipv[%d] = ips_%d" % (cores[i], i))
-    for c in range(num_cores):
-        i = lane_of_core.get(c)
-        if i is None:
-            add("            wb[%d] = 0.0" % c)
-            add("            tb[%d] = 0.0" % c)
-        else:
-            add("            wb[%d] = wt_%d" % (c, i))
-            add("            tb[%d] = tg_%d" % (c, i))
-    add("        return executed, rho, stat_ticks, mh, mm, mce, trip, tck")
-    add("    return run")
-    add("")
-    return "\n".join(lines)
-
-
-def compile_cell_kernel(shape: tuple, plan, stats: SpanStats,
-                        an_, mn_):
-    """Compile (or fetch) the cell-axis kernel for ``shape``.
-
-    ``plan`` must expose the attribute surface the factory binds
-    (shared model constants as in :class:`SpanPlan`, plus ``state`` /
-    ``buf`` / ``prows`` / ``tts`` for the cell axis).  ``an_`` and
-    ``mn_`` are the array ``any`` / ``min`` reductions — passed in by
-    the vector driver so this module never imports numpy.
-    """
-    code = _KERNEL_CODE_CACHE.get(shape)
-    if code is None:
-        source = _kernel_source(shape)
-        code = compile(source, "<spanplan-cell>", "exec")
-        _KERNEL_CODE_CACHE[shape] = code
-        stats.kernels_compiled += 1
-    namespace: Dict[str, object] = {"__builtins__": {}}
-    exec(code, namespace)
-    return namespace["_factory"](plan, math.exp, len, MPKI_SCALE, an_, mn_)
-
-
-# ----------------------------------------------------------------------
 # Kernel-template entry points (audit surface)
 # ----------------------------------------------------------------------
 #
@@ -1199,19 +809,14 @@ def compile_cell_kernel(shape: tuple, plan, stats: SpanStats,
 def generate_kernel_source(shape: tuple) -> str:
     """Render the kernel source for one shape, without compiling.
 
-    Span shapes are the 8-tuple ``(num_cores, isfg, apki_pos, jitter,
-    snap, groups, has_energy, classes)`` described above (``groups``
-    must partition the ``apki_pos`` lanes; ``classes`` maps each lane
-    to its clone-class representative, the identity for plain
-    kernels); cell shapes are the ``("cell",
-    num_cores, cores, isfg, apki_pos, snap, groups, guard_lanes)``
-    tuples of the vector backend.  Either way
-    this is the exact string the compile helpers would
+    Shapes are the 8-tuple ``(num_cores, isfg, apki_pos, jitter, snap,
+    groups, has_energy, classes)`` described above (``groups`` must
+    partition the ``apki_pos`` lanes; ``classes`` maps each lane to its
+    clone-class representative, the identity for plain kernels).  This
+    is the exact string :func:`_compile_kernel` would
     ``exec``-compile — the static analyzer and the tests audit it
     directly.
     """
-    if shape and shape[0] == "cell":
-        return _generate_cell_source(shape)
     return _generate_source(shape)
 
 
@@ -1225,15 +830,8 @@ SHAPE_FIELDS = (
     "has_energy", "classes",
 )
 
-#: Field names of the 8-tuple cell-axis shapes (``shape[0] == "cell"``).
-CELL_SHAPE_FIELDS = (
-    "kind", "num_cores", "cores", "isfg", "apki_pos", "snap",
-    "groups", "guard_lanes",
-)
-
 #: Machine-readable registry of the scalar hot-state surface the
-#: span-compiled kernels mirror, in the same key naming as
-#: :data:`repro.sim.vector.CELL_COLUMNS` (plain machine attributes,
+#: span-compiled kernels mirror (plain machine attributes,
 #: ``process.<member>`` entries, ``<name>()`` state-advancing
 #: callables).  ``COV002`` cross-checks it against the AST def-use
 #: extraction of ``Machine.tick`` in both directions, so a new
@@ -1326,22 +924,6 @@ def template_shapes() -> Tuple[tuple, ...]:
         # charge while the solver stays per-class.
         (6, fg_of_six, (True,) * 6, False, False, (six,), False,
          (0, 1, 1, 1, 1, 1)),
-        # ---- cell-axis shapes (vector backend) ----
-        # Canonical contended fusion: 1 FG + 5 BG across cells,
-        # inertia occupancy, FG + BG guards, one shared group.
-        ("cell", 6, six, fg_of_six, (True,) * 6, False,
-         ((16, six),), (0, 1)),
-        # Minimal standalone FG seed batch (the Monte-Carlo shape the
-        # multi_cell benchmark measures): snap occupancy, FG guard.
-        ("cell", 6, (0,), (True,), (True,), True, ((16, (0,)),), (0,)),
-        # Idle core under inertia (idle-change tracking engages) with
-        # split cache groups and no guards.
-        ("cell", 6, (0, 1, 2, 3, 4), (True, False, False, False, False),
-         (True,) * 5, False, ((8, (0, 1, 2)), (8, (3, 4))), ()),
-        # A zero-apki BG lane plus snap occupancy.
-        ("cell", 6, six, fg_of_six,
-         (True, True, True, True, True, False), True,
-         ((16, (0, 1, 2, 3, 4)),), (0, 5)),
     )
 
 

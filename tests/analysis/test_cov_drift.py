@@ -2,8 +2,8 @@
 
 The acceptance property of the COV family is *sensitivity on the real
 code*: take the shipped scalar kernel verbatim, inject one fake
-hot-state mutation, and the analyzer must flag it against both backend
-registries.  A fixture-only test could pass with an extractor that
+hot-state mutation, and the analyzer must flag it against the
+span-kernel registry.  A fixture-only test could pass with an extractor that
 never understands the real ``Machine.tick``; this one cannot.
 """
 
@@ -13,7 +13,6 @@ import repro
 from repro.analysis.core import analyze_paths, default_rules
 from repro.analysis.rules_cov import extract_hot_state
 from repro.sim.spanplan import KERNEL_STATE
-from repro.sim.vector import CELL_COLUMNS
 
 
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
@@ -26,7 +25,7 @@ PROBE = "_drift_probe"
 
 def _cov_rules():
     return [rule for rule in default_rules()
-            if rule.id in ("COV001", "COV002")]
+            if rule.id == "COV002"]
 
 
 def _doctored_tree(tmp_path, extra_line):
@@ -49,17 +48,16 @@ class TestDoctoredDrift:
         tree = _doctored_tree(
             tmp_path, "        self.%s = rho" % PROBE)
         findings = analyze_paths([tree], rules=_cov_rules(), root=tree)
-        assert sorted(f.rule for f in findings) == ["COV001", "COV002"]
-        for finding in findings:
-            assert "'%s'" % PROBE in finding.message
-            assert finding.severity == "error"
+        assert [f.rule for f in findings] == ["COV002"]
+        assert "'%s'" % PROBE in findings[0].message
+        assert findings[0].severity == "error"
 
     def test_fake_process_mutation_is_flagged(self, tmp_path):
         tree = _doctored_tree(
             tmp_path, "        proc.%s = rho" % PROBE)
         findings = analyze_paths([tree], rules=_cov_rules(), root=tree)
-        assert sorted(f.rule for f in findings) == ["COV001", "COV002"]
-        assert all("'process.%s'" % PROBE in f.message for f in findings)
+        assert [f.rule for f in findings] == ["COV002"]
+        assert "'process.%s'" % PROBE in findings[0].message
 
     def test_undoctored_copy_is_clean(self, tmp_path):
         text = MACHINE_SOURCE.read_text(encoding="utf-8")
@@ -72,14 +70,11 @@ class TestDoctoredDrift:
 
 
 class TestExtractionMatchesRegistries:
-    """The extraction, registries, and allowlist agree exactly.
+    """The extraction, registry, and allowlist agree exactly.
 
-    This is the same invariant COV001/COV002 enforce, asserted directly
-    so a failure names the exact sets instead of a finding list.
+    This is the same invariant COV002 enforces, asserted directly so a
+    failure names the exact sets instead of a finding list.
     """
-
-    def test_registries_are_identical(self):
-        assert set(CELL_COLUMNS) == set(KERNEL_STATE)
 
     def test_extraction_covers_registry_and_allowlist(self):
         import ast
@@ -94,4 +89,4 @@ class TestExtractionMatchesRegistries:
         scalar_only = parse_scalar_only(module)
         assert extracted is not None
         assert scalar_only, "SCALAR_ONLY_STATE should not be empty"
-        assert extracted == set(CELL_COLUMNS) | scalar_only
+        assert extracted == set(KERNEL_STATE) | scalar_only

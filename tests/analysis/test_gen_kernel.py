@@ -34,7 +34,7 @@ def _violation_messages(source):
 
 
 def _fields(shape):
-    """A machine-span shape as ``{field: value}`` per ``SHAPE_FIELDS``."""
+    """A span shape as ``{field: value}`` per ``SHAPE_FIELDS``."""
     return dict(zip(spanplan.SHAPE_FIELDS, shape))
 
 
@@ -47,24 +47,12 @@ def _is_dedup(shape):
 
 
 def _shape_id(shape):
-    """Readable test id for both machine-span and cell-axis shapes."""
-    if shape[0] == "cell":
-        return "cell-lanes%d-snap%d-g%d" % (
-            len(shape[2]), shape[5], len(shape[7])
-        )
+    """Readable test id for a span shape."""
     f = _fields(shape)
     return "lanes%d-j%d-s%d-e%d-d%d" % (
         _lanes(shape), f["jitter"], f["snap"], f["has_energy"],
         _is_dedup(shape),
     )
-
-
-def _machine_shapes():
-    return [s for s in spanplan.template_shapes() if s[0] != "cell"]
-
-
-def _cell_shapes():
-    return [s for s in spanplan.template_shapes() if s[0] == "cell"]
 
 
 class TestTemplatesConform:
@@ -85,7 +73,9 @@ class TestTemplatesConform:
         assert callable(namespace["_factory"])
 
     def test_templates_cover_both_memo_modes(self):
-        jitters = {_fields(shape)["jitter"] for shape in _machine_shapes()}
+        jitters = {
+            _fields(shape)["jitter"] for shape in spanplan.template_shapes()
+        }
         assert jitters == {True, False}
 
     def test_templates_cover_stolen_and_energy(self):
@@ -94,7 +84,7 @@ class TestTemplatesConform:
         # and takes one guard bound per lane, after the sampler
         # arguments (next wakeup, budget, period, pinned core,
         # overhead).  Energy stays an axis.
-        shapes = _machine_shapes()
+        shapes = spanplan.template_shapes()
         for shape in shapes:
             source = spanplan.generate_kernel_source(shape)
             assert "sta = plan.stolen" in source
@@ -115,7 +105,7 @@ class TestTemplatesConform:
         # FG lanes (the x3 mixes).
         kinds = set()
         fg_lanes = set()
-        for shape in _machine_shapes():
+        for shape in spanplan.template_shapes():
             source = spanplan.generate_kernel_source(shape)
             isfg = _fields(shape)["isfg"]
             row = ", ".join(
@@ -143,29 +133,14 @@ class TestTemplatesConform:
         # to one representative) must be in the audited matrix
         # alongside the identity-class shapes.
         dedup = [
-            shape for shape in _machine_shapes() if _is_dedup(shape)
+            shape for shape in spanplan.template_shapes()
+            if _is_dedup(shape)
         ]
         assert dedup, "template matrix must include dedup shapes"
         for shape in dedup:
             assert not _fields(shape)["jitter"], (
                 "dedup kernels are jitter-free"
             )
-
-    def test_cell_templates_cover_snap_and_guard_modes(self):
-        shapes = _cell_shapes()
-        assert shapes, "template matrix must include cell-axis shapes"
-        assert {shape[5] for shape in shapes} == {True, False}
-        assert any(shape[7] for shape in shapes)
-        assert any(not shape[7] for shape in shapes)
-
-    def test_cell_templates_never_carry_entropy_axes(self):
-        # Cell-axis kernels are jitter-free, energy-free, stolen-free
-        # by construction: their shape tuple has no such axes at all,
-        # and the generated source must not draw randomness.
-        for shape in _cell_shapes():
-            source = spanplan.generate_kernel_source(shape)
-            assert "rnd_" not in source
-            assert "acc_e" not in source
 
 
 class TestLiveKernelsConform:
@@ -227,7 +202,8 @@ class TestDoctoredSourcesCaught:
             "    return run\n"
         )
         assert _violation_messages(template % ("tr_", "tr_")) == []
-        for name in ("tr", "tr_0", "trx_", "rnd_", "timer_random"):
+        for name in ("tr", "tr_0", "trx_", "rnd_", "timer_random", "an_",
+                     "mn_"):
             messages = _violation_messages(template % (name, name))
             assert ("call to non-allowlisted name %r" % name) in messages
 

@@ -543,90 +543,6 @@ COV_MACHINE = """\
                 proc.advance(dt)
 """
 
-COV_VECTOR = """\
-    CELL_COLUMNS = {
-        "_rho": "per-cell utilization column",
-        "governor": "governor sub-state",
-        "process.advance()": "progress advance",
-    }
-"""
-
-
-class TestCov001VectorColumnCoverage:
-    def test_mirrored_state_is_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "repro/sim/machine.py": COV_MACHINE,
-            "repro/sim/vector.py": COV_VECTOR,
-        }, select={"COV001"})
-        assert findings == []
-
-    def test_flags_unmirrored_hot_state(self, tmp_path):
-        machine = COV_MACHINE.replace(
-            "self._rho = 1.0", "self._rho = 1.0\n            self._leak = dt"
-        )
-        findings = lint_tree(tmp_path, {
-            "repro/sim/machine.py": machine,
-            "repro/sim/vector.py": COV_VECTOR,
-        }, select={"COV001"})
-        assert rule_ids(findings) == ["COV001"]
-        assert "'_leak'" in findings[0].message
-        assert findings[0].path.endswith("machine.py")
-
-    def test_flags_mutation_through_alias(self, tmp_path):
-        machine = COV_MACHINE.replace(
-            "self._rho = 1.0",
-            "self._rho = 1.0\n"
-            "            stash = self._leaky\n"
-            "            stash[0] = dt",
-        )
-        findings = lint_tree(tmp_path, {
-            "repro/sim/machine.py": machine,
-            "repro/sim/vector.py": COV_VECTOR,
-        }, select={"COV001"})
-        assert rule_ids(findings) == ["COV001"]
-        assert "'_leaky'" in findings[0].message
-
-    def test_flags_stale_registry_entry(self, tmp_path):
-        vector = COV_VECTOR.replace(
-            '"_rho": "per-cell utilization column",',
-            '"_rho": "per-cell utilization column",\n'
-            '        "ghost": "column with no scalar counterpart",',
-        )
-        findings = lint_tree(tmp_path, {
-            "repro/sim/machine.py": COV_MACHINE,
-            "repro/sim/vector.py": vector,
-        }, select={"COV001"})
-        assert rule_ids(findings) == ["COV001"]
-        assert "'ghost'" in findings[0].message
-        assert findings[0].path.endswith("vector.py")
-
-    def test_flags_stale_allowlist_entry(self, tmp_path):
-        machine = COV_MACHINE.replace(
-            'frozenset({"_scratch"})',
-            'frozenset({"_scratch", "_gone"})',
-        )
-        findings = lint_tree(tmp_path, {
-            "repro/sim/machine.py": machine,
-            "repro/sim/vector.py": COV_VECTOR,
-        }, select={"COV001"})
-        assert rule_ids(findings) == ["COV001"]
-        assert "'_gone'" in findings[0].message
-
-    def test_suppressed(self, tmp_path):
-        machine = COV_MACHINE.replace(
-            'SCALAR_ONLY_STATE = frozenset({"_scratch"})',
-            'SCALAR_ONLY_STATE = frozenset({"_scratch"})'
-            '  # repro-lint: disable=COV001',
-        ).replace(
-            "self._rho = 1.0", "self._rho = 1.0\n            self._leak = dt"
-        )
-        findings = lint_tree(tmp_path, {
-            "repro/sim/machine.py": machine,
-            "repro/sim/vector.py": COV_VECTOR,
-        }, select={"COV001"})
-        assert findings == []
-
-
 class TestCov002KernelStateCoverage:
     SPANPLAN = """\
         KERNEL_STATE = {
@@ -654,6 +570,47 @@ class TestCov002KernelStateCoverage:
         }, select={"COV002"})
         assert rule_ids(findings) == ["COV002"]
         assert "'_leak'" in findings[0].message
+        assert findings[0].path.endswith("machine.py")
+
+    def test_flags_mutation_through_alias(self, tmp_path):
+        machine = COV_MACHINE.replace(
+            "self._rho = 1.0",
+            "self._rho = 1.0\n"
+            "            stash = self._leaky\n"
+            "            stash[0] = dt",
+        )
+        findings = lint_tree(tmp_path, {
+            "repro/sim/machine.py": machine,
+            "repro/sim/spanplan.py": self.SPANPLAN,
+        }, select={"COV002"})
+        assert rule_ids(findings) == ["COV002"]
+        assert "'_leaky'" in findings[0].message
+
+    def test_flags_stale_registry_entry(self, tmp_path):
+        spanplan = self.SPANPLAN.replace(
+            '"_rho": "utilization",',
+            '"_rho": "utilization",\n'
+            '            "ghost": "row with no scalar counterpart",',
+        )
+        findings = lint_tree(tmp_path, {
+            "repro/sim/machine.py": COV_MACHINE,
+            "repro/sim/spanplan.py": spanplan,
+        }, select={"COV002"})
+        assert rule_ids(findings) == ["COV002"]
+        assert "'ghost'" in findings[0].message
+        assert findings[0].path.endswith("spanplan.py")
+
+    def test_flags_stale_allowlist_entry(self, tmp_path):
+        machine = COV_MACHINE.replace(
+            'frozenset({"_scratch"})',
+            'frozenset({"_scratch", "_gone"})',
+        )
+        findings = lint_tree(tmp_path, {
+            "repro/sim/machine.py": machine,
+            "repro/sim/spanplan.py": self.SPANPLAN,
+        }, select={"COV002"})
+        assert rule_ids(findings) == ["COV002"]
+        assert "'_gone'" in findings[0].message
 
     def test_flags_template_with_an_undeclared_axis(
         self, tmp_path, monkeypatch

@@ -23,7 +23,7 @@ SCHEMA_PATH = Path(__file__).with_name("sarif-2.1.0-subset.schema.json")
 FINDINGS = [
     Finding(rule="DET001", severity="error", path="/work/repro/sim/hot.py",
             line=12, col=4, message="wall clock read at import time"),
-    Finding(rule="COV001", severity="error", path="/work/repro/sim/machine.py",
+    Finding(rule="COV002", severity="error", path="/work/repro/sim/machine.py",
             line=1, col=0, message="hot-state mutation '_leak' uncovered"),
     Finding(rule="DET003", severity="warning", path="outside/of/root.py",
             line=3, col=0, message="set iteration in hot path"),
@@ -49,7 +49,7 @@ class TestSarifStructure:
         log = _log()
         rows = log["runs"][0]["tool"]["driver"]["rules"]
         ids = {row["id"] for row in rows}
-        assert {"DET001", "COV001", "FLO001", "GEN003"} <= ids
+        assert {"DET001", "COV002", "FLO001", "GEN003"} <= ids
         for row in rows:
             assert row["shortDescription"]["text"]
             assert row["defaultConfiguration"]["level"] in ("error",

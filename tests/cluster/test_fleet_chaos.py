@@ -3,8 +3,8 @@
 The headline pins: under node-crash and partition scenarios the
 failover-enabled control plane holds >= 90% fleet-wide FG deadline
 attainment while the no-failover baseline is demonstrably worse, and
-the fleet ``event_signature`` is identical across the scalar, batch,
-and vector backends.
+the fleet ``event_signature`` is identical across the scalar and
+batch backends.
 """
 
 from dataclasses import replace
@@ -148,11 +148,8 @@ MIXED_PLAN = NodeFaultPlan(
 )
 
 
-def _small_fleet_run(vectorized=False):
-    cluster = Cluster(
-        build_fleet(num_nodes=4, executions=6, warmup=2),
-        vectorized=vectorized,
-    )
+def _small_fleet_run():
+    cluster = Cluster(build_fleet(num_nodes=4, executions=6, warmup=2))
     return cluster.run(fault_plan=MIXED_PLAN)
 
 
@@ -171,35 +168,21 @@ class TestDeterminism:
         assert first.node_results == second.node_results
         assert first.fg_success_ratio == second.fg_success_ratio
 
-    def test_serial_vs_vectorized_bit_identical(self):
-        serial = _small_fleet_run(vectorized=False)
-        clear_caches()
-        vector = _small_fleet_run(vectorized=True)
-        assert serial.fleet_report.event_signature == \
-            vector.fleet_report.event_signature
-        assert serial.node_results == vector.node_results
-        assert serial.fg_success_ratio == vector.fg_success_ratio
-        assert serial.health_timelines == vector.health_timelines
-
     def test_signature_identical_across_backends(self, monkeypatch):
         signatures = {}
         outcomes = {}
-        for backend, vectorized in (
-            ("scalar", False), ("batch", False), ("batch", True),
-        ):
+        for backend in ("scalar", "batch"):
             monkeypatch.setenv(ENV_BACKEND, backend)
             clear_caches()
-            label = "vector" if vectorized else backend
-            result = _small_fleet_run(vectorized=vectorized)
-            signatures[label] = result.fleet_report.event_signature
-            outcomes[label] = (
+            result = _small_fleet_run()
+            signatures[backend] = result.fleet_report.event_signature
+            outcomes[backend] = (
                 result.fg_success_ratio,
                 result.failovers,
                 result.stranded_executions,
             )
         assert signatures["scalar"] == signatures["batch"]
-        assert signatures["batch"] == signatures["vector"]
-        assert outcomes["scalar"] == outcomes["batch"] == outcomes["vector"]
+        assert outcomes["scalar"] == outcomes["batch"]
 
 
 @pytest.fixture
@@ -239,11 +222,6 @@ def replay_counts(monkeypatch):
     return counts
 
 
-DRIVERS = pytest.mark.parametrize(
-    "vectorized", [False, True], ids=["serial", "vectorized"]
-)
-
-
 def _assert_same(result, expected, label=""):
     assert result == expected, label
     assert repr(result) == repr(expected), label
@@ -275,15 +253,13 @@ SLOW_PLAN = NodeFaultPlan(
 class TestNodeReplay:
     """Replaying recorded sessions changes no result."""
 
-    @DRIVERS
     @pytest.mark.parametrize("seed", [0, 3])
     def test_catalog_identical_with_and_without_records(
-        self, seed, vectorized, replay_counts
+        self, seed, replay_counts
     ):
         def cell(name):
             return chaos.run_fleet_cell(
                 name, num_nodes=3, executions=3, warmup=1, seed=seed,
-                vectorized=vectorized,
             )
 
         in_order = [cell(name) for name in FLEET_SCENARIO_NAMES]
@@ -297,15 +273,11 @@ class TestNodeReplay:
             clear_caches()
             _assert_same(warm, cell(name), name)
 
-    @DRIVERS
-    def test_shed_catches_a_replay_up(self, vectorized, replay_counts):
+    def test_shed_catches_a_replay_up(self, replay_counts):
         # The shed on n1 comes while n1's recorded run is still
         # replaying.
         def fleet_run():
-            cluster = Cluster(
-                build_fleet(num_nodes=3, executions=4, warmup=2),
-                vectorized=vectorized,
-            )
+            cluster = Cluster(build_fleet(num_nodes=3, executions=4, warmup=2))
             return cluster.run(fault_plan=EARLY_CRASH_PLAN, control=LOW_SHED)
 
         Cluster(build_fleet(num_nodes=3, executions=4, warmup=2)).run()
@@ -315,13 +287,12 @@ class TestNodeReplay:
         clear_caches()
         _assert_same(replayed, fleet_run())
 
-    @DRIVERS
-    def test_fault_free_nodes_replay_without_simulating(self, vectorized):
+    def test_fault_free_nodes_replay_without_simulating(self):
         # The control plane acts on no session, so no home node
         # simulates: the crashed n1's replay just stops counting rounds.
         Cluster(build_fleet(num_nodes=4, executions=6, warmup=2)).run()
         nodes = build_fleet(num_nodes=4, executions=6, warmup=2)
-        result = Cluster(nodes, vectorized=vectorized).run(
+        result = Cluster(nodes).run(
             fault_plan=ONE_CRASH_PLAN, control=NO_SHED
         )
         assert result.failovers == 1
@@ -331,17 +302,11 @@ class TestNodeReplay:
             if node.name != "n1":
                 assert node.name in result.node_results
 
-    @DRIVERS
-    def test_replacement_replays_on_a_second_run(
-        self, vectorized, replay_counts
-    ):
+    def test_replacement_replays_on_a_second_run(self, replay_counts):
         # The first run files every session it ran live to done
         # untouched, n1's replacement included; the second replays it.
         def fleet_run():
-            cluster = Cluster(
-                build_fleet(num_nodes=4, executions=6, warmup=2),
-                vectorized=vectorized,
-            )
+            cluster = Cluster(build_fleet(num_nodes=4, executions=6, warmup=2))
             return cluster.run(fault_plan=ONE_CRASH_PLAN, control=NO_SHED)
 
         first = fleet_run()
@@ -353,17 +318,11 @@ class TestNodeReplay:
         assert replay_counts["catch_ups"] == 0
         _assert_same(second, first)
 
-    @DRIVERS
-    def test_slow_node_replays_until_its_throttle(
-        self, vectorized, replay_counts
-    ):
+    def test_slow_node_replays_until_its_throttle(self, replay_counts):
         # n1 starts as a replay of its zero-fault run and is caught up
         # in the round its throttle first applies, then runs live.
         def fleet_run():
-            cluster = Cluster(
-                build_fleet(num_nodes=3, executions=4, warmup=2),
-                vectorized=vectorized,
-            )
+            cluster = Cluster(build_fleet(num_nodes=3, executions=4, warmup=2))
             return cluster.run(fault_plan=SLOW_PLAN, control=NO_SHED)
 
         Cluster(build_fleet(num_nodes=3, executions=4, warmup=2)).run()
@@ -463,14 +422,11 @@ class TestNodeRecords:
 class TestReplayAnswers:
     """A replay answers as its real session would, round for round."""
 
-    @DRIVERS
     @pytest.mark.parametrize("warmup", [0, 2])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_every_round_matches_the_real_session(
-        self, seed, warmup, vectorized
-    ):
-        # Recorded under either zero-fault driver, replayed against
-        # block-by-block driving.
+    def test_every_round_matches_the_real_session(self, seed, warmup):
+        # Recorded by a zero-fault run, replayed against block-by-block
+        # driving.
         def node():
             return ClusterNode(
                 "n0", mix_by_name("raytrace rs"), DIRIGENT, executions=3,
@@ -478,7 +434,7 @@ class TestReplayAnswers:
             )
 
         recorded = node()
-        Cluster([recorded], vectorized=vectorized).run()
+        Cluster([recorded]).run()
         replay = control._Replay(node().session, recorded.recorded())
         real = node().session
         while True:

@@ -1,7 +1,7 @@
 """Tests for PolicySession (the incrementally driven run).
 
 Single-session drivers run each session to the end in one machine run
-(:meth:`PolicySession.run_to_end`); the lockstep drivers still step
+(:meth:`PolicySession.run_to_end`); the fleet control plane still steps
 sessions block by block.  Both must end on the same tick with the same
 results.
 """
@@ -18,9 +18,9 @@ from repro.experiments.harness import (
     clear_caches,
     measure_standalone,
     run_policy,
-    run_policy_batch,
 )
 from repro.experiments.mixes import mix_by_name
+from repro.experiments.parallel import run_grid
 from repro.faults import scenario
 from repro.sim.batch import BACKEND_BATCH, BACKEND_SCALAR, ENV_BACKEND
 from repro.sim.config import MachineConfig
@@ -137,17 +137,21 @@ class TestPolicySession:
             ends.append(session.machine.clock.tick)
         assert ends[0] == ends[1] == 6 * DRIVE_BLOCK_TICKS
 
-    def test_serial_run_policy_batch_matches_block_driving(
-        self, monkeypatch
-    ):
+    def test_serial_seeded_grid_matches_block_driving(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, BACKEND_BATCH)
         seeds = (0, 1)
+        mix = mix_by_name("ferret rs")
         built = _recording_sessions(monkeypatch)
-        results = run_policy_batch(
-            mix_by_name("ferret rs"), DIRIGENT, executions=EXECS,
-            warmup=WARMUP, seeds=seeds,
+        sweep = run_grid(
+            [mix], [DIRIGENT], executions=EXECS, warmup=WARMUP,
+            seeds=seeds, workers=1,
         )
-        ends = [session.machine.clock.tick for session in built[-2:]]
+        results = [sweep.get(mix, DIRIGENT, seed) for seed in seeds]
+        ends = [
+            session.machine.clock.tick for session in built
+            if session.policy == DIRIGENT
+        ]
+        assert len(ends) == len(seeds)
         monkeypatch.setattr(harness, "PolicySession", PolicySession)
         for seed, result, end_tick in zip(seeds, results, ends):
             twin = _block_driven(

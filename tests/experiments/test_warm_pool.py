@@ -139,8 +139,8 @@ class TestWarmPoolDeterminism:
     @fork_only
     def test_idle_workers_split_packs(self, monkeypatch):
         # More workers than packs: the dispatcher must split the big
-        # pack (at a seed-group boundary) to occupy idle workers, and
-        # the result must not move.
+        # pack (at its midpoint) to occupy idle workers, and the result
+        # must not move.
         monkeypatch.setenv(ENV_STEAL, "1")
         monkeypatch.setenv(ENV_PACK_CELLS, "4")
         serial = _grid(workers=1)

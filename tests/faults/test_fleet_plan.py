@@ -166,12 +166,9 @@ class TestZeroPlanBitIdentity:
             for i in range(3)
         ]
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_zero_plan_matches_plain_run(self, vectorized):
-        plain = Cluster(self._nodes(), vectorized=vectorized).run()
-        zero = Cluster(self._nodes(), vectorized=vectorized).run(
-            fault_plan=ZERO_NODE_FAULTS
-        )
+    def test_zero_plan_matches_plain_run(self):
+        plain = Cluster(self._nodes()).run()
+        zero = Cluster(self._nodes()).run(fault_plan=ZERO_NODE_FAULTS)
         assert zero.node_results == plain.node_results
         assert zero.fg_success_ratio == plain.fg_success_ratio
         assert zero.total_bg_instr_per_s == plain.total_bg_instr_per_s

@@ -90,8 +90,9 @@ class TestResolveBackend:
         assert resolve_backend("batch") == BACKEND_BATCH
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("vectorized")
+        for name in ("vectorized", "vector"):
+            with pytest.raises(ConfigurationError, match="scalar, batch"):
+                resolve_backend(name)
 
     def test_machine_records_backend(self):
         assert Machine(MachineConfig(), backend="scalar").backend == "scalar"
@@ -138,6 +139,67 @@ class TestNoiseFreeBitEquivalence:
         assert one_shot.clock.tick == chunked.clock.tick
         _assert_counters_equal(one_shot, chunked)
         assert log_a == log_b
+
+
+class TestCompletionWindowEquivalence:
+    """sigma = 0 around FG completions, where span kernels stop early."""
+
+    def test_one_tick_chunks_around_completions(self):
+        # Tiny drive chunks force 1-tick span budgets around the
+        # completion window, so guards and completions land on the
+        # first tick of a span.
+        def populate(machine):
+            machine.spawn(
+                make_fg(input_noise=0.05, total_gi=0.2), core=0, nice=-5
+            )
+            for core in range(1, machine.config.num_cores):
+                machine.spawn(make_bg(heavy=core % 2 == 0),
+                              core=core, nice=5)
+
+        config = MachineConfig(seed=111, os_jitter_sigma=0.0,
+                               timer_jitter_prob=0.0)
+        (scalar, batch), (log_s, log_b) = _pair(config, populate)
+        chunks = (2_500, 1, 1, 1, 2, 3, 500) * 4
+        scalar.run_ticks(sum(chunks))
+        for chunk in chunks:
+            batch.run_ticks(chunk)
+        assert scalar.clock.tick == batch.clock.tick
+        _assert_counters_equal(scalar, batch)
+        assert log_s and log_s == log_b
+        assert scalar.rho == batch.rho
+
+    def test_completions_at_the_rho_fixed_point(self):
+        # Single-phase FG + one long BG phase: the trajectory sits at
+        # its rho fixed point (the stationary loop), and each FG
+        # completion only redraws the next execution's noisy target.
+        from tests.conftest import make_phase
+
+        def populate(machine):
+            fg = make_fg(
+                phases=(make_phase(
+                    "only", instructions=2e8, base_cpi=0.7,
+                    mpki_floor=0.3, mpki_peak=1.5, apki=8.0,
+                ),),
+                input_noise=0.05,
+            )
+            machine.spawn(fg, core=0, nice=-5)
+            bg = make_bg()
+            bg = type(bg)(
+                name=bg.name, kind=bg.kind,
+                phases=(make_phase("flat", instructions=1e12),),
+            )
+            for core in range(1, machine.config.num_cores):
+                machine.spawn(bg, core=core, nice=5)
+
+        config = MachineConfig(seed=121, os_jitter_sigma=0.0,
+                               timer_jitter_prob=0.0)
+        (scalar, batch), (log_s, log_b) = _pair(config, populate)
+        scalar.run_ticks(18_000)
+        batch.run_ticks(18_000)
+        _assert_counters_equal(scalar, batch)
+        assert len(log_s) > 1 and log_s == log_b
+        assert scalar.rho == batch.rho
+        assert batch.backend_stats()["stationary_ticks"] > 0
 
 
 class TestJitteredEquivalence:

@@ -79,3 +79,17 @@ class TestMain:
         # emits; a wrong artifact must raise, not pass silently.
         with pytest.raises((AssertionError, KeyError, TypeError)):
             bench.check_floors({})
+
+    @pytest.mark.parametrize("nodes", ["0", "1", "-1"])
+    def test_fleet_rejects_fewer_than_two_nodes(
+        self, monkeypatch, capsys, nodes
+    ):
+        import repro.experiments.chaos as chaos
+
+        def fail(**kwargs):
+            raise AssertionError("run_fleet_chaos must not run")
+
+        monkeypatch.setattr(chaos, "run_fleet_chaos", fail)
+        assert main(["chaos", "--fleet", "--nodes", nodes]) == 2
+        out = capsys.readouterr().out
+        assert out == "--nodes must be at least 2 (got %s)\n" % nodes

@@ -1,5 +1,11 @@
 """Tests of the public package surface and error hierarchy."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -60,3 +66,38 @@ class TestErrorHierarchy:
     def test_catching_base_catches_all(self):
         with pytest.raises(ReproError):
             raise WorkloadError("x")
+
+
+class TestNoNumpy:
+    def test_cli_chaos_and_control_plane_never_look_numpy_up(self):
+        # A meta-path finder that records every numpy lookup and then
+        # declines it, so the check means the same with or without
+        # numpy installed.
+        script = textwrap.dedent("""\
+            import sys
+
+            lookups = []
+
+            class Recorder:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" or name.startswith("numpy."):
+                        lookups.append(name)
+                    return None
+
+            sys.meta_path.insert(0, Recorder())
+            import repro.__main__
+            import repro.experiments.chaos
+            import repro.cluster.control
+            print(",".join(lookups))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""
