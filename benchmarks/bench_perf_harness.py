@@ -16,10 +16,11 @@ along and emits ``BENCH_harness.json`` at the repository root:
 3. **Sweep engine + persistent cache**: wall-clock of a 3-mix x
    2-policy figure sweep — serial with cold caches, 4-worker parallel
    with cold caches, and 4-worker parallel with a warm disk cache.
-4. **Warm workers**: repeated small sweeps with cleared result caches,
-   cold pool (re-spawned per sweep) vs one reused warm pool (persistent
-   kernel cache, preloaded span kernels, work-stealing dispatch) —
-   the cost repeated interactive figure runs actually pay.
+4. **Warm workers**: repeated small sweeps on a warm result cache,
+   cold pool (re-spawned per sweep) vs one reused warm pool (its
+   workers keep their compiled span kernels and in-process caches;
+   work-stealing dispatch) — the cost repeated interactive figure runs
+   actually pay.
 5. **Fleet chaos**: machine ticks the fleet node-fault catalog
    simulates at the CI smoke size, where faulted rows replay every
    session an earlier row ran to done untouched.
@@ -66,11 +67,6 @@ from repro.experiments.parallel import (
 )
 from repro.faults import FLEET_SCENARIO_NAMES
 from repro.sim import spanplan
-from repro.sim.config import (
-    ENV_KERNEL_DISK_CACHE,
-    ENV_POOL_REUSE,
-    ENV_STEAL,
-)
 from repro.sim.batch import (
     BACKEND_BATCH,
     BACKEND_SCALAR,
@@ -327,21 +323,13 @@ def _warm_worker_section(mixes) -> dict:
     The scenario is repeated figure generation: the result disk cache
     is warm (a prime sweep fills it), so a sweep's wall-clock is pure
     engine overhead — pool handling, cell dispatch, cache reads, IPC.
-    The cold leg pays pool spawn + the warm-up initializer on every
-    sweep; the warm leg pays them once (untimed spawn sweep) and then
-    reuses the pool.  ``REPRO_PACK_CELLS=1`` keeps the deque longer
-    than the worker count so the timed sweeps also exercise work
-    stealing.
+    The cold leg retires the pool before every sweep and so pays a
+    pool spawn each time; the warm leg pays it once (untimed spawn
+    sweep) and then reuses the pool.  ``REPRO_PACK_CELLS=1`` keeps the
+    deque longer than the worker count so the timed sweeps also
+    exercise work stealing.
     """
-    pins = {
-        ENV_KERNEL_DISK_CACHE: "1",
-        ENV_STEAL: "1",
-        ENV_PACK_CELLS: "1",
-    }
-    previous = {
-        name: os.environ.get(name)
-        for name in tuple(pins) + (ENV_POOL_REUSE,)
-    }
+    previous = os.environ.get(ENV_PACK_CELLS)
 
     def _sweep():
         start = time.perf_counter()
@@ -351,11 +339,10 @@ def _warm_worker_section(mixes) -> dict:
         )
         return sweep, time.perf_counter() - start
 
-    os.environ.update(pins)
+    os.environ[ENV_PACK_CELLS] = "1"
     try:
-        # Prime the result and kernel caches: the timed sweeps below
-        # measure engine overhead on a warm cache, not simulation time.
-        os.environ[ENV_POOL_REUSE] = "0"
+        # Prime the result cache: the timed sweeps below measure engine
+        # overhead on a warm cache, not simulation time.
         shutdown_pool()
         harness.clear_caches()
         prime, _ = _sweep()
@@ -368,9 +355,8 @@ def _warm_worker_section(mixes) -> dict:
             cold_sweeps.append(sweep)
             cold_s += elapsed
 
-        os.environ[ENV_POOL_REUSE] = "1"
         shutdown_pool()
-        spawn, _ = _sweep()  # pays the one-time spawn + preload, untimed
+        spawn, _ = _sweep()  # pays the one-time spawn, untimed
         warm_sweeps = []
         warm_s = 0.0
         for _ in range(WARM_SWEEP_REPS):
@@ -380,11 +366,10 @@ def _warm_worker_section(mixes) -> dict:
     finally:
         shutdown_pool()
         harness.clear_caches()
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if previous is None:
+            os.environ.pop(ENV_PACK_CELLS, None)
+        else:
+            os.environ[ENV_PACK_CELLS] = previous
 
     snapshots = [
         _snapshot(sweep)
@@ -397,8 +382,7 @@ def _warm_worker_section(mixes) -> dict:
             "repeated %d-cell sweeps on a warm result cache (pure "
             "engine overhead); cold re-spawns the pool per sweep, warm "
             "reuses one pool (spawn sweep untimed); counters are "
-            "summed over the timed warm sweeps (plus the spawn sweep "
-            "for the disk-preload counters)"
+            "summed over the timed warm sweeps"
             % len(prime.results)
         ),
         "reps": WARM_SWEEP_REPS,
@@ -409,13 +393,8 @@ def _warm_worker_section(mixes) -> dict:
         "warm_pool_s": round(warm_s, 3),
         "speedup_warm_vs_cold": round(cold_s / warm_s, 3),
         "warm_starts": _sum(warm_sweeps, "warm_starts"),
-        "kernels_preloaded": _sum([spawn] + warm_sweeps,
-                                  "kernels_preloaded"),
-        "kernel_disk_hits": _sum([spawn] + warm_sweeps,
-                                 "kernel_disk_hits"),
         "steals": _sum(warm_sweeps, "steals"),
         "packs_split": _sum(warm_sweeps, "packs_split"),
-        "ipc_bytes": _sum(warm_sweeps, "ipc_bytes"),
         "identical_results": True,
     }
 
@@ -641,8 +620,7 @@ def check_stable_floors(artifact: dict) -> None:
     assert fast_path["event_sparse"]["rho_warm_hits"] > 0, fast_path
     warm_worker = artifact["warm_worker"]
     assert warm_worker["speedup_warm_vs_cold"] >= 2.0, warm_worker
-    for counter in ("warm_starts", "kernels_preloaded", "kernel_disk_hits",
-                    "steals", "ipc_bytes"):
+    for counter in ("warm_starts", "steals"):
         assert warm_worker[counter] > 0, (counter, warm_worker)
     assert warm_worker["identical_results"], warm_worker
 

@@ -8,7 +8,6 @@ Usage::
     python -m repro table1
     python -m repro cache stats
     python -m repro cache clear
-    python -m repro cache kernels [stats|list|clear]
     python -m repro bench [--profile profile.pstats] [--skip-floors]
     python -m repro lint [paths ...] [--format=json] [--select=DET,ENV]
     python -m repro chaos [--scenario sensor-degraded] [--mix "bodytrack bwaves"]
@@ -79,16 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="reuse findings for content-unchanged files")
     lint.add_argument("--cache-dir", default=None, metavar="DIR",
                       help="incremental lint cache location")
-    cache = sub.add_parser(
-        "cache", help="inspect or purge the result and kernel caches"
-    )
-    cache.add_argument("action", choices=("stats", "clear", "kernels"))
-    cache.add_argument(
-        "sub", nargs="?", default="stats",
-        choices=("stats", "list", "clear"),
-        help="kernel-cache operation (only with the kernels action; "
-             "default: stats)",
-    )
+    cache = sub.add_parser("cache", help="inspect or purge the result cache")
+    cache.add_argument("action", choices=("stats", "clear"))
     chaos = sub.add_parser(
         "chaos",
         help="run the fault-injection scenario suite "
@@ -203,9 +194,9 @@ def _run_bench(args) -> int:
           % artifact["sweep"]["speedup_vs_pre_pr_serial_warm"])
     warm = artifact["warm_worker"]
     print("warm-pool sweep speedup:       %.3fx (%d warm starts, "
-          "%d kernel disk hits, %d steals)"
+          "%d steals)"
           % (warm["speedup_warm_vs_cold"], warm["warm_starts"],
-             warm["kernel_disk_hits"], warm["steals"]))
+             warm["steals"]))
     if args.skip_floors:
         return 0
     try:
@@ -295,33 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             lint_argv += ["--cache-dir", args.cache_dir]
         return run_lint(lint_argv)
     if args.command == "cache":
-        from repro.experiments.diskcache import get_cache, get_kernel_cache
-        if args.action == "kernels":
-            kernels = get_kernel_cache()
-            if args.sub == "clear":
-                removed = kernels.clear()
-                print("removed %d cached kernels from %s"
-                      % (removed, kernels.root))
-                return 0
-            if args.sub == "list":
-                shown = 0
-                for shape, source in kernels.entries():
-                    print("%r: %d source bytes" % (shape, len(source)))
-                    shown += 1
-                print("%d kernel(s) for the current code version" % shown)
-                return 0
-            stats = kernels.stats()
-            print("kernel cache:  %s" % stats["root"])
-            print("enabled:       %s" % stats["enabled"])
-            print("code version:  %s" % stats["code_version"])
-            print("entries:       %d current, %d stale (%.1f KiB)"
-                  % (stats["entries"], stats["stale_entries"],
-                     stats["total_bytes"] / 1024.0))
-            print("this process:  %d hits, %d misses, %d stores"
-                  % (stats["hits"], stats["misses"], stats["stores"]))
-            print("corrupt drops: %d (unreadable entries discarded this "
-                  "process)" % stats["corrupt_drops"])
-            return 0
+        from repro.experiments.diskcache import get_cache
         cache = get_cache()
         if args.action == "clear":
             removed = cache.clear()

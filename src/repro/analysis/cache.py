@@ -1,18 +1,15 @@
 """Content-hash incremental cache for ``repro lint``.
 
 The analyzer is fast, but the CI gate and editor integrations run it on
-every save; an incremental cache makes the warm path near-free.  The
-design mirrors the kernel disk cache's honesty contract — a cache key
-must fold in *everything* the cached value depends on:
+every save; an incremental cache makes the warm path near-free.  A
+cache key must fold in *everything* the cached value depends on:
 
 * **Module rules** cache per file, keyed by the file's root-relative
   path and content hash.  A warm hit replays the stored findings and
   suppression tallies without parsing the file.
 * **Project rules** cache per run, keyed by the hash of every analyzed
-  file's ``(relpath, sha)`` pair plus each project rule's
-  :meth:`~repro.analysis.core.ProjectRule.project_state_fingerprint`
-  (rules that consult state outside the analyzed sources — the on-disk
-  kernel cache — fold that state in via the fingerprint).
+  file's ``(relpath, sha)`` pair: every project rule is a pure function
+  of the analyzed sources.
 * The whole cache is invalidated when the analyzer itself changes: the
   store embeds a fingerprint of every source file in
   :mod:`repro.analysis`, so editing a rule never replays stale

@@ -207,8 +207,8 @@ def run_lint(argv: Optional[Sequence[str]] = None) -> int:
             lint_cache_dir = Path(options.cache_dir)
         else:
             # Share the repository cache root (REPRO_CACHE_DIR aware)
-            # with the result and kernel caches instead of anchoring at
-            # the lint root, which may be a source subdirectory.
+            # with the result cache instead of anchoring at the lint
+            # root, which may be a source subdirectory.
             from repro.sim.config import cache_dir as repro_cache_dir
 
             lint_cache_dir = Path(repro_cache_dir()) / "lint"

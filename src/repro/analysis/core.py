@@ -317,17 +317,6 @@ class ProjectRule(Rule):
         """Yield findings for the analyzed set as a whole."""
         raise NotImplementedError
 
-    def project_state_fingerprint(self) -> str:
-        """Stamp of external state this rule's result depends on.
-
-        The incremental lint cache reuses a cached project-rule result
-        only while the analyzed sources *and* this stamp are unchanged.
-        Rules that consult state outside the analyzed files (e.g. the
-        on-disk kernel cache) override this to fold that state in; the
-        default covers rules that are pure functions of the sources.
-        """
-        return ""
-
 
 #: Registered rule classes by id, in registration order.
 REGISTRY: Dict[str, type] = {}
@@ -521,14 +510,10 @@ def run_analysis(
     project_key = None
     cached_project = None
     if cache is not None and project_rules:
-        state = "\x1f".join(sorted(
-            "%s=%s" % (rule.id, rule.project_state_fingerprint())
-            for rule in project_rules
-        ))
         project_key = _content_sha("\x1f".join(
             sorted("%s=%s" % (relkey, sha)
                    for _, relkey, _, sha in entries)
-        ) + "\x1e" + state)
+        ))
         cached_project = cache.lookup_project(project_key)
     # Project rules need the parsed module set, so a project-cache miss
     # forces parsing even content-unchanged files (their module-rule

@@ -36,14 +36,6 @@ reach a benchmark.
     ``execution_misses``, ``_target_total`` and the allowlisted
     methods) on plain bound names — never chained, never on call
     results.
-
-* ``GEN003`` (project) — the *persistent* kernel cache audit: every
-  current-code-version entry in the on-disk kernel cache
-  (``.repro_cache/kernels/``) must be byte-identical — by source hash —
-  to what ``generate_kernel_source(shape)`` produces today, and must
-  itself pass the GEN002 source audit.  A divergent entry means a
-  doctored or stale file would be ``exec``-compiled instead of fresh
-  codegen; an empty or disabled cache yields no findings.
 """
 
 from __future__ import annotations
@@ -73,7 +65,7 @@ TEMPLATE_ENTRY_POINTS = ("template_shapes", "generate_kernel_source")
 #: the timer wheel's ``random``, drawn when a span kernel reschedules a
 #: sampler wakeup it took in-kernel.
 ALLOWED_CALLS = re.compile(
-    r"^(e_|lg_|cs_|sn_|sq_|ln_|ms_|memo_get|acc_e|tr_|rnd_\d+)$"
+    r"^(e_|lg_|cs_|sn_|sq_|ln_|memo_get|acc_e|tr_|rnd_\d+)$"
 )
 
 #: Methods the generated kernels may invoke (on plain bound names).
@@ -287,99 +279,3 @@ class GeneratedKernelAudit(ProjectRule):
                     path=str(spanplan.path), line=1, col=0,
                     message=message,
                 )
-
-
-@register
-class KernelDiskCacheAudit(ProjectRule):
-    """GEN003: on-disk kernel sources match today's generator exactly."""
-
-    id = "GEN003"
-    severity = "error"
-    description = (
-        "a persistent kernel-cache entry diverges from what "
-        "generate_kernel_source() produces for its shape (or fails the "
-        "generated-code audit): the sweep engine would exec stale or "
-        "doctored code instead of fresh codegen"
-    )
-
-    def project_state_fingerprint(self) -> str:
-        """Stamp of the on-disk kernel cache this rule audits.
-
-        The incremental lint cache may only replay this rule's result
-        while the kernel store is unchanged, so the stamp folds in
-        every entry's shape and source hash.
-        """
-        try:
-            from repro.experiments.diskcache import get_kernel_cache
-
-            cache = get_kernel_cache()
-            if not cache.enabled:
-                return "disabled"
-            return _sha256("\x1f".join(sorted(
-                "%r=%s" % (shape, _sha256(source))
-                for shape, source in cache.entries()
-            )))
-        except Exception:
-            return "unavailable"
-
-    def check_project(
-        self, modules: Sequence[SourceModule]
-    ) -> Iterator[Finding]:
-        spanplan = next(
-            (m for m in modules
-             if m.path_matches(SPANPLAN_MODULE_SUFFIX)),
-            None,
-        )
-        if spanplan is None:
-            return
-        try:
-            from repro.experiments.diskcache import get_kernel_cache
-            from repro.sim.spanplan import generate_kernel_source
-        except ImportError as exc:
-            yield Finding(
-                rule=self.id, severity=self.severity,
-                path=str(spanplan.path), line=1, col=0,
-                message="cannot import kernel-cache entry points: %s" % exc,
-            )
-            return
-        cache = get_kernel_cache()
-        if not cache.enabled:
-            return
-        for shape, stored in cache.entries():
-            try:
-                expected = generate_kernel_source(shape)
-            except Exception as exc:  # unknown shape: flag, don't crash
-                yield Finding(
-                    rule=self.id, severity=self.severity,
-                    path=str(spanplan.path), line=1, col=0,
-                    message="cached kernel shape %r is not generatable "
-                            "by the current code: %s" % (shape, exc),
-                )
-                continue
-            if _sha256(stored) != _sha256(expected):
-                yield Finding(
-                    rule=self.id, severity=self.severity,
-                    path=str(spanplan.path), line=1, col=0,
-                    message="cached kernel for shape %r diverges from "
-                            "generate_kernel_source() (stored %s != "
-                            "generated %s); clear it with `repro cache "
-                            "kernels clear`"
-                            % (shape, _sha256(stored)[:12],
-                               _sha256(expected)[:12]),
-                )
-            for violation in audit_kernel_source(
-                stored, origin="<kernel cache %r>" % (shape,)
-            ):
-                yield Finding(
-                    rule=self.id, severity=self.severity,
-                    path=str(spanplan.path), line=1, col=0,
-                    message="cached kernel for shape %r fails the source "
-                            "audit (generated line %d): %s"
-                            % (shape, violation.line, violation.message),
-                )
-
-
-def _sha256(source: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()

@@ -46,29 +46,20 @@ aborting the sweep.  Lost-cell recovery cannot change values: every
 cell's result depends only on its arguments, never on where it ran.
 
 **Warm workers.** Repeated small sweeps (policy tournaments, fleet
-grids) used to pay full cold start on every call: a fresh pool, a fresh
-``exec`` of every span kernel per worker, static pack assignment, and a
-pickled object graph per result row.  Four mechanisms remove that
-overhead, all result-neutral and individually kill-switchable:
+grids) would pay a fresh pool on every call.  Two mechanisms keep the
+workers busy instead, both result-neutral:
 
-* **Pool reuse** (``REPRO_POOL_REUSE``): a module-level
-  :class:`WorkerPool` keeps the executor alive across consecutive
-  :func:`run_grid` calls.  The pool's generation key folds in the
-  worker count, the code-version tag, and a fingerprint of every
-  declared env knob; any change — or a broken/timed-out pool — retires
-  the workers and respawns.
-* **Warm initializer**: respawned workers run :func:`_warm_worker`
-  once, preloading compiled span kernels from the persistent kernel
-  cache (``REPRO_KERNEL_DISK_CACHE``, see
-  :mod:`repro.experiments.diskcache`) and the shipped template shapes.
-* **Work stealing** (``REPRO_STEAL``): packs are seeded one per worker
-  and the remainder drained from a deque as futures complete, with the
-  largest remaining pack split in two when workers idle — a straggler
-  pack no longer bounds wall-clock.
-* **Columnar transport**: workers return packs as flat
-  :class:`~repro.experiments.transport.EncodedPack` columns instead of
-  pickled ``RunResult`` graphs; the parent decodes bit-identical
-  objects and records the payload size in ``SweepResult.ipc_bytes``.
+* **Pool reuse**: a module-level :class:`WorkerPool` keeps the executor
+  alive across consecutive :func:`run_grid` calls, and with it each
+  worker's in-process caches (compiled span kernels, profiles,
+  baselines).  The pool's generation key folds in the worker count,
+  the code-version tag, and a fingerprint of every declared env knob;
+  any change — or a broken/timed-out pool — retires the workers and
+  respawns.
+* **Work stealing**: packs are seeded one per worker and the remainder
+  drained from a deque as futures complete, with the largest remaining
+  pack split in two when workers idle — a straggler pack no longer
+  bounds wall-clock.
 """
 
 from __future__ import annotations
@@ -78,7 +69,6 @@ import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -94,7 +84,6 @@ from repro.experiments.harness import (
     run_policy_cached,
 )
 from repro.experiments.mixes import Mix
-from repro.experiments.transport import EncodedPack, decode_pack, encode_pack
 from repro.sim.config import (
     ENV_CELL_TIMEOUT_S,
     ENV_PACK_CELLS,
@@ -104,10 +93,7 @@ from repro.sim.config import (
     env_pack_cells,
     env_workers,
     knob_fingerprint,
-    pool_reuse_enabled,
-    steal_enabled,
 )
-from repro.sim.spanplan import consume_kernel_cache_stats, preload_kernels
 
 _log = logging.getLogger(__name__)
 
@@ -143,8 +129,6 @@ class SweepResult:
             with an explicit ``seeds`` axis.
         cell_timings: Wall-clock seconds spent producing each cell
             (near zero for cache hits).
-        prepare_timings: Wall-clock seconds of each mix's prepare phase
-            (parallel mode only).
         workers: Worker processes the sweep ran with (1 = serial).
         mode: ``"serial"`` or ``"parallel"``.
         elapsed_s: End-to-end wall-clock time of the sweep.
@@ -160,22 +144,14 @@ class SweepResult:
             instead (None for healthy sweeps).
         warm_starts: 1 when the sweep ran on a reused (already-live)
             worker pool, 0 for a cold pool or a serial sweep.
-        kernels_preloaded: Span kernels compiled ahead of demand by
-            pool initializers (summed over workers) and parent-side
-            preloads.
-        kernel_disk_hits: Kernel sources served from the persistent
-            ``.repro_cache/kernels/`` store instead of regenerated
-            (workers + parent).
         steals: Packs dispatched on demand after the initial one-per-
-            worker seeding (work-stealing mode only).
+            worker seeding.
         packs_split: Packs split in two because workers were idle with
             too few packs queued.
-        ipc_bytes: Columnar result payload bytes returned by workers.
     """
 
     results: Dict[Tuple, RunResult] = field(default_factory=dict)
     cell_timings: Dict[Tuple, float] = field(default_factory=dict)
-    prepare_timings: Dict[str, float] = field(default_factory=dict)
     workers: int = 1
     mode: str = "serial"
     elapsed_s: float = 0.0
@@ -185,11 +161,8 @@ class SweepResult:
     failures: List[Tuple[str, str, str]] = field(default_factory=list)
     fallback_reason: Optional[str] = None
     warm_starts: int = 0
-    kernels_preloaded: int = 0
-    kernel_disk_hits: int = 0
     steals: int = 0
     packs_split: int = 0
-    ipc_bytes: int = 0
 
     def get(
         self, mix: Mix, policy: Policy, seed: Optional[int] = None
@@ -200,10 +173,9 @@ class SweepResult:
         return self.results[(mix.name, policy.name, seed)]
 
 
-def _prepare_cell(args: Tuple) -> Tuple[str, float]:
+def _prepare_cell(args: Tuple) -> None:
     """Worker: compute a mix's shared prerequisites (phase 1)."""
     mix, policies, executions, warmup, config, seed = args
-    start = time.perf_counter()
     measure_baseline(
         mix, executions=executions, warmup=warmup, config=config, seed=seed
     )
@@ -211,7 +183,6 @@ def _prepare_cell(args: Tuple) -> Tuple[str, float]:
         find_static_partition(mix, config=config, seed=seed)
     if any(p.uses_runtime for p in policies):
         get_profile(mix.fg_name, config)
-    return mix.name, time.perf_counter() - start
 
 
 def _policy_cell(args: Tuple) -> Tuple[Tuple, RunResult, float]:
@@ -241,31 +212,6 @@ def _run_pack(pack: List[Tuple]) -> List[Tuple[Tuple, RunResult, float]]:
     return [_policy_cell(cell) for cell in pack]
 
 
-def _run_pack_encoded(pack: List[Tuple]) -> EncodedPack:
-    """Worker: run a pack and return it in columnar transport form.
-
-    The kernel-cache counter snapshot rides along so the parent can
-    attribute worker-side disk hits and initializer preloads to the
-    sweep without the workers sharing any state.
-    """
-    return encode_pack(_run_pack(pack), consume_kernel_cache_stats())
-
-
-def _warm_worker() -> None:
-    """Pool initializer: warm a fresh worker's kernel code cache.
-
-    Runs once per worker process before its first task: compiles the
-    shipped template shapes plus every persisted kernel-cache entry
-    into the in-process code cache.  Warming is purely accelerative and
-    best-effort: a failure here logs and leaves the worker cold rather
-    than breaking the pool.
-    """
-    try:
-        preload_kernels()
-    except Exception:  # pragma: no cover - warming must never kill a pool
-        _log.exception("worker warm-up failed; continuing cold")
-
-
 class WorkerPool:
     """Keeps one ``ProcessPoolExecutor`` alive across consecutive sweeps.
 
@@ -274,16 +220,13 @@ class WorkerPool:
     matches the key it was spawned under.  Any mismatch — a knob flip,
     a different worker count, new simulator code — and any unhealthy
     release (timeout, ``BrokenProcessPool``) retires the pool; the next
-    acquire respawns with the warm initializer and bumps
-    ``generation``.  With ``REPRO_POOL_REUSE`` off, acquire returns a
-    plain single-sweep pool exactly as before this layer existed: sized
-    to the cell count, no initializer, never retained.
+    acquire respawns it.  Fresh workers compile span kernels on demand;
+    a reused pool's workers keep the kernels they compiled.
     """
 
     def __init__(self) -> None:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._key: Optional[Tuple] = None
-        self.generation = 0
 
     def acquire(self, workers: int) -> Tuple[ProcessPoolExecutor, bool]:
         """A pool of ``workers`` processes; returns ``(pool, warm)``.
@@ -292,19 +235,13 @@ class WorkerPool:
         workers carry previous sweeps' caches).  May raise whatever the
         executor constructor raises; the caller owns the fallback.
         """
-        if not pool_reuse_enabled():
-            self.discard()
-            return ProcessPoolExecutor(max_workers=workers), False
         key = (workers, code_version_tag(), knob_fingerprint())
         if self._pool is not None and self._key == key:
             return self._pool, True
         self.discard()
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_warm_worker,
-        )
+        pool = ProcessPoolExecutor(max_workers=workers)
         self._pool = pool
         self._key = key
-        self.generation += 1
         return pool, False
 
     def release(
@@ -316,7 +253,7 @@ class WorkerPool:
         anything else shuts down (without waiting when a timed-out
         worker may still be wedged on a pack).
         """
-        if keep and pool is self._pool and pool_reuse_enabled():
+        if keep and pool is self._pool:
             return
         if pool is self._pool:
             self._pool = None
@@ -416,8 +353,8 @@ def run_grid(
             sweep.mode = "parallel"
             _retry_lost_cells(sweep, lost)
             return _finish_sweep(sweep, start)
-        # Pool never came up or died before producing results
-        # (restricted platform): run serially below, keeping the cause.
+        # Pool never came up or died in the prepare phase (restricted
+        # platform): run serially below, keeping the cause.
         sweep = SweepResult(workers=1,
                             fallback_reason=sweep.fallback_reason)
     sweep.mode = "serial"
@@ -430,16 +367,8 @@ def run_grid(
 
 
 def _finish_sweep(sweep: SweepResult, start: float) -> SweepResult:
-    """Fold parent-side counters in, stamp timing, publish the sweep.
-
-    Parent-side kernel-cache activity covers serial sweeps, serial
-    retries of lost cells, and any preloading the parent process did
-    itself; worker-side activity arrived with each pack's columns.
-    """
+    """Stamp the sweep's timing and publish it as the last sweep."""
     global _LAST_SWEEP
-    counters = consume_kernel_cache_stats()
-    sweep.kernel_disk_hits += counters.get("kernel_disk_hits", 0)
-    sweep.kernels_preloaded += counters.get("kernels_preloaded", 0)
     sweep.elapsed_s = time.perf_counter() - start
     _LAST_SWEEP = sweep
     return sweep
@@ -483,15 +412,12 @@ def _run_parallel(
     (``REPRO_CELL_TIMEOUT_S``) or was stranded when the pool died —
     for the caller to retry serially; an empty list means a fully
     healthy parallel sweep.  Returns None when no pool could be created
-    or it collapsed before producing any policy-cell results, with the
-    cause logged and recorded in ``sweep.fallback_reason``; the sweep
-    is still fully computable in-process.
+    or it collapsed during the prepare phase, with the cause logged and
+    recorded in ``sweep.fallback_reason``; the sweep is still fully
+    computable in-process.
     """
     executions, warmup, config = cells[0][2:5]
-    needs_prepare = any(
-        p.uses_runtime or p.static_partition or not _is_baseline(p)
-        for p in policies
-    )
+    needs_prepare = any(not _is_baseline(p) for p in policies)
     # One prepare cell per distinct (mix, seed) — with a seeds axis the
     # Baseline/partition prerequisites are per-seed too.
     seen_prepare = set()
@@ -506,14 +432,10 @@ def _run_parallel(
             )
     packs = _pack_cells(cells, workers)
     timeout_s = env_cell_timeout_s()
-    mix_map = {mix.name: mix for mix in mixes}
-    # Without pool reuse the pool is sized to the cell count exactly as
-    # before this layer existed; a reusable pool keeps its full width so
-    # the generation key (and the forked workers) stay stable across
-    # sweeps of different sizes.
-    size = workers if pool_reuse_enabled() else min(workers, len(cells))
+    # The pool keeps its full width whatever the sweep's size, so the
+    # generation key (and the forked workers) stay stable across sweeps.
     try:
-        pool, warm = _POOL.acquire(size)
+        pool, warm = _POOL.acquire(workers)
     except (OSError, RuntimeError, PermissionError) as exc:
         _fall_back(sweep, exc)
         return None
@@ -524,10 +446,10 @@ def _run_parallel(
         try:
             if needs_prepare and len(mixes) > 0:
                 chunk = _chunksize(len(prepare_args), workers)
-                for name, spent in pool.map(
+                for _ in pool.map(
                     _prepare_cell, prepare_args, chunksize=chunk
                 ):
-                    sweep.prepare_timings[name] = spent
+                    pass
         except (OSError, BrokenProcessPool, RuntimeError,
                 PermissionError) as exc:
             # No fork/spawn, no semaphores, or the pool died during the
@@ -535,80 +457,19 @@ def _run_parallel(
             pool_broken = True
             _fall_back(sweep, exc)
             return None
-        if steal_enabled():
-            lost, timed_out, pool_broken = _dispatch_stealing(
-                sweep, pool, packs, timeout_s, size, mix_map
-            )
-        else:
-            lost, timed_out, pool_broken = _dispatch_static(
-                sweep, pool, packs, timeout_s, mix_map
-            )
-        if lost is None:
-            return None
+        lost, timed_out, pool_broken = _dispatch_stealing(
+            sweep, pool, packs, timeout_s, workers
+        )
         return lost
     finally:
-        # A healthy pool is retained for the next sweep (reuse mode); a
-        # timed-out worker may still be running, so abandon it rather
-        # than letting shutdown block result delivery on its completion.
+        # A healthy pool is retained for the next sweep; a timed-out
+        # worker may still be running, so abandon it rather than
+        # letting shutdown block result delivery on its completion.
         _POOL.release(
             pool,
             keep=not (timed_out or pool_broken),
             wait_workers=not timed_out,
         )
-
-
-def _dispatch_static(
-    sweep: SweepResult,
-    pool: ProcessPoolExecutor,
-    packs: List[List[Tuple]],
-    timeout_s: Optional[float],
-    mix_map: Dict[str, Mix],
-) -> Tuple[Optional[List[Tuple]], bool, bool]:
-    """Pre-PR dispatch: submit every pack up front, collect in order.
-
-    Selected by ``REPRO_STEAL=0``.  Returns ``(lost, timed_out,
-    pool_broken)``; ``lost`` is None when the pool died before any
-    policy-cell result was collected (whole-sweep serial fallback).
-    """
-    try:
-        sweep.pack_sizes = [len(pack) for pack in packs]
-        futures = [(pack, pool.submit(_run_pack_encoded, pack))
-                   for pack in packs]
-    except (OSError, BrokenProcessPool, RuntimeError,
-            PermissionError) as exc:
-        _fall_back(sweep, exc)
-        return None, False, True
-    lost: List[Tuple] = []
-    timed_out = False
-    pool_broken = False
-    for pack, future in futures:
-        if pool_broken:
-            lost.extend(pack)
-            continue
-        try:
-            if timeout_s is not None:
-                payload = future.result(timeout=timeout_s * len(pack))
-            else:
-                payload = future.result()
-        except FutureTimeoutError:
-            _log.warning(
-                "sweep pack of %d cells exceeded the %.1fs/cell "
-                "budget (%s); retrying its cells serially",
-                len(pack), timeout_s, ENV_CELL_TIMEOUT_S,
-            )
-            timed_out = True
-            future.cancel()
-            lost.extend(pack)
-        except BrokenProcessPool as exc:
-            _log.warning(
-                "worker pool died mid-sweep (%s); retrying the "
-                "remaining cells serially", exc,
-            )
-            pool_broken = True
-            lost.extend(pack)
-        else:
-            _collect_pack(sweep, payload, mix_map)
-    return lost, timed_out, pool_broken
 
 
 def _dispatch_stealing(
@@ -617,7 +478,6 @@ def _dispatch_stealing(
     packs: List[List[Tuple]],
     timeout_s: Optional[float],
     workers: int,
-    mix_map: Dict[str, Mix],
 ) -> Tuple[List[Tuple], bool, bool]:
     """Adaptive dispatch: seed one pack per worker, steal the rest.
 
@@ -630,8 +490,7 @@ def _dispatch_stealing(
 
     Per-pack deadlines (``REPRO_CELL_TIMEOUT_S``) run from submission;
     an expired pack is cancelled and its cells lost for the serial
-    retry, exactly as in static mode.  Returns ``(lost, timed_out,
-    pool_broken)``.
+    retry.  Returns ``(lost, timed_out, pool_broken)``.
     """
     queue: Deque[List[Tuple]] = deque(
         sorted(packs, key=len, reverse=True)
@@ -689,7 +548,7 @@ def _dispatch_stealing(
         for future in done:
             pack, _deadline = inflight.pop(future)
             try:
-                payload = future.result()
+                rows = future.result()
             except BrokenProcessPool as exc:
                 _log.warning(
                     "worker pool died mid-sweep (%s); retrying the "
@@ -698,7 +557,9 @@ def _dispatch_stealing(
                 pool_broken = True
                 lost.extend(pack)
                 continue
-            _collect_pack(sweep, payload, mix_map)
+            for key, result, spent in rows:
+                sweep.results[key] = result
+                sweep.cell_timings[key] = spent
         if pool_broken:
             break
         idle = workers - len(inflight)
@@ -736,7 +597,7 @@ def _submit_pack(
     """Dispatch the next queued pack; on submit failure re-queue it."""
     pack = queue.popleft()
     try:
-        future = pool.submit(_run_pack_encoded, pack)
+        future = pool.submit(_run_pack, pack)
     except BrokenProcessPool:
         queue.appendleft(pack)
         raise
@@ -767,27 +628,6 @@ def _split_largest(
     return True
 
 
-def _collect_pack(
-    sweep: SweepResult, payload: object, mix_map: Dict[str, Mix]
-) -> None:
-    """Merge one pack's worker payload into the sweep.
-
-    Workers return :class:`EncodedPack` columns; plain row lists (test
-    doubles monkeypatching the worker) are accepted unchanged.
-    """
-    if isinstance(payload, EncodedPack):
-        sweep.ipc_bytes += payload.nbytes()
-        counters = payload.counters
-        sweep.kernel_disk_hits += counters.get("kernel_disk_hits", 0)
-        sweep.kernels_preloaded += counters.get("kernels_preloaded", 0)
-        rows = decode_pack(payload, mix_map)
-    else:
-        rows = payload
-    for key, result, spent in rows:
-        sweep.results[key] = result
-        sweep.cell_timings[key] = spent
-
-
 def _fall_back(sweep: SweepResult, exc: BaseException) -> None:
     """Record a whole-sweep serial fallback and discard partial state."""
     reason = "%s: %s" % (type(exc).__name__, exc)
@@ -796,7 +636,6 @@ def _fall_back(sweep: SweepResult, exc: BaseException) -> None:
     sweep.fallback_reason = reason
     sweep.results.clear()
     sweep.cell_timings.clear()
-    sweep.prepare_timings.clear()
     sweep.pack_sizes = []
 
 

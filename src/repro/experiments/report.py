@@ -13,9 +13,9 @@ def sweep_summary(sweep: SweepResult) -> Tuple[str, ...]:
 
     Surfaces the dispatch counters that matter when a sweep misbehaves
     (retries, failures, degraded serial fallback) alongside the
-    warm-worker telemetry (pool reuse, kernel preloads, steals, IPC
-    volume).  Zero-valued degradation counters are omitted so a healthy
-    sweep reads as two short lines.
+    warm-worker telemetry (pool reuse, steals).  Zero-valued
+    degradation counters are omitted so a healthy sweep reads as two
+    short lines.
     """
     lines: List[str] = []
     mode = "%s, %d worker%s" % (
@@ -33,21 +33,11 @@ def sweep_summary(sweep: SweepResult) -> Tuple[str, ...]:
     if sweep.retried or sweep.failed:
         lines.append("degraded: %d cell(s) retried serially, %d failed"
                      % (sweep.retried, sweep.failed))
-    warm_bits = []
     if sweep.warm_starts:
-        warm_bits.append("%d warm start(s)" % sweep.warm_starts)
-    if sweep.kernels_preloaded:
-        warm_bits.append("%d kernel(s) preloaded" % sweep.kernels_preloaded)
-    if sweep.kernel_disk_hits:
-        warm_bits.append("%d kernel disk hit(s)" % sweep.kernel_disk_hits)
-    if warm_bits:
-        lines.append("warm workers: %s" % ", ".join(warm_bits))
+        lines.append("warm workers: %d warm start(s)" % sweep.warm_starts)
     if sweep.steals or sweep.packs_split:
         lines.append("stealing: %d steal(s), %d pack(s) split"
                      % (sweep.steals, sweep.packs_split))
-    if sweep.ipc_bytes:
-        lines.append("transport: %d column bytes from workers"
-                     % sweep.ipc_bytes)
     return tuple(lines)
 
 

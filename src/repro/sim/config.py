@@ -181,15 +181,6 @@ ENV_CELL_TIMEOUT_S = "REPRO_CELL_TIMEOUT_S"
 #: all hardening).
 ENV_DEGRADED_MODE = "REPRO_DEGRADED_MODE"
 
-#: Worker-pool reuse kill switch (``0``/``off``/``false`` disables).
-ENV_POOL_REUSE = "REPRO_POOL_REUSE"
-
-#: Persistent kernel-source cache kill switch (``0``/``off``/``false``).
-ENV_KERNEL_DISK_CACHE = "REPRO_KERNEL_DISK_CACHE"
-
-#: Work-stealing sweep dispatch kill switch (``0``/``off``/``false``).
-ENV_STEAL = "REPRO_STEAL"
-
 #: Fleet failover kill switch (``0``/``off``/``false`` disables stream
 #: re-placement).
 ENV_FLEET_FAILOVER = "REPRO_FLEET_FAILOVER"
@@ -285,34 +276,6 @@ KNOBS: Tuple[EnvKnob, ...] = (
         # the zero-fault equivalence tests.
         ENV_DEGRADED_MODE, "degraded_mode_enabled", "flag", "1", None,
         "Graceful-degradation hardening kill switch (chaos baseline).",
-    ),
-    EnvKnob(
-        # Scheduling-only: a reused pool re-runs the same module-level
-        # worker functions on the same pickled arguments as a fresh
-        # pool; every per-process cache the warm worker carries is an
-        # exact-key memo of a pure computation.  Bit-identity of warm
-        # vs. cold vs. serial sweeps is pinned by
-        # tests/experiments/test_warm_pool.py.
-        ENV_POOL_REUSE, "pool_reuse_enabled", "flag", "1", None,
-        "Worker-pool reuse across sweeps (bit-identical either way).",
-    ),
-    EnvKnob(
-        # Result-neutral: the disk cache stores generated kernel
-        # *sources* keyed by shape + code-version tag and every load is
-        # digest-verified, so a loaded source is byte-equal to what
-        # _generate_source would emit (audited by lint rule GEN003 and
-        # the torn-write tests).
-        ENV_KERNEL_DISK_CACHE, "kernel_disk_cache_enabled", "flag", "1",
-        None,
-        "Persistent kernel-source cache (bit-identical either way).",
-    ),
-    EnvKnob(
-        # Scheduling-only: stealing changes which worker runs a pack and
-        # when, never the pack's cells or their lane-packing; splits cut
-        # packs at seed-group boundaries the serial path also honors.
-        # Pinned by tests/experiments/test_warm_pool.py.
-        ENV_STEAL, "steal_enabled", "flag", "1", None,
-        "Work-stealing sweep dispatch (bit-identical either way).",
     ),
     EnvKnob(
         # Result-relevant only for *node-faulted* fleet runs, which are
@@ -457,42 +420,6 @@ def degraded_mode_enabled() -> bool:
     fault symptoms that clean runs never produce.
     """
     return _flag_enabled(ENV_DEGRADED_MODE)
-
-
-def pool_reuse_enabled() -> bool:
-    """True unless ``REPRO_POOL_REUSE`` disables worker-pool reuse.
-
-    When on, the sweep engine keeps its ``ProcessPoolExecutor`` alive
-    across consecutive ``run_grid`` calls.  A reused pool runs the same
-    module-level worker functions on the same pickled arguments as a
-    fresh one, so this knob is result-neutral (pinned by the warm-pool
-    determinism suite).
-    """
-    return _flag_enabled(ENV_POOL_REUSE)
-
-
-def kernel_disk_cache_enabled() -> bool:
-    """True unless ``REPRO_KERNEL_DISK_CACHE`` disables the kernel cache.
-
-    When on, :mod:`repro.sim.spanplan` persists generated kernel
-    sources under ``<cache_dir>/kernels/`` and loads them instead of
-    regenerating.  Loads are digest-verified against the stored source,
-    and entries are keyed by the code-version tag, so the knob is
-    result-neutral.
-    """
-    return _flag_enabled(ENV_KERNEL_DISK_CACHE)
-
-
-def steal_enabled() -> bool:
-    """True unless ``REPRO_STEAL`` disables work-stealing dispatch.
-
-    When on, the adaptive seed/steal/split scheme replaces the static
-    submit-everything-up-front sweep dispatch.  Stealing only changes
-    which worker runs a pack and when, never a pack's cells or lane
-    packing, so this knob is result-neutral (pinned by the warm-pool
-    determinism suite).
-    """
-    return _flag_enabled(ENV_STEAL)
 
 
 def fleet_failover_enabled() -> bool:

@@ -86,9 +86,8 @@ from repro.sim.perf import (
 from repro.sim.process import STATE_RUNNING
 
 __all__ = [
-    "SpanPlan", "SpanPlanner", "SpanStats", "consume_kernel_cache_stats",
-    "generate_kernel_source", "kernel_cache_stats", "preload_kernels",
-    "template_shapes",
+    "SpanPlan", "SpanPlanner", "SpanStats", "generate_kernel_source",
+    "kernel_cache_stats", "template_shapes",
 ]
 
 #: Cap on cached plans per engine; machine states cycle through a
@@ -184,97 +183,19 @@ class SpanStats:
 # kernel peels its first tick to charge pending overhead, so both vary
 # per span without multiplying the compiled kernels.
 
+#: Compiled code per shape, per process: each sweep worker compiles on
+#: demand, and a reused pool's workers keep theirs across sweeps.
 _KERNEL_CODE_CACHE: Dict[tuple, object] = {}
-
-#: Cross-process kernel-source cache activity in this process.  The
-#: sweep engine snapshots these per pack (see
-#: ``consume_kernel_cache_stats``) so worker-side hits surface in
-#: ``SweepResult`` without the workers touching shared state.
-_KERNEL_DISK_COUNTERS: Dict[str, int] = {
-    "kernel_disk_hits": 0,
-    "kernel_disk_stores": 0,
-    "kernels_preloaded": 0,
-}
-
-
-def _kernel_disk_cache():
-    """The persistent kernel-source store, or None when unavailable.
-
-    Imported lazily: :mod:`repro.sim` must stay importable without the
-    experiments package (and the knob gating lives with the cache).
-    """
-    try:
-        from repro.experiments.diskcache import get_kernel_cache
-    except ImportError:  # pragma: no cover - trimmed installs
-        return None
-    cache = get_kernel_cache()
-    return cache if cache.enabled else None
-
-
-def _kernel_source(shape: tuple) -> str:
-    """Source for ``shape``: loaded from the persistent cache, else
-    generated (and persisted so no other process generates it again).
-
-    Every disk load is digest-verified by the cache layer before it is
-    returned, so the string handed to ``compile`` is byte-equal to a
-    fresh ``generate_kernel_source(shape)`` unless the entry was
-    doctored in place — which lint rule GEN003 audits for explicitly.
-    """
-    cache = _kernel_disk_cache()
-    if cache is not None:
-        source = cache.load(shape)
-        if source is not None:
-            _KERNEL_DISK_COUNTERS["kernel_disk_hits"] += 1
-            return source
-    source = generate_kernel_source(shape)
-    if cache is not None:
-        cache.store(shape, source)
-        _KERNEL_DISK_COUNTERS["kernel_disk_stores"] += 1
-    return source
-
-
-def preload_kernels() -> int:
-    """Warm the in-process kernel code cache; returns kernels compiled.
-
-    Compiles every valid persistent-cache entry and the shipped
-    :func:`template_shapes` into ``_KERNEL_CODE_CACHE``.  Worker-pool
-    initializers call this once per process so the first simulated
-    span of every sweep cell finds its kernel already compiled.
-    """
-    count = 0
-    cache = _kernel_disk_cache()
-    if cache is not None:
-        for shape, source in cache.entries():
-            if shape in _KERNEL_CODE_CACHE:
-                continue
-            try:
-                code = compile(source, "<spanplan>", "exec")
-            except SyntaxError:  # pragma: no cover - digest-verified
-                continue
-            _KERNEL_CODE_CACHE[shape] = code
-            _KERNEL_DISK_COUNTERS["kernel_disk_hits"] += 1
-            count += 1
-    for shape in template_shapes():
-        if shape in _KERNEL_CODE_CACHE:
-            continue
-        source = _kernel_source(shape)
-        _KERNEL_CODE_CACHE[shape] = compile(source, "<spanplan>", "exec")
-        count += 1
-    _KERNEL_DISK_COUNTERS["kernels_preloaded"] += count
-    return count
 
 
 def kernel_cache_stats() -> Dict[str, int]:
-    """Snapshot of this process's kernel-source cache counters."""
-    return dict(_KERNEL_DISK_COUNTERS)
+    """Counters of a persistent kernel store: always empty.
 
-
-def consume_kernel_cache_stats() -> Dict[str, int]:
-    """Snapshot and zero the counters (sweep-worker delta reporting)."""
-    out = dict(_KERNEL_DISK_COUNTERS)
-    for name in _KERNEL_DISK_COUNTERS:
-        _KERNEL_DISK_COUNTERS[name] = 0
-    return out
+    Span kernels are generated and compiled in-process only.  The only
+    caller is ``perfbench/child.py``, which folds these counters into
+    its per-layer snapshot; it reads none.
+    """
+    return {}
 
 
 def _generate_source(shape: tuple) -> str:
@@ -1241,8 +1162,7 @@ def _compile_kernel(shape: tuple, plan: SpanPlan, stats: SpanStats):
     """Compile (or fetch) the kernel for ``shape``, bound to ``plan``."""
     code = _KERNEL_CODE_CACHE.get(shape)
     if code is None:
-        source = _kernel_source(shape)
-        code = compile(source, "<spanplan>", "exec")
+        code = compile(generate_kernel_source(shape), "<spanplan>", "exec")
         _KERNEL_CODE_CACHE[shape] = code
         stats.kernels_compiled += 1
     namespace: Dict[str, object] = {"__builtins__": {}}

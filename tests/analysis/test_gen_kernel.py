@@ -193,7 +193,9 @@ class TestDoctoredSourcesCaught:
 
     def test_timer_rng_is_the_only_new_allowlisted_name(self):
         # ``tr_`` (the closure-bound timer-RNG draw of in-kernel
-        # wakeups) passes; any other plain-name call is still flagged.
+        # wakeups) passes; any other plain-name call is still flagged,
+        # including ``ms_``, which the factory binds as the MPKI-scale
+        # constant and no kernel calls.
         template = (
             "def _factory(plan, e_):\n"
             "    %s = plan.timer_random\n"
@@ -203,7 +205,7 @@ class TestDoctoredSourcesCaught:
         )
         assert _violation_messages(template % ("tr_", "tr_")) == []
         for name in ("tr", "tr_0", "trx_", "rnd_", "timer_random", "an_",
-                     "mn_"):
+                     "mn_", "ms_"):
             messages = _violation_messages(template % (name, name))
             assert ("call to non-allowlisted name %r" % name) in messages
 

@@ -49,7 +49,7 @@ class TestSarifStructure:
         log = _log()
         rows = log["runs"][0]["tool"]["driver"]["rules"]
         ids = {row["id"] for row in rows}
-        assert {"DET001", "COV002", "FLO001", "GEN003"} <= ids
+        assert {"DET001", "COV002", "FLO001", "GEN002"} <= ids
         for row in rows:
             assert row["shortDescription"]["text"]
             assert row["defaultConfiguration"]["level"] in ("error",

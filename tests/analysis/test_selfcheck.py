@@ -44,7 +44,7 @@ class TestShippedTreeIsClean:
         assert document["summary"]["suppressed"] == 0
         # Per-rule stats cover every registered rule, with timings.
         stats = document["rule_stats"]
-        for rule_id in ("DET001", "COV002", "FLO001", "GEN003"):
+        for rule_id in ("DET001", "COV002", "FLO001", "GEN002"):
             assert rule_id in stats
             assert stats[rule_id]["findings"] == 0
             assert stats[rule_id]["time_s"] >= 0.0
@@ -76,7 +76,7 @@ class TestShippedTreeIsClean:
         assert main(["lint", "--list-rules", "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         kinds = {row["id"]: row["kind"] for row in document["rules"]}
-        for rule_id in ("COV002", "COV003", "GEN002", "GEN003", "ENV003"):
+        for rule_id in ("COV002", "COV003", "GEN002", "ENV003"):
             assert kinds[rule_id] == "project"
         for rule_id in ("DET001", "FLO001", "FLO002", "FLO003"):
             assert kinds[rule_id] == "module"

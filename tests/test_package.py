@@ -1,5 +1,6 @@
 """Tests of the public package surface and error hierarchy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -66,6 +67,47 @@ class TestErrorHierarchy:
     def test_catching_base_catches_all(self):
         with pytest.raises(ReproError):
             raise WorkloadError("x")
+
+
+class TestSimLayering:
+    """``repro.sim`` sits at the bottom: it imports only itself,
+    ``repro.workloads`` and ``repro.errors``."""
+
+    ALLOWED = ("repro.errors", "repro.sim", "repro.workloads")
+
+    @staticmethod
+    def _repro_imports(path):
+        """``(line, module)`` of every ``repro`` import, at any depth."""
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # Relative imports resolve against ``repro.sim``.
+                base = ["repro", "sim"][:3 - node.level] if node.level else []
+                module = ".".join(base + [node.module or ""]).strip(".")
+                # ``from repro import errors`` imports ``repro.errors``.
+                names = (
+                    [module + "." + alias.name for alias in node.names]
+                    if module == "repro" else [module]
+                )
+            else:
+                continue
+            for name in names:
+                if name == "repro" or name.startswith("repro."):
+                    yield node.lineno, name
+
+    def test_sim_imports_nothing_above_it(self):
+        sim_dir = Path(repro.__file__).resolve().parent / "sim"
+        modules = sorted(sim_dir.glob("*.py"))
+        assert modules
+        upward = [
+            "%s:%d imports %s" % (path.name, line, name)
+            for path in modules
+            for line, name in self._repro_imports(path)
+            if not any(name == allowed or name.startswith(allowed + ".")
+                       for allowed in self.ALLOWED)
+        ]
+        assert upward == []
 
 
 class TestNoNumpy:
