@@ -24,7 +24,11 @@ along and emits ``BENCH_harness.json`` at the repository root:
 5. **Fleet chaos**: machine ticks the fleet node-fault catalog
    simulates at the CI smoke size, where faulted rows replay every
    session an earlier row ran to done untouched.
-6. **Correctness**: the serial and parallel sweeps must produce
+6. **Run lifetime**: machines still referenced after each fleet
+   catalog row and each end-to-end Dirigent run returns, counted
+   through weak references with the cyclic garbage collector off: a
+   finished run must be freed by reference counting alone.
+7. **Correctness**: the serial and parallel sweeps must produce
    identical RunResults (also property-tested in
    ``tests/experiments/test_parallel.py``; scalar/batch equivalence is
    pinned by ``tests/sim/test_batch_equivalence.py``).
@@ -45,10 +49,14 @@ or through the CLI (optionally under cProfile)::
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import platform
+import statistics
 import time
+import weakref
 from pathlib import Path
 
 from repro.core.policies import BASELINE, DIRIGENT
@@ -90,8 +98,10 @@ SWEEP_WARMUP = 2
 SWEEP_WORKERS = 4
 
 #: Warm-worker section: repeated small sweeps, where pool spawn and
-#: per-process warm-up are a real fraction of the wall-clock.
-WARM_SWEEP_REPS = 3
+#: per-process warm-up are a real fraction of the wall-clock.  Each leg
+#: times this many sweeps one by one and compares their medians: a
+#: warm sweep takes ~5 ms, so one slow sweep must not decide the ratio.
+WARM_SWEEP_REPS = 9
 WARM_SWEEP_EXECUTIONS = 2
 WARM_SWEEP_WARMUP = 1
 
@@ -171,6 +181,38 @@ def _contended_noisy_machine(backend: str) -> Machine:
     return machine
 
 
+@contextlib.contextmanager
+def _machine_census():
+    """Weak references to every Machine built inside the block.
+
+    The cyclic garbage collector is off for the block, so a machine a
+    reference cycle still holds stays counted by :func:`_alive`.
+    """
+    built = []
+    init = Machine.__init__
+
+    def recording(machine, *args, **kwargs):
+        init(machine, *args, **kwargs)
+        built.append(weakref.ref(machine))
+
+    enabled = gc.isenabled()
+    gc.disable()
+    Machine.__init__ = recording
+    try:
+        yield built
+    finally:
+        Machine.__init__ = init
+        if enabled:
+            gc.enable()
+
+
+def _alive(refs) -> int:
+    """How many machines of ``refs`` are still referenced; clears it."""
+    alive = sum(1 for ref in refs if ref() is not None)
+    refs.clear()
+    return alive
+
+
 def _tick_rate(config: MachineConfig) -> float:
     """Best-of-3 tick throughput of a fresh 'ferret rs' machine."""
     best = 0.0
@@ -243,28 +285,34 @@ def _end_to_end_s(backend: str):
 
     Best of three runs — each from cold result caches — so a scheduler
     hiccup on a shared host does not distort the recorded ratio.
-    Returns ``(best_s, kernels)``: ``kernels`` counts the span kernels
-    the first run compiled, the entries the kernel code cache gains
-    after being cleared (0 under the scalar backend).
+    Returns ``(best_s, kernels, alive)``: ``kernels`` counts the span
+    kernels the first run compiled, the entries the kernel code cache
+    gains after being cleared (0 under the scalar backend); ``alive``
+    the machines (the Baseline's, the profiler's and the run's own)
+    still referenced after each run returns, the cyclic garbage
+    collector off throughout.
     """
     previous = os.environ.get(ENV_BACKEND)
     os.environ[ENV_BACKEND] = backend
     best = None
     kernels = None
+    alive = 0
     spanplan._KERNEL_CODE_CACHE.clear()
     try:
-        for _ in range(3):
-            harness.clear_caches()
-            start = time.perf_counter()
-            run_policy(
-                mix_by_name("ferret rs"), DIRIGENT,
-                executions=SWEEP_EXECUTIONS, warmup=SWEEP_WARMUP,
-            )
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-            if kernels is None:
-                kernels = len(spanplan._KERNEL_CODE_CACHE)
-        return best, kernels
+        with _machine_census() as machines:
+            for _ in range(3):
+                harness.clear_caches()
+                start = time.perf_counter()
+                run_policy(
+                    mix_by_name("ferret rs"), DIRIGENT,
+                    executions=SWEEP_EXECUTIONS, warmup=SWEEP_WARMUP,
+                )
+                elapsed = time.perf_counter() - start
+                best = elapsed if best is None else min(best, elapsed)
+                if kernels is None:
+                    kernels = len(spanplan._KERNEL_CODE_CACHE)
+                alive += _alive(machines)
+        return best, kernels, alive
     finally:
         harness.clear_caches()
         if previous is None:
@@ -273,20 +321,24 @@ def _end_to_end_s(backend: str):
             os.environ[ENV_BACKEND] = previous
 
 
-def _fleet_ticks() -> int:
+def _fleet_ticks():
     """Machine ticks of the fleet chaos catalog's node sessions.
 
-    Sums the clocks of every machine a policy session builds while
+    Returns ``(ticks, alive)``.  ``ticks`` sums the clocks of every
+    machine a policy session builds while
     :func:`repro.experiments.chaos.run_fleet_cell` runs each catalog
     row in order: home nodes and replacement sessions (the node
-    Baselines are warmed before counting starts).
+    Baselines are warmed before counting starts), each clock read as
+    its row returns.  Only the clocks are held, so ``alive`` counts the
+    machines built during a row that are still referenced once it has
+    returned, the cyclic garbage collector off throughout.
     """
-    machines = []
+    clocks = []
     build = harness.build_machine
 
     def recording(*args, **kwargs):
         built = build(*args, **kwargs)
-        machines.append(built[0])
+        clocks.append(built[0].clock)
         return built
 
     harness.clear_caches()
@@ -296,17 +348,23 @@ def _fleet_ticks() -> int:
             mix, executions=FLEET_EXECUTIONS, warmup=FLEET_WARMUP,
             seed=FLEET_SEED + i,
         )
+    ticks = alive = 0
     harness.build_machine = recording
     try:
-        for name in FLEET_SCENARIO_NAMES:
-            chaos.run_fleet_cell(
-                name, num_nodes=FLEET_NODES, executions=FLEET_EXECUTIONS,
-                warmup=FLEET_WARMUP, seed=FLEET_SEED,
-            )
+        with _machine_census() as machines:
+            for name in FLEET_SCENARIO_NAMES:
+                chaos.run_fleet_cell(
+                    name, num_nodes=FLEET_NODES,
+                    executions=FLEET_EXECUTIONS, warmup=FLEET_WARMUP,
+                    seed=FLEET_SEED,
+                )
+                ticks += sum(clock.tick for clock in clocks)
+                clocks.clear()
+                alive += _alive(machines)
     finally:
         harness.build_machine = build
         harness.clear_caches()
-    return sum(machine.clock.tick for machine in machines)
+    return ticks, alive
 
 
 def _snapshot(sweep) -> dict:
@@ -325,9 +383,10 @@ def _warm_worker_section(mixes) -> dict:
     engine overhead — pool handling, cell dispatch, cache reads, IPC.
     The cold leg retires the pool before every sweep and so pays a
     pool spawn each time; the warm leg pays it once (untimed spawn
-    sweep) and then reuses the pool.  ``REPRO_PACK_CELLS=1`` keeps the
-    deque longer than the worker count so the timed sweeps also
-    exercise work stealing.
+    sweep) and then reuses the pool.  Each sweep is timed on its own
+    and the legs compare their median sweeps.  ``REPRO_PACK_CELLS=1``
+    keeps the deque longer than the worker count so the timed sweeps
+    also exercise work stealing.
     """
     previous = os.environ.get(ENV_PACK_CELLS)
 
@@ -348,21 +407,21 @@ def _warm_worker_section(mixes) -> dict:
         prime, _ = _sweep()
 
         cold_sweeps = []
-        cold_s = 0.0
+        cold_times = []
         for _ in range(WARM_SWEEP_REPS):
             shutdown_pool()
             sweep, elapsed = _sweep()
             cold_sweeps.append(sweep)
-            cold_s += elapsed
+            cold_times.append(elapsed)
 
         shutdown_pool()
         spawn, _ = _sweep()  # pays the one-time spawn, untimed
         warm_sweeps = []
-        warm_s = 0.0
+        warm_times = []
         for _ in range(WARM_SWEEP_REPS):
             sweep, elapsed = _sweep()
             warm_sweeps.append(sweep)
-            warm_s += elapsed
+            warm_times.append(elapsed)
     finally:
         shutdown_pool()
         harness.clear_caches()
@@ -376,21 +435,26 @@ def _warm_worker_section(mixes) -> dict:
         for sweep in [prime] + cold_sweeps + [spawn] + warm_sweeps
     ]
     assert all(snapshot == snapshots[0] for snapshot in snapshots)
+    cold_s = statistics.median(cold_times)
+    warm_s = statistics.median(warm_times)
 
     return {
         "note": (
             "repeated %d-cell sweeps on a warm result cache (pure "
             "engine overhead); cold re-spawns the pool per sweep, warm "
-            "reuses one pool (spawn sweep untimed); counters are "
-            "summed over the timed warm sweeps"
+            "reuses one pool (spawn sweep untimed); each sweep timed on "
+            "its own, the speedup is the ratio of the median sweeps; "
+            "counters are summed over the timed warm sweeps"
             % len(prime.results)
         ),
         "reps": WARM_SWEEP_REPS,
         "executions": WARM_SWEEP_EXECUTIONS,
         "warmup": WARM_SWEEP_WARMUP,
         "workers": SWEEP_WORKERS,
-        "cold_pool_s": round(cold_s, 3),
-        "warm_pool_s": round(warm_s, 3),
+        "cold_sweeps_s": [round(t, 4) for t in cold_times],
+        "warm_sweeps_s": [round(t, 4) for t in warm_times],
+        "cold_median_s": round(cold_s, 4),
+        "warm_median_s": round(warm_s, 4),
         "speedup_warm_vs_cold": round(cold_s / warm_s, 3),
         "warm_starts": _sum(warm_sweeps, "warm_starts"),
         "steals": _sum(warm_sweeps, "steals"),
@@ -428,10 +492,10 @@ def run_benchmark() -> dict:
     sparse_speedup = sparse_batch / sparse_scalar
     contended_speedup = contended_batch / contended_scalar
     noisy_contended_speedup = noisy_batch_r / noisy_scalar
-    e2e_scalar_s, _ = _end_to_end_s(BACKEND_SCALAR)
-    e2e_batch_s, e2e_kernels = _end_to_end_s(BACKEND_BATCH)
+    e2e_scalar_s, _, scalar_alive = _end_to_end_s(BACKEND_SCALAR)
+    e2e_batch_s, e2e_kernels, batch_alive = _end_to_end_s(BACKEND_BATCH)
     e2e_spans, e2e_kernel_wakeups = _end_to_end_spans()
-    fleet_ticks = _fleet_ticks()
+    fleet_ticks, fleet_alive = _fleet_ticks()
 
     harness.clear_caches()
     serial = run_grid(
@@ -522,6 +586,7 @@ def run_benchmark() -> dict:
                 "spans": e2e_spans,
                 "spans_before": E2E_SPANS_BEFORE,
                 "kernel_wakeups": e2e_kernel_wakeups,
+                "machines_alive": scalar_alive + batch_alive,
                 "note": (
                     "kernels_compiled: span kernels the first batch run "
                     "compiled from an empty kernel code cache; "
@@ -532,7 +597,10 @@ def run_benchmark() -> dict:
                     "one batch PolicySession of the same run, driven to "
                     "the end as run_policy drives it; spans_before: the "
                     "same count while a plain span followed every "
-                    "decision and 32-tick drive blocks ended spans"
+                    "decision and 32-tick drive blocks ended spans; "
+                    "machines_alive: machines still referenced after "
+                    "each of the six timed runs returns (weak references, "
+                    "cyclic garbage collector off during those runs)"
                 ),
             },
             "fast_path": {
@@ -577,11 +645,15 @@ def run_benchmark() -> dict:
             ),
             "ticks": fleet_ticks,
             "ticks_before": FLEET_TICKS_BEFORE,
+            "machines_alive": fleet_alive,
             "note": (
                 "ticks: machine ticks of every node and replacement "
                 "session, with faulted rows replaying every session an "
                 "earlier row ran to done untouched; ticks_before: the "
-                "same count while only nodes no fault names replayed"
+                "same count while only nodes no fault names replayed; "
+                "machines_alive: machines built during a row still "
+                "referenced once it returns (weak references, cyclic "
+                "garbage collector off), summed over the rows"
             ),
         },
         "identical_results": True,
@@ -595,9 +667,9 @@ def check_stable_floors(artifact: dict) -> None:
 
     These are ratios of two legs measured on the same host in the same
     run (backend and warm-pool speedups) and deterministic counts (span
-    kernels compiled, spans, fleet ticks, fast-path counters).  CI
-    gates on exactly this set; :func:`check_floors` adds the floors
-    that depend on the host.
+    kernels compiled, spans, fleet ticks, machines left alive,
+    fast-path counters).  CI gates on exactly this set;
+    :func:`check_floors` adds the floors that depend on the host.
     """
     backends = artifact["backends"]
     assert backends["event_sparse"]["speedup"] >= 3.0, (
@@ -611,7 +683,9 @@ def check_stable_floors(artifact: dict) -> None:
     assert e2e["kernels_compiled"] <= E2E_KERNELS_MAX, e2e
     assert e2e["spans"] <= E2E_SPANS_MAX, e2e
     assert e2e["kernel_wakeups"] > 0, e2e
+    assert e2e["machines_alive"] == 0, e2e
     assert artifact["fleet"]["ticks"] <= FLEET_TICKS_MAX, artifact["fleet"]
+    assert artifact["fleet"]["machines_alive"] == 0, artifact["fleet"]
     # A silently disabled fast path could still pass the throughput
     # floors on a fast host; its counters cannot.
     fast_path = backends["fast_path"]

@@ -190,6 +190,9 @@ def _run_bench(args) -> int:
     fleet = artifact["fleet"]
     print("fleet catalog ticks:           %d (was %d)"
           % (fleet["ticks"], fleet["ticks_before"]))
+    print("machines alive after runs:     %d fleet, %d end-to-end"
+          % (fleet["machines_alive"],
+             backends["end_to_end_dirigent"]["machines_alive"]))
     print("sweep speedup (warm cache):    %.3fx"
           % artifact["sweep"]["speedup_vs_pre_pr_serial_warm"])
     warm = artifact["warm_worker"]

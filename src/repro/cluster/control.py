@@ -479,14 +479,31 @@ class FleetController:
     # ------------------------------------------------------------------
 
     def run(self):
-        """Drive the fleet to resolution; returns a ClusterResult."""
+        """Drive the fleet to resolution; returns a ClusterResult.
+
+        Nothing drives the run's sessions once it returns (or raises),
+        so it closes every one: finished, crashed, abandoned and
+        replaced sessions, and the real session behind every replay.
+        """
+        streams: Dict[str, _Stream] = {}
+        try:
+            return self._run(streams)
+        finally:
+            for stream in streams.values():
+                for placement in stream.placements:
+                    session = placement.session
+                    if isinstance(session, _Replay):
+                        session = session.session
+                    session.machine.close()
+
+    def _run(self, streams: Dict[str, _Stream]):
+        """The fleet loop of :meth:`run`, filling ``streams`` as it goes."""
         config = self._config
         monitor = HeartbeatMonitor(self._names, config)
         dispatcher = FailoverDispatcher(self._names, config)
         specs: Dict[str, Optional[NodeFaultSpec]] = {
             name: self._schedule.spec_for(name) for name in self._names
         }
-        streams: Dict[str, _Stream] = {}
         for node in self._nodes:
             dispatcher.admit_home(node.name, self._streams_for(node))
             session = node.session

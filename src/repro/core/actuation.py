@@ -155,6 +155,9 @@ class GuardedSystem:
     def schedule_wakeup(self, delay_s: float, callback: WakeupCallback) -> None:
         self._sys.schedule_wakeup(delay_s, callback)
 
+    def cancel_wakeup(self, callback: WakeupCallback) -> None:
+        self._sys.cancel_wakeup(callback)
+
     def charge_overhead(self, core: int, seconds: float) -> None:
         self._sys.charge_overhead(core, seconds)
 

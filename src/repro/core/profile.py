@@ -155,12 +155,29 @@ class SamplingError(ProfileError):
     """The profiling sampler observed an inconsistent counter sequence."""
 
 
-class _SamplerState:
-    """Mutable capture buffer shared with the sampler callback."""
+class _Sampler:
+    """The profiling run's timer callback and capture buffers.
 
-    def __init__(self) -> None:
+    Each call reads the profiled core's counters and reschedules itself
+    one period later; :meth:`on_completion` collects the execution
+    records.
+    """
+
+    def __init__(self, machine: Machine, core: int, period_s: float) -> None:
+        self._machine = machine
+        self._core = core
+        self._period = period_s
         self.samples: List[Tuple[float, float]] = []
         self.completions: List[object] = []
+
+    def __call__(self) -> None:
+        machine = self._machine
+        snap = machine.read_counters(self._core)
+        self.samples.append((snap.time_s, snap.instructions))
+        machine.schedule_wakeup(self._period, self)
+
+    def on_completion(self, proc, record) -> None:
+        self.completions.append(record)
 
 
 class OfflineProfiler:
@@ -192,19 +209,10 @@ class OfflineProfiler:
         if not spec.is_foreground:
             raise ProfileError("only FG workloads are profiled")
         machine = Machine(self._config)
-        proc = machine.spawn(spec, core=self._core, nice=-5)
-
-        state = _SamplerState()
-        machine.add_completion_listener(
-            lambda p, record: state.completions.append(record)
-        )
-
-        def sample() -> None:
-            snap = machine.read_counters(self._core)
-            state.samples.append((snap.time_s, snap.instructions))
-            machine.schedule_wakeup(self._period, sample)
-
-        machine.schedule_wakeup(self._period, sample)
+        machine.spawn(spec, core=self._core, nice=-5)
+        sampler = _Sampler(machine, self._core, self._period)
+        machine.add_completion_listener(sampler.on_completion)
+        machine.schedule_wakeup(self._period, sampler)
 
         # Warmup executions: run until enough completions are seen.  The
         # machine advances in blocks (batched fast path); overshooting
@@ -213,18 +221,22 @@ class OfflineProfiler:
         block = 64
         guard_ticks = 0
         max_ticks = int(600.0 / self._config.tick_s)
-        while len(state.completions) <= self._warmup:
-            machine.run_ticks(block)
-            guard_ticks += block
-            if guard_ticks > max_ticks:
-                raise ProfileError(
-                    "profiling of %r did not complete executions in time"
-                    % spec.name
-                )
+        try:
+            while len(sampler.completions) <= self._warmup:
+                machine.run_ticks(block)
+                guard_ticks += block
+                if guard_ticks > max_ticks:
+                    raise ProfileError(
+                        "profiling of %r did not complete executions in "
+                        "time" % spec.name
+                    )
+        finally:
+            # The sampler and the machine refer to each other.
+            machine.close()
 
-        record = state.completions[self._warmup]
+        record = sampler.completions[self._warmup]
         segments = segments_from_samples(
-            state.samples, record.start_s, record.end_s, record.instructions
+            sampler.samples, record.start_s, record.end_s, record.instructions
         )
         return ExecutionProfile(
             workload_name=spec.name,

@@ -265,9 +265,6 @@ class DirigentRuntime:
                 decision_every=self._opts.coarse_decision_every,
             )
         self._running = False
-        # The wakeup callback, bound once: a stable object the simulator
-        # can recognize on its timer wheel (see attach_sampler).
-        self._wakeup = self._on_wakeup
         self._sample_count = 0
         self._decisions_at_last_coarse = 0
         self._bg_miss_base: Dict[int, float] = {}
@@ -364,7 +361,9 @@ class DirigentRuntime:
         for pid, core in self._bg_cores:
             self._bg_miss_base[pid] = self._sys.read_counters(core).llc_misses
         self._last_wakeup_s = now
-        self._sys.schedule_wakeup(self._opts.sampling_period_s, self._wakeup)
+        self._sys.schedule_wakeup(
+            self._opts.sampling_period_s, self._on_wakeup
+        )
         # A simulator may take the sample-only wakeups inside its span
         # kernel.  It must be driven directly (a fault-injecting wrapper
         # has no attach_sampler), and every sample must come from
@@ -376,8 +375,9 @@ class DirigentRuntime:
             attach(self)
 
     def stop(self) -> None:
-        """Stop scheduling further wakeups."""
+        """Stop the sampling loop and drop its queued wakeup."""
         self._running = False
+        self._sys.cancel_wakeup(self._on_wakeup)
 
     # ------------------------------------------------------------------
     # Periodic sampling
@@ -412,7 +412,9 @@ class DirigentRuntime:
             if statuses:
                 self._fine.decide(statuses, self._bg_intrusiveness())
 
-        self._sys.schedule_wakeup(self._opts.sampling_period_s, self._wakeup)
+        self._sys.schedule_wakeup(
+            self._opts.sampling_period_s, self._on_wakeup
+        )
 
     def _sample(self, now: float, replayed: Optional[Sequence[float]]) -> None:
         """One wakeup's sampling: observe progress, grade BG, check health.
@@ -459,8 +461,14 @@ class DirigentRuntime:
 
     @property
     def sample_wakeup(self) -> Callable[[], None]:
-        """The callback every sampling wakeup is scheduled with."""
-        return self._wakeup
+        """The callback every sampling wakeup is scheduled with.
+
+        A fresh binding of :meth:`_on_wakeup` on every access: it
+        compares equal to the scheduled ones, and the runtime keeps no
+        reference to its own bound method (that would be a reference
+        cycle through the runtime).
+        """
+        return self._on_wakeup
 
     @property
     def sample_terms(self) -> tuple:

@@ -59,6 +59,11 @@ _CORRUPT_ENTRY_ERRORS = (
 #: Result namespaces; one subdirectory each.
 KINDS = ("profile", "baseline", "standalone", "partition", "run")
 
+#: ``(subdirectory, file pattern)`` of every store :meth:`DiskCache.clear`
+#: removes: the result namespaces, plus the span-kernel sources earlier
+#: versions kept under ``kernels/`` (nothing reads or writes them now).
+_CLEARED = tuple((kind, "*.pkl") for kind in KINDS) + (("kernels", "*.json"),)
+
 _code_tag: Optional[str] = None
 
 
@@ -182,13 +187,15 @@ class DiskCache:
             pass
 
     def clear(self) -> int:
-        """Delete every cached entry; returns the number removed."""
+        """Delete every cached entry, and the emptied root; returns the
+        number of entries removed (kernel sources earlier versions
+        stored included)."""
         removed = 0
-        for kind in KINDS:
+        for kind, pattern in _CLEARED:
             kind_dir = self.root / kind
             if not kind_dir.is_dir():
                 continue
-            for entry in kind_dir.glob("*.pkl"):
+            for entry in kind_dir.glob(pattern):
                 try:
                     entry.unlink()
                     removed += 1

@@ -513,7 +513,10 @@ class PolicySession:
 
     @property
     def done(self) -> bool:
-        """True once every FG task has completed its target executions."""
+        """True once every FG task has completed its target executions.
+
+        A done session has closed its machine (:meth:`Machine.close`).
+        """
         return self._done
 
     def completions(self) -> List[int]:
@@ -635,6 +638,9 @@ class PolicySession:
             self._done = True
             if self.runtime is not None:
                 self.runtime.stop()
+            # Nothing drives a finished session again; result() reads
+            # only the counters and the clock, which stay readable.
+            self.machine.close()
             return
         if self._ticks > self._max_ticks:
             raise ExperimentError(
@@ -823,12 +829,17 @@ def measure_standalone(
     # are counted from there.
     base = machine.clock.tick + (1 if warmup == 0 else 0)
     machine.add_completion_listener(on_completion)
-    if warmup == 0:
-        machine.run_ticks(1)
-        snaps.setdefault("start", machine.read_counters(0))
-    # Block-by-block driving gave up on the first block past the guard.
-    guard = int(600.0 / config.tick_s)
-    machine.run_ticks(guard // DRIVE_BLOCK_TICKS * DRIVE_BLOCK_TICKS)
+    try:
+        if warmup == 0:
+            machine.run_ticks(1)
+            snaps.setdefault("start", machine.read_counters(0))
+        # Block-by-block driving gave up on the first block past the
+        # guard.
+        guard = int(600.0 / config.tick_s)
+        machine.run_ticks(guard // DRIVE_BLOCK_TICKS * DRIVE_BLOCK_TICKS)
+    finally:
+        # ``on_completion`` and the machine refer to each other.
+        machine.close()
     if len(records) < target:
         raise ExperimentError(
             "standalone run of %r did not finish in time" % fg_name

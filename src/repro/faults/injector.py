@@ -388,5 +388,8 @@ class FaultySystem:
         extra = self.injector.wakeup_extra_delay(self._sys.now())
         self._sys.schedule_wakeup(delay_s + extra, callback)
 
+    def cancel_wakeup(self, callback: WakeupCallback) -> None:
+        self._sys.cancel_wakeup(callback)
+
     def charge_overhead(self, core: int, seconds: float) -> None:
         self._sys.charge_overhead(core, seconds)

@@ -118,26 +118,32 @@ class BatchEngine:
     added for it (``timers.next_deadline()``,
     ``governor.next_transition_tick()``, ``clock.tick``).  Spans run in
     the compiled kernels of :mod:`repro.sim.spanplan`; every other tick
-    runs in ``Machine.tick``.
+    runs in ``Machine.tick``.  The machine owns its engine and passes
+    itself to every call, so the engine, its planner and their plans
+    hold no reference back to it.
     """
 
-    def __init__(self, machine) -> None:
-        self._m = machine
+    def __init__(self) -> None:
         #: Fast-path observability counters (see SpanStats).
         self.stats = SpanStats()
-        self._planner = SpanPlanner(machine, self.stats)
+        self._planner = SpanPlanner(self.stats)
         # (sampler, wakeup, task cores, (period ticks, pinned core,
         # overhead)) of the attached sampler, resolved once.
         self._terms: Optional[tuple] = None
+
+    def close(self) -> None:
+        """Drop the span plans and the attached sampler's terms; the
+        counters stay."""
+        self._planner.clear()
+        self._terms = None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def run_ticks(self, ticks: int) -> None:
-        """Advance the machine by ``ticks`` ticks, or to an earlier end
+    def run_ticks(self, m, ticks: int) -> None:
+        """Advance machine ``m`` by ``ticks`` ticks, or to an earlier end
         a completion listener set with :meth:`Machine.end_run_at`."""
-        m = self._m
         clock = m.clock
         sampler = m._sampler
         m._run_end = clock.tick + ticks
@@ -147,7 +153,7 @@ class BatchEngine:
                 return
             executed = None
             if sampler is not None:
-                executed = self._sampled_span(sampler, remaining)
+                executed = self._sampled_span(m, sampler, remaining)
             if executed is None:
                 horizon = event_horizon(m, remaining)
                 if horizon < 1:
@@ -160,12 +166,13 @@ class BatchEngine:
                     # fires in the scalar kernel below, in scalar order.
                     m.dispatch_events()
                     if sampler is not None:
-                        executed = self._sampled_span(sampler, remaining)
+                        executed = self._sampled_span(m, sampler, remaining)
                     if executed is None:
                         horizon = event_horizon(m, remaining)
                 if executed is None:
                     executed = (
-                        self._dispatch_span(horizon) if horizon >= 1 else 0
+                        self._dispatch_span(m, horizon) if horizon >= 1
+                        else 0
                     )
             if not executed:
                 # No span progress (no plan fits this shape, an in-span
@@ -178,7 +185,7 @@ class BatchEngine:
     # Sample-only wakeups inside the span kernel
     # ------------------------------------------------------------------
 
-    def _sampled_span(self, sampler, budget: int) -> Optional[int]:
+    def _sampled_span(self, m, sampler, budget: int) -> Optional[int]:
         """Run one compiled span that takes ``sampler``'s wakeups itself.
 
         Applies when the earliest timer is the sampler's wakeup, falls
@@ -192,7 +199,6 @@ class BatchEngine:
         allowed = sampler.sample_budget()
         if not allowed:
             return None
-        m = self._m
         timers = m.timers
         deadline = timers.next_deadline()
         if deadline is None or deadline - m.clock.tick >= budget:
@@ -210,11 +216,11 @@ class BatchEngine:
             return None
         horizon = event_horizon(m, budget)
         if horizon >= 1:
-            plan = self._planner.plan_for_span()
+            plan = self._planner.plan_for_span(m)
             if plan is not None and plan.fg_cores == cores:
                 self.stats.spans += 1
                 return plan.run(
-                    horizon, (sampler, fire, allowed) + kernel_terms
+                    m, horizon, (sampler, fire, allowed) + kernel_terms
                 )
         timers.requeue(fire, 0)
         return None
@@ -223,14 +229,14 @@ class BatchEngine:
     # Plain spans
     # ------------------------------------------------------------------
 
-    def _dispatch_span(self, span: int) -> int:
+    def _dispatch_span(self, m, span: int) -> int:
         """Run up to ``span`` ticks in the compiled kernel; returns ticks
         executed, or 0 when the planner declines the machine's shape (no
         running task, overlapping cache-mask groups, a substituted
         jitter RNG) and ``run_ticks`` must tick it in ``Machine.tick``.
         """
-        plan = self._planner.plan_for_span()
+        plan = self._planner.plan_for_span(m)
         if plan is None:
             return 0
         self.stats.spans += 1
-        return plan.run(span)
+        return plan.run(m, span)

@@ -107,8 +107,9 @@ class Machine:
         # completion listener may pull it in (see end_run_at).
         self._run_end = 0
         self._batch_engine = (
-            None if self.backend == BACKEND_SCALAR else BatchEngine(self)
+            None if self.backend == BACKEND_SCALAR else BatchEngine()
         )
+        self._closed = False
         # Cached process-list views, invalidated on spawn (the runtime
         # reads these every fine interval; rebuilding them per access
         # showed up in profiles).
@@ -251,6 +252,11 @@ class Machine:
         """Schedule ``callback`` through the jittered timer wheel."""
         self.timers.schedule(delay_s, callback)
 
+    def cancel_wakeup(self, callback) -> None:
+        """Drop every pending wakeup of ``callback`` (see
+        :meth:`TimerWheel.cancel`)."""
+        self.timers.cancel(callback)
+
     def charge_overhead(self, core: int, seconds: float) -> None:
         """Steal ``seconds`` of the current tick from ``core``'s process."""
         if seconds < 0:
@@ -264,8 +270,9 @@ class Machine:
 
         ``sampler`` is a periodic monitor driving this machine directly
         (the Dirigent runtime, which attaches itself on start).  It
-        schedules every wakeup with one stable callback,
-        ``sampler.sample_wakeup``; a wakeup granted by
+        schedules every wakeup with a callback equal to
+        ``sampler.sample_wakeup`` (one bound method, or any binding of
+        the same method to the sampler); a wakeup granted by
         ``sampler.sample_budget()`` only charges ``invocation_overhead_s``
         to the pinned core, reads the task cores' instruction counters
         and reschedules itself one ``sampling_period_s`` later (the
@@ -278,11 +285,42 @@ class Machine:
         self._sampler = sampler
 
     # ------------------------------------------------------------------
+    # Run lifetime
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """End the machine's run: drop its references to the layers above.
+
+        The layers above refer to the machine (a session, a runtime, a
+        profiler), and the machine refers back to them only through its
+        completion listeners, its attached sampler and its pending
+        timers.  Closing drops those, and the batch engine's span plans
+        with them, so a finished run is freed by reference counting
+        alone, without waiting for the cyclic garbage collector.
+        Counters, the clock, :meth:`now` and :meth:`backend_stats` stay
+        readable; advancing a closed machine (:meth:`run_ticks`,
+        :meth:`tick`, :meth:`dispatch_events`, :meth:`settle_cache`)
+        raises :class:`SimulationError`.  Closing twice is a no-op.
+        """
+        self._closed = True
+        self._completion_listeners.clear()
+        self._sampler = None
+        self.timers.clear()
+        if self._batch_engine is not None:
+            self._batch_engine.close()
+        # Unsettled, the next tick's or span's preamble calls
+        # settle_cache, which refuses a closed machine: the tick path
+        # needs no check of its own.
+        self._settled = False
+
+    # ------------------------------------------------------------------
     # Simulation loop
     # ------------------------------------------------------------------
 
     def settle_cache(self) -> None:
         """Snap cache occupancy to steady state for the current tasks."""
+        if self._closed:
+            raise SimulationError("machine is closed: its run has ended")
         self.cache.set_weights(self._occupancy_weights())
         self.cache.settle()
         self._settled = True
@@ -299,9 +337,11 @@ class Machine:
         """
         if ticks < 0:
             raise SimulationError("ticks must be >= 0")
+        if self._closed:
+            raise SimulationError("machine is closed: its run has ended")
         engine = self._batch_engine
         if engine is not None:
-            engine.run_ticks(ticks)
+            engine.run_ticks(self, ticks)
             return
         clock = self.clock
         tick = self.tick

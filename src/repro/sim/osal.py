@@ -71,5 +71,8 @@ class SystemInterface(Protocol):
     def schedule_wakeup(self, delay_s: float, callback: WakeupCallback) -> None:
         """Invoke ``callback`` after ``delay_s`` (jittered sleep analogue)."""
 
+    def cancel_wakeup(self, callback: WakeupCallback) -> None:
+        """Drop every pending wakeup of ``callback`` (timer cancel)."""
+
     def charge_overhead(self, core: int, seconds: float) -> None:
         """Account runtime CPU time stolen from the process on ``core``."""

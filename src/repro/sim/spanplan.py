@@ -867,7 +867,7 @@ class SpanPlan:
     """
 
     __slots__ = (
-        "machine", "stats", "kernel", "kernel_dedup", "clone_checks",
+        "stats", "kernel", "kernel_dedup", "clone_checks",
         "stolen", "energy", "samples", "timer_random", "timer_jitter",
         "fg_cores",
         "procs", "rngs", "floor", "delta", "wscale", "sens", "freq",
@@ -880,8 +880,9 @@ class SpanPlan:
         "guard_procs", "bounds", "slots", "ways",
     )
 
-    def run(self, span: int, sampling: Optional[tuple] = None) -> int:
-        """Run up to ``span`` event-free ticks; returns ticks executed.
+    def run(self, m, span: int, sampling: Optional[tuple] = None) -> int:
+        """Run up to ``span`` event-free ticks of machine ``m`` (the one
+        the plan was built from); returns ticks executed.
 
         May return early when a guard fires or an FG execution completes;
         rho observation, cache write-back, and completion listeners all
@@ -915,7 +916,6 @@ class SpanPlan:
                     break
             else:
                 kernel = self.kernel_dedup
-        m = self.machine
         if not m._settled:
             m.settle_cache()
         if self.freqs_list is not None:
@@ -1015,7 +1015,6 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
         return None
 
     plan = SpanPlan()
-    plan.machine = m
     plan.stats = stats
     plan.procs = [proc for _, proc, _ in lanes]
     plan.rngs = [m._jitter_rngs[core] for core, _, _ in lanes]
@@ -1167,7 +1166,9 @@ def _compile_kernel(shape: tuple, plan: SpanPlan, stats: SpanStats):
         stats.kernels_compiled += 1
     namespace: Dict[str, object] = {"__builtins__": {}}
     exec(code, namespace)
-    return namespace["_factory"](
+    # Popped: the factory's globals are this namespace, so leaving it in
+    # would tie the two into a reference cycle.
+    return namespace.pop("_factory")(
         plan, math.exp, math.log, math.cos, math.sin, math.sqrt, len,
         MPKI_SCALE,
     )
@@ -1182,21 +1183,27 @@ class SpanPlanner:
     small working set of states (phases x DVFS grades), so plans — and
     their persistent miss-curve/fixed-point memos — are almost always
     reused rather than rebuilt.
+
+    A planner serves one machine, which every call passes in: plans
+    hold that machine's state arrays, but neither the planner nor its
+    plans refer to the machine itself.
     """
 
-    def __init__(self, machine, stats: SpanStats) -> None:
-        self._m = machine
+    def __init__(self, stats: SpanStats) -> None:
         self._stats = stats
         self._plans: Dict[tuple, Optional[SpanPlan]] = {}
 
-    def plan_for_span(self) -> Optional[SpanPlan]:
-        """A plan matching the machine's current state, or None.
+    def clear(self) -> None:
+        """Drop every cached plan (and with it its compiled kernels)."""
+        self._plans.clear()
+
+    def plan_for_span(self, m) -> Optional[SpanPlan]:
+        """A plan matching machine ``m``'s current state, or None.
 
         None means the shape is unsupported here and the caller should
         tick the machine in ``Machine.tick``.  Stale phase cursors are
         synced first, as the scalar kernel's gather does.
         """
-        m = self._m
         gov_freqs = m._gov_freqs
         sig_parts: List[object] = [
             m.cache.mask_epoch, m._energy is not None,

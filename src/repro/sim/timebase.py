@@ -108,10 +108,13 @@ class TimerWheel:
     def take(self, callback: TimerCallback) -> Optional[int]:
         """Pop the earliest pending timer if it is ``callback``.
 
-        A wrapper made with :func:`functools.wraps` counts as the
-        callback it wraps, however deeply nested (tracers wrap timer
-        callbacks that way).  Returns the timer's fire tick, or None —
-        with nothing popped — when the earliest timer is another one.
+        A timer is ``callback`` when it compares equal to it (a bound
+        method equals every other binding of the same function to the
+        same object), or wraps such a callable through
+        :func:`functools.wraps`, however deeply nested (tracers wrap
+        timer callbacks that way).  Returns the timer's fire tick, or
+        None — with nothing popped — when the earliest timer is another
+        one.
         The batch engine uses this to run a periodic callback's
         invocations inside its span kernel; the popped timer must go
         back through :meth:`requeue` before anything else touches the
@@ -121,11 +124,8 @@ class TimerWheel:
         if not heap:
             return None
         fire_tick, seq, queued = heap[0]
-        fn = queued
-        while fn is not callback:
-            fn = getattr(fn, "__wrapped__", None)
-            if fn is None:
-                return None
+        if not _is_callback(queued, callback):
+            return None
         heapq.heappop(heap)
         self._taken = (seq, queued)
         return fire_tick
@@ -158,9 +158,31 @@ class TimerWheel:
             fired.append(callback)
         return fired
 
+    def cancel(self, callback: TimerCallback) -> None:
+        """Drop every pending timer that is ``callback`` (as in
+        :meth:`take`); the other timers keep their order."""
+        heap = self._heap
+        kept = [
+            entry for entry in heap if not _is_callback(entry[2], callback)
+        ]
+        if len(kept) != len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+
     def clear(self) -> None:
         """Drop all pending timers."""
         self._heap.clear()
+        self._taken = None
+
+
+def _is_callback(queued: TimerCallback, callback: TimerCallback) -> bool:
+    """True when the timer callable ``queued`` is ``callback`` or wraps it."""
+    fn = queued
+    while fn != callback:
+        fn = getattr(fn, "__wrapped__", None)
+        if fn is None:
+            return False
+    return True
 
 
 def derive_rng(seed: int, stream: str) -> random.Random:

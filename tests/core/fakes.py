@@ -123,6 +123,9 @@ class FakeSystem:
     def schedule_wakeup(self, delay_s: float, callback) -> None:
         self.wakeups.append((self.time_s + delay_s, callback))
 
+    def cancel_wakeup(self, callback) -> None:
+        self.wakeups = [(t, cb) for t, cb in self.wakeups if cb != callback]
+
     def charge_overhead(self, core: int, seconds: float) -> None:
         self.overhead.append((core, seconds))
 

@@ -77,8 +77,12 @@ class TestSamplingLoop:
         system, task, runtime = build()
         runtime.start()
         runtime.stop()
-        system.fire_next_wakeup()
+        # stop() drops the queued wakeup, and one already firing when
+        # it stopped does not reschedule.
         assert len(system.wakeups) == 0
+        runtime.sample_wakeup()
+        assert len(system.wakeups) == 0
+        assert runtime.invocations == 0
 
     def test_overhead_charged_to_bg_core(self):
         system, task, runtime = build(invocation_overhead_s=100e-6)
@@ -294,8 +298,9 @@ class TestInKernelSampling:
             runtime.options.sampling_period_s, 1,
             runtime.options.invocation_overhead_s, (0,),
         )
-        # The scheduled callback is the very object the runtime names.
-        assert attaching.wakeups[-1][1] is runtime.sample_wakeup
+        # The scheduled callback is the one the runtime names: a binding
+        # of the same method to the same runtime.
+        assert attaching.wakeups[-1][1] == runtime.sample_wakeup
 
     def test_progress_fn_tasks_never_attach(self):
         system = _AttachingSystem(pid_to_core={1: 0, 11: 1})

@@ -115,6 +115,17 @@ class TestDiskCacheStore:
         assert cache.clear() == 2
         assert cache.stats()["total_entries"] == 0
 
+    def test_clear_removes_kernel_sources_of_earlier_versions(self, cache):
+        # Earlier versions kept span-kernel sources as kernels/*.json;
+        # nothing reads them now, and clear must not leave them behind.
+        kernels = cache.root / "kernels"
+        kernels.mkdir(parents=True)
+        for i in range(16):
+            (kernels / ("%064x.json" % i)).write_text('{"source": ""}')
+        cache.put("run", ("a",), 1)
+        assert cache.clear() == 17
+        assert not cache.root.exists()
+
     def test_stats_counts_hits_and_misses(self, cache):
         cache.get("run", ("nope",))
         cache.put("run", ("yes",), 3)

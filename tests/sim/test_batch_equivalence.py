@@ -441,13 +441,13 @@ class TestInKernelWakeupEquivalence:
         dispatch_span = BatchEngine._dispatch_span
         stray = []
 
-        def plain_span(engine, span):
-            executed = dispatch_span(engine, span)
+        def plain_span(engine, m, span):
+            executed = dispatch_span(engine, m, span)
             now = machine.clock.tick
             if (
-                engine._m is machine and executed == span
+                m is machine and executed == span
                 and heap and heap[0][0] == now
-                and heap[0][2] is runtime.sample_wakeup
+                and heap[0][2] == runtime.sample_wakeup
                 and runtime.sample_budget() > 0
             ):
                 stray.append(now)

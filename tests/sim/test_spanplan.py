@@ -582,13 +582,14 @@ class TestInKernelWakeups:
 
     def test_zero_budget_and_unrecognized_timers_take_the_plain_path(self):
         # A budget of 0 (every wakeup decides), and a sampler naming a
-        # callback other than the one it schedules (a fresh bound
-        # method per access), both leave every wakeup to the plain
-        # path: results match scalar and nothing runs in-kernel.
+        # callback other than the one it schedules (a method of another
+        # function; a fresh binding of the scheduled method would count
+        # as it), both leave every wakeup to the plain path: results
+        # match scalar and nothing runs in-kernel.
         class Unnamed(_Sampler):
             @property
             def sample_wakeup(self):
-                return self._on_wakeup
+                return self._sample
 
         for sampler_cls, every in ((_Sampler, 1), (Unnamed, 5)):
             runs = []

@@ -101,6 +101,47 @@ class TestTimerWheel:
         wheel.clear()
         assert len(wheel) == 0
 
+    def test_take_matches_any_binding_of_the_same_method(self):
+        class Owner:
+            def wake(self):
+                pass
+
+            def other(self):
+                pass
+
+        owner = Owner()
+        clock, wheel = self._wheel()
+        wheel.schedule(1e-3, owner.wake)
+        assert wheel.take(owner.other) is None
+        assert wheel.take(Owner().wake) is None
+        assert wheel.take(owner.wake) == 1  # a fresh binding
+        wheel.requeue(1, 0)
+        assert len(wheel) == 1
+
+    def test_cancel_drops_only_that_callback_and_keeps_order(self):
+        import functools
+
+        class Owner:
+            def wake(self):
+                order.append("wake")
+
+        owner = Owner()
+        order = []
+        clock, wheel = self._wheel()
+        wheel.schedule(1e-3, lambda: order.append("a"))
+        wheel.schedule(1e-3, owner.wake)
+        wheel.schedule(1e-3, functools.wraps(owner.wake)(lambda: None))
+        wheel.schedule(1e-3, lambda: order.append("b"))
+        wheel.schedule(2e-3, owner.wake)
+        heap = wheel.pending_heap()
+        wheel.cancel(owner.wake)
+        assert len(wheel) == 2
+        assert wheel.pending_heap() is heap
+        clock.advance()
+        for cb in wheel.due():
+            cb()
+        assert order == ["a", "b"]
+
     def test_jitter_delays_by_at_most_one_tick(self):
         clock = VirtualClock(1e-3)
         wheel = TimerWheel(clock, random.Random(7), jitter_prob=1.0)
