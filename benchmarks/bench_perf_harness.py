@@ -82,6 +82,7 @@ from repro.sim.batch import (
     resolve_backend,
 )
 from repro.sim.config import MachineConfig
+from repro.sim.counters import CounterSnapshot
 from repro.sim.machine import Machine
 from repro.workloads.catalog import get_workload
 
@@ -125,6 +126,20 @@ E2E_KERNELS_BEFORE = 9
 #: ended spans, the run opened 1,278 (``E2E_SPANS_BEFORE``).
 E2E_SPANS_MAX = 554
 E2E_SPANS_BEFORE = 1278
+
+#: What the Dirigent control loop does over that run's
+#: ``run_to_end()``: decision wakeups (run live, through the timer
+#: wheel), sample-only wakeups the span kernels took and the runtime
+#: replayed, and ``CounterSnapshot`` records built.  Deterministic.  The
+#: wakeup counts are the same as before the control loop was trimmed
+#: (``*_BEFORE``); the snapshots fell from 2,754 to 464 once BG
+#: intrusiveness read each BG core's misses without a snapshot (one per
+#: BG core per decision: 458 decisions x 5 BG cores).  The snapshot
+#: count is gated so per-core snapshots cannot creep back.
+E2E_DECISION_WAKEUPS_BEFORE = 458
+E2E_KERNEL_WAKEUPS_BEFORE = 1832
+E2E_SNAPSHOTS_MAX = 464
+E2E_SNAPSHOTS_BEFORE = 2754
 
 #: The fleet chaos catalog at the CI smoke size (``repro chaos --fleet
 #: --nodes 4 --executions 6 --seed 3``), one ``run_fleet_cell`` per row.
@@ -253,13 +268,32 @@ def _backend_rate(factory, backend: str):
     return best, stats
 
 
-def _end_to_end_spans():
-    """Span and in-kernel wakeup counts of one batch Dirigent run.
+@contextlib.contextmanager
+def _snapshot_census():
+    """Count the ``CounterSnapshot`` records built inside the block."""
+    built = [0]
+    original = CounterSnapshot.__dict__["__new__"]
+    new = CounterSnapshot.__new__
 
-    Returns ``(spans, kernel_wakeups)`` from the machine's fast-path
-    counters after a ``PolicySession`` on ``ferret rs`` runs to the end
-    the way ``run_policy`` drives it.  Both are deterministic for the
-    fixed seed.
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    CounterSnapshot.__new__ = counting
+    try:
+        yield built
+    finally:
+        CounterSnapshot.__new__ = original
+
+
+def _end_to_end_spans() -> dict:
+    """Deterministic counts of one batch Dirigent run.
+
+    A ``PolicySession`` on ``ferret rs`` runs to the end the way
+    ``run_policy`` drives it.  Returns the spans it opened and the
+    sample-only wakeups its span kernels took (the machine's fast-path
+    counters), the wakeups the runtime ran live (each one a decision
+    here) and the ``CounterSnapshot`` records built while it ran.
     """
     previous = os.environ.get(ENV_BACKEND)
     os.environ[ENV_BACKEND] = BACKEND_BATCH
@@ -269,9 +303,18 @@ def _end_to_end_spans():
             mix_by_name("ferret rs"), DIRIGENT,
             executions=SWEEP_EXECUTIONS, warmup=SWEEP_WARMUP,
         )
-        session.run_to_end()
+        runtime = session.runtime
+        with _snapshot_census() as snapshots:
+            session.run_to_end()
         stats = session.machine.backend_stats()
-        return stats["spans"], stats["kernel_wakeups"]
+        return {
+            "spans": stats["spans"],
+            "kernel_wakeups": stats["kernel_wakeups"],
+            "decision_wakeups": (
+                runtime.invocations - stats["kernel_wakeups"]
+            ),
+            "counter_snapshots": snapshots[0],
+        }
     finally:
         harness.clear_caches()
         if previous is None:
@@ -494,7 +537,7 @@ def run_benchmark() -> dict:
     noisy_contended_speedup = noisy_batch_r / noisy_scalar
     e2e_scalar_s, _, scalar_alive = _end_to_end_s(BACKEND_SCALAR)
     e2e_batch_s, e2e_kernels, batch_alive = _end_to_end_s(BACKEND_BATCH)
-    e2e_spans, e2e_kernel_wakeups = _end_to_end_spans()
+    e2e_counts = _end_to_end_spans()
     fleet_ticks, fleet_alive = _fleet_ticks()
 
     harness.clear_caches()
@@ -583,9 +626,14 @@ def run_benchmark() -> dict:
                 "speedup": round(e2e_scalar_s / e2e_batch_s, 3),
                 "kernels_compiled": e2e_kernels,
                 "kernels_compiled_before": E2E_KERNELS_BEFORE,
-                "spans": e2e_spans,
+                "spans": e2e_counts["spans"],
                 "spans_before": E2E_SPANS_BEFORE,
-                "kernel_wakeups": e2e_kernel_wakeups,
+                "kernel_wakeups": e2e_counts["kernel_wakeups"],
+                "kernel_wakeups_before": E2E_KERNEL_WAKEUPS_BEFORE,
+                "decision_wakeups": e2e_counts["decision_wakeups"],
+                "decision_wakeups_before": E2E_DECISION_WAKEUPS_BEFORE,
+                "counter_snapshots": e2e_counts["counter_snapshots"],
+                "counter_snapshots_before": E2E_SNAPSHOTS_BEFORE,
                 "machines_alive": scalar_alive + batch_alive,
                 "note": (
                     "kernels_compiled: span kernels the first batch run "
@@ -593,11 +641,19 @@ def run_benchmark() -> dict:
                     "kernels_compiled_before: the same run while lane "
                     "cores and LLC way counts were span-shape fields; "
                     "spans / kernel_wakeups: spans opened and Dirigent "
-                    "sample-only wakeups taken inside span kernels by "
-                    "one batch PolicySession of the same run, driven to "
-                    "the end as run_policy drives it; spans_before: the "
-                    "same count while a plain span followed every "
-                    "decision and 32-tick drive blocks ended spans; "
+                    "sample-only wakeups taken inside span kernels (and "
+                    "replayed through the runtime) by one batch "
+                    "PolicySession of the same run, driven to the end as "
+                    "run_policy drives it; spans_before: the same count "
+                    "while a plain span followed every decision and "
+                    "32-tick drive blocks ended spans; decision_wakeups: "
+                    "wakeups the runtime ran live in that session (each "
+                    "one decides); counter_snapshots: CounterSnapshot "
+                    "records built while it ran; the *_before wakeup "
+                    "counts are unchanged by the control-loop trim, "
+                    "counter_snapshots_before is the count while BG "
+                    "intrusiveness built a snapshot per BG core per "
+                    "decision; "
                     "machines_alive: machines still referenced after "
                     "each of the six timed runs returns (weak references, "
                     "cyclic garbage collector off during those runs)"
@@ -667,8 +723,8 @@ def check_stable_floors(artifact: dict) -> None:
 
     These are ratios of two legs measured on the same host in the same
     run (backend and warm-pool speedups) and deterministic counts (span
-    kernels compiled, spans, fleet ticks, machines left alive,
-    fast-path counters).  CI gates on exactly this set;
+    kernels compiled, spans, counter snapshots, fleet ticks, machines
+    left alive, fast-path counters).  CI gates on exactly this set;
     :func:`check_floors` adds the floors that depend on the host.
     """
     backends = artifact["backends"]
@@ -683,6 +739,7 @@ def check_stable_floors(artifact: dict) -> None:
     assert e2e["kernels_compiled"] <= E2E_KERNELS_MAX, e2e
     assert e2e["spans"] <= E2E_SPANS_MAX, e2e
     assert e2e["kernel_wakeups"] > 0, e2e
+    assert e2e["counter_snapshots"] <= E2E_SNAPSHOTS_MAX, e2e
     assert e2e["machines_alive"] == 0, e2e
     assert artifact["fleet"]["ticks"] <= FLEET_TICKS_MAX, artifact["fleet"]
     assert artifact["fleet"]["machines_alive"] == 0, artifact["fleet"]

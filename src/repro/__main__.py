@@ -35,13 +35,15 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="run one figure driver")
     fig.add_argument("name", choices=sorted(FIGURES))
     fig.add_argument("--executions", type=int, default=None,
-                     help="FG executions per run (default: REPRO_EXECUTIONS or 40)")
+                     help="FG executions per run, at least 1 (default: "
+                          "REPRO_EXECUTIONS or 40)")
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--max-rows", type=int, default=0,
                      help="truncate output to this many rows (0 = all)")
     fig.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the sweep (default: "
-                          "REPRO_WORKERS or the CPU count; 1 = serial)")
+                     help="worker processes for the sweep, at least 1 "
+                          "(default: REPRO_WORKERS or the CPU count; "
+                          "1 = serial)")
     fig.add_argument("--backend", choices=("scalar", "batch"), default=None,
                      help="simulation backend (default: REPRO_SIM_BACKEND "
                           "or batch); scalar is the bit-exact reference")
@@ -97,10 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
              "mixes)",
     )
     chaos.add_argument("--executions", type=int, default=None,
-                       help="measured FG executions per cell (default: "
-                            "REPRO_EXECUTIONS or 40)")
+                       help="measured FG executions per cell, at least 1 "
+                            "(default: REPRO_EXECUTIONS or 40)")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--max-rows", type=int, default=0)
+    chaos.add_argument("--max-rows", type=int, default=0,
+                       help="truncate output to this many rows (0 = all)")
     chaos.add_argument(
         "--fleet", action="store_true",
         help="run the fleet scenario catalog (node-level faults and the "
@@ -129,6 +132,27 @@ def build_parser() -> argparse.ArgumentParser:
              "floors (useful on slow shared hosts)",
     )
     return parser
+
+
+#: ``(option, least value)`` of the integer options ``figure`` and
+#: ``chaos`` take, checked before any work starts.
+_OPTION_FLOORS = (
+    ("executions", 1),
+    ("workers", 1),
+    ("max_rows", 0),
+    ("nodes", 2),
+)
+
+
+def _below_floor(args) -> Optional[str]:
+    """The usage message for the first integer option below its floor."""
+    for dest, least in _OPTION_FLOORS:
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            return "--%s must be at least %d (got %d)" % (
+                dest.replace("_", "-"), least, value
+            )
+    return None
 
 
 def _load_bench_module():
@@ -182,6 +206,11 @@ def _run_bench(args) -> int:
           % backends["contended_noisy"]["speedup"])
     print("end-to-end Dirigent:           %.3fx"
           % backends["end_to_end_dirigent"]["speedup"])
+    e2e = backends["end_to_end_dirigent"]
+    print("Dirigent control loop:         %d decision wakeups, %d "
+          "replayed samples, %d counter snapshots (was %d)"
+          % (e2e["decision_wakeups"], e2e["kernel_wakeups"],
+             e2e["counter_snapshots"], e2e["counter_snapshots_before"]))
     solver = backends["fast_path"]["contended"]
     print("contended solver: %d rho iterations, %d warm hits, "
           "%d table hits / %d builds"
@@ -223,6 +252,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "bench":
         return _run_bench(args)
+    if args.command in ("figure", "chaos"):
+        problem = _below_floor(args)
+        if problem is not None:
+            print(problem)
+            return 2
     if args.command == "chaos":
         from repro.experiments.chaos import (
             DEFAULT_FLEET_EXECUTIONS,
@@ -239,9 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       % (name, ", ".join(catalog)))
                 return 2
         if args.fleet:
-            if args.nodes is not None and args.nodes < 2:
-                print("--nodes must be at least 2 (got %d)" % args.nodes)
-                return 2
             result = run_fleet_chaos(
                 scenarios=args.scenarios,
                 num_nodes=(

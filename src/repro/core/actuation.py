@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.errors import ControlError
-from repro.sim.counters import CounterSnapshot
 from repro.sim.osal import SystemInterface, WakeupCallback
 
 #: Re-issues after a failed verification before giving up.
@@ -62,6 +61,18 @@ class GuardedSystem:
         self._retries = retries
         self._retry_overhead_s = retry_overhead_s
         self._overhead_core = overhead_core
+        # Observation and read-backs pass straight through, bound once:
+        # the controllers read them on every decision, and a forwarding
+        # method would double the calls.
+        self.now = system.now
+        self.read_counters = system.read_counters
+        self.read_llc_misses = system.read_llc_misses
+        self.num_frequency_grades = system.num_frequency_grades
+        self.frequency_grade = system.frequency_grade
+        self.is_paused = system.is_paused
+        self.core_of = system.core_of
+        self.llc_ways = system.llc_ways
+        self.partition_ways = system.partition_ways
         #: Guarded actuations attempted.
         self.actuations_total = 0
         #: Re-issues after a failed verification.
@@ -126,31 +137,7 @@ class GuardedSystem:
         # and the control loop never calls this; pass through unguarded.
         self._sys.clear_partitions()
 
-    # -- passthrough observation/timing ---------------------------------
-
-    def now(self) -> float:
-        return self._sys.now()
-
-    def read_counters(self, core: int) -> CounterSnapshot:
-        return self._sys.read_counters(core)
-
-    def num_frequency_grades(self) -> int:
-        return self._sys.num_frequency_grades()
-
-    def frequency_grade(self, core: int) -> int:
-        return self._sys.frequency_grade(core)
-
-    def is_paused(self, pid: int) -> bool:
-        return self._sys.is_paused(pid)
-
-    def core_of(self, pid: int) -> int:
-        return self._sys.core_of(pid)
-
-    def llc_ways(self) -> int:
-        return self._sys.llc_ways()
-
-    def partition_ways(self, core: int) -> int:
-        return self._sys.partition_ways(core)
+    # -- passthrough timing (reads are bound in __init__) ----------------
 
     def schedule_wakeup(self, delay_s: float, callback: WakeupCallback) -> None:
         self._sys.schedule_wakeup(delay_s, callback)

@@ -20,7 +20,7 @@ while yielding as much as possible to BG tasks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import ControlError
 from repro.sim.osal import SystemInterface
@@ -40,9 +40,12 @@ DEFAULT_PAUSE_MARGIN = 0.08
 DEFAULT_DEADLINE_GUARD = 0.05
 
 
-@dataclass(frozen=True)
-class FgStatus:
+class FgStatus(NamedTuple):
     """Predicted standing of one FG task at a decision point.
+
+    An immutable record (a named tuple: every decision builds one per
+    FG task, and a tuple is built several times faster than a frozen
+    dataclass).
 
     Attributes:
         pid: Process id of the FG task.
@@ -145,33 +148,54 @@ class FineGrainController:
             raise ControlError("decide() needs at least one FG status")
         intrusiveness = bg_intrusiveness or {}
         target = self._target_ratio
-        worst = max(statuses, key=lambda s: s.ratio)
-        all_ahead = all(s.ratio < target - self._ahead for s in statuses)
-        any_behind = any(s.ratio > target for s in statuses)
+        ahead_ratio = target - self._ahead
+        # Each status's ratio, computed once; ``worst`` is the first
+        # maximal one, as ``max(statuses, key=ratio)`` picks it.
+        ratios = [status.ratio for status in statuses]
+        worst = statuses[0]
+        worst_ratio = ratios[0]
+        all_ahead = True
+        any_behind = False
+        for status, ratio in zip(statuses, ratios):
+            if ratio > worst_ratio:
+                worst = status
+                worst_ratio = ratio
+            if not ratio < ahead_ratio:
+                all_ahead = False
+            if ratio > target:
+                any_behind = True
 
+        system = self._sys
         if all_ahead:
             action = self._release_resources(statuses)
         elif any_behind:
-            behind = [s for s in statuses if s.ratio > target]
-            action = self._reclaim_resources(behind, worst, intrusiveness)
+            behind = [
+                status for status, ratio in zip(statuses, ratios)
+                if ratio > target
+            ]
+            action = self._reclaim_resources(
+                behind, worst_ratio, intrusiveness
+            )
             # FG tasks comfortably ahead yield individually (multi-FG rule).
-            for status in statuses:
-                if status is not worst and status.ratio < target - self._ahead:
-                    if self._sys.step_frequency(status.core, -1):
+            for status, ratio in zip(statuses, ratios):
+                if status is not worst and ratio < ahead_ratio:
+                    if system.step_frequency(status.core, -1):
                         action += "+fg-throttle"
         else:
             action = "none"
 
-        decision = Decision(
-            time_s=self._sys.now(),
-            action=action,
-            worst_ratio=worst.ratio,
-            bg_grades={
-                core: self._sys.frequency_grade(core)
-                for _, core in self._bg_cores
-            },
-            bg_paused=sum(1 for pid in self._bg_pids if self._sys.is_paused(pid)),
-        )
+        # The record: every BG core's grade and the paused count, read
+        # in one pass (read-backs have no side effects).
+        time_s = system.now()
+        grade_of = system.frequency_grade
+        is_paused = system.is_paused
+        bg_grades = {}
+        paused = 0
+        for pid, core in self._bg_cores:
+            bg_grades[core] = grade_of(core)
+            if is_paused(pid):
+                paused += 1
+        decision = Decision(time_s, action, worst_ratio, bg_grades, paused)
         self.decisions.append(decision)
         return decision
 
@@ -181,15 +205,16 @@ class FineGrainController:
 
     def _release_resources(self, statuses: Sequence[FgStatus]) -> str:
         """FG ahead: give resources back to BG, then throttle FG."""
-        paused = [pid for pid in self._bg_pids if self._sys.is_paused(pid)]
+        is_paused = self._sys.is_paused
+        paused = [pid for pid in self._bg_pids if is_paused(pid)]
         if paused:
             for pid in paused:
                 self._sys.resume(pid)
             return "bg-resume"
+        grade_of = self._sys.frequency_grade
+        max_grade = self._max_grade
         throttled = [
-            core
-            for _, core in self._bg_cores
-            if self._sys.frequency_grade(core) < self._max_grade
+            core for _, core in self._bg_cores if grade_of(core) < max_grade
         ]
         if throttled:
             for core in throttled:
@@ -204,7 +229,7 @@ class FineGrainController:
     def _reclaim_resources(
         self,
         behind: Sequence[FgStatus],
-        worst: FgStatus,
+        worst_ratio: float,
         intrusiveness: Dict[int, float],
     ) -> str:
         """FG behind: speed lagging FG tasks up, then squeeze BG."""
@@ -215,14 +240,12 @@ class FineGrainController:
                 raised = True
         if raised:
             return "fg-max"
+        is_paused = self._sys.is_paused
         running_bg = [
-            (pid, core) for pid, core in self._bg_cores
-            if not self._sys.is_paused(pid)
+            (pid, core) for pid, core in self._bg_cores if not is_paused(pid)
         ]
-        throttleable = [
-            core for _, core in running_bg
-            if self._sys.frequency_grade(core) > 0
-        ]
+        grade_of = self._sys.frequency_grade
+        throttleable = [core for _, core in running_bg if grade_of(core) > 0]
         if throttleable:
             # "Immediately throttle the frequency of the BG tasks": clamp
             # to the minimum grade at once.  Release is gradual (one grade
@@ -230,7 +253,7 @@ class FineGrainController:
             for core in throttleable:
                 self._sys.set_frequency_grade(core, 0)
             return "bg-throttle"
-        if worst.ratio > self._target_ratio + self._pause and running_bg:
+        if worst_ratio > self._target_ratio + self._pause and running_bg:
             victim, _ = max(
                 running_bg, key=lambda bg: intrusiveness.get(bg[0], 0.0)
             )

@@ -46,6 +46,7 @@ DEFAULT_EMA_WEIGHT = 0.2
 #: Clamp on per-segment rate factors; guards against degenerate samples
 #: (e.g. a timer firing twice in one tick).
 ALPHA_CLAMP: Tuple[float, float] = (0.05, 20.0)
+_ALPHA_LO, _ALPHA_HI = ALPHA_CLAMP
 
 #: Outlier-rejection band: a progress sample implying an instantaneous
 #: rate above ``band * max(profiled segment rates)`` is physically
@@ -80,12 +81,17 @@ class CompletionTimePredictor:
         self._durations = [s.duration_s for s in profile.segments]
         self._progress = [s.progress for s in profile.segments]
         self._bounds = list(profile.boundaries())
+        self._total_progress = profile.total_progress
         self._penalty_ema: List[Optional[float]] = [None] * n
-        #: ``_typical_duration(i)`` per segment; the penalty EMAs change
-        #: only in ``finish_execution``, which refreshes it.
+        #: Expected duration of each segment under this task's usual
+        #: contention; the penalty EMAs change only in
+        #: ``finish_execution``, which refreshes it.
         self._typical = list(self._durations)
         # Per-execution state.
-        self._in_execution = False
+        #: True between start_execution and finish_execution (read it,
+        #: don't set it; a plain attribute because the runtime checks it
+        #: for every task on every sample).
+        self.in_execution = False
         self._start_s = 0.0
         self._last_t = 0.0
         self._last_progress = 0.0
@@ -95,6 +101,7 @@ class CompletionTimePredictor:
         self._rate_ma = ExponentialMovingAverage(ema_weight)
         self._measured: List[Optional[float]] = [None] * n
         self._max_profiled_rate = max(s.rate for s in profile.segments)
+        self._outlier_rate = self._max_profiled_rate * OUTLIER_RATE_BAND
         #: Reject physically impossible progress samples (the hardening
         #: kill switch clears this for the unhardened chaos baseline).
         self.reject_outliers = True
@@ -115,11 +122,6 @@ class CompletionTimePredictor:
         return self._profile
 
     @property
-    def in_execution(self) -> bool:
-        """True between start_execution and finish_execution."""
-        return self._in_execution
-
-    @property
     def segments_completed(self) -> int:
         """Profiled segments fully traversed in the current execution."""
         return self._segment_index
@@ -127,7 +129,12 @@ class CompletionTimePredictor:
     @property
     def progress_fraction(self) -> float:
         """Fraction of profiled progress completed in this execution."""
-        return min(1.0, self._last_progress / self._profile.total_progress)
+        return min(1.0, self._last_progress / self._total_progress)
+
+    def past_midpoint(self) -> bool:
+        """True once half the profiled progress is done
+        (``progress_fraction >= 0.5``, without the cap at 1)."""
+        return self._last_progress / self._total_progress >= 0.5
 
     def expected_penalties(self) -> List[Optional[float]]:
         """Per-segment smoothed penalties (None until first measured)."""
@@ -135,7 +142,7 @@ class CompletionTimePredictor:
 
     def start_execution(self, start_s: float) -> None:
         """Begin tracking a new execution that started at ``start_s``."""
-        self._in_execution = True
+        self.in_execution = True
         self._start_s = start_s
         self._last_t = start_s
         self._last_progress = 0.0
@@ -152,13 +159,15 @@ class CompletionTimePredictor:
         times are interpolated assuming a uniform progress rate between
         samples — the paper's fixed-rate-within-segment assumption.
         """
-        if not self._in_execution:
+        if not self.in_execution:
             raise ProfileError("observe() outside an execution")
-        if time_s < self._last_t or progress < self._last_progress:
+        last_t = self._last_t
+        last_progress = self._last_progress
+        if time_s < last_t or progress < last_progress:
             # Stale or duplicate sample (timer coalescing); ignore.
             self.stale_samples += 1
             return
-        delta_p = progress - self._last_progress
+        delta_p = progress - last_progress
         if delta_p <= 0:
             self.zero_delta_samples += 1
             self._last_t = time_s
@@ -166,26 +175,26 @@ class CompletionTimePredictor:
         if self.reject_outliers:
             # Same-timestamp samples (timer coalescing) carry no rate
             # information and are handled by the rate==0 path below.
-            dt = time_s - self._last_t
-            limit = self._max_profiled_rate * OUTLIER_RATE_BAND
-            if dt > 0.0 and delta_p > limit * dt:
+            dt = time_s - last_t
+            if dt > 0.0 and delta_p > self._outlier_rate * dt:
                 # Corrupt counter read: drop it without advancing the
                 # sample cursor, so the next honest read supersedes it.
                 self.rejected_samples += 1
                 return
-        rate = delta_p / (time_s - self._last_t) if time_s > self._last_t else 0.0
-        while (
-            self._segment_index < len(self._bounds)
-            and progress >= self._bounds[self._segment_index]
-        ):
-            boundary = self._bounds[self._segment_index]
+        rate = delta_p / (time_s - last_t) if time_s > last_t else 0.0
+        bounds = self._bounds
+        index = self._segment_index
+        entry_t = self._segment_entry_t
+        while index < len(bounds) and progress >= bounds[index]:
             if rate > 0:
-                cross_t = self._last_t + (boundary - self._last_progress) / rate
+                cross_t = last_t + (bounds[index] - last_progress) / rate
             else:
                 cross_t = time_s
-            self._close_segment(self._segment_index, cross_t)
-            self._segment_index += 1
-            self._segment_entry_t = cross_t
+            self._close_segment(index, cross_t - entry_t)
+            index += 1
+            entry_t = cross_t
+        self._segment_index = index
+        self._segment_entry_t = entry_t
         self._last_t = time_s
         self._last_progress = progress
 
@@ -195,18 +204,22 @@ class CompletionTimePredictor:
         Combines elapsed time, the remainder of the in-flight segment, and
         Equation 2's projection over the segments not yet entered.
         """
-        if not self._in_execution:
+        if not self.in_execution:
             raise ProfileError("predict() outside an execution")
         elapsed = now_s - self._start_s
         k = self._segment_index
-        n = self._profile.num_segments
+        n = len(self._bounds)
         if k >= n:
             # Past the profiled program (input jitter); completion imminent.
             return elapsed
-        # Remaining fraction of the in-flight segment.
+        # Remaining fraction of the in-flight segment, clamped to [0, 1]
+        # (comparisons pass NaN through as min(max(...)) does).
         seg_start = self._bounds[k - 1] if k > 0 else 0.0
         frac_done = (self._last_progress - seg_start) / self._progress[k]
-        frac_done = min(max(frac_done, 0.0), 1.0)
+        if frac_done < 0.0:
+            frac_done = 0.0
+        elif frac_done > 1.0:
+            frac_done = 1.0
         if self._scaling == "alpha":
             remaining = (1.0 - frac_done) * self._alpha_duration(k)
             for i in range(k + 1, n):
@@ -225,7 +238,7 @@ class CompletionTimePredictor:
 
     def finish_execution(self, end_s: float) -> None:
         """Finalize the execution: close the tail and update penalty EMAs."""
-        if not self._in_execution:
+        if not self.in_execution:
             raise ProfileError("finish_execution() outside an execution")
         # Completion means the task reached its full progress, so every
         # profiled segment not yet crossed at the last sample was traversed
@@ -242,48 +255,66 @@ class CompletionTimePredictor:
             for i, weight in zip(range(k, n), weights):
                 share = tail * (weight / total_weight) if total_weight > 0 else 0.0
                 cursor += share
-                self._close_segment(i, cursor)
+                self._close_segment(i, cursor - self._segment_entry_t)
                 self._segment_entry_t = cursor
-        for i, measured in enumerate(self._measured):
-            if self.hold_penalty_updates:
-                # Sensing is degraded: the measured durations reflect
-                # corrupted samples, so keep the cross-execution penalty
-                # history frozen at its last healthy values.
-                break
-            if measured is None:
-                continue
-            penalty = measured - self._durations[i]
-            prior = self._penalty_ema[i]
-            if prior is None:
-                self._penalty_ema[i] = penalty
-            else:
-                self._penalty_ema[i] = (
-                    self._weight * penalty + (1.0 - self._weight) * prior
+        # While sensing is degraded the measured durations reflect
+        # corrupted samples, so the cross-execution penalty history stays
+        # frozen at its last healthy values.
+        if not self.hold_penalty_updates:
+            w = self._weight
+            emas = self._penalty_ema
+            for i, (measured, base) in enumerate(
+                zip(self._measured, self._durations)
+            ):
+                if measured is None:
+                    continue
+                penalty = measured - base
+                prior = emas[i]
+                emas[i] = (
+                    penalty if prior is None
+                    else w * penalty + (1.0 - w) * prior
                 )
-        self._typical = [self._typical_duration(i) for i in range(n)]
-        self._in_execution = False
+        # Each segment's expected duration under this task's usual
+        # contention: the profiled one shifted by its penalty EMA, at
+        # least ALPHA_CLAMP[0] of it (``max(low, shifted)`` as a
+        # conditional: this runs for every segment of every execution).
+        typical = []
+        for base, penalty in zip(self._durations, self._penalty_ema):
+            if penalty is not None:
+                low = base * _ALPHA_LO
+                shifted = base + penalty
+                base = shifted if shifted > low else low
+            typical.append(base)
+        self._typical = typical
+        self.in_execution = False
 
-    def _close_segment(self, index: int, cross_t: float) -> None:
-        duration = cross_t - self._segment_entry_t
+    def _close_segment(self, index: int, duration: float) -> None:
+        """Fold segment ``index``, traversed in ``duration``, into the
+        rate-factor averages (clamps and EMA updates inline: this runs
+        for every boundary crossed)."""
         profiled = self._durations[index]
         alpha = duration / profiled if profiled > 0 else 1.0
-        lo, hi = ALPHA_CLAMP
-        alpha = min(max(alpha, lo), hi)
-        self._alpha_ma.update(alpha)
+        # Comparisons pass NaN through exactly as min(max(...)) does.
+        if alpha < _ALPHA_LO:
+            alpha = _ALPHA_LO
+        elif alpha > _ALPHA_HI:
+            alpha = _ALPHA_HI
+        w = self._weight
+        ema = self._alpha_ma
+        prior = ema.value
+        ema.value = alpha if prior is None else w * alpha + (1.0 - w) * prior
         measured = alpha * profiled
         self._measured[index] = measured
         expected = self._typical[index]
         if expected > 0:
-            rate = min(max(measured / expected, lo), hi)
-            self._rate_ma.update(rate)
-
-    def _typical_duration(self, index: int) -> float:
-        """Expected duration of a segment under this task's usual contention."""
-        penalty = self._penalty_ema[index]
-        base = self._durations[index]
-        if penalty is None:
-            return base
-        return max(base * ALPHA_CLAMP[0], base + penalty)
+            rate = measured / expected
+            if rate < _ALPHA_LO:
+                rate = _ALPHA_LO
+            elif rate > _ALPHA_HI:
+                rate = _ALPHA_HI
+            ema = self._rate_ma
+            prior = ema.value
+            ema.value = rate if prior is None else w * rate + (1.0 - w) * prior
 
     def _alpha_duration(self, index: int) -> float:
         """Expected duration of segment ``index`` under ``"alpha"`` scaling."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.actuation import GuardedSystem
 from repro.core.coarse import CoarseGrainController, ExecutionSample
@@ -160,6 +160,44 @@ class PredictionRecord:
         return abs(self.predicted_total_s - self.actual_total_s) / self.actual_total_s
 
 
+class SuspectWindow:
+    """The health monitor's last ``size`` suspect flags (1 or 0).
+
+    Keeps the flags' sum as they enter and leave, so the suspect
+    density costs no pass over the window on each wakeup.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        #: Sum of the flags in the window.
+        self.count = 0
+        #: True once the window holds ``size`` flags.
+        self.full = False
+        self._flags: Deque[int] = deque()
+
+    def __len__(self) -> int:
+        return len(self._flags)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._flags)
+
+    def push(self, flag: int) -> None:
+        """Append one wakeup's flag, dropping the oldest once full."""
+        flags = self._flags
+        if self.full:
+            self.count -= flags.popleft()
+        flags.append(flag)
+        self.count += flag
+        if not self.full:
+            self.full = len(flags) == self.size
+
+    def clear(self) -> None:
+        """Empty the window."""
+        self._flags.clear()
+        self.count = 0
+        self.full = False
+
+
 class ManagedTask:
     """Per-FG-task runtime state.
 
@@ -215,6 +253,9 @@ class DirigentRuntime:
         self._sys = system
         self._tasks = list(tasks)
         self._tasks_by_pid = {task.pid: task for task in self._tasks}
+        # ``(column, task)``: where each task's count sits in a replayed
+        # sample row (see replay_samples).
+        self._sample_columns = list(enumerate(self._tasks, 1))
         self._bg_pids = list(bg_pids)
         # ``(pid, core)`` per BG task, resolved once: a process's core is
         # fixed at spawn and the fault wrappers pass ``core_of`` through.
@@ -222,6 +263,9 @@ class DirigentRuntime:
             (pid, system.core_of(pid)) for pid in self._bg_pids
         ]
         self._opts = options or RuntimeOptions()
+        # Per-sample constants, read once (the options are frozen).
+        self._record_predictions = self._opts.record_predictions
+        self._late_band = LATE_WAKEUP_FACTOR * self._opts.sampling_period_s
         # The runtime thread is pinned to a core shared with a BG task.
         self._pinned_core = self._bg_cores[0][1] if self._bg_cores else 0
         # Graceful-degradation machinery.  When hardened, controllers
@@ -272,8 +316,8 @@ class DirigentRuntime:
         #: (paused cores are excluded), for Figure 12.
         self.bg_grade_histogram: Dict[int, int] = {}
         self.invocations = 0
-        # Health-monitor state (see _update_health).
-        self._suspects: Deque[int] = deque(maxlen=self._opts.health_window)
+        # Health-monitor state (see _close_sample).
+        self._suspects = SuspectWindow(self._opts.health_window)
         self._anomaly_base = 0
         self._last_wakeup_s: Optional[float] = None
         self._mode_entered_s = 0.0
@@ -359,7 +403,7 @@ class DirigentRuntime:
             ).instructions
             task.predictor.start_execution(now)
         for pid, core in self._bg_cores:
-            self._bg_miss_base[pid] = self._sys.read_counters(core).llc_misses
+            self._bg_miss_base[pid] = self._sys.read_llc_misses(core)
         self._last_wakeup_s = now
         self._sys.schedule_wakeup(
             self._opts.sampling_period_s, self._on_wakeup
@@ -386,11 +430,17 @@ class DirigentRuntime:
     def _on_wakeup(self) -> None:
         if not self._running:
             return
-        self._sys.charge_overhead(
+        system = self._sys
+        system.charge_overhead(
             self._pinned_core, self._opts.invocation_overhead_s
         )
-        now = self._sys.now()
-        self._sample(now, None)
+        now = system.now()
+        read = system.read_counters
+        for task in self._tasks:
+            snap = read(task.core)
+            self._observe(task, snap.time_s, snap.instructions, now)
+        self._record_bg_grades(1)
+        self._close_sample(now)
         at_decision = self._sample_count % self._opts.decision_every == 0
         if self.mode == "safe":
             # Decisions are suspended under the static safe policy; just
@@ -412,48 +462,76 @@ class DirigentRuntime:
             if statuses:
                 self._fine.decide(statuses, self._bg_intrusiveness())
 
-        self._sys.schedule_wakeup(
+        system.schedule_wakeup(
             self._opts.sampling_period_s, self._on_wakeup
         )
 
-    def _sample(self, now: float, replayed: Optional[Sequence[float]]) -> None:
-        """One wakeup's sampling: observe progress, grade BG, check health.
+    def _observe(
+        self, task: ManagedTask, time_s: float, instructions: float,
+        now: float,
+    ) -> None:
+        """Fold one task's counter read at ``time_s`` into its predictor.
 
-        ``replayed`` is None to read each task's counters live, or a
-        sample the simulator buffered while taking the wakeup inside its
-        span kernel: ``(time_s, instructions of each task in task
-        order)`` (see :meth:`replay_samples`, which grades BG once for
-        all the samples it replays).
+        Every sample runs this once per task, in task order: a live
+        wakeup with the counters it reads, a replayed one with the
+        counts the simulator buffered (:meth:`replay_samples`).
+        """
+        if task.progress_fn is not None:
+            progress = task.progress_fn()
+        else:
+            progress = instructions - task.instruction_base
+        if progress >= 0:
+            predictor = task.predictor
+            if predictor.in_execution:
+                predictor.observe(time_s, progress)
+                if (
+                    task.midpoint_prediction is None
+                    and self._record_predictions
+                    and predictor.past_midpoint()
+                ):
+                    task.midpoint_prediction = predictor.predict(now)
+        elif progress < 0:
+            self.negative_progress_samples += 1
+
+    def _close_sample(self, now: float) -> None:
+        """Count the sample every task has just observed, then fold its
+        anomaly evidence into the suspect window (when hardened).
+
+        A sample is *suspect* when any sensing or actuation anomaly was
+        observed since the previous one: a read the predictor ignored
+        (stale, zero-delta on a hardware-counter task, or rejected as
+        physically impossible), a negative progress read, an actuation
+        whose verification never passed, or the wakeup itself arriving
+        grossly late.  On a healthy machine none of these occur, so the
+        window holds only zeros and the mode never leaves "normal".
         """
         self.invocations += 1
-        for index, task in enumerate(self._tasks, 1):
-            if replayed is None:
-                snap = self._sys.read_counters(task.core)
-                time_s = snap.time_s
-                instructions = snap.instructions
-            else:
-                time_s = now
-                instructions = replayed[index]
-            if task.progress_fn is not None:
-                progress = task.progress_fn()
-            else:
-                progress = instructions - task.instruction_base
-            if progress < 0:
-                self.negative_progress_samples += 1
-            if progress >= 0 and task.predictor.in_execution:
-                task.predictor.observe(time_s, progress)
-                if (
-                    self._opts.record_predictions
-                    and task.midpoint_prediction is None
-                    and task.predictor.progress_fraction >= 0.5
-                ):
-                    task.midpoint_prediction = task.predictor.predict(now)
-
-        if replayed is None:
-            self._record_bg_grades(1)
         self._sample_count += 1
-        if self._hardening:
-            self._update_health(now)
+        if not self._hardening:
+            return
+        last = self._last_wakeup_s
+        if last is not None and now - last > self._late_band:
+            self.late_wakeups += 1
+        self._last_wakeup_s = now
+        total = self.negative_progress_samples + self.late_wakeups
+        for task in self._tasks:
+            predictor = task.predictor
+            total += predictor.stale_samples + predictor.rejected_samples
+            if task.progress_fn is None:
+                # Zero-delta is anomalous only for hardware counters (a
+                # running core always retires instructions); heartbeat
+                # progress legitimately stalls between beats.
+                total += predictor.zero_delta_samples
+        if self.guarded is not None:
+            total += self.guarded.actuations_failed
+        suspect = 1 if total > self._anomaly_base else 0
+        self._anomaly_base = total
+        window = self._suspects
+        window.push(suspect)
+        self.health_samples += 1
+        self.suspect_samples += suspect
+        if window.full:
+            self._evaluate_mode(now)
 
     # ------------------------------------------------------------------
     # In-kernel sampling (see Machine.attach_sampler)
@@ -499,8 +577,8 @@ class DirigentRuntime:
         every = opts.decision_every
         budget = every - 1 - self._sample_count % every
         if self._hardening and budget:
-            window = self._suspects.maxlen
-            suspects = sum(self._suspects)
+            window = self._suspects.size
+            suspects = self._suspects.count
             while budget and (
                 (suspects + budget) / window >= opts.safe_threshold
             ):
@@ -513,71 +591,42 @@ class DirigentRuntime:
         Each sample is ``(time_s, instructions of each task in task
         order)``, read at a wakeup granted by :meth:`sample_budget`; the
         simulator has already charged its overhead and rescheduled the
-        next wakeup.  Each runs the very routine a live wakeup runs,
-        except the BG-grade histogram: the samples come from one span,
-        inside which nothing can pause, resume or re-grade a BG task
-        (only timer callbacks and completion listeners actuate, and the
+        next wakeup.  Each runs the very routines a live wakeup runs
+        (:meth:`_observe` per task, then :meth:`_close_sample`), except
+        the BG-grade histogram: the samples come from one span, inside
+        which nothing can pause, resume or re-grade a BG task (only
+        timer callbacks and completion listeners actuate, and the
         budget stops before safe mode), so every sample would record the
         same grades.  They are recorded once, weighted by the count.
         """
         self._record_bg_grades(len(samples))
+        columns = self._sample_columns
+        observe = self._observe
+        close = self._close_sample
         for sample in samples:
-            self._sample(sample[0], sample)
+            now = sample[0]
+            for column, task in columns:
+                observe(task, now, sample[column], now)
+            close(now)
 
     def _record_bg_grades(self, weight: int) -> None:
         """Count each running BG core's grade ``weight`` times."""
         histogram = self.bg_grade_histogram
+        is_paused = self._sys.is_paused
+        grade_of = self._sys.frequency_grade
         for pid, core in self._bg_cores:
-            if self._sys.is_paused(pid):
+            if is_paused(pid):
                 continue
-            grade = self._sys.frequency_grade(core)
+            grade = grade_of(core)
             histogram[grade] = histogram.get(grade, 0) + weight
 
     # ------------------------------------------------------------------
     # Health monitoring and degraded operation
     # ------------------------------------------------------------------
 
-    def _update_health(self, now: float) -> None:
-        """Fold this wakeup's anomaly evidence into the suspect window.
-
-        A wakeup is *suspect* when any sensing or actuation anomaly was
-        observed since the previous one: a sample the predictor ignored
-        (stale, zero-delta on a hardware-counter task, or rejected as
-        physically impossible), a negative progress read, an actuation
-        whose verification never passed, or the wakeup itself arriving
-        grossly late.  On a healthy machine none of these occur, so the
-        window stays empty and the mode never leaves "normal".
-        """
-        if self._last_wakeup_s is not None:
-            late_band = LATE_WAKEUP_FACTOR * self._opts.sampling_period_s
-            if now - self._last_wakeup_s > late_band:
-                self.late_wakeups += 1
-        self._last_wakeup_s = now
-        total = self._anomaly_total()
-        suspect = 1 if total > self._anomaly_base else 0
-        self._anomaly_base = total
-        self._suspects.append(suspect)
-        self.health_samples += 1
-        self.suspect_samples += suspect
-        if len(self._suspects) == self._suspects.maxlen:
-            self._evaluate_mode(now)
-
-    def _anomaly_total(self) -> int:
-        total = self.negative_progress_samples + self.late_wakeups
-        for task in self._tasks:
-            predictor = task.predictor
-            total += predictor.stale_samples + predictor.rejected_samples
-            if task.progress_fn is None:
-                # Zero-delta is anomalous only for hardware counters (a
-                # running core always retires instructions); heartbeat
-                # progress legitimately stalls between beats.
-                total += predictor.zero_delta_samples
-        if self.guarded is not None:
-            total += self.guarded.actuations_failed
-        return total
-
     def _evaluate_mode(self, now: float) -> None:
-        rate = sum(self._suspects) / len(self._suspects)
+        window = self._suspects  # full: the density is over all of it
+        rate = window.count / window.size
         opts = self._opts
         if self.mode == "normal":
             if rate >= opts.degraded_threshold:
@@ -654,10 +703,12 @@ class DirigentRuntime:
     def _bg_intrusiveness(self) -> Dict[int, float]:
         """LLC misses per BG task since the previous decision."""
         result: Dict[int, float] = {}
+        read = self._sys.read_llc_misses
+        base = self._bg_miss_base
         for pid, core in self._bg_cores:
-            misses = self._sys.read_counters(core).llc_misses
-            result[pid] = misses - self._bg_miss_base.get(pid, 0.0)
-            self._bg_miss_base[pid] = misses
+            misses = read(core)
+            result[pid] = misses - base.get(pid, 0.0)
+            base[pid] = misses
         return result
 
     # ------------------------------------------------------------------

@@ -22,29 +22,27 @@ class ExponentialMovingAverage:
         if not 0.0 < weight <= 1.0:
             raise ControlError("EMA weight must be in (0, 1]")
         self.weight = weight
-        self._value: Optional[float] = None
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current average, or None before any observation."""
-        return self._value
+        #: Current average, or None before any observation.  A plain
+        #: attribute: the predictor folds samples in inline on its
+        #: per-sample path, with the same expression as :meth:`update`.
+        self.value: Optional[float] = None
 
     @property
     def initialized(self) -> bool:
         """True once at least one observation has been folded in."""
-        return self._value is not None
+        return self.value is not None
 
     def update(self, sample: float) -> float:
         """Fold ``sample`` into the average and return the new value."""
-        if self._value is None:
-            self._value = sample
+        if self.value is None:
+            self.value = sample
         else:
-            self._value = self.weight * sample + (1.0 - self.weight) * self._value
-        return self._value
+            self.value = self.weight * sample + (1.0 - self.weight) * self.value
+        return self.value
 
     def reset(self) -> None:
         """Forget all history."""
-        self._value = None
+        self.value = None
 
 
 def mean(values: Sequence[float]) -> float:

@@ -50,7 +50,7 @@ def render(
 
     Args:
         result: The figure data to render.
-        max_rows: Truncate to this many rows (0 = no limit).
+        max_rows: Truncate to this many rows (0 or less = no limit).
         sweep: When given, append that sweep's execution summary as a
             footer (dispatch mode, pack sizes, retries, warm-worker
             counters).
@@ -72,8 +72,8 @@ def render(
         fmt(tuple("-" * w for w in widths)),
     ]
     lines.extend(fmt(row) for row in shown)
-    if max_rows and len(rows) > max_rows:
-        lines.append("... (%d more rows)" % (len(rows) - max_rows))
+    if len(shown) < len(rows):
+        lines.append("... (%d more rows)" % (len(rows) - len(shown)))
     for note in result.notes:
         lines.append("note: %s" % note)
     if sweep is not None:

@@ -314,6 +314,11 @@ class FaultySystem:
             core, self._sys.read_counters(core)
         )
 
+    def read_llc_misses(self, core: int) -> float:
+        # One filtered full read: the filter draws from the injector's
+        # RNG and keeps the core's last read, whatever field is wanted.
+        return self.read_counters(core).llc_misses
+
     # -- frequency ------------------------------------------------------
 
     def num_frequency_grades(self) -> int:

@@ -108,6 +108,14 @@ class FrequencyGovernor:
                 keep += 1
         del pending[keep:]
 
+    def pending_grades(self) -> List[int]:
+        """Live per-core requested grades (stable list).
+
+        Hot-path accessor: callers must treat the returned list as
+        read-only; it is updated in place as requests arrive.
+        """
+        return self._pending_grade
+
     def pending_transitions(self) -> List[Tuple[int, int]]:
         """Live ``(apply_tick, core)`` pairs not yet applied (stable list).
 

@@ -77,6 +77,7 @@ class Machine:
         self._cnt_arrays = self.counters.hot_arrays()
         self._gov_freqs = self.governor.effective_frequencies()
         self._gov_pending = self.governor.pending_transitions()
+        self._gov_grades = self.governor.pending_grades()
         self._timer_heap = self.timers.pending_heap()
         self._cache_eff = self.cache.effective_list()
         self._cache_tick = self.cache.tick_update
@@ -200,13 +201,22 @@ class Machine:
         """Cumulative counters of ``core`` as of now."""
         return self.counters.snapshot(core, self.clock.now)
 
+    def read_llc_misses(self, core: int) -> float:
+        """Cumulative LLC load misses of ``core`` as of now: the
+        ``llc_misses`` of :meth:`read_counters`, without the snapshot."""
+        if not 0 <= core < self.config.num_cores:
+            raise SimulationError("core %d out of range" % core)
+        return self._cnt_arrays[3][core]
+
     def num_frequency_grades(self) -> int:
         """Number of DVFS grades on this machine."""
         return self.config.num_grades
 
     def frequency_grade(self, core: int) -> int:
         """Requested grade index of ``core``."""
-        return self.governor.pending_grade(core)
+        if not 0 <= core < self.config.num_cores:
+            raise SimulationError("core %d out of range" % core)
+        return self._gov_grades[core]
 
     def set_frequency_grade(self, core: int, grade: int) -> None:
         """Request a DVFS grade for ``core``."""
@@ -226,7 +236,10 @@ class Machine:
 
     def is_paused(self, pid: int) -> bool:
         """True when ``pid`` is stopped."""
-        return not self.process_by_pid(pid).is_running
+        proc = self._procs_by_pid.get(pid)
+        if proc is None:
+            raise SimulationError("no process with pid %d" % pid)
+        return proc.state != STATE_RUNNING
 
     def core_of(self, pid: int) -> int:
         """Core the process ``pid`` is pinned to."""

@@ -27,6 +27,14 @@ class SystemInterface(Protocol):
     def read_counters(self, core: int) -> CounterSnapshot:
         """Read the cumulative performance counters of ``core``."""
 
+    def read_llc_misses(self, core: int) -> float:
+        """Read ``core``'s cumulative LLC load misses alone.
+
+        Equal to ``read_counters(core).llc_misses`` and counted as one
+        counter read (a fault-injecting wrapper filters it like one);
+        the runtime's per-decision BG intrusiveness needs only this
+        field."""
+
     def num_frequency_grades(self) -> int:
         """Number of available DVFS grades."""
 

@@ -1174,6 +1174,11 @@ def _compile_kernel(shape: tuple, plan: SpanPlan, stats: SpanStats):
     )
 
 
+#: ``SpanPlanner`` cache sentinel: no entry for a signature (an entry
+#: may hold None, for a shape the compiled path declines).
+_NO_PLAN = object()
+
+
 class SpanPlanner:
     """Caches SpanPlans by a value signature of the machine state.
 
@@ -1219,8 +1224,9 @@ class SpanPlanner:
             )
         sig = tuple(sig_parts)
         plans = self._plans
-        if sig in plans:
-            plan = plans[sig]
+        # One lookup: hashing the nested signature is most of a hit's cost.
+        plan = plans.get(sig, _NO_PLAN)
+        if plan is not _NO_PLAN:
             if plan is None or plan.energy is m._energy:
                 if plan is not None:
                     self._stats.plan_reuses += 1

@@ -59,6 +59,9 @@ class FakeSystem:
             stored.llc_misses,
         )
 
+    def read_llc_misses(self, core: int) -> float:
+        return self.read_counters(core).llc_misses
+
     # -- frequency ------------------------------------------------------
 
     def num_frequency_grades(self) -> int:

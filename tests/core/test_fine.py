@@ -205,3 +205,36 @@ class TestFakeSystemConformance:
 
         system = FakeSystem(pid_to_core=dict(PID_TO_CORE))
         assert isinstance(system, SystemInterface)
+
+
+class _CountingStatus(FgStatus):
+    """An FgStatus that counts how often its ratio is computed."""
+
+    computed = []
+
+    @property
+    def ratio(self):
+        _CountingStatus.computed.append(self.pid)
+        return FgStatus.ratio.fget(self)
+
+
+class TestOneRatioPerStatus:
+    @pytest.mark.parametrize("ratios, action", [
+        ((0.5, 0.6, 0.7), "fg-throttle"),  # all ahead
+        ((0.5, 1.3, 1.3), "fg-max"),       # behind, one ahead yields
+        ((0.94, 0.95, 0.93), "none"),      # in the band
+    ])
+    def test_each_ratio_is_computed_once(self, ratios, action):
+        system, controller = make_controller()
+        fg_cores = (0, 6, 7)
+        system.grades.update({6: 2, 7: 4})  # FG 2 starts below max
+        statuses = [
+            _CountingStatus(pid=pid, core=core,
+                            predicted_total_s=ratio, deadline_s=1.0)
+            for pid, core, ratio in zip((1, 2, 3), fg_cores, ratios)
+        ]
+        _CountingStatus.computed = []
+        decision = controller.decide(statuses)
+        assert decision.action.startswith(action)
+        assert sorted(_CountingStatus.computed) == [1, 2, 3]
+        assert decision.worst_ratio == max(ratios)

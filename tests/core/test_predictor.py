@@ -1,7 +1,7 @@
 """Unit tests for the completion-time predictor (Equations 1 and 2)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.predictor import ALPHA_CLAMP, CompletionTimePredictor
@@ -229,6 +229,30 @@ class TestEdgeCases:
         predictor.observe(0.005, 1e7)
         predictor.finish_execution(0.05)
         assert not predictor.in_execution
+
+
+class TestMidpoint:
+    @given(
+        total=st.floats(min_value=5e-324, max_value=1e12),
+        share=st.floats(min_value=0.0, max_value=2.0),
+    )
+    @example(total=5e-324, share=0.0)
+    @example(total=1e-323, share=0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_past_midpoint_is_the_progress_fraction_test(self, total, share):
+        # The runtime's midpoint check must agree with
+        # ``progress_fraction >= 0.5`` on every float, subnormal
+        # totals included (where ``p >= 0.5 * total`` would not).
+        profile = ExecutionProfile(
+            "p", 0.005, (ProfileSegment(0.005, total),)
+        )
+        predictor = CompletionTimePredictor(profile)
+        predictor.reject_outliers = False
+        predictor.start_execution(0.0)
+        predictor.observe(0.005, share * total)
+        assert predictor.past_midpoint() == (
+            predictor.progress_fraction >= 0.5
+        )
 
 
 class TestPropertyBased:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.profile import ExecutionProfile, ProfileSegment
-from repro.core.runtime import DirigentRuntime, ManagedTask, RuntimeOptions
+from repro.core.runtime import (
+    DirigentRuntime,
+    ManagedTask,
+    RuntimeOptions,
+    SuspectWindow,
+)
 from repro.errors import ControlError
 from tests.core.fakes import FakeSystem
 
@@ -277,13 +282,29 @@ class TestInKernelSampling:
         runtime.start()
         for suspects, budget in ((0, 4), (10, 3), (12, 1), (13, 0),
                                  (14, 0)):
-            runtime._suspects.clear()
-            runtime._suspects.extend([1] * suspects + [0] * (40 - suspects))
+            window = runtime._suspects
+            window.clear()
+            for flag in [1] * suspects + [0] * (40 - suspects):
+                window.push(flag)
+            assert window.count == sum(window) == suspects
             assert runtime.sample_budget() == budget, suspects
         unhardened = build(hardening=False)[2]
         unhardened.start()
-        unhardened._suspects.extend([1] * 40)
+        for flag in [1] * 40:
+            unhardened._suspects.push(flag)
         assert unhardened.sample_budget() == 4
+
+    def test_suspect_window_counts_what_it_holds(self):
+        window = SuspectWindow(3)
+        pushed = []
+        for flag in (1, 0, 1, 1, 0, 0, 0, 1):
+            window.push(flag)
+            pushed.append(flag)
+            assert list(window) == pushed[-3:]
+            assert window.count == sum(pushed[-3:])
+            assert len(window) == min(len(pushed), 3)
+        window.clear()
+        assert list(window) == [] and window.count == 0
 
     def test_attaches_only_to_systems_that_accept_samplers(self):
         system, task, runtime = build()
@@ -313,26 +334,85 @@ class TestInKernelSampling:
 
     def test_replayed_samples_match_live_wakeups(self):
         # The same counter reads, taken live by one runtime and replayed
-        # by another, leave every observable in the same state.
-        live_sys, live_task, live = build(hardening=True)
-        replay_sys, replay_task, replayed = build(hardening=True)
-        live.start()
-        replayed.start()
-        replay_sys.grades[1] = 2
-        live_sys.grades[1] = 2
+        # by another, leave every observable in the same state.  Three
+        # FG tasks; more samples than the 40-wakeup health window, with
+        # zero-delta, stale and outlier reads among them, so the window
+        # fills and the mode is evaluated (and degrades) inside a replay.
+        def build_three():
+            system = FakeSystem(
+                pid_to_core={1: 0, 2: 1, 3: 2, 11: 3, 12: 4}
+            )
+            tasks = [
+                ManagedTask(pid=pid, core=pid - 1, profile=profile(),
+                            deadline_s=0.08, ema_weight=0.2)
+                for pid in (1, 2, 3)
+            ]
+            runtime = DirigentRuntime(
+                system, tasks, [11, 12],
+                options=RuntimeOptions(hardening=True, decision_every=64),
+            )
+            system.grades[3] = 2
+            runtime.start()
+            return system, tasks, runtime
+
+        live_sys, live_tasks, live = build_three()
+        _, replay_tasks, replayed = build_three()
+        # Per-sample instruction steps of each task (2.2-2.6e6 per 5 ms,
+        # about 1.2 of the profiled rate) and the reads that go wrong.
+        steps = (2.2e6, 2.4e6, 2.6e6)
+        anomalies = {
+            8: (0, "zero"), 14: (1, "stale"), 20: (2, "outlier"),
+            26: (1, "zero"), 32: (0, "stale"), 38: (1, "outlier"),
+        }
+        counts = [0.0, 0.0, 0.0]
         rows = []
-        for i in range(1, 5):  # the sample-only wakeups before a decision
-            live_sys.set_counters(0, instructions=1.2e7 * i)
+        for k in range(1, 46):
+            reads = []
+            for i, step in enumerate(steps):
+                kind = anomalies.get(k, (None, None))
+                kind = kind[1] if kind[0] == i else None
+                if kind == "zero":
+                    read = counts[i]
+                elif kind == "stale":
+                    read = counts[i] - 5e5
+                elif kind == "outlier":
+                    read = counts[i] + 1e9
+                else:
+                    counts[i] += step * (1.0 + 0.01 * (k % 7))
+                    read = counts[i]
+                reads.append(read)
+                live_sys.set_counters(i, instructions=read)
             live_sys.fire_next_wakeup()
-            rows.append((live_sys.time_s, 1.2e7 * i))
-        replayed.replay_samples(rows)
+            rows.append((live_sys.time_s,) + tuple(reads))
+        # Replayed as the span kernel hands them over: several spans.
+        for start in range(0, len(rows), 7):
+            replayed.replay_samples(rows[start:start + 7])
+
+        assert len(live._suspects) == 40
+        assert live.degraded_entries == 1
         for attr in ("invocations", "negative_progress_samples",
                      "late_wakeups", "suspect_samples", "health_samples",
-                     "bg_grade_histogram", "mode"):
+                     "bg_grade_histogram", "mode", "degraded_entries",
+                     "safe_entries"):
             assert getattr(replayed, attr) == getattr(live, attr), attr
-        assert (replay_task.predictor.expected_penalties()
-                == live_task.predictor.expected_penalties())
-        assert (replay_task.predictor.segments_completed
-                == live_task.predictor.segments_completed)
-        assert replay_task.midpoint_prediction == live_task.midpoint_prediction
+        assert list(replayed._suspects) == list(live._suspects)
+        assert replayed._suspects.count == live._suspects.count == 6
+        assert replayed.sensor_anomalies() == live.sensor_anomalies()
+        for replay_task, live_task in zip(replay_tasks, live_tasks):
+            replay_p = replay_task.predictor
+            live_p = live_task.predictor
+            for attr in ("stale_samples", "zero_delta_samples",
+                         "rejected_samples", "segments_completed",
+                         "hold_penalty_updates"):
+                assert getattr(replay_p, attr) == getattr(live_p, attr), attr
+            assert replay_p._alpha_ma.value == live_p._alpha_ma.value
+            assert replay_p._rate_ma.value == live_p._rate_ma.value
+            assert (replay_p.expected_penalties()
+                    == live_p.expected_penalties())
+            assert (replay_task.midpoint_prediction
+                    == live_task.midpoint_prediction)
+            assert replay_task.midpoint_prediction is not None
+        assert sum(t.predictor.stale_samples for t in live_tasks) == 2
+        assert sum(t.predictor.zero_delta_samples for t in live_tasks) == 2
+        assert sum(t.predictor.rejected_samples for t in live_tasks) == 2
         assert replayed.sample_budget() == live.sample_budget() == 0

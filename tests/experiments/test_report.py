@@ -1,5 +1,7 @@
 """Unit tests for the text report renderer."""
 
+import pytest
+
 from repro.experiments.figures import FigureResult
 from repro.experiments.report import render
 
@@ -32,6 +34,14 @@ class TestRender:
         text = render(result(), max_rows=1)
         assert "22" not in text
         assert "1 more rows" in text
+
+    @pytest.mark.parametrize("max_rows", [0, -1, -5, 2, 3])
+    def test_no_footer_when_every_row_is_shown(self, max_rows):
+        # One rule for both: a limit at or below 0, or at or above the
+        # row count, shows every row, so no rows are left to count.
+        text = render(result(), max_rows=max_rows)
+        assert "22" in text and "1.25" in text
+        assert "more rows" not in text
 
     def test_columns_aligned(self):
         lines = render(result()).splitlines()

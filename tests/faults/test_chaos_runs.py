@@ -21,16 +21,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.fine import FineGrainController
 from repro.core.policies import DIRIGENT
 from repro.experiments.chaos import (
     DEFAULT_CHAOS_MIXES,
     run_chaos,
     run_chaos_cell,
 )
-from repro.experiments.harness import clear_caches, run_policy
+from repro.experiments.harness import bg_cores_of, clear_caches, run_policy
 from repro.experiments.mixes import mix_by_name
 from repro.faults import SCENARIO_NAMES, ZERO_FAULTS, FaultPlan, scenario
-from repro.sim.config import ENV_DEGRADED_MODE
+from repro.faults.injector import FaultySystem
+from repro.sim.config import ENV_DEGRADED_MODE, MachineConfig
 
 
 @pytest.fixture(autouse=True)
@@ -158,6 +160,60 @@ class TestFaultedReproducibility:
         )
         # Faults corrupt the controller's view, never the goalposts.
         assert faulted.deadlines_s == clean.deadlines_s
+
+
+class TestFaultedDecisionReads:
+    """The BG intrusiveness a decision sees passes the counter filter."""
+
+    def test_decisions_read_what_one_filtered_read_per_core_gives(
+        self, monkeypatch
+    ):
+        # Each BG core's misses must cost exactly one filtered counter
+        # read, in core order: the filter draws from the injector's RNG
+        # and keeps each core's last read, so a read that skipped it, or
+        # filtered twice, shifts every later fault.
+        plan = FaultPlan(
+            scenario="counters", seed=11, counter_drop_rate=0.2,
+            counter_glitch_rate=0.05, counter_noise_sigma=0.1,
+        )
+        mix = mix_by_name("ferret rs")
+        decide = FineGrainController.decide
+
+        def run():
+            seen = []
+
+            def recording(self, statuses, bg_intrusiveness=None):
+                seen.append(dict(bg_intrusiveness))
+                return decide(self, statuses, bg_intrusiveness)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(FineGrainController, "decide", recording)
+                clear_caches()
+                result = run_policy(
+                    mix, DIRIGENT, executions=3, warmup=1, fault_plan=plan
+                )
+            return result, seen
+
+        result, seen = run()
+
+        def one_filtered_read(self, core):
+            return self.read_counters(core).llc_misses
+
+        monkeypatch.setattr(FaultySystem, "read_llc_misses", one_filtered_read)
+        reference, reference_seen = run()
+        assert seen and all(seen)
+        assert seen == reference_seen
+        assert result == reference
+        assert repr(result) == repr(reference)
+        signature = result.fault_report.event_signature
+        kinds = {kind for _, _, kind, _ in signature}
+        assert {"counter-drop", "counter-glitch"} <= kinds
+        # BG cores' reads are among the faulted ones.
+        faulted_cores = {
+            int(detail.split("=")[1]) for _, surface, _, detail in signature
+            if surface == "counters"
+        }
+        assert faulted_cores & set(bg_cores_of(mix, MachineConfig()))
 
 
 class TestHardeningAcceptance:

@@ -78,6 +78,28 @@ class TestSystemInterfaceConformance:
         bg = machine.spawn(tiny_bg, core=3)
         assert machine.core_of(bg.pid) == 3
 
+    def test_read_backs_reject_bad_pids_and_cores(self, machine, tiny_bg):
+        machine.spawn(tiny_bg, core=1)
+        num_cores = machine.config.num_cores
+        with pytest.raises(SimulationError, match="no process with pid 99"):
+            machine.is_paused(99)
+        for core in (-1, num_cores):
+            with pytest.raises(SimulationError, match="out of range"):
+                machine.frequency_grade(core)
+            with pytest.raises(SimulationError, match="out of range"):
+                machine.read_llc_misses(core)
+            with pytest.raises(SimulationError, match="out of range"):
+                machine.read_counters(core)
+
+    def test_llc_misses_read_equals_the_snapshot_field(self, machine, tiny_bg):
+        machine.spawn(tiny_bg, core=2)
+        machine.run_ticks(20)
+        for core in range(machine.config.num_cores):
+            assert machine.read_llc_misses(core) == (
+                machine.read_counters(core).llc_misses
+            )
+        assert machine.read_llc_misses(2) > 0
+
     def test_llc_ways(self, machine):
         assert machine.llc_ways() == 20
 

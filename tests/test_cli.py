@@ -93,3 +93,49 @@ class TestMain:
         assert main(["chaos", "--fleet", "--nodes", nodes]) == 2
         out = capsys.readouterr().out
         assert out == "--nodes must be at least 2 (got %s)\n" % nodes
+
+    @pytest.mark.parametrize("argv, message", [
+        (["figure", "fig10", "--executions", "0"],
+         "--executions must be at least 1 (got 0)"),
+        (["figure", "fig10", "--executions", "-3"],
+         "--executions must be at least 1 (got -3)"),
+        (["figure", "fig10", "--workers", "0"],
+         "--workers must be at least 1 (got 0)"),
+        (["figure", "fig10", "--workers", "-2"],
+         "--workers must be at least 1 (got -2)"),
+        (["figure", "fig10", "--executions", "1", "--max-rows", "-1"],
+         "--max-rows must be at least 0 (got -1)"),
+    ])
+    def test_figure_rejects_bad_counts_before_any_work(
+        self, monkeypatch, capsys, argv, message
+    ):
+        import repro.experiments.parallel as parallel
+
+        def fail(*args, **kwargs):
+            raise AssertionError("no work may start")
+
+        monkeypatch.setitem(FIGURES, "fig10", fail)
+        monkeypatch.setattr(parallel, "set_default_workers", fail)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == message + "\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["chaos", "--executions", "0"],
+         "--executions must be at least 1 (got 0)"),
+        (["chaos", "--fleet", "--executions", "-1"],
+         "--executions must be at least 1 (got -1)"),
+        (["chaos", "--max-rows", "-2"],
+         "--max-rows must be at least 0 (got -2)"),
+    ])
+    def test_chaos_rejects_bad_counts_before_any_work(
+        self, monkeypatch, capsys, argv, message
+    ):
+        import repro.experiments.chaos as chaos
+
+        def fail(**kwargs):
+            raise AssertionError("no work may start")
+
+        monkeypatch.setattr(chaos, "run_chaos", fail)
+        monkeypatch.setattr(chaos, "run_fleet_chaos", fail)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == message + "\n"
