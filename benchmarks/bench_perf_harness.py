@@ -8,11 +8,9 @@ along and emits ``BENCH_harness.json`` at the repository root:
    the pre-optimization rates recorded in ``baseline_pre_pr.json``.
 2. **Backends**: scalar reference kernel vs the event-horizon batch
    engine (``repro.sim.batch``), as ticks/s on an event-sparse workload
-   (single FG, no BG, jitter off — long stationary spans) and on the
-   contended 'ferret rs' mix — noise-free (the solver-bound regime the
-   clone-lane dedup kernels target) and under the default noise config —
-   plus an end-to-end Dirigent ``run_policy`` wall-clock under each
-   backend.
+   (single FG, no BG, jitter off — long spans between events) and on
+   the contended 'ferret rs' mix under the default noise config, plus
+   an end-to-end Dirigent ``run_policy`` wall-clock under each backend.
 3. **Sweep engine + persistent cache**: wall-clock of a 3-mix x
    2-policy figure sweep — serial with cold caches, 4-worker parallel
    with cold caches, and 4-worker parallel with a warm disk cache.
@@ -110,7 +108,7 @@ SPARSE_CONFIG = MachineConfig(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
 
 #: Span kernels the cold end-to-end Dirigent run may compile.  A
 #: deterministic count, so the gate does not depend on the host: one
-#: kernel per span structure (plus the clone-lane dedup twin) gives 6.
+#: kernel per span structure gives 6.
 #: While the lanes' cores and the LLC way counts were part of the span
 #: shape, the same run compiled 9 (``E2E_KERNELS_BEFORE``, recorded
 #: beside the count in the artifact).
@@ -164,24 +162,6 @@ def _sparse_machine(backend: str) -> Machine:
     """Event-sparse workload: one FG task alone, noise-free."""
     machine = Machine(SPARSE_CONFIG, backend=backend)
     machine.spawn(get_workload("ferret"), core=0, nice=-5)
-    machine.settle_cache()
-    return machine
-
-
-def _contended_machine(backend: str) -> Machine:
-    """The contended mix (1 FG + 5 BG), noise-free.
-
-    This is the solver-bound regime the clone-lane dedup kernels
-    target: every tick runs the full coupled model (6 lanes, occupancy
-    moving every tick), and with jitter off the five BG lanes solve
-    once per clone class.  The jittered variant is measured separately as
-    ``contended_noisy`` — mandatory per-tick Box-Muller draws bound
-    what any bit-exact kernel can save there.
-    """
-    machine = Machine(SPARSE_CONFIG, backend=backend)
-    machine.spawn(get_workload("ferret"), core=0, nice=-5)
-    for core in range(1, machine.config.num_cores):
-        machine.spawn(get_workload("rs"), core=core, nice=5)
     machine.settle_cache()
     return machine
 
@@ -524,16 +504,11 @@ def run_benchmark() -> dict:
     # Scalar vs batch backend, same workloads, same seeds.
     sparse_scalar, _ = _backend_rate(_sparse_machine, BACKEND_SCALAR)
     sparse_batch, sparse_stats = _backend_rate(_sparse_machine, BACKEND_BATCH)
-    contended_scalar, _ = _backend_rate(_contended_machine, BACKEND_SCALAR)
-    contended_batch, contended_stats = _backend_rate(
-        _contended_machine, BACKEND_BATCH
-    )
     noisy_scalar, _ = _backend_rate(_contended_noisy_machine, BACKEND_SCALAR)
     noisy_batch_r, noisy_contended_stats = _backend_rate(
         _contended_noisy_machine, BACKEND_BATCH
     )
     sparse_speedup = sparse_batch / sparse_scalar
-    contended_speedup = contended_batch / contended_scalar
     noisy_contended_speedup = noisy_batch_r / noisy_scalar
     e2e_scalar_s, _, scalar_alive = _end_to_end_s(BACKEND_SCALAR)
     e2e_batch_s, e2e_kernels, batch_alive = _end_to_end_s(BACKEND_BATCH)
@@ -602,12 +577,6 @@ def run_benchmark() -> dict:
                 "batch_ticks_per_s": round(sparse_batch, 2),
                 "speedup": round(sparse_speedup, 3),
             },
-            "contended": {
-                "workload": "ferret rs (1 FG + 5 BG), jitter off",
-                "scalar_ticks_per_s": round(contended_scalar, 2),
-                "batch_ticks_per_s": round(contended_batch, 2),
-                "speedup": round(contended_speedup, 3),
-            },
             "contended_noisy": {
                 "workload": "ferret rs (1 FG + 5 BG), default config",
                 "scalar_ticks_per_s": round(noisy_scalar, 2),
@@ -615,8 +584,7 @@ def run_benchmark() -> dict:
                 "speedup": round(noisy_contended_speedup, 3),
                 "note": (
                     "per-tick Box-Muller jitter draws are mandatory in "
-                    "both backends, which bounds the bit-exact speedup "
-                    "well below the noise-free contended number"
+                    "both backends, which bounds the bit-exact speedup"
                 ),
             },
             "end_to_end_dirigent": {
@@ -667,7 +635,6 @@ def run_benchmark() -> dict:
                     "the kernel code cache is module-global"
                 ),
                 "event_sparse": sparse_stats,
-                "contended": contended_stats,
                 "contended_noisy": noisy_contended_stats,
             },
         },
@@ -731,7 +698,6 @@ def check_stable_floors(artifact: dict) -> None:
     assert backends["event_sparse"]["speedup"] >= 3.0, (
         backends["event_sparse"]
     )
-    assert backends["contended"]["speedup"] >= 5.0, backends["contended"]
     assert backends["contended_noisy"]["speedup"] >= 2.0, (
         backends["contended_noisy"]
     )
@@ -746,9 +712,7 @@ def check_stable_floors(artifact: dict) -> None:
     # A silently disabled fast path could still pass the throughput
     # floors on a fast host; its counters cannot.
     fast_path = backends["fast_path"]
-    for counter in ("table_hits", "table_builds", "rho_iterations"):
-        assert fast_path["contended"][counter] > 0, (counter, fast_path)
-    assert fast_path["event_sparse"]["rho_warm_hits"] > 0, fast_path
+    assert fast_path["contended_noisy"]["rho_iterations"] > 0, fast_path
     warm_worker = artifact["warm_worker"]
     assert warm_worker["speedup_warm_vs_cold"] >= 2.0, warm_worker
     for counter in ("warm_starts", "steals"):

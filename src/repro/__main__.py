@@ -200,8 +200,6 @@ def _run_bench(args) -> int:
           % artifact["tick_kernel"]["speedup_default"])
     print("event-sparse batch/scalar:     %.3fx"
           % backends["event_sparse"]["speedup"])
-    print("contended batch/scalar:        %.3fx"
-          % backends["contended"]["speedup"])
     print("contended-noisy batch/scalar:  %.3fx"
           % backends["contended_noisy"]["speedup"])
     print("end-to-end Dirigent:           %.3fx"
@@ -211,11 +209,10 @@ def _run_bench(args) -> int:
           "replayed samples, %d counter snapshots (was %d)"
           % (e2e["decision_wakeups"], e2e["kernel_wakeups"],
              e2e["counter_snapshots"], e2e["counter_snapshots_before"]))
-    solver = backends["fast_path"]["contended"]
-    print("contended solver: %d rho iterations, %d warm hits, "
-          "%d table hits / %d builds"
-          % (solver["rho_iterations"], solver["rho_warm_hits"],
-             solver["table_hits"], solver["table_builds"]))
+    solver = backends["fast_path"]["contended_noisy"]
+    print("contended-noisy solver:        %d rho iterations over %d "
+          "compiled ticks"
+          % (solver["rho_iterations"], solver["compiled_ticks"]))
     fleet = artifact["fleet"]
     print("fleet catalog ticks:           %d (was %d)"
           % (fleet["ticks"], fleet["ticks_before"]))
@@ -264,6 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             run_chaos,
             run_fleet_chaos,
         )
+        from repro.experiments.mixes import all_single_fg_mixes, multi_fg_mixes
         from repro.faults import FLEET_SCENARIO_NAMES, SCENARIO_NAMES
 
         catalog = FLEET_SCENARIO_NAMES if args.fleet else SCENARIO_NAMES
@@ -271,6 +269,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             if name not in catalog:
                 print("unknown scenario %r (available: %s)"
                       % (name, ", ".join(catalog)))
+                return 2
+        known = [mix.name for mix in all_single_fg_mixes() + multi_fg_mixes()]
+        for name in args.mixes or ():
+            if name not in known:
+                print("unknown mix %r (available: %s)"
+                      % (name, ", ".join(known)))
                 return 2
         if args.fleet:
             result = run_fleet_chaos(

@@ -23,11 +23,10 @@ reach a benchmark.
     binding all constants through closure cells — no imports, no
     ``global`` statements;
   - every call inside the kernel must target an allowlisted name
-    (the math closures ``e_``/``lg_``/``cs_``/``sn_``/``sq_``/``ln_``,
-    the per-lane RNG draws ``rnd_<i>``, the timer-RNG draw ``tr_`` of
-    in-kernel sampler wakeups, ``memo_get``, ``acc_e``) or an allowlisted
-    method (``advance``, ``complete_execution``, ``append``,
-    ``clear``) on a bound name;
+    (the math closures ``e_``/``lg_``/``cs_``/``sn_``/``sq_``, the
+    per-lane RNG draws ``rnd_<i>``, the timer-RNG draw ``tr_`` of
+    in-kernel sampler wakeups, ``acc_e``) or an allowlisted method
+    (``advance``, ``complete_execution``, ``append``) on a bound name;
   - no name anywhere in the generated code may resolve to a global
     (checked with :mod:`symtable` — with empty ``__builtins__`` a
     global lookup is a latent ``NameError``);
@@ -65,12 +64,12 @@ TEMPLATE_ENTRY_POINTS = ("template_shapes", "generate_kernel_source")
 #: the timer wheel's ``random``, drawn when a span kernel reschedules a
 #: sampler wakeup it took in-kernel.
 ALLOWED_CALLS = re.compile(
-    r"^(e_|lg_|cs_|sn_|sq_|ln_|memo_get|acc_e|tr_|rnd_\d+)$"
+    r"^(e_|lg_|cs_|sn_|sq_|acc_e|tr_|rnd_\d+)$"
 )
 
 #: Methods the generated kernels may invoke (on plain bound names).
 ALLOWED_METHODS = frozenset({
-    "advance", "complete_execution", "append", "clear",
+    "advance", "complete_execution", "append",
 })
 
 #: Attributes tolerated inside the hot loops (completion path reads and

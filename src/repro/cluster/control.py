@@ -75,11 +75,7 @@ from repro.experiments.metrics import (
 )
 from repro.faults.fleet import FleetFaultReport, NodeFaultPlan, NodeFaultSpec
 from repro.sched.reservation import ReservationScheduler, TaskStream
-from repro.sim.config import (
-    env_fleet_dead_s,
-    env_fleet_suspect_s,
-    fleet_failover_enabled,
-)
+from repro.sim.config import fleet_failover_enabled
 from repro.sim.timebase import derive_rng
 from repro.workloads import get_workload
 
@@ -93,9 +89,9 @@ DEAD = "dead"
 class ControlPlaneConfig:
     """Tunables of the fleet control plane.
 
-    Defaults are plain literals; :meth:`from_env` resolves the
-    env-overridable ones (heartbeat timeouts, the failover kill switch)
-    at call time, never at import.
+    Defaults are plain literals; :meth:`from_env` resolves the one
+    env-overridable field (the failover kill switch) at call time, never
+    at import.
 
     Attributes:
         suspect_timeout_s: Beat gap before a node turns suspect
@@ -158,12 +154,8 @@ class ControlPlaneConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "ControlPlaneConfig":
-        """Config with the env-overridable knobs resolved now."""
-        values = dict(
-            suspect_timeout_s=env_fleet_suspect_s(),
-            dead_timeout_s=env_fleet_dead_s(),
-            failover=fleet_failover_enabled(),
-        )
+        """Config with ``REPRO_FLEET_FAILOVER`` resolved now."""
+        values = dict(failover=fleet_failover_enabled())
         values.update(overrides)
         return cls(**values)
 

@@ -316,8 +316,7 @@ def run_fleet_chaos(
         notes=(
             "attainment counts stranded executions as missed; "
             "signature digests are identical across backends",
-            "failover kill switch: REPRO_FLEET_FAILOVER=0; heartbeat "
-            "knobs: REPRO_FLEET_SUSPECT_S / REPRO_FLEET_DEAD_S",
+            "failover kill switch: REPRO_FLEET_FAILOVER=0",
         ) + tuple(
             "baseline warm-up %s" % line
             for sweep in warm_sweeps for line in sweep_summary(sweep)

@@ -185,18 +185,6 @@ ENV_DEGRADED_MODE = "REPRO_DEGRADED_MODE"
 #: re-placement).
 ENV_FLEET_FAILOVER = "REPRO_FLEET_FAILOVER"
 
-#: Heartbeat gap (seconds) before the fleet monitor suspects a node.
-ENV_FLEET_SUSPECT_S = "REPRO_FLEET_SUSPECT_S"
-
-#: Heartbeat gap (seconds) before the fleet monitor declares a node dead.
-ENV_FLEET_DEAD_S = "REPRO_FLEET_DEAD_S"
-
-#: Default suspect/dead heartbeat-gap thresholds of the fleet control
-#: plane, in fleet-virtual seconds (about 5 and 12 drive blocks at the
-#: paper's 1 ms tick).
-DEFAULT_FLEET_SUSPECT_S = 0.15
-DEFAULT_FLEET_DEAD_S = 0.4
-
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -285,20 +273,6 @@ KNOBS: Tuple[EnvKnob, ...] = (
         # them — pinned by the zero-node-fault bit-identity tests.
         ENV_FLEET_FAILOVER, "fleet_failover_enabled", "flag", "1", None,
         "Fleet failover kill switch (no-failover chaos baseline).",
-    ),
-    EnvKnob(
-        # Same cache story as REPRO_FLEET_FAILOVER: only the uncached
-        # fleet chaos path reads the threshold.
-        ENV_FLEET_SUSPECT_S, "env_fleet_suspect_s", "float",
-        str(DEFAULT_FLEET_SUSPECT_S), None,
-        "Heartbeat gap before the fleet monitor suspects a node.",
-    ),
-    EnvKnob(
-        # Same cache story as REPRO_FLEET_FAILOVER: only the uncached
-        # fleet chaos path reads the threshold.
-        ENV_FLEET_DEAD_S, "env_fleet_dead_s", "float",
-        str(DEFAULT_FLEET_DEAD_S), None,
-        "Heartbeat gap before the fleet monitor declares a node dead.",
     ),
 )
 
@@ -432,44 +406,6 @@ def fleet_failover_enabled() -> bool:
     all, so the knob cannot affect them.
     """
     return _flag_enabled(ENV_FLEET_FAILOVER)
-
-
-def _env_positive_float(name: str, default: float) -> float:
-    """A required-positive float knob with a constant default."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            "%s must be a number, got %r" % (name, raw)
-        )
-    if value <= 0:
-        raise ConfigurationError(
-            "%s must be > 0, got %r" % (name, raw)
-        )
-    return value
-
-
-def env_fleet_suspect_s() -> float:
-    """``REPRO_FLEET_SUSPECT_S``: gap before a node turns suspect.
-
-    Raises:
-        ConfigurationError: if the variable is set but not a positive
-            number.
-    """
-    return _env_positive_float(ENV_FLEET_SUSPECT_S, DEFAULT_FLEET_SUSPECT_S)
-
-
-def env_fleet_dead_s() -> float:
-    """``REPRO_FLEET_DEAD_S``: gap before a node is declared dead.
-
-    Raises:
-        ConfigurationError: if the variable is set but not a positive
-            number.
-    """
-    return _env_positive_float(ENV_FLEET_DEAD_S, DEFAULT_FLEET_DEAD_S)
 
 
 def knob_fingerprint() -> Tuple[Tuple[str, Optional[str]], ...]:

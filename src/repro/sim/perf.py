@@ -21,8 +21,8 @@ point over the aggregate utilization ``rho``.
 loops (``Machine.tick`` and the span kernels of
 :mod:`repro.sim.spanplan`) inline the same operations in the same order
 and never call it; it stays as the reference the model-consistency
-tests check them against.  No solver memo lives here: the span kernels'
-per-plan fixed-point memo is the only one.
+tests check them against.  The simulator keeps no solver memo: every
+tick, scalar or span-compiled, solves the fixed point.
 """
 
 from __future__ import annotations
@@ -136,10 +136,9 @@ def solve_tick(
 def solver_table_stats() -> Dict[str, int]:
     """Counters of module-level solver tables: always empty.
 
-    The simulator keeps no solver table outside the span kernels' own
-    per-plan fixed-point memo, whose counters ``Machine.backend_stats``
-    reports.  The function stays so callers that diff these counters
-    around a run keep working; they read zeros.
+    The simulator keeps no solver table or memo.  The function stays so
+    callers that diff these counters around a run keep working; they
+    read zeros.
     """
     return {}
 

@@ -25,30 +25,13 @@ tick; on the contended shapes every Dirigent figure simulates (1 FG +
   OS-jitter draw inlines CPython's ``random.Random.gauss`` (same
   algorithm, same RNG stream, same draw order), and the cache
   target/inertia update inlines ``SharedCache.tick_update`` for the
-  span-constant grouping.
-* **Exact-input memoization** — the rho fixed point is a pure function
-  of ``(rho, mpki_0..mpki_{n-1})`` once the span constants are fixed;
-  jitter-free kernels memoize its outputs per plan, keyed on those
-  exact float inputs, so a revisited input tuple replays bit-identical
-  outputs without re-running the iterations.  This per-plan memo is
-  the simulator's one solver memo.  Together with the per-lane
-  ``prev_w`` guard (only lanes whose occupancy moved re-evaluate their
-  miss curve — per-core partial recompute), it extends the kernels'
-  whole-machine stationary loop to per-core stationarity.
-* **Clone-lane tabulation (dedup kernels)** — contended mixes run the
-  same BG spec on several cores, and at sigma 0 those lanes are exact
-  clones: identical phase constants, frequency, cache group, and (by
-  induction from a validated span entry) identical occupancy, so every
-  per-tick solver quantity — miss curve, fixed-point term, increments,
-  cache target — is bit-equal across them.  For jitter-free plans with
-  clone lanes a second kernel is compiled whose shape maps each lane
-  to its *class representative*: the solver runs once per class
-  and every clone reuses the representative's exact values, while
-  per-lane state (progress, counters, guards, completions) keeps its
-  own left-associated accumulation so results stay bit-identical.
-  ``SpanPlan.run`` routes to the dedup kernel only after revalidating
-  that the clone lanes' occupancy and miss-curve state still compare
-  bit-equal.
+  span-constant grouping.  A jitter-free kernel runs the same per-lane
+  code as a jittered one, minus the Gaussian draw.
+* **Per-lane miss-curve guard** — each lane keeps its last occupancy
+  and miss-curve outputs in the plan (``prev_w``), so only lanes whose
+  occupancy moved re-evaluate their miss curve (a per-core partial
+  recompute; recomputing a pure function on an equal input is
+  bit-identical, so skipping it is too).
 * **In-kernel sampler wakeups** — every span kernel can take the
   sample-only wakeups of a sampler attached with
   :meth:`repro.sim.machine.Machine.attach_sampler` (the Dirigent
@@ -62,8 +45,7 @@ floating-point operations in the same order as ``Machine.tick``:
 sequential lane order, left-associated accumulations, identical
 operator shapes.  Where a specialization drops an operation it is one
 with a provably identity result (``x * 1.0`` for the jitter factor at
-sigma 0, ``0.0 + x`` for the first fixed-point summand).  Memo hits
-replay stored outputs of the identical pure computation.  The
+sigma 0, ``0.0 + x`` for the first fixed-point summand).  The
 equivalence suite (``tests/sim/test_batch_equivalence.py`` and
 ``tests/sim/test_spanplan.py``) pins all of this against the scalar
 reference.
@@ -97,9 +79,6 @@ __all__ = [
 #: hold the full cross product of a six-lane mix.
 MAX_PLANS = 256
 
-#: Cap on fixed-point memo entries per plan.
-MAX_MEMO = 4096
-
 #: CPython's ``random.gauss`` angle scale (``2*pi``); bound once so the
 #: generated kernels and the interpreter use the very same constant.
 TWO_PI = 2.0 * math.pi
@@ -112,24 +91,13 @@ class SpanStats:
 
     * ``spans``: spans the batch engine ran in compiled kernels;
     * ``compiled_ticks``: ticks executed by compiled kernels;
-    * ``stationary_ticks``: ticks that skipped the model entirely;
-    * ``memo_hits`` / ``memo_misses``: fixed-point memo lookups;
     * ``misscurve_evals``: per-lane miss-curve re-evaluations (the
       per-core partial recomputes; lanes whose occupancy did not move
       skip this);
     * ``plan_builds`` / ``plan_reuses``: span-plan cache behavior;
     * ``kernels_compiled``: distinct span shapes compiled to code;
     * ``rho_iterations``: fixed-point iterations run by compiled
-      kernels (cold-solved ticks times the unrolled iteration count;
-      warm ticks contribute nothing);
-    * ``rho_warm_hits``: compiled ticks whose rho came from a warm
-      source — the stationary fast path or an exact-input memo hit —
-      instead of re-running the fixed point;
-    * ``table_hits``: solver evaluations served from an exact table
-      instead of recomputed — clone lanes reusing their class
-      representative's per-tick solve in dedup kernels;
-    * ``table_builds``: exact solver tables built — clone classes a
-      dedup kernel was compiled for;
+      kernels (compiled ticks times the unrolled iteration count);
     * ``kernel_wakeups``: an attached sampler's sample-only wakeups the
       span kernels took themselves (buffered, then replayed through
       the sampler) instead of ending a span to fire them as timers.
@@ -138,17 +106,11 @@ class SpanStats:
     __slots__ = (
         "spans",
         "compiled_ticks",
-        "stationary_ticks",
-        "memo_hits",
-        "memo_misses",
         "misscurve_evals",
         "plan_builds",
         "plan_reuses",
         "kernels_compiled",
         "rho_iterations",
-        "rho_warm_hits",
-        "table_hits",
-        "table_builds",
         "kernel_wakeups",
     )
 
@@ -167,12 +129,10 @@ class SpanStats:
 #
 # A *shape* is everything the generated code depends on structurally:
 #
-#   (num_cores, isfg, apki_pos, jitter, snap, groups, has_energy, classes)
+#   (num_cores, isfg, apki_pos, jitter, snap, groups, has_energy)
 #
-# with ``groups`` the cache grouping in lane indices, and ``classes``
-# the lane -> class-representative map for the clone-lane dedup kernels
-# (``tuple(range(n))`` — every lane its own representative — for the
-# plain kernels).  All constants stay *outside* the shape — they are
+# with ``groups`` the cache grouping in lane indices.  All constants
+# stay *outside* the shape — they are
 # bound by the per-plan factory — so kernels are shared across plans
 # that differ only in model constants (frequencies, phase parameters),
 # in which cores the lanes run on (the ``k_<slot>`` core indices: lane
@@ -230,59 +190,23 @@ def _generate_source(shape: tuple) -> str:
     cannot cross a boundary passes ``inf``, which its ``p >= g`` test
     never reaches.
 
-    When ``classes`` maps any lane to an earlier representative, the
-    emitted solver computes each class once per tick: the clone lane's
-    miss curve, fixed-point term, and per-tick increments are the
-    representative's locals, which are bit-equal to what the lane would
-    compute itself (same constants, same occupancy — revalidated by
-    ``SpanPlan.run`` before this kernel is selected).  Per-lane state
-    (progress, counters, guards, completions) keeps its own
-    accumulation, so every float lands exactly where the scalar
-    reference puts it.  Dedup shapes drop the fixed-point memo — in the
-    contended regime occupancy moves every tick, so the memo never hits
-    and only adds key-build cost — but keep the stationary fast path.
+    The kernel returns ``(ticks executed, rho, miss-curve evaluations,
+    completions, next wakeup tick)``.
     """
-    (num_cores, isfg, apki_pos, jitter, snap, groups, has_energy,
-     classes) = shape
+    num_cores, isfg, apki_pos, jitter, snap, groups, has_energy = shape
     n = len(isfg)
-    reps = [i for i in range(n) if classes[i] == i]
-    dedup = len(reps) != n
-    if dedup and jitter:
-        raise ValueError("clone-lane dedup requires a jitter-free shape")
-    group_of = {}
-    for gi, lanes_g in enumerate(groups):
-        for l in lanes_g:
-            group_of[l] = gi
-    for i in range(n):
-        r = classes[i]
-        if r > i or classes[r] != r:
-            raise ValueError("classes must map lanes to earlier reps")
-        if (isfg[i] != isfg[r] or apki_pos[i] != apki_pos[r]
-                or group_of.get(i) != group_of.get(r)):
-            raise ValueError("clone lanes must share role and cache group")
     # Core slots: slot ``i < n`` is lane ``i``'s core, the idle cores
-    # follow in core order; ``k_<slot>`` binds the core index.  The
-    # occupancy update runs in slot order, so a clone lane's slot reads
-    # its (earlier) representative's already-updated value.  Slots of
+    # follow in core order; ``k_<slot>`` binds the core index.  Slots of
     # lanes with cache weight hold a cache target; the rest decay.
     weighted = {i for i in range(n) if apki_pos[i]}
-    track_idle = (not jitter) and (not snap) and len(weighted) < num_cores
-    use_memo = not jitter and not dedup
-    use_stationary = not jitter
 
     lines: List[str] = []
     add = lines.append
 
-    add("def _factory(plan, e_, lg_, cs_, sn_, sq_, ln_, ms_):")
+    add("def _factory(plan, e_, lg_, cs_, sn_, sq_, ms_):")
     # ---- per-plan constant bindings (closure cells of ``run``) ----
-    # Model constants are bound per *class representative* only: clone
-    # lanes read their representative's locals, which hold bit-equal
-    # values by the dedup contract (plain kernels have every lane as
-    # its own representative, so this binds all of them).
     for i in range(n):
         add("    proc_%d = plan.procs[%d]" % (i, i))
-        if classes[i] != i:
-            continue
         add("    fl_%d = plan.floor[%d]" % (i, i))
         add("    dl_%d = plan.delta[%d]" % (i, i))
         add("    ws_%d = plan.wscale[%d]" % (i, i))
@@ -316,22 +240,12 @@ def _generate_source(shape: tuple) -> str:
     add("    scl = plan.scale")
     add("    rho_cap = plan.rho_cap")
     add("    inv_peak = plan.inv_peak")
-    if not jitter:
-        # Jitter-free cycle increments are span-constant; hoisting the
-        # product is bit-identical (the same two floats multiply to the
-        # same float every tick).
-        for i in reps:
-            add("    ch_%d = fh_%d * dt" % (i, i))
     if jitter:
         add("    sigma = plan.sigma")
         add("    mu = plan.mu")
         add("    TWOPI = plan.two_pi")
     if not snap:
         add("    alpha = plan.alpha")
-    if use_memo:
-        add("    memo = plan.memo")
-        add("    memo_get = memo.get")
-        add("    maxm = plan.max_memo")
     if has_energy:
         add("    acc_e = plan.energy_accumulate")
         add("    frl = plan.freqs_list")
@@ -348,10 +262,9 @@ def _generate_source(shape: tuple) -> str:
     for c in range(num_cores):
         add("        ef_%d = eff[k_%d]" % (c, c))
     for i in range(n):
-        if classes[i] == i:
-            add("        pw_%d = pwa[%d]" % (i, i))
-            add("        mp_%d = mpa[%d]" % (i, i))
-            add("        co_%d = coa[%d]" % (i, i))
+        add("        pw_%d = pwa[%d]" % (i, i))
+        add("        mp_%d = mpa[%d]" % (i, i))
+        add("        co_%d = coa[%d]" % (i, i))
         add("        p_%d = proc_%d.progress" % (i, i))
         add("        em_%d = proc_%d.execution_misses" % (i, i))
         if isfg[i]:
@@ -366,26 +279,19 @@ def _generate_source(shape: tuple) -> str:
     add("        now0 = now")
     add("        stop = now + span")
     add("        lim = wk if wk < stop else stop")
-    add("        stat_ticks = 0")
-    add("        mh = 0")
-    add("        mm = 0")
     add("        mce = 0")
-    add("        th = 0")
-    if use_stationary:
-        add("        stationary = False")
 
     def emit_guards(ind: str) -> None:
         for i in range(n):
             add(ind + "if p_%d >= g_%d:" % (i, i))
             add(ind + "    break")
 
-    def emit_completion(ind: str, i: int, inst: str, mis: str,
-                        ips: str) -> None:
+    def emit_completion(ind: str, i: int, inst: str, mis: str) -> None:
         # Same operations/order as the scalar kernel's FG completion
         # path; locals are written back before Process methods run.
         add(ind + "rem = tt_%d - p_%d" % (i, i))
         add(ind + "if %s >= rem > 0:" % inst)
-        add(ind + "    dtf = rem / %s" % ips)
+        add(ind + "    dtf = rem / ips_%d" % i)
         add(ind + "    msh = %s * (rem / %s)" % (mis, inst))
         add(ind + "    proc_%d.progress = p_%d" % (i, i))
         add(ind + "    proc_%d.execution_misses = em_%d" % (i, i))
@@ -400,53 +306,19 @@ def _generate_source(shape: tuple) -> str:
         add(ind + "    p_%d = p_%d + %s" % (i, i, inst))
         add(ind + "    em_%d = em_%d + %s" % (i, i, mis))
 
-    ips_tuple = ", ".join("ips_%d" % i for i in range(n))
-    t_tuple = ", ".join("t_%d" % i for i in range(n))
-    mp_tuple = ", ".join("mp_%d" % i for i in range(n))
-
-    def emit_fixed_point(ind: str) -> None:
-        # Each class representative solves once; its fixed-point term
-        # ``t_r = ips_r * mp_r * ms_`` is the exact subexpression the
-        # scalar reference adds into the aggregate (same parse-tree
-        # association), so accumulating ``t_r`` per *lane* in lane
-        # order reproduces the scalar sum bit-for-bit, and the saved
-        # term is reused for the per-tick miss increments.
-        for _ in range(_FIXED_POINT_ITERATIONS):
-            add(ind + "pen = base_ns * (1.0 + scl * rho / (1.0 - rho))")
-            for i in range(n):
-                r = classes[i]
-                if i == r:
-                    expr = ("fh_%d / (cp_%d + co_%d * pen * se_%d * fq_%d)"
-                            % (r, r, r, r, r))
-                    if jitter:
-                        expr += " * jt_%d" % i
-                    add(ind + "ips_%d = %s" % (r, expr))
-                    add(ind + "t_%d = ips_%d * mp_%d * ms_" % (r, r, r))
-                if i == 0:
-                    add(ind + "tmr = t_%d" % r)
-                else:
-                    add(ind + "tmr = tmr + t_%d" % r)
-            add(ind + "nr = tmr * inv_peak")
-            add(ind + "rho = nr if nr < rho_cap else rho_cap")
-
     def emit_model_tick(ind: str, stolen_tick: bool) -> None:
         """One full-model tick; ``stolen_tick`` charges pending overhead."""
-        # -- per-class miss curve (+ per-lane jitter draw), lane order --
-        if use_stationary:
-            add(ind + "wch = False")
+        # -- per-lane miss curve (+ jitter draw), lane order --
         for i in range(n):
-            if classes[i] == i:
-                add(ind + "w = ef_%d" % i)
-                add(ind + "if w < 0.0:")
-                add(ind + "    w = 0.0")
-                add(ind + "if w != pw_%d:" % i)
-                if use_stationary:
-                    add(ind + "    wch = True")
-                add(ind + "    pw_%d = w" % i)
-                add(ind + "    mce += 1")
-                add(ind + "    mp_%d = fl_%d + dl_%d * e_(-w / ws_%d)"
-                    % (i, i, i, i))
-                add(ind + "    co_%d = mp_%d * ms_" % (i, i))
+            add(ind + "w = ef_%d" % i)
+            add(ind + "if w < 0.0:")
+            add(ind + "    w = 0.0")
+            add(ind + "if w != pw_%d:" % i)
+            add(ind + "    pw_%d = w" % i)
+            add(ind + "    mce += 1")
+            add(ind + "    mp_%d = fl_%d + dl_%d * e_(-w / ws_%d)"
+                % (i, i, i, i))
+            add(ind + "    co_%d = mp_%d * ms_" % (i, i))
             if jitter:
                 # Inline CPython's random.Random.gauss (same algorithm,
                 # same stream, same draw order; gauss_next synced at the
@@ -461,132 +333,88 @@ def _generate_source(shape: tuple) -> str:
                 add(ind + "    gn_%d = None" % i)
                 add(ind + "jt_%d = e_(mu + z * sigma)" % i)
 
-        # -- rho fixed point (optionally memoized on exact inputs) --
-        if use_memo:
-            add(ind + "rho_in = rho")
-            add(ind + "mk = (rho, %s)" % mp_tuple)
-            add(ind + "hit = memo_get(mk)")
-            add(ind + "if hit is None:")
-            add(ind + "    mm += 1")
-            emit_fixed_point(ind + "    ")
-            add(ind + "    if ln_(memo) >= maxm:")
-            add(ind + "        memo.clear()")
-            add(ind + "    memo[mk] = (%s, %s, rho)" % (ips_tuple, t_tuple))
-            add(ind + "else:")
-            add(ind + "    mh += 1")
-            add(ind + "    %s, %s, rho = hit" % (ips_tuple, t_tuple))
-        else:
-            if use_stationary:
-                add(ind + "rho_in = rho")
-            emit_fixed_point(ind)
-        if dedup:
-            # Clone lanes served their solve from the representative's
-            # exact values: n - len(reps) avoided lane-solves per tick.
-            add(ind + "th = th + %d" % (n - len(reps)))
+        # -- rho fixed point: each lane's term ``t_i = ips_i * mp_i *
+        #    ms_`` is the exact subexpression the scalar reference adds
+        #    into the aggregate (same parse-tree association), and is
+        #    reused for the per-tick miss increments --
+        for _ in range(_FIXED_POINT_ITERATIONS):
+            add(ind + "pen = base_ns * (1.0 + scl * rho / (1.0 - rho))")
+            for i in range(n):
+                expr = ("fh_%d / (cp_%d + co_%d * pen * se_%d * fq_%d)"
+                        % (i, i, i, i, i))
+                if jitter:
+                    expr += " * jt_%d" % i
+                add(ind + "ips_%d = %s" % (i, expr))
+                add(ind + "t_%d = ips_%d * mp_%d * ms_" % (i, i, i))
+                if i == 0:
+                    add(ind + "tmr = t_0")
+                else:
+                    add(ind + "tmr = tmr + t_%d" % i)
+            add(ind + "nr = tmr * inv_peak")
+            add(ind + "rho = nr if nr < rho_cap else rho_cap")
 
         # -- per-lane accumulation, weights, FG completion --
         for i in range(n):
-            r = classes[i]
-            if apki_pos[i] and i == r:
-                add(ind + "wt_%d = ap_%d * ips_%d" % (r, r, r))
+            jt = " * jt_%d" % i if jitter else ""
+            if apki_pos[i]:
+                add(ind + "wt_%d = ap_%d * ips_%d" % (i, i, i))
             if stolen_tick:
                 # Scalar order: weights first, then the overhead charge;
                 # a fully-stolen tick skips the lane's accumulation.
-                # Overhead differs per core, so the stolen tick keeps
-                # per-lane arithmetic even for clone lanes.
-                jt = " * jt_%d" % i if jitter else ""
                 add(ind + "st = sta[k_%d]" % i)
                 add(ind + "if st:")
                 add(ind + "    sta[k_%d] = 0.0" % i)
                 add(ind + "de = dt - st")
                 add(ind + "if de > 0.0:")
                 bind = ind + "    "
-                add(bind + "inst = ips_%d * de" % r)
-                add(bind + "mis = t_%d * de" % r)
+                inst, mis = "inst", "mis"
+                add(bind + "inst = ips_%d * de" % i)
+                add(bind + "mis = t_%d * de" % i)
                 add(bind + "ci_%d = ci_%d + inst" % (i, i))
-                add(bind + "cc_%d = cc_%d + fh_%d%s * de" % (i, i, r, jt))
-                if apki_pos[i]:
-                    add(bind + "ca_%d = ca_%d + inst * ap_%d * ms_"
-                        % (i, i, r))
-                else:
-                    add(bind + "ca_%d = ca_%d + mis" % (i, i))
-                add(bind + "cm_%d = cm_%d + mis" % (i, i))
-                if isfg[i]:
-                    emit_completion(bind, i, "inst", "mis", "ips_%d" % r)
-                else:
-                    add(bind + "p_%d = p_%d + inst" % (i, i))
-                    add(bind + "em_%d = em_%d + mis" % (i, i))
+                add(bind + "cc_%d = cc_%d + fh_%d%s * de" % (i, i, i, jt))
+                acc = "inst * ap_%d * ms_" % i
             else:
-                # Per-tick increments are class-shared: hoist each to
-                # the representative (``mi_r = t_r * dt`` keeps the
-                # scalar's ``ips * mp * ms_ * dt`` association because
-                # ``t_r`` *is* its left-associated prefix); per-lane
-                # accumulation below stays per-lane.
-                if i == r:
-                    add(ind + "in_%d = ips_%d * dt" % (r, r))
-                    add(ind + "mi_%d = t_%d * dt" % (r, r))
-                    if apki_pos[i]:
-                        add(ind + "aa_%d = in_%d * ap_%d * ms_" % (r, r, r))
-                add(ind + "ci_%d = ci_%d + in_%d" % (i, i, r))
-                if jitter:
-                    add(ind + "cc_%d = cc_%d + fh_%d * jt_%d * dt"
-                        % (i, i, r, i))
-                else:
-                    add(ind + "cc_%d = cc_%d + ch_%d" % (i, i, r))
+                # ``mi_i = t_i * dt`` keeps the scalar's ``ips * mp *
+                # ms_ * dt`` association because ``t_i`` *is* its
+                # left-associated prefix.
+                bind = ind
+                inst, mis = "in_%d" % i, "mi_%d" % i
+                add(bind + "in_%d = ips_%d * dt" % (i, i))
+                add(bind + "mi_%d = t_%d * dt" % (i, i))
+                acc = "aa_%d" % i
                 if apki_pos[i]:
-                    add(ind + "ca_%d = ca_%d + aa_%d" % (i, i, r))
-                else:
-                    add(ind + "ca_%d = ca_%d + mi_%d" % (i, i, r))
-                add(ind + "cm_%d = cm_%d + mi_%d" % (i, i, r))
-                if isfg[i]:
-                    emit_completion(ind, i, "in_%d" % r, "mi_%d" % r,
-                                    "ips_%d" % r)
-                else:
-                    add(ind + "p_%d = p_%d + in_%d" % (i, i, r))
-                    add(ind + "em_%d = em_%d + mi_%d" % (i, i, r))
+                    add(bind + "aa_%d = in_%d * ap_%d * ms_" % (i, i, i))
+                add(bind + "ci_%d = ci_%d + in_%d" % (i, i, i))
+                add(bind + "cc_%d = cc_%d + fh_%d%s * dt" % (i, i, i, jt))
+            if apki_pos[i]:
+                add(bind + "ca_%d = ca_%d + %s" % (i, i, acc))
+            else:
+                add(bind + "ca_%d = ca_%d + %s" % (i, i, mis))
+            add(bind + "cm_%d = cm_%d + %s" % (i, i, mis))
+            if isfg[i]:
+                emit_completion(bind, i, inst, mis)
+            else:
+                add(bind + "p_%d = p_%d + %s" % (i, i, inst))
+                add(bind + "em_%d = em_%d + %s" % (i, i, mis))
 
         if has_energy:
             add(ind + "acc_e(dt, frl, bsl)")
 
         # -- inline SharedCache.tick_update for the span grouping --
-        if track_idle:
-            add(ind + "ichg = False")
         for gi, lanes_g in enumerate(groups):
-            terms = " + ".join("wt_%d" % classes[l] for l in lanes_g)
-            add(ind + "tot = %s" % terms)
-            emitted = set()
+            add(ind + "tot = %s" % " + ".join("wt_%d" % l for l in lanes_g))
             for l in lanes_g:
-                r = classes[l]
-                if r in emitted:
-                    continue
-                emitted.add(r)
-                add(ind + "tg_%d = wy_%d * wt_%d / tot" % (r, gi, r))
+                add(ind + "tg_%d = wy_%d * wt_%d / tot" % (l, gi, l))
         for c in range(num_cores):
-            i = c if c in weighted else None
             if snap:
-                if i is None:
-                    add(ind + "ef_%d = 0.0" % c)
-                else:
-                    add(ind + "ef_%d = tg_%d" % (c, classes[i]))
-            elif i is None:
-                if track_idle:
-                    add(ind + "nef = ef_%d + alpha * (0.0 - ef_%d)"
-                        % (c, c))
-                    add(ind + "if nef != ef_%d:" % c)
-                    add(ind + "    ichg = True")
-                    add(ind + "ef_%d = nef" % c)
-                else:
-                    add(ind + "ef_%d = ef_%d + alpha * (0.0 - ef_%d)"
-                        % (c, c, c))
-            elif classes[i] != i:
-                # Clone core: its occupancy equals the representative
-                # core's (bit-equal at span entry by revalidation, and
-                # both receive the identical update each tick), so the
-                # inertia step is assignment, not recomputation.
-                add(ind + "ef_%d = ef_%d" % (c, classes[i]))
-            else:
+                add(ind + "ef_%d = %s"
+                    % (c, "tg_%d" % c if c in weighted else "0.0"))
+            elif c in weighted:
                 add(ind + "ef_%d = ef_%d + alpha * (tg_%d - ef_%d)"
-                    % (c, c, i, c))
+                    % (c, c, c, c))
+            else:
+                add(ind + "ef_%d = ef_%d + alpha * (0.0 - ef_%d)"
+                    % (c, c, c))
 
         add(ind + "now += 1")
 
@@ -598,7 +426,6 @@ def _generate_source(shape: tuple) -> str:
     row = ["now * dt"] + ["ci_%d" % i for i in range(n) if isfg[i]]
     s1 = "            "
     m1 = s1 + "    "
-    m2 = m1 + "    "
     add("        while True:")
     add(s1 + "if now == wk:")
     add(s1 + "    if not nw:")
@@ -630,49 +457,6 @@ def _generate_source(shape: tuple) -> str:
     add(m1 + "if completions:")
     add(m1 + "    break")
 
-    # -- stationarity: per-lane occupancy, rho, and (when tracked) idle
-    #    occupancy are all at their exact float fixed points.  The
-    #    stationary increments are exactly this tick's per-class
-    #    increments (``in_r`` / ``ch_r`` / ``aa_r`` / ``mi_r``), already
-    #    in locals — entry costs nothing.
-    if use_stationary:
-        cond = "not wch and rho == rho_in"
-        if track_idle:
-            cond += " and not ichg"
-        add(m1 + "if %s:" % cond)
-        add(m2 + "stationary = True")
-        add(m2 + "break")
-
-    # ================= stationary loop =================
-    # Each segment re-detects stationarity, exactly as a fresh span
-    # would, so the counters match spans that end at every wakeup.
-    if use_stationary:
-        add(s1 + "if stationary:")
-        add(m1 + "stationary = False")
-        add(m1 + "while now < lim:")
-        emit_guards(m2)
-        for i in range(n):
-            r = classes[i]
-            add(m2 + "ci_%d = ci_%d + in_%d" % (i, i, r))
-            add(m2 + "cc_%d = cc_%d + ch_%d" % (i, i, r))
-            if apki_pos[i]:
-                add(m2 + "ca_%d = ca_%d + aa_%d" % (i, i, r))
-            else:
-                add(m2 + "ca_%d = ca_%d + mi_%d" % (i, i, r))
-            add(m2 + "cm_%d = cm_%d + mi_%d" % (i, i, r))
-            if isfg[i]:
-                emit_completion(m2, i, "in_%d" % r, "mi_%d" % r,
-                                "ips_%d" % r)
-            else:
-                add(m2 + "p_%d = p_%d + in_%d" % (i, i, r))
-                add(m2 + "em_%d = em_%d + mi_%d" % (i, i, r))
-        if has_energy:
-            add(m2 + "acc_e(dt, frl, bsl)")
-        add(m2 + "now += 1")
-        add(m2 + "stat_ticks += 1")
-        add(m2 + "if completions:")
-        add(m2 + "    break")
-
     # A segment ending anywhere but at the next wakeup before ``stop``
     # (a guard trip, a completion, the span's end) ends the span.
     add(s1 + "if completions or now != lim or now == stop:")
@@ -683,13 +467,9 @@ def _generate_source(shape: tuple) -> str:
     for c in range(num_cores):
         add("            eff[k_%d] = ef_%d" % (c, c))
     for i in range(n):
-        r = classes[i]
-        # Clone lanes persist their representative's miss-curve state
-        # (bit-equal by the dedup contract), keeping the plan arrays
-        # valid for whichever kernel variant runs the next span.
-        add("            pwa[%d] = pw_%d" % (i, r))
-        add("            mpa[%d] = mp_%d" % (i, r))
-        add("            coa[%d] = co_%d" % (i, r))
+        add("            pwa[%d] = pw_%d" % (i, i))
+        add("            mpa[%d] = mp_%d" % (i, i))
+        add("            coa[%d] = co_%d" % (i, i))
         add("            proc_%d.progress = p_%d" % (i, i))
         add("            proc_%d.execution_misses = em_%d" % (i, i))
         if jitter:
@@ -698,18 +478,16 @@ def _generate_source(shape: tuple) -> str:
         add("            cc_a[k_%d] = cc_%d" % (i, i))
         add("            ca_a[k_%d] = ca_%d" % (i, i))
         add("            cm_a[k_%d] = cm_%d" % (i, i))
-        add("            ipv[k_%d] = ips_%d" % (i, r))
+        add("            ipv[k_%d] = ips_%d" % (i, i))
     for c in range(num_cores):
-        i = c if c in weighted else None
-        if i is None:
+        if c in weighted:
+            add("            wb[k_%d] = wt_%d" % (c, c))
+            add("            tb[k_%d] = tg_%d" % (c, c))
+        else:
             add("            wb[k_%d] = 0.0" % c)
             add("            tb[k_%d] = 0.0" % c)
-        else:
-            add("            wb[k_%d] = wt_%d" % (c, classes[i]))
-            add("            tb[k_%d] = tg_%d" % (c, classes[i]))
     add("            clock.tick = now")
-    add("        return (now - now0, rho, stat_ticks, mh, mm, mce, th, "
-        "completions, wk)")
+    add("        return (now - now0, rho, mce, completions, wk)")
     add("    return run")
     add("")
     return "\n".join(lines)
@@ -730,25 +508,23 @@ def _generate_source(shape: tuple) -> str:
 def generate_kernel_source(shape: tuple) -> str:
     """Render the kernel source for one shape, without compiling.
 
-    Shapes are the 8-tuple ``(num_cores, isfg, apki_pos, jitter, snap,
-    groups, has_energy, classes)`` described above (``groups`` must
-    partition the ``apki_pos`` lanes; ``classes`` maps each lane to its
-    clone-class representative, the identity for plain kernels).  This
-    is the exact string :func:`_compile_kernel` would
-    ``exec``-compile — the static analyzer and the tests audit it
-    directly.
+    Shapes are the 7-tuple ``(num_cores, isfg, apki_pos, jitter, snap,
+    groups, has_energy)`` described above (``groups`` must partition
+    the ``apki_pos`` lanes).  This is the exact string
+    :func:`_compile_kernel` would ``exec``-compile — the static analyzer
+    and the tests audit it directly.
     """
     return _generate_source(shape)
 
 
-#: Field names of the 8-tuple span shapes, positionally.  ``repro
+#: Field names of the 7-tuple span shapes, positionally.  ``repro
 #: lint``'s ``COV002`` asserts every ``template_shapes()`` entry has
 #: exactly this arity, so adding a shape axis without extending this
 #: registry (and the audit) fails lint instead of silently compiling
 #: kernels the analyzer no longer understands.
 SHAPE_FIELDS = (
     "num_cores", "isfg", "apki_pos", "jitter", "snap", "groups",
-    "has_energy", "classes",
+    "has_energy",
 )
 
 #: Machine-readable registry of the scalar hot-state surface the
@@ -797,54 +573,44 @@ KERNEL_STATE = {
 def template_shapes() -> Tuple[tuple, ...]:
     """Representative span shapes covering the generator's feature matrix.
 
-    One shape per structurally distinct code path: jitter on/off (off
-    enables the fixed-point memo and the stationary loop), snap vs
-    inertia occupancy (inertia with an idle core enables idle-change
-    tracking), energy accounting, a zero-``apki`` lane, multi-group
-    cache partitions, and clone-lane dedup (non-identity ``classes``
-    folding the solver per class).  Every kernel carries the peeled
+    One shape per structurally distinct code path: jitter on/off (on
+    adds the Gaussian draw), snap vs inertia occupancy (inertia with an
+    idle core decays it), energy accounting, a zero-``apki`` lane and
+    multi-group cache partitions.  Every kernel carries the peeled
     overhead tick, one guard per lane and the in-kernel sampler
     wakeups, so none needs a template of its own; the FG lanes set the
-    sample row, so sampling kernels of each kind (jittered, stationary,
-    dedup) carry FG lanes, one of them three (the x3 mixes).
-    ``repro lint`` audits the source generated for every
-    one of these, so a codegen change that breaks the contract on any
-    branch fails lint even if no benchmark happens to exercise it.
+    sample row, so sampling kernels with and without jitter carry FG
+    lanes, one of them three (the x3 mixes).  ``repro lint`` audits the
+    source generated for every one of these, so a codegen change that
+    breaks the contract on any branch fails lint even if no benchmark
+    happens to exercise it.
     """
     six = (0, 1, 2, 3, 4, 5)
     fg_of_six = (True, False, False, False, False, False)
-    ident6 = tuple(range(6))
     return (
         # Canonical contended figure: 1 FG + 5 BG, jitter, inertia,
         # energy accounting, one shared cache group.
-        (6, fg_of_six, (True,) * 6, True, False, (six,), True, ident6),
-        # Jitter-free memo path with an idle core (inertia occupancy
-        # decays toward zero, so idle-change tracking engages).
+        (6, fg_of_six, (True,) * 6, True, False, (six,), True),
+        # Jitter-free with an idle core (inertia occupancy decays
+        # toward zero).
         (6, (True, False, False, False, False), (True,) * 5, False,
-         False, ((0, 1, 2, 3, 4),), False, tuple(range(5))),
+         False, ((0, 1, 2, 3, 4),), False),
         # Snap occupancy and split cache groups, as run right after a
         # runtime wakeup: overhead pending on the peeled tick, and BG
         # lanes pinned to full-program phases whose guards are
         # inactive (``inf`` bounds).
         (6, fg_of_six, (True,) * 6, False, True,
-         ((0, 1, 2), (3, 4, 5)), False, ident6),
+         ((0, 1, 2), (3, 4, 5)), False),
         # A zero-apki BG lane: no cache weight, miss accumulation in
         # the access counter, its core treated as cache-idle.
         (6, fg_of_six, (True, True, True, True, True, False),
-         False, False, ((0, 1, 2, 3, 4),), True, ident6),
+         False, False, ((0, 1, 2, 3, 4),), True),
         # Three FG copies beside three BG tasks (the x3 mixes): the
         # in-kernel sample row carries three instruction counters.
         (6, (True, True, True, False, False, False), (True,) * 6,
-         True, False, (six,), False, ident6),
+         True, False, (six,), False),
         # Minimal standalone FG (the baseline/standalone measurements).
-        (6, (True,), (True,), False, True, ((0,),), False, (0,)),
-        # Clone-lane dedup: the sigma-0 contended mix where the five
-        # BG lanes are one clone class — the solver-bound regime the
-        # exact tabulation exists for (inertia occupancy, energy off).
-        # The peeled tick keeps per-lane arithmetic for the overhead
-        # charge while the solver stays per-class.
-        (6, fg_of_six, (True,) * 6, False, False, (six,), False,
-         (0, 1, 1, 1, 1, 1)),
+        (6, (True,), (True,), False, True, ((0,),), False),
     )
 
 
@@ -861,20 +627,19 @@ class SpanPlan:
     ``ways`` each cache group's way count.  The constant arrays feed
     the generated kernel's factory; ``prev_w`` /
     ``mpki_a`` / ``coef`` persist *across* spans of the same plan — a
-    lane whose occupancy did not move between spans keeps its memoized
+    lane whose occupancy did not move between spans keeps its
     miss-curve outputs (recomputing a pure function on an equal input
     is bit-identical, so skipping it is too).
     """
 
     __slots__ = (
-        "stats", "kernel", "kernel_dedup", "clone_checks",
-        "stolen", "energy", "samples", "timer_random", "timer_jitter",
-        "fg_cores",
+        "stats", "kernel", "stolen", "energy", "samples", "timer_random",
+        "timer_jitter", "fg_cores",
         "procs", "rngs", "floor", "delta", "wscale", "sens", "freq",
         "fh", "cpi0", "apki", "prev_w", "mpki_a", "coef",
         "eff", "cnt_i", "cnt_c", "cnt_a", "cnt_m", "ips_prev", "clock",
         "dt", "sigma", "mu", "alpha", "base_ns", "scale", "rho_cap",
-        "inv_peak", "memo", "max_memo", "two_pi",
+        "inv_peak", "two_pi",
         "energy_accumulate", "freqs_list", "busy_list",
         "wbuf", "tbuf", "active_bits", "groups_commit", "disjoint",
         "guard_procs", "bounds", "slots", "ways",
@@ -897,25 +662,7 @@ class SpanPlan:
         itself, and this method hands the timer back to the wheel and
         replays the buffered samples through the sampler before any
         completion listener runs — the order the plain path observes.
-
-        When the plan compiled a clone-dedup kernel, it is selected
-        only after revalidating the dedup invariant: every clone lane's
-        occupancy and persistent miss-curve state must still compare
-        bit-equal to its representative's (other plans run between
-        spans of this one and update per-core state along their own
-        trajectories, so equality is checked, never assumed).
         """
-        kernel = self.kernel
-        if self.kernel_dedup is not None:
-            eff = self.eff
-            pwa = self.prev_w
-            mpa = self.mpki_a
-            for r, i, rc, ic in self.clone_checks:
-                if (eff[rc] != eff[ic] or pwa[r] != pwa[i]
-                        or mpa[r] != mpa[i]):
-                    break
-            else:
-                kernel = self.kernel_dedup
         if not m._settled:
             m.settle_cache()
         if self.freqs_list is not None:
@@ -935,25 +682,18 @@ class SpanPlan:
                 bounds[i] = progress - offset + proc._phase_end
         now = m.clock.tick
         if sampling is None:
-            (executed, rho, stat, mh, mm, mce, th, completions,
-             _) = kernel(span, m._rho, now, now + span, 0, 0, 0, 0.0,
-                         *bounds)
+            executed, rho, mce, completions, _ = self.kernel(
+                span, m._rho, now, now + span, 0, 0, 0, 0.0, *bounds
+            )
         else:
-            (executed, rho, stat, mh, mm, mce, th, completions,
-             wake) = kernel(span, m._rho, now, *sampling[1:], *bounds)
+            executed, rho, mce, completions, wake = self.kernel(
+                span, m._rho, now, *sampling[1:], *bounds
+            )
         stats = self.stats
-        stats.memo_hits += mh
-        stats.memo_misses += mm
         stats.misscurve_evals += mce
-        stats.table_hits += th
         if executed:
             stats.compiled_ticks += executed
-            stats.stationary_ticks += stat
-            # Warm ticks took rho from the stationary path or an exact
-            # memo hit; everything else ran the unrolled fixed point.
-            warm = stat + mh
-            stats.rho_warm_hits += warm
-            stats.rho_iterations += _FIXED_POINT_ITERATIONS * (executed - warm)
+            stats.rho_iterations += _FIXED_POINT_ITERATIONS * executed
             m._rho = rho
             m.memory.observe(rho)
             m.cache.span_commit(
@@ -1050,8 +790,6 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     plan.scale = memory.contention_scale
     plan.rho_cap = memory.rho_cap
     plan.inv_peak = memory.seconds_per_miss_at_peak
-    plan.memo = {}
-    plan.max_memo = MAX_MEMO
     plan.two_pi = TWO_PI
     plan.wbuf = [0.0] * num_cores
     plan.tbuf = [0.0] * num_cores
@@ -1117,43 +855,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     plan.timer_random = m._timer_rng.random
     plan.timer_jitter = config.timer_jitter_prob
     plan.fg_cores = tuple(core for core, proc, _ in lanes if proc.is_fg)
-    ident = tuple(range(n))
-    plan.kernel = _compile_kernel(shape + (ident,), plan, stats)
-
-    # Clone-lane dedup: jitter-free lanes running the same phase
-    # constants at the same frequency in the same cache group compute
-    # bit-identical solver values every tick, so compile a kernel that
-    # solves once per clone class.  ``SpanPlan.run`` revalidates the
-    # per-core state equality before selecting it.
-    plan.kernel_dedup = None
-    plan.clone_checks = ()
-    if not jitter and n > 1:
-        lane_group = {}
-        for gi, (_ways, cores_g) in enumerate(groups_cores):
-            for c in cores_g:
-                lane_group[lane_index[c]] = gi
-        first: Dict[tuple, int] = {}
-        cls: List[int] = []
-        for i, (core, proc, phase) in enumerate(lanes):
-            key = (
-                proc.is_fg,
-                phase.mpki_floor, phase.mpki_peak, phase.ways_scale,
-                phase.mem_sensitivity, phase.base_cpi, phase.apki,
-                plan.freq[i], lane_group.get(i),
-            )
-            cls.append(first.setdefault(key, i))
-        classes = tuple(cls)
-        if classes != ident:
-            plan.kernel_dedup = _compile_kernel(
-                shape + (classes,), plan, stats
-            )
-            plan.clone_checks = [
-                (classes[i], i, lanes[classes[i]][0], lanes[i][0])
-                for i in range(n) if classes[i] != i
-            ]
-            stats.table_builds += len(
-                {r for r in classes if cls.count(r) > 1}
-            )
+    plan.kernel = _compile_kernel(shape, plan, stats)
     return plan
 
 
@@ -1169,8 +871,7 @@ def _compile_kernel(shape: tuple, plan: SpanPlan, stats: SpanStats):
     # Popped: the factory's globals are this namespace, so leaving it in
     # would tie the two into a reference cycle.
     return namespace.pop("_factory")(
-        plan, math.exp, math.log, math.cos, math.sin, math.sqrt, len,
-        MPKI_SCALE,
+        plan, math.exp, math.log, math.cos, math.sin, math.sqrt, MPKI_SCALE,
     )
 
 
@@ -1186,8 +887,8 @@ class SpanPlanner:
     ``(pid, spec epoch, phase index, frequency)`` plus the cache-mask
     epoch and the energy-model identity.  Dirigent runs cycle through a
     small working set of states (phases x DVFS grades), so plans — and
-    their persistent miss-curve/fixed-point memos — are almost always
-    reused rather than rebuilt.
+    their persistent miss-curve state — are almost always reused rather
+    than rebuilt.
 
     A planner serves one machine, which every call passes in: plans
     hold that machine's state arrays, but neither the planner nor its

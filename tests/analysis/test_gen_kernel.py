@@ -42,16 +42,11 @@ def _lanes(shape):
     return len(_fields(shape)["isfg"])
 
 
-def _is_dedup(shape):
-    return _fields(shape)["classes"] != tuple(range(_lanes(shape)))
-
-
 def _shape_id(shape):
     """Readable test id for a span shape."""
     f = _fields(shape)
-    return "lanes%d-j%d-s%d-e%d-d%d" % (
+    return "lanes%d-j%d-s%d-e%d" % (
         _lanes(shape), f["jitter"], f["snap"], f["has_energy"],
-        _is_dedup(shape),
     )
 
 
@@ -72,7 +67,7 @@ class TestTemplatesConform:
         exec(compile(source, "<test>", "exec"), namespace)
         assert callable(namespace["_factory"])
 
-    def test_templates_cover_both_memo_modes(self):
+    def test_templates_cover_both_jitter_modes(self):
         jitters = {
             _fields(shape)["jitter"] for shape in spanplan.template_shapes()
         }
@@ -99,10 +94,9 @@ class TestTemplatesConform:
 
     def test_templates_cover_sampling_kernels(self):
         # Every span kernel takes sampler wakeups, so the audited matrix
-        # must hold a sampling kernel of each kind — jittered, jitter-
-        # free with the stationary loop, clone dedup — with FG lanes
-        # whose counters the sample row carries, and one with several
-        # FG lanes (the x3 mixes).
+        # must hold a sampling kernel with and without jitter, with FG
+        # lanes whose counters the sample row carries, and one with
+        # several FG lanes (the x3 mixes).
         kinds = set()
         fg_lanes = set()
         for shape in spanplan.template_shapes():
@@ -118,29 +112,9 @@ class TestTemplatesConform:
             if not any(isfg):
                 continue
             fg_lanes.add(sum(isfg))
-            if _fields(shape)["jitter"]:
-                kinds.add("jittered")
-            elif _is_dedup(shape):
-                kinds.add("dedup")
-            else:
-                assert "stationary = True" in source
-                kinds.add("stationary")
-        assert kinds == {"jittered", "stationary", "dedup"}
+            kinds.add(_fields(shape)["jitter"])
+        assert kinds == {True, False}
         assert max(fg_lanes) > 1
-
-    def test_templates_cover_clone_dedup_kernels(self):
-        # The clone-lane dedup variants (classes mapping several lanes
-        # to one representative) must be in the audited matrix
-        # alongside the identity-class shapes.
-        dedup = [
-            shape for shape in spanplan.template_shapes()
-            if _is_dedup(shape)
-        ]
-        assert dedup, "template matrix must include dedup shapes"
-        for shape in dedup:
-            assert not _fields(shape)["jitter"], (
-                "dedup kernels are jitter-free"
-            )
 
 
 class TestLiveKernelsConform:
@@ -195,7 +169,8 @@ class TestDoctoredSourcesCaught:
         # ``tr_`` (the closure-bound timer-RNG draw of in-kernel
         # wakeups) passes; any other plain-name call is still flagged,
         # including ``ms_``, which the factory binds as the MPKI-scale
-        # constant and no kernel calls.
+        # constant and no kernel calls, and ``ln_`` / ``memo_get``,
+        # which no kernel binds since the fixed-point memo went.
         template = (
             "def _factory(plan, e_):\n"
             "    %s = plan.timer_random\n"
@@ -205,7 +180,7 @@ class TestDoctoredSourcesCaught:
         )
         assert _violation_messages(template % ("tr_", "tr_")) == []
         for name in ("tr", "tr_0", "trx_", "rnd_", "timer_random", "an_",
-                     "mn_", "ms_"):
+                     "mn_", "ms_", "ln_", "memo_get"):
             messages = _violation_messages(template % (name, name))
             assert ("call to non-allowlisted name %r" % name) in messages
 

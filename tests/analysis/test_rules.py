@@ -616,7 +616,7 @@ class TestCov002KernelStateCoverage:
         self, tmp_path, monkeypatch
     ):
         # Re-adding the lane -> core axis the span shape dropped gives
-        # a 9-field template against the 8 declared.
+        # an 8-field template against the 7 declared.
         from repro.sim import spanplan
 
         shape = spanplan.template_shapes()[0]
@@ -627,7 +627,7 @@ class TestCov002KernelStateCoverage:
             "repro/sim/spanplan.py": self.SPANPLAN,
         }, select={"COV002"})
         assert rule_ids(findings) == ["COV002"]
-        assert "has 9 fields but SHAPE_FIELDS declares 8" in (
+        assert "has 8 fields but SHAPE_FIELDS declares 7" in (
             findings[0].message
         )
 

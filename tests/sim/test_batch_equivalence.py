@@ -170,8 +170,8 @@ class TestCompletionWindowEquivalence:
 
     def test_completions_at_the_rho_fixed_point(self):
         # Single-phase FG + one long BG phase: the trajectory sits at
-        # its rho fixed point (the stationary loop), and each FG
-        # completion only redraws the next execution's noisy target.
+        # its rho fixed point, and each FG completion only redraws the
+        # next execution's noisy target.
         from tests.conftest import make_phase
 
         def populate(machine):
@@ -199,7 +199,6 @@ class TestCompletionWindowEquivalence:
         _assert_counters_equal(scalar, batch)
         assert len(log_s) > 1 and log_s == log_b
         assert scalar.rho == batch.rho
-        assert batch.backend_stats()["stationary_ticks"] > 0
 
 
 class TestJitteredEquivalence:
@@ -400,13 +399,13 @@ class TestInKernelWakeupEquivalence:
         yield
         clear_caches()
 
-    @pytest.mark.parametrize("mix,sigma,tau,kernel", [
-        ("raytrace x3 rs", 0.015, 0.15, "jittered"),
-        ("ferret rs", 0.0, 0.0, "stationary"),
-        ("ferret rs", 0.0, 0.15, "dedup"),
+    @pytest.mark.parametrize("mix,sigma,tau", [
+        ("raytrace x3 rs", 0.015, 0.15),  # jittered kernels
+        ("ferret rs", 0.0, 0.0),          # jitter-free, snap occupancy
+        ("ferret rs", 0.0, 0.15),         # jitter-free, clone BG lanes
     ])
     def test_dirigent_runtime_identical(
-        self, monkeypatch, mix, sigma, tau, kernel
+        self, monkeypatch, mix, sigma, tau
     ):
         config = MachineConfig(os_jitter_sigma=sigma, cache_inertia_tau_s=tau)
         scalar = _drive_session(monkeypatch, BACKEND_SCALAR, mix, config)
@@ -414,11 +413,6 @@ class TestInKernelWakeupEquivalence:
         assert _runtime_observables(scalar) == _runtime_observables(batch)
         stats = batch.machine.backend_stats()
         assert stats["kernel_wakeups"] == _sample_only(batch.runtime) > 0
-        if kernel == "stationary":
-            assert stats["stationary_ticks"] > 0
-            assert stats["memo_hits"] > 0
-        if kernel == "dedup":
-            assert stats["table_hits"] > 0
 
     @pytest.mark.parametrize("mix", ["ferret rs", "raytrace x3 rs"])
     def test_no_plain_span_ends_at_a_sample_only_wakeup(

@@ -6,9 +6,9 @@ or bit-exactness against the scalar reference under conditions that
 specifically stress the compiled kernels — stolen overhead time beside
 guarded and unguarded lanes, the shapes the planner declines
 (overlapping partitions, a substituted RNG, an idle machine), idle-core
-occupancy drift, and the exact float memoization — plus the one
-kernel per shape that serves spans with and without pending overhead,
-and the sampler wakeups the kernels take themselves.
+occupancy drift, and jitter-free spans — plus the one kernel per shape,
+clone lanes included, that serves spans with and without pending
+overhead, and the sampler wakeups the kernels take themselves.
 """
 
 from __future__ import annotations
@@ -132,26 +132,20 @@ class TestStatsSurface:
         assert len(spanplan._KERNEL_CODE_CACHE) == cached
 
 
-class TestMemoization:
-    def test_sigma0_spans_hit_the_fixed_point_memo(self):
-        # A lone FG with snap-to-target occupancy revisits the same
-        # exact (rho, mpki) points across spans — the memo's sweet spot.
-        machine = _machine(
-            BACKEND_BATCH, sigma=0.0, tau=0.0, cores_used=(0,)
+class TestJitterFree:
+    def test_lone_fg_snap_spans_match_scalar(self):
+        # A lone FG with snap-to-target occupancy sits at its exact
+        # (rho, mpki) fixed point across spans; the plain kernel still
+        # solves every tick, bit-equal to the scalar reference.
+        scalar, batch = (
+            _machine(backend, sigma=0.0, tau=0.0, cores_used=(0,))
+            for backend in (BACKEND_SCALAR, BACKEND_BATCH)
         )
         for _ in range(40):
-            machine.run_ticks(100)
-        stats = machine.backend_stats()
-        assert stats["memo_misses"] > 0
-        assert stats["memo_hits"] > 0
-        assert stats["stationary_ticks"] > 0
-
-    def test_jittered_spans_bypass_the_memo(self):
-        machine = _machine(BACKEND_BATCH, sigma=0.015)
-        machine.run_ticks(2_000)
-        stats = machine.backend_stats()
-        assert stats["memo_hits"] == 0
-        assert stats["memo_misses"] == 0
+            scalar.run_ticks(100)
+            batch.run_ticks(100)
+        _assert_identical(scalar, batch)
+        assert batch.backend_stats()["compiled_ticks"] > 0
 
 
 class TestEquivalenceUnderStress:
@@ -203,8 +197,7 @@ class TestEquivalenceUnderStress:
 
     def test_idle_core_occupancy_drift_matches(self):
         # Only 3 of the cores run; with cache inertia the idle cores'
-        # occupancy decays asymptotically and the stationary fast path
-        # must not enter while it still moves (regression guard).
+        # occupancy decays asymptotically, tick by tick in the kernel.
         scalar = _machine(BACKEND_SCALAR, sigma=0.0, cores_used=(0, 2, 4))
         batch = _machine(BACKEND_BATCH, sigma=0.0, cores_used=(0, 2, 4))
         scalar.run_ticks(30_000)
@@ -309,7 +302,7 @@ class TestEquivalenceUnderStress:
 
 
 class TestOneKernelPerShape:
-    """Each 8-field shape compiles once and serves every span of it."""
+    """Each 7-field shape compiles once and serves every span of it."""
 
     def _record_kernels(self, monkeypatch):
         """Route kernel compilation through a recorder.
@@ -375,10 +368,33 @@ class TestOneKernelPerShape:
             batch.run_ticks(step)
         stats = batch.backend_stats()
         assert requested
-        assert len(spanplan.SHAPE_FIELDS) == 8
-        assert {len(shape) for shape in requested} == {8}
+        assert len(spanplan.SHAPE_FIELDS) == 7
+        assert {len(shape) for shape in requested} == {7}
         assert stats["kernels_compiled"] == len(set(requested))
         assert stats["kernels_compiled"] == len(spanplan._KERNEL_CODE_CACHE)
+
+    def test_sigma0_clone_bg_machine_compiles_one_kernel(self, monkeypatch):
+        # Five identical BG tasks beside one FG at sigma 0 are clone
+        # lanes; they run the same one kernel as any other shape.
+        requested, _ = self._record_kernels(monkeypatch)
+
+        def build(backend):
+            config = MachineConfig(
+                seed=7, os_jitter_sigma=0.0, timer_jitter_prob=0.0,
+            )
+            machine = Machine(config, backend=backend)
+            machine.spawn(make_fg(), core=0, nice=-5)
+            for core in range(1, config.num_cores):
+                machine.spawn(make_bg(heavy=True), core=core, nice=5)
+            machine.settle_cache()
+            return machine
+
+        scalar, batch = build(BACKEND_SCALAR), build(BACKEND_BATCH)
+        scalar.run_ticks(6_000)
+        batch.run_ticks(6_000)
+        _assert_identical(scalar, batch)
+        assert batch.backend_stats()["kernels_compiled"] == 1
+        assert len(set(requested)) == 1
 
     @staticmethod
     def _partitioned(backend, fg_ways, paused_core=None):
@@ -489,8 +505,8 @@ class TestInKernelWakeups:
 
     @pytest.mark.parametrize("sigma,tau", [
         (0.015, 0.15),  # jittered kernels
-        (0.0, 0.0),     # jitter-free: memo and stationary loop
-        (0.0, 0.15),    # clone dedup (the two flat BG lanes)
+        (0.0, 0.0),     # jitter-free, snap occupancy
+        (0.0, 0.15),    # jitter-free, clone lanes (the two flat BG tasks)
     ])
     def test_bit_identical_and_every_sample_only_wakeup_in_kernel(
         self, sigma, tau
@@ -513,10 +529,6 @@ class TestInKernelWakeups:
         # Every sample-only wakeup ran in-kernel: a silent fallback to
         # the plain path fails here.
         assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
-        if sigma == 0.0 and tau == 0.0:
-            assert stats["stationary_ticks"] > 0
-        if sigma == 0.0 and tau > 0.0:
-            assert stats["table_hits"] > 0
 
     def test_several_fg_lanes_fill_the_sample_row(self):
         def build(backend):

@@ -139,3 +139,22 @@ class TestMain:
         monkeypatch.setattr(chaos, "run_fleet_chaos", fail)
         assert main(argv) == 2
         assert capsys.readouterr().out == message + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--mix", "no such mix"],
+        ["chaos", "--fleet", "--mix", "ferret rs", "--mix", "no such mix"],
+    ], ids=["single-node", "fleet"])
+    def test_chaos_rejects_unknown_mix_before_any_work(
+        self, monkeypatch, capsys, argv
+    ):
+        import repro.experiments.chaos as chaos
+
+        def fail(**kwargs):
+            raise AssertionError("no work may start")
+
+        monkeypatch.setattr(chaos, "run_chaos", fail)
+        monkeypatch.setattr(chaos, "run_fleet_chaos", fail)
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("unknown mix 'no such mix' (available: ")
+        assert "ferret rs, " in out and out.endswith("\n")
