@@ -16,9 +16,8 @@ along and emits ``BENCH_harness.json`` at the repository root:
    with cold caches, and 4-worker parallel with a warm disk cache.
 4. **Warm workers**: repeated small sweeps on a warm result cache,
    cold pool (re-spawned per sweep) vs one reused warm pool (its
-   workers keep their compiled span kernels and in-process caches;
-   work-stealing dispatch) — the cost repeated interactive figure runs
-   actually pay.
+   workers keep their compiled span kernels and in-process caches) —
+   the cost repeated interactive figure runs actually pay.
 5. **Fleet chaos**: machine ticks the fleet node-fault catalog
    simulates at the CI smoke size, where faulted rows replay every
    session an earlier row ran to done untouched.
@@ -66,7 +65,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.mixes import mix_by_name
 from repro.experiments.parallel import (
-    ENV_PACK_CELLS,
     default_workers,
     run_grid,
     shutdown_pool,
@@ -407,11 +405,10 @@ def _warm_worker_section(mixes) -> dict:
     The cold leg retires the pool before every sweep and so pays a
     pool spawn each time; the warm leg pays it once (untimed spawn
     sweep) and then reuses the pool.  Each sweep is timed on its own
-    and the legs compare their median sweeps.  ``REPRO_PACK_CELLS=1``
-    keeps the deque longer than the worker count so the timed sweeps
-    also exercise work stealing.
+    and the legs compare their median sweeps.  ``parallel_sweeps``
+    counts the timed warm sweeps that ran in parallel with no retried
+    cell and no serial fallback.
     """
-    previous = os.environ.get(ENV_PACK_CELLS)
 
     def _sweep():
         start = time.perf_counter()
@@ -421,7 +418,6 @@ def _warm_worker_section(mixes) -> dict:
         )
         return sweep, time.perf_counter() - start
 
-    os.environ[ENV_PACK_CELLS] = "1"
     try:
         # Prime the result cache: the timed sweeps below measure engine
         # overhead on a warm cache, not simulation time.
@@ -448,10 +444,6 @@ def _warm_worker_section(mixes) -> dict:
     finally:
         shutdown_pool()
         harness.clear_caches()
-        if previous is None:
-            os.environ.pop(ENV_PACK_CELLS, None)
-        else:
-            os.environ[ENV_PACK_CELLS] = previous
 
     snapshots = [
         _snapshot(sweep)
@@ -480,8 +472,11 @@ def _warm_worker_section(mixes) -> dict:
         "warm_median_s": round(warm_s, 4),
         "speedup_warm_vs_cold": round(cold_s / warm_s, 3),
         "warm_starts": _sum(warm_sweeps, "warm_starts"),
-        "steals": _sum(warm_sweeps, "steals"),
-        "packs_split": _sum(warm_sweeps, "packs_split"),
+        "parallel_sweeps": sum(
+            sweep.mode == "parallel" and sweep.retried == 0
+            and sweep.fallback_reason is None
+            for sweep in warm_sweeps
+        ),
         "identical_results": True,
     }
 
@@ -540,8 +535,6 @@ def run_benchmark() -> dict:
 
     speedup_default = rate_default / pre["tick_rate_default"]
     speedup_sigma0 = rate_sigma0 / pre["tick_rate_sigma0"]
-    sweep_speedup_warm = pre["sweep_serial_cold_s"] / parallel_warm.elapsed_s
-    sweep_speedup_cold = pre["sweep_serial_cold_s"] / parallel_cold.elapsed_s
 
     try:
         loadavg_1m = round(os.getloadavg()[0], 2)
@@ -648,14 +641,15 @@ def run_benchmark() -> dict:
             "parallel_cold_s": round(parallel_cold.elapsed_s, 3),
             "parallel_warm_s": round(parallel_warm.elapsed_s, 3),
             "parallel_mode": parallel_cold.mode,
-            "pack_sizes": parallel_cold.pack_sizes,
-            "pre_pr_serial_cold_s": pre["sweep_serial_cold_s"],
-            "speedup_vs_pre_pr_serial_cold": round(sweep_speedup_cold, 3),
-            "speedup_vs_pre_pr_serial_warm": round(sweep_speedup_warm, 3),
+            "speedup_warm_vs_serial_cold": round(
+                serial.elapsed_s / parallel_warm.elapsed_s, 3
+            ),
             "note": (
-                "On hosts with a single CPU the cold parallel sweep cannot "
-                "beat serial; the warm number shows the persistent cache, "
-                "which is what repeated figure generation pays."
+                "speedup_warm_vs_serial_cold is serial_cold_s / "
+                "parallel_warm_s, both from this run. On hosts with a "
+                "single CPU the cold parallel sweep cannot beat serial; "
+                "the warm number shows the persistent cache, which is what "
+                "repeated figure generation pays."
             ),
         },
         "warm_worker": warm_worker,
@@ -689,10 +683,11 @@ def check_stable_floors(artifact: dict) -> None:
     """Assert the floors that hold on any host against an artifact.
 
     These are ratios of two legs measured on the same host in the same
-    run (backend and warm-pool speedups) and deterministic counts (span
-    kernels compiled, spans, counter snapshots, fleet ticks, machines
-    left alive, fast-path counters).  CI gates on exactly this set;
-    :func:`check_floors` adds the floors that depend on the host.
+    run (backend, warm-cache sweep and warm-pool speedups) and
+    deterministic counts (span kernels compiled, spans, counter
+    snapshots, fleet ticks, machines left alive, fast-path counters,
+    warm starts and healthy parallel sweeps).  CI gates on exactly this
+    set; :func:`check_floors` adds the floors that depend on the host.
     """
     backends = artifact["backends"]
     assert backends["event_sparse"]["speedup"] >= 3.0, (
@@ -713,29 +708,28 @@ def check_stable_floors(artifact: dict) -> None:
     # floors on a fast host; its counters cannot.
     fast_path = backends["fast_path"]
     assert fast_path["contended_noisy"]["rho_iterations"] > 0, fast_path
+    sweep = artifact["sweep"]
+    assert sweep["speedup_warm_vs_serial_cold"] >= 4.0, sweep
     warm_worker = artifact["warm_worker"]
     assert warm_worker["speedup_warm_vs_cold"] >= 2.0, warm_worker
-    for counter in ("warm_starts", "steals"):
-        assert warm_worker[counter] > 0, (counter, warm_worker)
+    for counter in ("warm_starts", "parallel_sweeps"):
+        assert warm_worker[counter] == warm_worker["reps"], (
+            counter, warm_worker
+        )
     assert warm_worker["identical_results"], warm_worker
 
 
 def check_floors(artifact: dict) -> None:
     """Assert every acceptance floor against a benchmark artifact.
 
-    The host-stable floors of :func:`check_stable_floors`, plus three
-    that depend on the host's speed, core count and disk: the tick
-    kernel against the pre-optimization rate recorded on another host,
-    the warm-cache sweep against that host's serial sweep, and the
-    end-to-end Dirigent speedup.  Thresholds leave slack for slow
-    shared hosts.
+    The host-stable floors of :func:`check_stable_floors`, plus two
+    that depend on the host's speed: the tick kernel against the
+    pre-optimization rate recorded on another host, and the end-to-end
+    Dirigent speedup.  Thresholds leave slack for slow shared hosts.
     """
     check_stable_floors(artifact)
     assert artifact["tick_kernel"]["speedup_default"] >= 1.2, (
         artifact["tick_kernel"]
-    )
-    assert artifact["sweep"]["speedup_vs_pre_pr_serial_warm"] >= 4.0, (
-        artifact["sweep"]
     )
     e2e = artifact["backends"]["end_to_end_dirigent"]
     assert e2e["speedup"] >= 1.5, e2e

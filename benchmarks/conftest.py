@@ -9,7 +9,8 @@ Execution counts default to 30 per run (the paper uses 100); raise them
 with ``REPRO_BENCH_EXECUTIONS`` for tighter statistics.  Benchmarks share
 one process, so per-mix Baseline runs, profiles, and policy runs are
 cached across figures; files are named so aggregate figures run after the
-per-mix figures they reuse.
+per-mix figures they reuse.  Figure sweeps take their worker count from
+``REPRO_WORKERS``, as every other sweep does.
 """
 
 from __future__ import annotations
@@ -18,17 +19,8 @@ import os
 
 import pytest
 
-from repro.experiments.parallel import set_default_workers
-
 #: FG executions measured per run in the benchmark suite.
 BENCH_EXECUTIONS = int(os.environ.get("REPRO_BENCH_EXECUTIONS", "30"))
-
-#: Worker processes for figure sweeps inside the benchmark suite; the
-#: figure drivers fan mix x policy cells through the parallel engine
-#: and share results across figures via the persistent disk cache.
-BENCH_WORKERS = os.environ.get("REPRO_BENCH_WORKERS")
-if BENCH_WORKERS:
-    set_default_workers(int(BENCH_WORKERS))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

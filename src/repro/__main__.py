@@ -219,13 +219,13 @@ def _run_bench(args) -> int:
     print("machines alive after runs:     %d fleet, %d end-to-end"
           % (fleet["machines_alive"],
              backends["end_to_end_dirigent"]["machines_alive"]))
-    print("sweep speedup (warm cache):    %.3fx"
-          % artifact["sweep"]["speedup_vs_pre_pr_serial_warm"])
+    print("sweep speedup (warm cache):    %.3fx over serial cold"
+          % artifact["sweep"]["speedup_warm_vs_serial_cold"])
     warm = artifact["warm_worker"]
     print("warm-pool sweep speedup:       %.3fx (%d warm starts, "
-          "%d steals)"
+          "%d of %d sweeps parallel)"
           % (warm["speedup_warm_vs_cold"], warm["warm_starts"],
-             warm["steals"]))
+             warm["parallel_sweeps"], warm["reps"]))
     if args.skip_floors:
         return 0
     try:
@@ -345,15 +345,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     kwargs = {}
     if args.executions is not None:
         kwargs["executions"] = args.executions
-    if args.workers is not None:
-        from repro.experiments.parallel import set_default_workers
-        set_default_workers(args.workers)
-    if args.backend is not None:
-        # Exported rather than passed down: workers inherit the
-        # environment, and every cache key folds the resolved backend in.
-        import os
+    # Exported rather than passed down: workers inherit the environment,
+    # and every cache key folds the resolved backend in.
+    import os
 
-        from repro.sim.batch import ENV_BACKEND
+    from repro.sim.config import ENV_BACKEND, ENV_WORKERS
+    if args.workers is not None:
+        os.environ[ENV_WORKERS] = str(args.workers)
+    if args.backend is not None:
         os.environ[ENV_BACKEND] = args.backend
     result = driver(seed=args.seed, **kwargs)
     from repro.experiments.parallel import last_sweep

@@ -12,10 +12,9 @@ def sweep_summary(sweep: SweepResult) -> Tuple[str, ...]:
     """One-line-per-fact summary of how a sweep actually executed.
 
     Surfaces the dispatch counters that matter when a sweep misbehaves
-    (retries, failures, degraded serial fallback) alongside the
-    warm-worker telemetry (pool reuse, steals).  Zero-valued
-    degradation counters are omitted so a healthy sweep reads as two
-    short lines.
+    (retries, failures, degraded serial fallback) alongside pool reuse.
+    Zero-valued counters are omitted, so a healthy sweep reads as one
+    or two short lines.
     """
     lines: List[str] = []
     mode = "%s, %d worker%s" % (
@@ -25,19 +24,11 @@ def sweep_summary(sweep: SweepResult) -> Tuple[str, ...]:
         mode += " (fallback: %s)" % sweep.fallback_reason
     lines.append("sweep: %d cells in %.2fs (%s)"
                  % (len(sweep.results), sweep.elapsed_s, mode))
-    if sweep.pack_sizes:
-        lines.append("packs: %d sized %s" % (
-            len(sweep.pack_sizes),
-            "/".join(str(size) for size in sweep.pack_sizes),
-        ))
     if sweep.retried or sweep.failed:
         lines.append("degraded: %d cell(s) retried serially, %d failed"
                      % (sweep.retried, sweep.failed))
     if sweep.warm_starts:
         lines.append("warm workers: %d warm start(s)" % sweep.warm_starts)
-    if sweep.steals or sweep.packs_split:
-        lines.append("stealing: %d steal(s), %d pack(s) split"
-                     % (sweep.steals, sweep.packs_split))
     return tuple(lines)
 
 
@@ -52,8 +43,7 @@ def render(
         result: The figure data to render.
         max_rows: Truncate to this many rows (0 or less = no limit).
         sweep: When given, append that sweep's execution summary as a
-            footer (dispatch mode, pack sizes, retries, warm-worker
-            counters).
+            footer (dispatch mode, retries, warm starts).
     """
     rows = [tuple(str(cell) for cell in row) for row in result.rows]
     shown = rows if max_rows <= 0 else rows[:max_rows]

@@ -161,9 +161,6 @@ ENV_EXECUTIONS = "REPRO_EXECUTIONS"
 #: Worker-process count for the parallel sweep engine.
 ENV_WORKERS = "REPRO_WORKERS"
 
-#: Cap on cells per lane pack in the parallel sweep engine.
-ENV_PACK_CELLS = "REPRO_PACK_CELLS"
-
 #: Simulation backend selector (``scalar`` or ``batch``).
 ENV_BACKEND = "REPRO_SIM_BACKEND"
 
@@ -236,10 +233,6 @@ KNOBS: Tuple[EnvKnob, ...] = (
         "Worker processes for parallel sweeps (scheduling only).",
     ),
     EnvKnob(
-        ENV_PACK_CELLS, "env_pack_cells", "int", "grid/workers", None,
-        "Cells per lane pack in parallel sweeps (scheduling only).",
-    ),
-    EnvKnob(
         ENV_BACKEND, "env_backend", "str", "batch", "resolve_backend",
         "Simulation backend (scalar reference or batch engine).",
     ),
@@ -310,17 +303,6 @@ def env_workers() -> Optional[int]:
     sweep over a harmless typo; the knob only affects scheduling.
     """
     raw = os.environ.get(ENV_WORKERS)
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
-def env_pack_cells() -> Optional[int]:
-    """``REPRO_PACK_CELLS`` as a positive int, or None when unset/invalid."""
-    raw = os.environ.get(ENV_PACK_CELLS)
     if not raw:
         return None
     try:

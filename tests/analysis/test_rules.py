@@ -5,6 +5,7 @@ finding fires, and a suppressed twin asserting the inline
 ``# repro-lint: disable=RULE`` comment silences exactly it.
 """
 
+import ast
 import textwrap
 
 import pytest
@@ -419,6 +420,30 @@ class TestPar002WorkerMustNotMutateModuleState:
                     return list(pool.map(worker, cells))
         """, select={"PAR002"})
         assert findings == []
+
+
+    def test_flags_writes_in_the_shipped_sweep_workers(self, tmp_path):
+        # Plant one module-state write in each worker of the real sweep
+        # engine: both must be visible to the rule through the engine's
+        # own pool.submit calls.
+        import repro.experiments.parallel as parallel
+
+        with open(parallel.__file__) as handle:
+            lines = handle.read().splitlines(keepends=True)
+        planted = {"_prepare_cell": "    _POOL._key = None\n",
+                   "_policy_cell": "    _LAST_SWEEP.clear()\n"}
+        workers = [
+            node for node in ast.parse("".join(lines)).body
+            if isinstance(node, ast.FunctionDef) and node.name in planted
+        ]
+        # Insert bottom-up so earlier line numbers stay valid.
+        for node in sorted(workers, key=lambda n: -n.body[0].end_lineno):
+            lines.insert(node.body[0].end_lineno, planted[node.name])
+        findings = lint_source(tmp_path, "".join(lines),
+                               relpath="parallel.py", select={"PAR002"})
+        assert rule_ids(findings) == ["PAR002", "PAR002"]
+        for name in planted:
+            assert sum(repr(name) in f.message for f in findings) == 1
 
 
 class TestPar003PoolInitializerMustBePure:

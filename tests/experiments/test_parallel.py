@@ -21,12 +21,9 @@ from repro.experiments import harness
 from repro.experiments import parallel as parallel_mod
 from repro.experiments.mixes import mix_by_name
 from repro.experiments.parallel import (
-    ENV_PACK_CELLS,
     SweepResult,
-    _pack_cells,
     default_workers,
     run_grid,
-    set_default_workers,
 )
 from repro.sim.config import ENV_CELL_TIMEOUT_S
 
@@ -42,21 +39,52 @@ fork_only = pytest.mark.skipif(
     not _FORK, reason="worker monkeypatching needs the fork start method"
 )
 
+#: The fakes misbehave only in a pool worker; in the test process (the
+#: serial retry) they compute the real cell.
+_TEST_PID = os.getpid()
+_REAL_PREPARE = parallel_mod._prepare_cell
+_REAL_POLICY = parallel_mod._policy_cell
 
-def _exit_pack(pack):
+
+def _in_worker():
+    return os.getpid() != _TEST_PID
+
+
+def _exit_cell(cell):
     """Worker fake: die abruptly, breaking the process pool."""
-    os._exit(1)
+    if _in_worker():
+        os._exit(1)
+    return _REAL_POLICY(cell)
 
 
-def _stall_pack(pack):
-    """Worker fake: blow any sub-second per-cell budget, then finish."""
-    time.sleep(3.0)
-    return [parallel_mod._policy_cell(cell) for cell in pack]
-
-
-def _raise_cell(cell):
-    """Cell fake: fail deterministically (also on the serial retry)."""
+def _exit_or_raise_cell(cell):
+    """Worker fake: break the pool, then fail the serial retry too."""
+    if _in_worker():
+        os._exit(1)
     raise ExperimentError("synthetic cell failure")
+
+
+def _stall_cell(cell):
+    """Worker fake: blow any sub-second per-cell budget, then finish."""
+    if _in_worker():
+        time.sleep(3.0)
+    return _REAL_POLICY(cell)
+
+
+def _stall_one_cell(cell):
+    """Worker fake: only the first mix's StaticFreq cell stalls."""
+    if cell[-1] == (MIXES[0], STATIC_FREQ.name):
+        return _stall_cell(cell)
+    return _REAL_POLICY(cell)
+
+
+def _stall_one_prepare(args):
+    """Worker fake: the first mix's prepare cell hangs for 10 s."""
+    if _in_worker() and args[0].name == MIXES[0]:
+        # Long after the sweep has dropped it; compute nothing then.
+        time.sleep(10.0)
+        return None
+    return _REAL_PREPARE(args)
 
 
 @pytest.fixture(autouse=True)
@@ -113,58 +141,6 @@ class TestRunGrid:
         assert sweep.get(mix, BASELINE).policy_name == BASELINE.name
 
 
-class TestLanePacking:
-    """Lane-packed dispatch: scheduling changes, results never do."""
-
-    @staticmethod
-    def _cells(mix_names, per_mix):
-        class _FakeMix:
-            def __init__(self, name):
-                self.name = name
-
-        return [
-            (_FakeMix(name), "policy-%d" % index)
-            for name in mix_names
-            for index in range(per_mix)
-        ]
-
-    def test_packs_group_by_mix_and_split_evenly(self, monkeypatch):
-        monkeypatch.delenv(ENV_PACK_CELLS, raising=False)
-        cells = self._cells(["a", "b", "c"], per_mix=2)
-        packs = _pack_cells(cells, workers=3)
-        # 6 cells over 3 workers -> cap 2, one pack per mix.
-        assert [len(pack) for pack in packs] == [2, 2, 2]
-        for pack in packs:
-            assert len({cell[0].name for cell in pack}) == 1
-        assert sorted(
-            (cell[0].name, cell[1]) for pack in packs for cell in pack
-        ) == sorted((cell[0].name, cell[1]) for cell in cells)
-
-    def test_env_override_caps_pack_size(self, monkeypatch):
-        monkeypatch.setenv(ENV_PACK_CELLS, "1")
-        packs = _pack_cells(self._cells(["a", "b"], per_mix=3), workers=2)
-        assert [len(pack) for pack in packs] == [1] * 6
-
-    def test_invalid_env_override_falls_back(self, monkeypatch):
-        monkeypatch.setenv(ENV_PACK_CELLS, "many")
-        packs = _pack_cells(self._cells(["a"], per_mix=4), workers=2)
-        assert [len(pack) for pack in packs] == [2, 2]
-
-    def test_packed_sweep_matches_serial_and_records_sizes(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(ENV_PACK_CELLS, "2")
-        mixes = [mix_by_name(name) for name in MIXES[:2]]
-        policies = [BASELINE, STATIC_FREQ]
-        serial = run_grid(mixes, policies, executions=2, warmup=1, workers=1)
-        assert serial.pack_sizes == []
-        harness.clear_caches()
-        packed = run_grid(mixes, policies, executions=2, warmup=1, workers=2)
-        assert packed.mode == "parallel"
-        assert packed.pack_sizes == [2, 2]
-        assert _snapshot(serial) == _snapshot(packed)
-
-
 class TestDegradedDispatch:
     """Lost cells are retried serially; dead pools degrade loudly."""
 
@@ -178,9 +154,9 @@ class TestDegradedDispatch:
         return sweep, expected
 
     @fork_only
-    def test_timed_out_pack_is_retried_serially(self, monkeypatch):
+    def test_timed_out_cell_is_retried_serially(self, monkeypatch):
         monkeypatch.setenv(ENV_CELL_TIMEOUT_S, "0.2")
-        monkeypatch.setattr(parallel_mod, "_run_pack", _stall_pack)
+        monkeypatch.setattr(parallel_mod, "_policy_cell", _stall_cell)
         sweep, expected = self._grid()
         assert sweep.mode == "parallel"
         assert set(sweep.results) == expected
@@ -189,10 +165,43 @@ class TestDegradedDispatch:
         assert sweep.fallback_reason is None
 
     @fork_only
+    def test_only_the_slow_cell_is_retried(self, monkeypatch):
+        mixes = [mix_by_name(name) for name in MIXES[:2]]
+        policies = [BASELINE, STATIC_FREQ]
+        serial = run_grid(mixes, policies, executions=2, warmup=1,
+                          workers=1)
+        harness.clear_caches()
+        monkeypatch.setenv(ENV_CELL_TIMEOUT_S, "0.5")
+        monkeypatch.setattr(parallel_mod, "_policy_cell", _stall_one_cell)
+        sweep = run_grid(mixes, policies, executions=2, warmup=1,
+                         workers=2)
+        assert sweep.mode == "parallel"
+        assert sweep.retried == 1
+        assert sweep.failed == 0
+        assert _snapshot(sweep) == _snapshot(serial)
+
+    @fork_only
+    def test_cell_budget_bounds_the_prepare_phase(self, monkeypatch):
+        mixes = [mix_by_name(name) for name in MIXES[:2]]
+        policies = [BASELINE, STATIC_FREQ]
+        serial = run_grid(mixes, policies, executions=2, warmup=1,
+                          workers=1)
+        harness.clear_caches()
+        monkeypatch.setenv(ENV_CELL_TIMEOUT_S, "1.0")
+        monkeypatch.setattr(parallel_mod, "_prepare_cell",
+                            _stall_one_prepare)
+        sweep = run_grid(mixes, policies, executions=2, warmup=1,
+                         workers=2)
+        assert sweep.elapsed_s < 5.0
+        assert sweep.mode == "parallel"
+        assert sweep.failed == 0
+        assert set(sweep.results) == set(serial.results)
+        assert _snapshot(sweep) == _snapshot(serial)
+
+    @fork_only
     def test_no_timeout_waits_for_slow_workers(self, monkeypatch):
         monkeypatch.delenv(ENV_CELL_TIMEOUT_S, raising=False)
-        monkeypatch.setenv(ENV_PACK_CELLS, "2")
-        monkeypatch.setattr(parallel_mod, "_run_pack", _stall_pack)
+        monkeypatch.setattr(parallel_mod, "_policy_cell", _stall_cell)
         sweep, expected = self._grid()
         assert sweep.mode == "parallel"
         assert set(sweep.results) == expected
@@ -200,7 +209,7 @@ class TestDegradedDispatch:
 
     @fork_only
     def test_broken_pool_cells_are_retried_serially(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_run_pack", _exit_pack)
+        monkeypatch.setattr(parallel_mod, "_policy_cell", _exit_cell)
         sweep, expected = self._grid()
         assert sweep.mode == "parallel"
         assert set(sweep.results) == expected
@@ -211,8 +220,8 @@ class TestDegradedDispatch:
     def test_unrecoverable_cells_are_counted_not_raised(
         self, monkeypatch, caplog
     ):
-        monkeypatch.setattr(parallel_mod, "_run_pack", _exit_pack)
-        monkeypatch.setattr(parallel_mod, "_policy_cell", _raise_cell)
+        monkeypatch.setattr(parallel_mod, "_policy_cell",
+                            _exit_or_raise_cell)
         with caplog.at_level(logging.WARNING,
                              logger="repro.experiments.parallel"):
             sweep, expected = self._grid()
@@ -251,20 +260,7 @@ class TestDegradedDispatch:
 
 
 class TestWorkerDefaults:
-    def test_set_default_workers_overrides(self):
-        previous = default_workers()
-        try:
-            set_default_workers(3)
-            assert default_workers() == 3
-            set_default_workers(0)  # clamped
-            assert default_workers() == 1
-        finally:
-            set_default_workers(previous)
-
     def test_env_variable_respected(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
-        monkeypatch.setattr(parallel_mod, "_default_workers", None)
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert default_workers() == 5
         monkeypatch.setenv("REPRO_WORKERS", "junk")

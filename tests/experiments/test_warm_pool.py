@@ -1,10 +1,9 @@
 """Warm-worker determinism: pool reuse must never change results.
 
-The warm-worker layer (pool reuse, work stealing) is pure mechanism —
-every leg here pins the same property from a different angle: a
-sweep's results are a function of ``(mixes, policies, executions,
-warmup, seed)`` alone, never of which pool ran it or how packs were
-scheduled.
+Pool reuse is pure mechanism — every leg here pins the same property
+from a different angle: a sweep's results are a function of ``(mixes,
+policies, executions, warmup, seed)`` alone, never of which pool ran it
+or how cells were scheduled.
 """
 
 import multiprocessing
@@ -17,7 +16,6 @@ from repro.core.policies import BASELINE, DIRIGENT
 from repro.experiments import harness
 from repro.experiments.mixes import mix_by_name
 from repro.experiments.parallel import (
-    ENV_PACK_CELLS,
     SweepResult,
     run_grid,
     shutdown_pool,
@@ -70,33 +68,14 @@ class TestWarmPoolDeterminism:
         assert warm.mode == "parallel"
         assert warm.warm_starts == 1
 
-        assert _snapshot(serial) == _snapshot(cold) == _snapshot(warm)
-
-    @fork_only
-    def test_stealing_dispatch_matches_serial(self, monkeypatch):
-        # One cell per pack and more packs than workers: the deque is
-        # actually contended, so steals happen (first `workers` packs
-        # are seeds, the rest are steals).
-        monkeypatch.setenv(ENV_PACK_CELLS, "1")
-        serial = _grid(workers=1)
+        # More workers than the grid's four cells: some never get one.
         harness.clear_caches()
-        sweep = _grid(workers=2)
-        assert sweep.mode == "parallel"
-        assert sweep.steals >= 1
-        assert _snapshot(serial) == _snapshot(sweep)
+        wide = _grid(workers=5)
+        assert wide.mode == "parallel"
+        assert wide.warm_starts == 0
 
-    @fork_only
-    def test_idle_workers_split_packs(self, monkeypatch):
-        # More workers than packs: the dispatcher must split the big
-        # pack (at its midpoint) to occupy idle workers, and the result
-        # must not move.
-        monkeypatch.setenv(ENV_PACK_CELLS, "4")
-        serial = _grid(workers=1)
-        harness.clear_caches()
-        sweep = _grid(workers=4)
-        assert sweep.mode == "parallel"
-        assert sweep.packs_split >= 1
-        assert _snapshot(serial) == _snapshot(sweep)
+        assert (_snapshot(serial) == _snapshot(cold) == _snapshot(warm)
+                == _snapshot(wide))
 
 
 class TestWarmPoolSeedSweep:

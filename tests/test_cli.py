@@ -1,9 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.experiments.figures import FIGURES
+from repro.experiments.figures import FIGURES, FigureResult
+from repro.experiments.parallel import default_workers
+from repro.sim.config import ENV_WORKERS
 
 
 class TestParser:
@@ -109,15 +113,31 @@ class TestMain:
     def test_figure_rejects_bad_counts_before_any_work(
         self, monkeypatch, capsys, argv, message
     ):
-        import repro.experiments.parallel as parallel
-
         def fail(*args, **kwargs):
             raise AssertionError("no work may start")
 
         monkeypatch.setitem(FIGURES, "fig10", fail)
-        monkeypatch.setattr(parallel, "set_default_workers", fail)
+        monkeypatch.delenv(ENV_WORKERS, raising=False)
         assert main(argv) == 2
         assert capsys.readouterr().out == message + "\n"
+        assert ENV_WORKERS not in os.environ
+
+    def test_figure_workers_option_sets_the_worker_count(
+        self, monkeypatch, capsys
+    ):
+        seen = []
+
+        def driver(seed, **kwargs):
+            seen.append(default_workers())
+            return FigureResult(name="fig10", title="stub", headers=("A",),
+                                rows=(("a",),))
+
+        # setenv records the prior value, so teardown undoes the export.
+        monkeypatch.setenv(ENV_WORKERS, "1")
+        monkeypatch.setitem(FIGURES, "fig10", driver)
+        assert main(["figure", "fig10", "--workers", "2"]) == 0
+        assert "stub" in capsys.readouterr().out
+        assert seen == [2]
 
     @pytest.mark.parametrize("argv, message", [
         (["chaos", "--executions", "0"],
