@@ -3,9 +3,10 @@
 Measures the layers this repository's experiment pipeline is optimized
 along and emits ``BENCH_harness.json`` at the repository root:
 
-1. **Tick kernel**: single-machine tick throughput (default and
-   noise-free configurations), best of three fresh machines, against
-   the pre-optimization rates recorded in ``baseline_pre_pr.json``.
+1. **Tick kernel**: single-machine tick throughput of the 'ferret rs'
+   mix as ``build_machine`` builds it (default and noise-free
+   configurations), best of three fresh machines, under the batch
+   engine against the scalar reference kernel in the same run.
 2. **Backends**: scalar reference kernel vs the event-horizon batch
    engine (``repro.sim.batch``), as ticks/s on an event-sparse workload
    (single FG, no BG, jitter off — long spans between events) and on
@@ -83,7 +84,6 @@ from repro.sim.machine import Machine
 from repro.workloads.catalog import get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-PRE_PR_FILE = Path(__file__).with_name("baseline_pre_pr.json")
 ARTIFACT = REPO_ROOT / "BENCH_harness.json"
 
 TICKS = 30_000
@@ -122,6 +122,15 @@ E2E_KERNELS_BEFORE = 9
 #: ended spans, the run opened 1,278 (``E2E_SPANS_BEFORE``).
 E2E_SPANS_MAX = 554
 E2E_SPANS_BEFORE = 1278
+
+#: Span plans the same session builds.  Deterministic: one plan per
+#: lane set (the running processes under one cache-mask epoch), whose
+#: lane constants phase crossings and DVFS grade changes rewrite in
+#: place, gives 7.  While every new (phase, frequency) state of the
+#: machine built a plan of its own, the session built 98
+#: (``E2E_PLAN_BUILDS_BEFORE``).
+E2E_PLAN_BUILDS_MAX = 7
+E2E_PLAN_BUILDS_BEFORE = 98
 
 #: What the Dirigent control loop does over that run's
 #: ``run_to_end()``: decision wakeups (run live, through the timer
@@ -206,15 +215,34 @@ def _alive(refs) -> int:
     return alive
 
 
-def _tick_rate(config: MachineConfig) -> float:
+@contextlib.contextmanager
+def _session_backend(backend: str):
+    """Run the block with ``REPRO_SIM_BACKEND`` set to ``backend``,
+    then drop the harness caches it filled."""
+    previous = os.environ.get(ENV_BACKEND)
+    os.environ[ENV_BACKEND] = backend
+    try:
+        yield
+    finally:
+        harness.clear_caches()
+        if previous is None:
+            os.environ.pop(ENV_BACKEND, None)
+        else:
+            os.environ[ENV_BACKEND] = previous
+
+
+def _tick_rate(config: MachineConfig, backend: str) -> float:
     """Best-of-3 tick throughput of a fresh 'ferret rs' machine."""
     best = 0.0
-    for _ in range(3):
-        machine, _, _ = build_machine(mix_by_name("ferret rs"), config, 0)
-        start = time.perf_counter()
-        machine.run_ticks(TICKS)
-        elapsed = time.perf_counter() - start
-        best = max(best, TICKS / elapsed)
+    with _session_backend(backend):
+        for _ in range(3):
+            machine, _, _ = build_machine(
+                mix_by_name("ferret rs"), config, 0
+            )
+            start = time.perf_counter()
+            machine.run_ticks(TICKS)
+            elapsed = time.perf_counter() - start
+            best = max(best, TICKS / elapsed)
     return best
 
 
@@ -268,14 +296,13 @@ def _end_to_end_spans() -> dict:
     """Deterministic counts of one batch Dirigent run.
 
     A ``PolicySession`` on ``ferret rs`` runs to the end the way
-    ``run_policy`` drives it.  Returns the spans it opened and the
-    sample-only wakeups its span kernels took (the machine's fast-path
-    counters), the wakeups the runtime ran live (each one a decision
-    here) and the ``CounterSnapshot`` records built while it ran.
+    ``run_policy`` drives it.  Returns the spans it opened, the span
+    plans it built and the sample-only wakeups its span kernels took
+    (the machine's fast-path counters), the wakeups the runtime ran
+    live (each one a decision here) and the ``CounterSnapshot`` records
+    built while it ran.
     """
-    previous = os.environ.get(ENV_BACKEND)
-    os.environ[ENV_BACKEND] = BACKEND_BATCH
-    try:
+    with _session_backend(BACKEND_BATCH):
         harness.clear_caches()
         session = PolicySession(
             mix_by_name("ferret rs"), DIRIGENT,
@@ -285,20 +312,13 @@ def _end_to_end_spans() -> dict:
         with _snapshot_census() as snapshots:
             session.run_to_end()
         stats = session.machine.backend_stats()
-        return {
-            "spans": stats["spans"],
-            "kernel_wakeups": stats["kernel_wakeups"],
-            "decision_wakeups": (
-                runtime.invocations - stats["kernel_wakeups"]
-            ),
-            "counter_snapshots": snapshots[0],
-        }
-    finally:
-        harness.clear_caches()
-        if previous is None:
-            os.environ.pop(ENV_BACKEND, None)
-        else:
-            os.environ[ENV_BACKEND] = previous
+    return {
+        "spans": stats["spans"],
+        "plan_builds": stats["plan_builds"],
+        "kernel_wakeups": stats["kernel_wakeups"],
+        "decision_wakeups": runtime.invocations - stats["kernel_wakeups"],
+        "counter_snapshots": snapshots[0],
+    }
 
 
 def _end_to_end_s(backend: str):
@@ -313,33 +333,24 @@ def _end_to_end_s(backend: str):
     still referenced after each run returns, the cyclic garbage
     collector off throughout.
     """
-    previous = os.environ.get(ENV_BACKEND)
-    os.environ[ENV_BACKEND] = backend
     best = None
     kernels = None
     alive = 0
     spanplan._KERNEL_CODE_CACHE.clear()
-    try:
-        with _machine_census() as machines:
-            for _ in range(3):
-                harness.clear_caches()
-                start = time.perf_counter()
-                run_policy(
-                    mix_by_name("ferret rs"), DIRIGENT,
-                    executions=SWEEP_EXECUTIONS, warmup=SWEEP_WARMUP,
-                )
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-                if kernels is None:
-                    kernels = len(spanplan._KERNEL_CODE_CACHE)
-                alive += _alive(machines)
-        return best, kernels, alive
-    finally:
-        harness.clear_caches()
-        if previous is None:
-            os.environ.pop(ENV_BACKEND, None)
-        else:
-            os.environ[ENV_BACKEND] = previous
+    with _session_backend(backend), _machine_census() as machines:
+        for _ in range(3):
+            harness.clear_caches()
+            start = time.perf_counter()
+            run_policy(
+                mix_by_name("ferret rs"), DIRIGENT,
+                executions=SWEEP_EXECUTIONS, warmup=SWEEP_WARMUP,
+            )
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+            if kernels is None:
+                kernels = len(spanplan._KERNEL_CODE_CACHE)
+            alive += _alive(machines)
+    return best, kernels, alive
 
 
 def _fleet_ticks():
@@ -488,13 +499,14 @@ def run_benchmark() -> dict:
     :func:`check_floors` (and CI's :func:`check_stable_floors`) so the
     CLI can render measurements even when a slow host misses a floor.
     """
-    pre = json.loads(PRE_PR_FILE.read_text())
     mixes = [mix_by_name(name) for name in SWEEP_MIXES]
 
-    rate_default = _tick_rate(MachineConfig())
-    rate_sigma0 = _tick_rate(
-        MachineConfig(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
-    )
+    # The tick kernel, batch against scalar on the same machines.
+    sigma0 = MachineConfig(os_jitter_sigma=0.0, timer_jitter_prob=0.0)
+    rate_default = _tick_rate(MachineConfig(), BACKEND_BATCH)
+    rate_sigma0 = _tick_rate(sigma0, BACKEND_BATCH)
+    scalar_default = _tick_rate(MachineConfig(), BACKEND_SCALAR)
+    scalar_sigma0 = _tick_rate(sigma0, BACKEND_SCALAR)
 
     # Scalar vs batch backend, same workloads, same seeds.
     sparse_scalar, _ = _backend_rate(_sparse_machine, BACKEND_SCALAR)
@@ -533,8 +545,8 @@ def run_benchmark() -> dict:
 
     warm_worker = _warm_worker_section(mixes)
 
-    speedup_default = rate_default / pre["tick_rate_default"]
-    speedup_sigma0 = rate_sigma0 / pre["tick_rate_sigma0"]
+    speedup_default = rate_default / scalar_default
+    speedup_sigma0 = rate_sigma0 / scalar_sigma0
 
     try:
         loadavg_1m = round(os.getloadavg()[0], 2)
@@ -555,11 +567,15 @@ def run_benchmark() -> dict:
             "ticks": TICKS,
             "ticks_per_s_default": round(rate_default, 2),
             "ticks_per_s_sigma0": round(rate_sigma0, 2),
-            "pre_pr_ticks_per_s_default": pre["tick_rate_default"],
-            "pre_pr_ticks_per_s_sigma0": pre["tick_rate_sigma0"],
+            "scalar_ticks_per_s_default": round(scalar_default, 2),
+            "scalar_ticks_per_s_sigma0": round(scalar_sigma0, 2),
             "speedup_default": round(speedup_default, 3),
             "speedup_sigma0": round(speedup_sigma0, 3),
-            "note": "run_ticks under the session backend (batch default)",
+            "note": (
+                "run_ticks on build_machine('ferret rs'), best of 3 "
+                "fresh machines per leg; speedups are batch over "
+                "scalar, both measured in this run"
+            ),
         },
         "backends": {
             "ticks": TICKS,
@@ -589,6 +605,8 @@ def run_benchmark() -> dict:
                 "kernels_compiled_before": E2E_KERNELS_BEFORE,
                 "spans": e2e_counts["spans"],
                 "spans_before": E2E_SPANS_BEFORE,
+                "plan_builds": e2e_counts["plan_builds"],
+                "plan_builds_before": E2E_PLAN_BUILDS_BEFORE,
                 "kernel_wakeups": e2e_counts["kernel_wakeups"],
                 "kernel_wakeups_before": E2E_KERNEL_WAKEUPS_BEFORE,
                 "decision_wakeups": e2e_counts["decision_wakeups"],
@@ -607,7 +625,10 @@ def run_benchmark() -> dict:
                     "PolicySession of the same run, driven to the end as "
                     "run_policy drives it; spans_before: the same count "
                     "while a plain span followed every decision and "
-                    "32-tick drive blocks ended spans; decision_wakeups: "
+                    "32-tick drive blocks ended spans; plan_builds: span "
+                    "plans that session built; plan_builds_before: the "
+                    "same count while every (phase, frequency) state "
+                    "built its own plan; decision_wakeups: "
                     "wakeups the runtime ran live in that session (each "
                     "one decides); counter_snapshots: CounterSnapshot "
                     "records built while it ran; the *_before wakeup "
@@ -683,12 +704,15 @@ def check_stable_floors(artifact: dict) -> None:
     """Assert the floors that hold on any host against an artifact.
 
     These are ratios of two legs measured on the same host in the same
-    run (backend, warm-cache sweep and warm-pool speedups) and
-    deterministic counts (span kernels compiled, spans, counter
-    snapshots, fleet ticks, machines left alive, fast-path counters,
-    warm starts and healthy parallel sweeps).  CI gates on exactly this
-    set; :func:`check_floors` adds the floors that depend on the host.
+    run (tick kernel, backend, warm-cache sweep and warm-pool speedups)
+    and deterministic counts (span kernels compiled, spans, span plans
+    built, counter snapshots, fleet ticks, machines left alive,
+    fast-path counters, warm starts and healthy parallel sweeps).  CI
+    gates on exactly this set; :func:`check_floors` adds the floor that
+    depends on the host.
     """
+    tick_kernel = artifact["tick_kernel"]
+    assert tick_kernel["speedup_default"] >= 2.0, tick_kernel
     backends = artifact["backends"]
     assert backends["event_sparse"]["speedup"] >= 3.0, (
         backends["event_sparse"]
@@ -699,6 +723,7 @@ def check_stable_floors(artifact: dict) -> None:
     e2e = backends["end_to_end_dirigent"]
     assert e2e["kernels_compiled"] <= E2E_KERNELS_MAX, e2e
     assert e2e["spans"] <= E2E_SPANS_MAX, e2e
+    assert e2e["plan_builds"] <= E2E_PLAN_BUILDS_MAX, e2e
     assert e2e["kernel_wakeups"] > 0, e2e
     assert e2e["counter_snapshots"] <= E2E_SNAPSHOTS_MAX, e2e
     assert e2e["machines_alive"] == 0, e2e
@@ -722,15 +747,11 @@ def check_stable_floors(artifact: dict) -> None:
 def check_floors(artifact: dict) -> None:
     """Assert every acceptance floor against a benchmark artifact.
 
-    The host-stable floors of :func:`check_stable_floors`, plus two
-    that depend on the host's speed: the tick kernel against the
-    pre-optimization rate recorded on another host, and the end-to-end
-    Dirigent speedup.  Thresholds leave slack for slow shared hosts.
+    The host-stable floors of :func:`check_stable_floors`, plus the
+    end-to-end Dirigent speedup, which depends on the host's speed.
+    The threshold leaves slack for slow shared hosts.
     """
     check_stable_floors(artifact)
-    assert artifact["tick_kernel"]["speedup_default"] >= 1.2, (
-        artifact["tick_kernel"]
-    )
     e2e = artifact["backends"]["end_to_end_dirigent"]
     assert e2e["speedup"] >= 1.5, e2e
 

@@ -196,7 +196,7 @@ def _run_bench(args) -> int:
         artifact = bench.run_benchmark()
     backends = artifact["backends"]
     print("artifact written to %s" % bench.ARTIFACT)
-    print("tick kernel speedup (default): %.3fx"
+    print("tick kernel batch/scalar:      %.3fx"
           % artifact["tick_kernel"]["speedup_default"])
     print("event-sparse batch/scalar:     %.3fx"
           % backends["event_sparse"]["speedup"])
@@ -205,6 +205,8 @@ def _run_bench(args) -> int:
     print("end-to-end Dirigent:           %.3fx"
           % backends["end_to_end_dirigent"]["speedup"])
     e2e = backends["end_to_end_dirigent"]
+    print("Dirigent span plans:           %d built for %d spans (was %d)"
+          % (e2e["plan_builds"], e2e["spans"], e2e["plan_builds_before"]))
     print("Dirigent control loop:         %d decision wakeups, %d "
           "replayed samples, %d counter snapshots (was %d)"
           % (e2e["decision_wakeups"], e2e["kernel_wakeups"],

@@ -3,7 +3,8 @@
 :mod:`repro.sim.spanplan` builds Python source at runtime and
 ``exec``-compiles it into the simulator's hottest loop.  The generated
 kernels are trusted to be bit-identical to the scalar reference *and*
-to be pure straight-line float code: every constant closure-bound, no
+to be pure straight-line float code: every constant closure-bound or
+loaded from a closure-bound plan list in the kernel's prologue, no
 global lookups (the exec namespace deliberately has empty
 ``__builtins__``), and no attribute chasing inside the lane loops.
 These rules parse the very source strings the generator hands to
@@ -20,8 +21,9 @@ reach a benchmark.
   :func:`repro.sim.spanplan.template_shapes`:
 
   - the generated module must consist of exactly one factory function
-    binding all constants through closure cells — no imports, no
-    ``global`` statements;
+    binding all constants through closure cells (the per-lane phase
+    and frequency constants as plan lists the kernel's prologue loads
+    into locals) — no imports, no ``global`` statements;
   - every call inside the kernel must target an allowlisted name
     (the math closures ``e_``/``lg_``/``cs_``/``sn_``/``sq_``, the
     per-lane RNG draws ``rnd_<i>``, the timer-RNG draw ``tr_`` of

@@ -209,21 +209,41 @@ class WorkerPool:
         """Return a pool after a sweep.
 
         A healthy retained pool stays alive for the next acquire;
-        anything else shuts down (without waiting when a timed-out
-        worker may still be wedged on a cell).
+        anything else shuts down.  Without ``wait_workers`` (a
+        timed-out worker may still be wedged on a cell) the workers are
+        terminated instead of awaited.
         """
         if keep and pool is self._pool:
             return
         if pool is self._pool:
             self._pool = None
             self._key = None
-        pool.shutdown(wait=wait_workers, cancel_futures=True)
+        _retire(pool, wait_workers)
 
     def discard(self) -> None:
         """Retire the live pool immediately (tests, CLI, invalidation)."""
         pool, self._pool, self._key = self._pool, None, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            _retire(pool, False)
+
+
+def _retire(pool: ProcessPoolExecutor, wait_workers: bool) -> None:
+    """Shut ``pool`` down; without waiting, terminate its workers too.
+
+    ``shutdown(wait=False)`` alone leaves a worker wedged on an overdue
+    cell running, and the interpreter's exit hook joins the executor's
+    management thread, which waits for that worker: the sweep returns
+    on time, but the process cannot exit until the cell finishes.
+    Python 3.11's executor has no public way to terminate its workers,
+    so their processes are taken before ``shutdown`` drops them.
+    """
+    workers = (
+        [] if wait_workers
+        else list((getattr(pool, "_processes", None) or {}).values())
+    )
+    pool.shutdown(wait=wait_workers, cancel_futures=True)
+    for process in workers:
+        process.terminate()
 
 
 _POOL = WorkerPool()
@@ -393,7 +413,7 @@ def _run_parallel(
         return lost
     finally:
         # A healthy pool is retained for the next sweep; a timed-out
-        # worker may still be running, so abandon it rather than
+        # worker may still be running, so terminate it rather than
         # letting shutdown block result delivery on its completion.
         _POOL.release(
             pool,

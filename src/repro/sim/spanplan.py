@@ -8,13 +8,14 @@ tick; on the contended shapes every Dirigent figure simulates (1 FG +
 5 BG, jitter on) that overhead dominates.  This module compiles each
 *span shape* into a specialized kernel instead:
 
-* **Span plan** — when a span opens, the gathered per-core state is
-  frozen into a structure-of-arrays plan (one lane per running process)
-  holding the per-lane model constants, the cache grouping, and the
-  persistent per-lane miss-curve state.  Plans are cached by a value
-  signature (pid, spec epoch, phase index, frequency per lane, plus the
-  cache-mask epoch), so back-to-back spans over the same machine state
-  skip the gather entirely and only pay a cheap revalidation.
+* **Span plan** — one structure-of-arrays plan per *lane set* (the
+  running processes, each pinned to its core, under one cache-mask
+  epoch) holds the per-lane model constants, the cache grouping, and
+  the persistent per-lane miss-curve state.  The constants are lists
+  the kernel loads in its prologue, so a phase crossing or a DVFS
+  grade change rewrites the moved lane's entries in place instead of
+  building a new plan; back-to-back spans over the same lane set pay
+  one cheap revalidation.
 * **Shape-specialized kernels** — for each distinct shape (lane count,
   jitter on/off, FG/BG roles, cache grouping, energy on/off,
   snap-vs-inertia occupancy) a Python kernel is *generated and
@@ -72,16 +73,18 @@ __all__ = [
     "kernel_cache_stats", "template_shapes",
 ]
 
-#: Cap on cached plans per engine; machine states cycle through a
-#: working set of phase combinations x frequency grades, which on
-#: contended multi-phase mixes exceeds 64 (the benchmark's contended
-#: section used to thrash at exactly 64 rebuilds), so this is sized to
-#: hold the full cross product of a six-lane mix.
-MAX_PLANS = 256
-
 #: CPython's ``random.gauss`` angle scale (``2*pi``); bound once so the
 #: generated kernels and the interpreter use the very same constant.
 TWO_PI = 2.0 * math.pi
+
+#: Per-lane model constants as ``(kernel local, SpanPlan list)``: the
+#: kernel prologue loads lane ``i``'s ``fl_<i>`` from ``plan.floor[i]``
+#: and so on, so a phase or DVFS change rewrites the plan lists in place
+#: and the plan's next span reads the new values.
+LANE_COLUMNS = (
+    ("fl", "floor"), ("dl", "delta"), ("ws", "wscale"), ("se", "sens"),
+    ("fq", "freq"), ("fh", "fh"), ("cp", "cpi0"), ("ap", "apki"),
+)
 
 
 class SpanStats:
@@ -94,7 +97,9 @@ class SpanStats:
     * ``misscurve_evals``: per-lane miss-curve re-evaluations (the
       per-core partial recomputes; lanes whose occupancy did not move
       skip this);
-    * ``plan_builds`` / ``plan_reuses``: span-plan cache behavior;
+    * ``plan_builds`` / ``plan_reuses``: spans that built a new plan
+      (a new lane set, cache-mask epoch or cache grouping) / that
+      reused one, rewriting the lane constants that moved;
     * ``kernels_compiled``: distinct span shapes compiled to code;
     * ``rho_iterations``: fixed-point iterations run by compiled
       kernels (compiled ticks times the unrolled iteration count);
@@ -132,12 +137,15 @@ class SpanStats:
 #   (num_cores, isfg, apki_pos, jitter, snap, groups, has_energy)
 #
 # with ``groups`` the cache grouping in lane indices.  All constants
-# stay *outside* the shape — they are
-# bound by the per-plan factory — so kernels are shared across plans
-# that differ only in model constants (frequencies, phase parameters),
-# in which cores the lanes run on (the ``k_<slot>`` core indices: lane
-# slots first, then the idle cores in core order), or in the groups'
-# way counts (``wy_<group>``).  Neither which lanes can cross a phase
+# stay *outside* the shape, so kernels are shared across plans that
+# differ only in model constants, in which cores the lanes run on (the
+# ``k_<slot>`` core indices: lane slots first, then the idle cores in
+# core order), or in the groups' way counts (``wy_<group>``).  The
+# factory binds the per-plan constants as closure cells; the per-lane
+# phase and frequency constants (``LANE_COLUMNS``) are plan lists
+# rewritten in place, so ``run`` loads them into locals in its
+# prologue and one plan serves every phase and DVFS state of its lane
+# set.  Neither which lanes can cross a phase
 # boundary nor whether overhead is pending is part of the shape: every
 # lane takes a guard bound (``inf`` when it cannot cross one) and every
 # kernel peels its first tick to charge pending overhead, so both vary
@@ -207,15 +215,6 @@ def _generate_source(shape: tuple) -> str:
     # ---- per-plan constant bindings (closure cells of ``run``) ----
     for i in range(n):
         add("    proc_%d = plan.procs[%d]" % (i, i))
-        add("    fl_%d = plan.floor[%d]" % (i, i))
-        add("    dl_%d = plan.delta[%d]" % (i, i))
-        add("    ws_%d = plan.wscale[%d]" % (i, i))
-        add("    se_%d = plan.sens[%d]" % (i, i))
-        add("    fq_%d = plan.freq[%d]" % (i, i))
-        add("    fh_%d = plan.fh[%d]" % (i, i))
-        add("    cp_%d = plan.cpi0[%d]" % (i, i))
-        if apki_pos[i]:
-            add("    ap_%d = plan.apki[%d]" % (i, i))
         if jitter:
             add("    rng_%d = plan.rngs[%d]" % (i, i))
             add("    rnd_%d = rng_%d.random" % (i, i))
@@ -223,6 +222,10 @@ def _generate_source(shape: tuple) -> str:
         add("    k_%d = plan.slots[%d]" % (c, c))
     for gi in range(len(groups)):
         add("    wy_%d = plan.ways[%d]" % (gi, gi))
+    # The lanes' phase and frequency constants are plan lists the
+    # planner rewrites in place; ``run`` loads them in its prologue.
+    for name, column in LANE_COLUMNS:
+        add("    %sa = plan.%s" % (name, column))
     add("    pwa = plan.prev_w")
     add("    mpa = plan.mpki_a")
     add("    coa = plan.coef")
@@ -262,6 +265,10 @@ def _generate_source(shape: tuple) -> str:
     for c in range(num_cores):
         add("        ef_%d = eff[k_%d]" % (c, c))
     for i in range(n):
+        for name, _ in LANE_COLUMNS:
+            # A lane without cache weight never reads its apki.
+            if name != "ap" or apki_pos[i]:
+                add("        %s_%d = %sa[%d]" % (name, i, name, i))
         add("        pw_%d = pwa[%d]" % (i, i))
         add("        mp_%d = mpa[%d]" % (i, i))
         add("        co_%d = coa[%d]" % (i, i))
@@ -543,10 +550,11 @@ KERNEL_STATE = {
         "completion path calls it inside the kernel"
     ),
     "process._sync_phase_cursor()": (
-        "cursors synced while planning (_build_plan lane gather)"
+        "cursors synced while planning (plan_for_span lane gather)"
     ),
     "process.current_phase()": (
-        "phase constants are closure-bound plan columns"
+        "phase constants are plan columns the kernel prologue loads; "
+        "SpanPlan.refresh rewrites them when a lane's phase moves"
     ),
     "_ips_prev": "committed from plan.ips_prev by SpanPlan.run",
     "_rho": "committed by SpanPlan.run after the span",
@@ -620,23 +628,29 @@ def template_shapes() -> Tuple[tuple, ...]:
 
 
 class SpanPlan:
-    """Structure-of-arrays snapshot of one span's model inputs.
+    """Structure-of-arrays snapshot of one lane set's model inputs.
 
     Lane ``i`` is the ``i``-th running process in core order; ``slots``
     lists the lanes' cores, then the idle cores in core order, and
-    ``ways`` each cache group's way count.  The constant arrays feed
-    the generated kernel's factory; ``prev_w`` /
-    ``mpki_a`` / ``coef`` persist *across* spans of the same plan — a
-    lane whose occupancy did not move between spans keeps its
-    miss-curve outputs (recomputing a pure function on an equal input
-    is bit-identical, so skipping it is too).
+    ``ways`` each cache group's way count.  A plan serves every span of
+    its lane set under one cache-mask epoch: the lane constants
+    (:data:`LANE_COLUMNS`) are lists the kernel loads in its prologue,
+    and :meth:`refresh` rewrites a lane's entries in place when its
+    phase or DVFS grade moves.  ``phase_ids`` / ``spec_epochs`` record
+    the phase each lane's constants were loaded from.  ``prev_w`` /
+    ``mpki_a`` / ``coef`` persist *across* spans — a lane whose
+    occupancy did not move between spans keeps its miss-curve outputs
+    (recomputing a pure function on an equal input is bit-identical, so
+    skipping it is too); a phase change resets the lane's ``prev_w`` so
+    its next tick re-evaluates the new curve.
     """
 
     __slots__ = (
         "stats", "kernel", "stolen", "energy", "samples", "timer_random",
         "timer_jitter", "fg_cores",
         "procs", "rngs", "floor", "delta", "wscale", "sens", "freq",
-        "fh", "cpi0", "apki", "prev_w", "mpki_a", "coef",
+        "fh", "cpi0", "apki", "phase_ids", "spec_epochs",
+        "prev_w", "mpki_a", "coef",
         "eff", "cnt_i", "cnt_c", "cnt_a", "cnt_m", "ips_prev", "clock",
         "dt", "sigma", "mu", "alpha", "base_ns", "scale", "rho_cap",
         "inv_peak", "two_pi",
@@ -644,6 +658,42 @@ class SpanPlan:
         "wbuf", "tbuf", "active_bits", "groups_commit", "disjoint",
         "guard_procs", "bounds", "slots", "ways",
     )
+
+    def refresh(self, gov_freqs: List[float]) -> bool:
+        """Bring the lane constants up to the lanes' current state.
+
+        A lane whose DVFS grade moved gets its frequency columns
+        rewritten; the miss curve does not depend on frequency, so its
+        ``prev_w`` stays.  A lane whose phase (or phase program) moved
+        gets its phase constants reloaded and its ``prev_w`` reset; the
+        guard set is then recomputed and every bound reset to ``inf``,
+        so a lane that left the guard set (an FG entering its last
+        phase) cannot keep a stale finite bound.  Returns False when a
+        lane's ``apki > 0`` flipped: that changes the cache grouping
+        and the kernel's shape, so the caller builds a new plan.
+        """
+        procs = self.procs
+        phase_ids = self.phase_ids
+        spec_epochs = self.spec_epochs
+        freq = self.freq
+        slots = self.slots
+        moved = False
+        for i, proc in enumerate(procs):
+            if (proc._phase_index != phase_ids[i]
+                    or proc._spec_epoch != spec_epochs[i]):
+                apki = proc._spec.phases[proc._phase_index].apki
+                if (apki > 0) != (self.apki[i] > 0):
+                    return False
+                _load_phase(self, i, proc)
+                moved = True
+            f = gov_freqs[slots[i]]
+            if f != freq[i]:
+                freq[i] = f
+                self.fh[i] = f * 1e9
+        if moved:
+            self.guard_procs = _guard_lanes(procs)
+            self.bounds = [math.inf] * len(procs)
+        return True
 
     def run(self, m, span: int, sampling: Optional[tuple] = None) -> int:
         """Run up to ``span`` event-free ticks of machine ``m`` (the one
@@ -717,8 +767,40 @@ class SpanPlan:
         return executed
 
 
-def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
-    """Compile the machine's current running set into a SpanPlan.
+def _load_phase(plan: SpanPlan, i: int, proc) -> None:
+    """Load lane ``i``'s phase constants from ``proc``'s current phase."""
+    phase = proc._spec.phases[proc._phase_index]
+    plan.floor[i] = phase.mpki_floor
+    plan.delta[i] = phase.mpki_peak - phase.mpki_floor
+    plan.wscale[i] = phase.ways_scale
+    plan.sens[i] = phase.mem_sensitivity
+    plan.cpi0[i] = phase.base_cpi
+    plan.apki[i] = phase.apki
+    plan.phase_ids[i] = proc._phase_index
+    plan.spec_epochs[i] = proc._spec_epoch
+    plan.prev_w[i] = -1.0
+
+
+def _guard_lanes(procs) -> List[tuple]:
+    """``(lane, process, is_fg)`` for the lanes that can cross a phase
+    boundary in their current phase."""
+    guards = []
+    for i, proc in enumerate(procs):
+        if proc.is_fg:
+            # FG pinned to its last phase only leaves it by completing,
+            # which the completion path detects exactly.
+            if proc._phase_index != len(proc._spec.phases) - 1:
+                guards.append((i, proc, True))
+        elif proc._phase_start > 0.0 or proc._phase_end < proc._total:
+            # BG phase windows cover the wrapped offset; a phase that
+            # spans the whole program never produces a boundary.
+            guards.append((i, proc, False))
+    return guards
+
+
+def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
+    """Compile the running processes ``procs`` (core order, phase
+    cursors synced) of ``machine`` into a SpanPlan.
 
     Returns None for shapes the compiled path does not cover (no
     running lanes, overlapping cache-mask groups, or a non-standard
@@ -728,47 +810,41 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     config = m.config
     num_cores = config.num_cores
     gov_freqs = m._gov_freqs
-    lanes = []
-    for core, proc in enumerate(m._procs_by_core):
-        if proc is None or proc.state != STATE_RUNNING:
-            continue
-        lanes.append((core, proc, proc._spec.phases[proc._phase_index]))
-    n = len(lanes)
+    n = len(procs)
     if n == 0:
         return None
+    cores = [proc.core for proc in procs]
     sigma = m._sigma
     jitter = sigma > 0.0
     if jitter:
-        for core, _, _ in lanes:
+        for core in cores:
             # The inline gauss replays CPython's exact algorithm; any
             # substituted RNG type falls back to ``Machine.tick``.
             if type(m._jitter_rngs[core]) is not random.Random:
                 return None
     active_bits = 0
     lane_index = {}
-    for i, (core, proc, phase) in enumerate(lanes):
-        lane_index[core] = i
-        if phase.apki > 0:
-            active_bits |= 1 << core
+    for i, proc in enumerate(procs):
+        lane_index[cores[i]] = i
+        if proc._spec.phases[proc._phase_index].apki > 0:
+            active_bits |= 1 << cores[i]
     groups_cores, disjoint = m.cache.span_grouping(active_bits)
     if not disjoint:
         return None
 
     plan = SpanPlan()
     plan.stats = stats
-    plan.procs = [proc for _, proc, _ in lanes]
-    plan.rngs = [m._jitter_rngs[core] for core, _, _ in lanes]
-    plan.floor = [phase.mpki_floor for _, _, phase in lanes]
-    plan.delta = [
-        phase.mpki_peak - phase.mpki_floor for _, _, phase in lanes
-    ]
-    plan.wscale = [phase.ways_scale for _, _, phase in lanes]
-    plan.sens = [phase.mem_sensitivity for _, _, phase in lanes]
-    plan.freq = [gov_freqs[core] for core, _, _ in lanes]
-    plan.fh = [freq * 1e9 for freq in plan.freq]
-    plan.cpi0 = [phase.base_cpi for _, _, phase in lanes]
-    plan.apki = [phase.apki for _, _, phase in lanes]
+    plan.procs = list(procs)
+    plan.rngs = [m._jitter_rngs[core] for core in cores]
+    for _, column in LANE_COLUMNS:
+        setattr(plan, column, [0.0] * n)
+    plan.phase_ids = [0] * n
+    plan.spec_epochs = [0] * n
     plan.prev_w = [-1.0] * n
+    for i, proc in enumerate(procs):
+        _load_phase(plan, i, proc)
+        plan.freq[i] = freq = gov_freqs[cores[i]]
+        plan.fh[i] = freq * 1e9
     plan.mpki_a = [0.0] * n
     plan.coef = [0.0] * n
     plan.eff = m._cache_eff
@@ -808,7 +884,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
         plan.energy_accumulate = energy.accumulate
         plan.freqs_list = list(gov_freqs)
         busy = [False] * num_cores
-        for core, _, _ in lanes:
+        for core in cores:
             busy[core] = True
         plan.busy_list = busy
     else:
@@ -816,28 +892,16 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
         plan.freqs_list = None
         plan.busy_list = None
 
-    guard_procs = []
-    for i, (core, proc, phase) in enumerate(lanes):
-        if proc.is_fg:
-            # FG pinned to its last phase only leaves it by completing,
-            # which the completion path detects exactly.
-            if proc._phase_index != len(proc._spec.phases) - 1:
-                guard_procs.append((i, proc, True))
-        else:
-            # BG phase windows cover the wrapped offset; a phase that
-            # spans the whole program never produces a boundary.
-            if proc._phase_start > 0.0 or proc._phase_end < proc._total:
-                guard_procs.append((i, proc, False))
-    plan.guard_procs = guard_procs
+    plan.guard_procs = _guard_lanes(procs)
     plan.bounds = [math.inf] * n
 
-    plan.slots = [core for core, _, _ in lanes] + [
+    plan.slots = cores + [
         core for core in range(num_cores) if core not in lane_index
     ]
     plan.ways = [ways for ways, _ in groups_cores]
     shape = (
         num_cores,
-        tuple(proc.is_fg for _, proc, _ in lanes),
+        tuple(proc.is_fg for proc in procs),
         tuple(apki > 0 for apki in plan.apki),
         jitter,
         snap,
@@ -854,7 +918,8 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     plan.samples = []
     plan.timer_random = m._timer_rng.random
     plan.timer_jitter = config.timer_jitter_prob
-    plan.fg_cores = tuple(core for core, proc, _ in lanes if proc.is_fg)
+    plan.fg_cores = tuple(core for core, proc in zip(cores, procs)
+                          if proc.is_fg)
     plan.kernel = _compile_kernel(shape, plan, stats)
     return plan
 
@@ -875,20 +940,17 @@ def _compile_kernel(shape: tuple, plan: SpanPlan, stats: SpanStats):
     )
 
 
-#: ``SpanPlanner`` cache sentinel: no entry for a signature (an entry
-#: may hold None, for a shape the compiled path declines).
-_NO_PLAN = object()
-
-
 class SpanPlanner:
-    """Caches SpanPlans by a value signature of the machine state.
+    """Keeps one SpanPlan per lane set of one machine.
 
-    The signature captures everything a plan bakes in: per lane
-    ``(pid, spec epoch, phase index, frequency)`` plus the cache-mask
-    epoch and the energy-model identity.  Dirigent runs cycle through a
-    small working set of states (phases x DVFS grades), so plans — and
-    their persistent miss-curve state — are almost always reused rather
-    than rebuilt.
+    A lane set is the machine's running processes, each pinned to its
+    core, under the current cache-mask epoch.  Phase crossings and DVFS
+    grade changes do not change it: :meth:`SpanPlan.refresh` rewrites
+    the moved lanes' constants in the live plan.  The planner checks
+    the previous span's plan first, then a dict keyed by the running
+    processes; a new lane set, a new energy model or a lane whose
+    ``apki > 0`` flipped builds a new plan.  Mask epochs only grow, so
+    every plan is dropped when the epoch moves.
 
     A planner serves one machine, which every call passes in: plans
     hold that machine's state arrays, but neither the planner nor its
@@ -897,45 +959,46 @@ class SpanPlanner:
 
     def __init__(self, stats: SpanStats) -> None:
         self._stats = stats
-        self._plans: Dict[tuple, Optional[SpanPlan]] = {}
+        self._plans: Dict[tuple, SpanPlan] = {}
+        self._last: Optional[SpanPlan] = None
+        self._epoch = -1
 
     def clear(self) -> None:
         """Drop every cached plan (and with it its compiled kernels)."""
         self._plans.clear()
+        self._last = None
 
     def plan_for_span(self, m) -> Optional[SpanPlan]:
         """A plan matching machine ``m``'s current state, or None.
 
         None means the shape is unsupported here and the caller should
-        tick the machine in ``Machine.tick``.  Stale phase cursors are
+        tick the machine in ``Machine.tick``; declined shapes are not
+        cached, so the next span checks again.  Stale phase cursors are
         synced first, as the scalar kernel's gather does.
         """
-        gov_freqs = m._gov_freqs
-        sig_parts: List[object] = [
-            m.cache.mask_epoch, m._energy is not None,
-        ]
-        append = sig_parts.append
-        for core, proc in enumerate(m._procs_by_core):
-            if proc is None or proc.state != STATE_RUNNING:
-                continue
-            if not proc._phase_start <= proc.progress < proc._phase_end:
-                proc._sync_phase_cursor()
-            append(
-                (proc.pid, proc._spec_epoch, proc._phase_index, gov_freqs[core])
-            )
-        sig = tuple(sig_parts)
-        plans = self._plans
-        # One lookup: hashing the nested signature is most of a hit's cost.
-        plan = plans.get(sig, _NO_PLAN)
-        if plan is not _NO_PLAN:
-            if plan is None or plan.energy is m._energy:
-                if plan is not None:
-                    self._stats.plan_reuses += 1
-                return plan
-        plan = _build_plan(m, self._stats)
-        if len(plans) >= MAX_PLANS:
-            plans.clear()
-        plans[sig] = plan
-        if plan is not None:
+        epoch = m.cache.mask_epoch
+        if epoch != self._epoch:
+            self.clear()
+            self._epoch = epoch
+        procs = []
+        for proc in m._procs_by_core:
+            if proc is not None and proc.state == STATE_RUNNING:
+                if not proc._phase_start <= proc.progress < proc._phase_end:
+                    proc._sync_phase_cursor()
+                procs.append(proc)
+        plan = self._last
+        if plan is None or plan.procs != procs:
+            plan = self._plans.get(tuple(procs))
+        if (plan is not None and plan.energy is m._energy
+                and plan.refresh(m._gov_freqs)):
+            self._last = plan
+            self._stats.plan_reuses += 1
+            return plan
+        key = tuple(procs)
+        plan = self._last = _build_plan(m, procs, self._stats)
+        if plan is None:
+            self._plans.pop(key, None)
+        else:
+            self._plans[key] = plan
             self._stats.plan_builds += 1
         return plan

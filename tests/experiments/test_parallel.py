@@ -9,7 +9,11 @@ through the content-addressed disk cache.
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -197,6 +201,51 @@ class TestDegradedDispatch:
         assert sweep.failed == 0
         assert set(sweep.results) == set(serial.results)
         assert _snapshot(sweep) == _snapshot(serial)
+
+    @fork_only
+    def test_wedged_worker_does_not_hold_process_exit(self, tmp_path):
+        # Two Baseline cells sleep 6 s in their workers under a 0.5 s
+        # budget: the sweep retries both serially and returns, and the
+        # process must exit then too, not when the workers wake up.
+        probe = textwrap.dedent("""
+            import os, time
+            from repro.core.policies import BASELINE
+            from repro.experiments import parallel
+            from repro.experiments.mixes import mix_by_name
+
+            PARENT = os.getpid()
+            REAL = parallel._policy_cell
+
+            def wedged(cell):
+                if os.getpid() != PARENT:
+                    time.sleep(6.0)
+                return REAL(cell)
+
+            parallel._policy_cell = wedged
+            sweep = parallel.run_grid(
+                [mix_by_name("ferret bwaves"), mix_by_name("raytrace rs")],
+                [BASELINE], executions=2, warmup=1, workers=2,
+            )
+            print(sweep.retried, sweep.failed)
+        """)
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env.update({
+            ENV_CELL_TIMEOUT_S: "0.5",
+            "REPRO_CACHE_DIR": str(tmp_path),
+            "PYTHONPATH": str(Path(parallel_mod.__file__).parents[2]),
+        })
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=30,
+        )
+        elapsed = time.monotonic() - start
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "0"]
+        assert elapsed < 3.0, elapsed
 
     @fork_only
     def test_no_timeout_waits_for_slow_workers(self, monkeypatch):

@@ -8,7 +8,9 @@ guarded and unguarded lanes, the shapes the planner declines
 (overlapping partitions, a substituted RNG, an idle machine), idle-core
 occupancy drift, and jitter-free spans — plus the one kernel per shape,
 clone lanes included, that serves spans with and without pending
-overhead, and the sampler wakeups the kernels take themselves.
+overhead, the one plan per lane set that serves every phase and DVFS
+state of its lanes, and the sampler wakeups the kernels take
+themselves.
 """
 
 from __future__ import annotations
@@ -435,6 +437,154 @@ class TestOneKernelPerShape:
             assert batch.backend_stats()["spans"] > 0
         assert len(set(requested)) == 1
         assert len(spanplan._KERNEL_CODE_CACHE) == 1
+
+
+class TestOnePlanPerLaneSet:
+    """One span plan per lane set (the running processes under one
+    cache-mask epoch): phase crossings and DVFS grade changes rewrite
+    the live plan's lane constants instead of building a new plan."""
+
+    @staticmethod
+    def _record_builds(monkeypatch):
+        """Every plan ``_build_plan`` returns, in build order."""
+        built = []
+        original = spanplan._build_plan
+
+        def build(*args):
+            plan = original(*args)
+            if plan is not None:
+                built.append(plan)
+            return plan
+
+        monkeypatch.setattr(spanplan, "_build_plan", build)
+        return built
+
+    def test_dvfs_flips_and_phase_crossings_build_one_plan_per_lane_set(
+        self,
+    ):
+        scalar, batch = _machine(BACKEND_SCALAR), _machine(BACKEND_BATCH)
+        parked = batch.process_on_core(3).pid
+        states = set()
+        for index in range(48):
+            for machine in (scalar, batch):
+                machine.step_frequency(index % 6, 1 if index % 4 < 2 else -1)
+                if index == 24:
+                    machine.pause(parked)
+                if index == 36:
+                    machine.resume(parked)
+                machine.run_ticks(97)
+            states.add(tuple(
+                (proc.state, proc._phase_index, batch._gov_freqs[proc.core])
+                for proc in batch.processes
+            ))
+        _assert_identical(scalar, batch)
+        stats = batch.backend_stats()
+        # Two lane sets (all six tasks; five while one is paused) over
+        # many more (phase, frequency) states, each of which built a
+        # plan of its own while plans were keyed by state.
+        assert len(states) > 20
+        assert stats["plan_builds"] == 2
+        assert stats["plan_reuses"] > 40
+        assert stats["compiled_ticks"] == batch.clock.tick
+
+    def test_apki_sign_flip_rebuilds_the_plan(self, monkeypatch):
+        built = self._record_builds(monkeypatch)
+        flipping = WorkloadSpec(
+            name="flip-bg", kind=KIND_BG, phases=(
+                make_phase("quiet", instructions=3e8, apki=0.0),
+                make_phase("busy", instructions=4e8, apki=30.0),
+            ),
+        )
+
+        def build(backend):
+            config = MachineConfig(
+                seed=17, os_jitter_sigma=0.015, timer_jitter_prob=0.0,
+            )
+            machine = Machine(config, backend=backend)
+            machine.spawn(make_fg(input_noise=0.05), core=0, nice=-5)
+            machine.spawn(make_bg(heavy=True), core=1, nice=5)
+            machine.spawn(flipping, core=2, nice=5)
+            machine.settle_cache()
+            return machine
+
+        scalar, batch = build(BACKEND_SCALAR), build(BACKEND_BATCH)
+        for step in (5, 300, 40, 1_200, 7, 2_500):
+            scalar.run_ticks(step)
+            batch.run_ticks(step)
+        _assert_identical(scalar, batch)
+        # The flipping lane's apki sign changes the cache grouping and
+        # the kernel shape, so each flip builds a plan; nothing else
+        # does.
+        signs = [plan.apki[2] > 0 for plan in built]
+        assert len(signs) >= 4
+        assert all(a != b for a, b in zip(signs, signs[1:]))
+        assert batch.backend_stats()["plan_builds"] == len(built)
+        assert batch.backend_stats()["compiled_ticks"] == batch.clock.tick
+
+    def test_fg_entering_its_last_phase_on_a_reused_plan(self):
+        # The FG leaves the guard set when it enters its last phase; its
+        # bound must not stay at the previous phase's end, or every span
+        # after the crossing trips at once and falls back to
+        # Machine.tick.
+        def build(backend):
+            config = MachineConfig(
+                seed=5, os_jitter_sigma=0.015, timer_jitter_prob=0.0,
+            )
+            machine = Machine(config, backend=backend)
+            machine.spawn(
+                make_fg(input_noise=0.05, phases=(
+                    make_phase("a", instructions=1e8),
+                    make_phase("b", instructions=1.5e8, apki=20.0),
+                    make_phase("c", instructions=1e8, apki=12.0),
+                )),
+                core=0, nice=-5,
+            )
+            for core in (1, 2, 3):
+                machine.spawn(_flat_bg(), core=core, nice=5)
+            machine.settle_cache()
+            return machine
+
+        scalar, batch = build(BACKEND_SCALAR), build(BACKEND_BATCH)
+        records = {}
+        for machine in (scalar, batch):
+            log = records.setdefault(machine.backend, [])
+            machine.add_completion_listener(
+                lambda proc, record, log=log: log.append(
+                    (record.index, record.end_s)
+                )
+            )
+        for _ in range(30):
+            scalar.run_ticks(50)
+            batch.run_ticks(50)
+        _assert_identical(scalar, batch)
+        assert len(records[BACKEND_BATCH]) >= 3
+        assert records[BACKEND_SCALAR] == records[BACKEND_BATCH]
+        stats = batch.backend_stats()
+        assert stats["plan_builds"] == 1
+        assert stats["compiled_ticks"] == batch.clock.tick
+
+    def test_repartition_drops_the_previous_epochs_plans(self):
+        scalar, batch = _machine(BACKEND_SCALAR), _machine(BACKEND_BATCH)
+        planner = batch._batch_engine._planner
+        parked = batch.process_on_core(4).pid
+        for machine in (scalar, batch):
+            machine.run_ticks(300)
+            machine.pause(parked)
+            machine.run_ticks(300)
+            machine.resume(parked)
+        old = list(planner._plans.values())
+        assert len(old) == 2
+        for ways in (6, 10):
+            for machine in (scalar, batch):
+                machine.set_fg_partition([0], ways)
+                machine.run_ticks(400)
+            # Only the current epoch's one lane set has a plan.
+            plans = list(planner._plans.values())
+            assert len(plans) == 1
+            assert all(plan is not stale for plan in plans for stale in old)
+            old = plans
+        _assert_identical(scalar, batch)
+        assert batch.backend_stats()["plan_builds"] == 4
 
 
 class _Sampler:
