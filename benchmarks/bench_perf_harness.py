@@ -22,11 +22,14 @@ along and emits ``BENCH_harness.json`` at the repository root:
 5. **Fleet chaos**: machine ticks the fleet node-fault catalog
    simulates at the CI smoke size, where faulted rows replay every
    session an earlier row ran to done untouched.
-6. **Run lifetime**: machines still referenced after each fleet
+6. **Shared jitter**: OS-jitter factors one mix's partition sweep draws
+   inside one ``shared_jitter`` scope, beside the factors its runs read
+   (what they drew before runs of one seed shared a tape).
+7. **Run lifetime**: machines still referenced after each fleet
    catalog row and each end-to-end Dirigent run returns, counted
    through weak references with the cyclic garbage collector off: a
    finished run must be freed by reference counting alone.
-7. **Correctness**: the serial and parallel sweeps must produce
+8. **Correctness**: the serial and parallel sweeps must produce
    identical RunResults (also property-tested in
    ``tests/experiments/test_parallel.py``; scalar/batch equivalence is
    pinned by ``tests/sim/test_batch_equivalence.py``).
@@ -80,6 +83,7 @@ from repro.sim.batch import (
 )
 from repro.sim.config import MachineConfig
 from repro.sim.counters import CounterSnapshot
+from repro.sim.jitter import shared_jitter
 from repro.sim.machine import Machine
 from repro.workloads.catalog import get_workload
 
@@ -163,6 +167,18 @@ FLEET_SEED = 3
 #: row simulated every node, 475,360.
 FLEET_TICKS_MAX = 281_056
 FLEET_TICKS_BEFORE = 359_744
+
+#: One mix's partition sweep (``find_static_partition`` on this mix at
+#: this size, 8 candidate partitions) inside one ``shared_jitter``
+#: scope.  ``SWEEP_JITTER_DRAWS_MAX`` gates the OS-jitter factors the
+#: scope's tapes draw: deterministic, about the longest run's reads
+#: rounded up to a tape window per core.  The factors the runs read,
+#: which each run drew itself before runs of one seed shared a tape,
+#: are recorded beside it.
+SWEEP_JITTER_MIX = "ferret rs"
+SWEEP_JITTER_EXECUTIONS = 2
+SWEEP_JITTER_WARMUP = 1
+SWEEP_JITTER_DRAWS_MAX = 24_576
 
 
 def _sparse_machine(backend: str) -> Machine:
@@ -399,6 +415,38 @@ def _fleet_ticks():
     return ticks, alive
 
 
+def _sweep_jitter_draws():
+    """OS-jitter factors one mix's partition sweep draws and reads.
+
+    Runs :func:`repro.experiments.harness.find_static_partition` from
+    cold caches inside one ``shared_jitter`` scope.  Returns ``(drawn,
+    read)``: the factors the scope's tapes drew, and the factors the
+    sweep's machines read, summed over their tape cursors as each
+    machine closes.
+    """
+    read = [0]
+    close = Machine.close
+
+    def counting(machine):
+        if not machine._closed:
+            read[0] += sum(machine._jit_pos)
+        close(machine)
+
+    harness.clear_caches()
+    Machine.close = counting
+    try:
+        with shared_jitter() as scope:
+            harness.find_static_partition(
+                mix_by_name(SWEEP_JITTER_MIX),
+                executions=SWEEP_JITTER_EXECUTIONS,
+                warmup=SWEEP_JITTER_WARMUP,
+            )
+    finally:
+        Machine.close = close
+        harness.clear_caches()
+    return scope.drawn(), read[0]
+
+
 def _snapshot(sweep) -> dict:
     return {"%s|%s" % key: repr(result) for key, result in sweep.results.items()}
 
@@ -521,6 +569,7 @@ def run_benchmark() -> dict:
     e2e_batch_s, e2e_kernels, batch_alive = _end_to_end_s(BACKEND_BATCH)
     e2e_counts = _end_to_end_spans()
     fleet_ticks, fleet_alive = _fleet_ticks()
+    jitter_drawn, jitter_read = _sweep_jitter_draws()
 
     harness.clear_caches()
     serial = run_grid(
@@ -694,6 +743,22 @@ def run_benchmark() -> dict:
                 "garbage collector off), summed over the rows"
             ),
         },
+        "shared_jitter": {
+            "workload": (
+                "find_static_partition(%r, executions=%d, warmup=%d) "
+                "from cold caches in one shared_jitter scope"
+                % (SWEEP_JITTER_MIX, SWEEP_JITTER_EXECUTIONS,
+                   SWEEP_JITTER_WARMUP)
+            ),
+            "sweep_jitter_draws": jitter_drawn,
+            "sweep_jitter_draws_before": jitter_read,
+            "note": (
+                "sweep_jitter_draws: OS-jitter factors the scope's tapes "
+                "drew; sweep_jitter_draws_before: factors the sweep's "
+                "runs read, each of which a run drew itself before runs "
+                "of one seed shared a tape"
+            ),
+        },
         "identical_results": True,
     }
     ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
@@ -706,8 +771,9 @@ def check_stable_floors(artifact: dict) -> None:
     These are ratios of two legs measured on the same host in the same
     run (tick kernel, backend, warm-cache sweep and warm-pool speedups)
     and deterministic counts (span kernels compiled, spans, span plans
-    built, counter snapshots, fleet ticks, machines left alive,
-    fast-path counters, warm starts and healthy parallel sweeps).  CI
+    built, counter snapshots, fleet ticks, machines left alive, a
+    partition sweep's shared jitter draws, fast-path counters, warm
+    starts and healthy parallel sweeps).  CI
     gates on exactly this set; :func:`check_floors` adds the floor that
     depends on the host.
     """
@@ -729,6 +795,8 @@ def check_stable_floors(artifact: dict) -> None:
     assert e2e["machines_alive"] == 0, e2e
     assert artifact["fleet"]["ticks"] <= FLEET_TICKS_MAX, artifact["fleet"]
     assert artifact["fleet"]["machines_alive"] == 0, artifact["fleet"]
+    jitter = artifact["shared_jitter"]
+    assert 0 < jitter["sweep_jitter_draws"] <= SWEEP_JITTER_DRAWS_MAX, jitter
     # A silently disabled fast path could still pass the throughput
     # floors on a fast host; its counters cannot.
     fast_path = backends["fast_path"]

@@ -218,6 +218,10 @@ def _run_bench(args) -> int:
     fleet = artifact["fleet"]
     print("fleet catalog ticks:           %d (was %d)"
           % (fleet["ticks"], fleet["ticks_before"]))
+    jitter = artifact["shared_jitter"]
+    print("partition-sweep jitter draws:  %d (runs read %d)"
+          % (jitter["sweep_jitter_draws"],
+             jitter["sweep_jitter_draws_before"]))
     print("machines alive after runs:     %d fleet, %d end-to-end"
           % (fleet["machines_alive"],
              backends["end_to_end_dirigent"]["machines_alive"]))

@@ -13,7 +13,9 @@ extracts the set of state mutations in the scalar hot path — attribute
 stores, stores through hoisted aliases (``clock = self.clock``;
 ``cnt_i, cnt_c, cnt_a, cnt_m = self._cnt_arrays``), mutating method
 calls on machine sub-objects and processes, RNG draws through hoisted
-bound-method tables, and calls of state-advancing callable attributes
+bound-method tables, method calls on elements of hoisted tables
+(``tape = tapes[core]; tape.fill(pos)``), and calls of state-advancing
+callable attributes
 — and cross-checks it against the machine-readable mirrored-state
 registry the span kernels export:
 
@@ -158,14 +160,21 @@ class _MethodExtraction:
                         if attr in PROCESS_SOURCES:
                             self.process_names.add(target.id)
                         self.element_of[target.id] = attr
-            elif isinstance(node, ast.Assign):
+            elif (isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Subscript)):
                 # proc = procs_a[i] / proc = self._procs_by_core[core]
-                if (isinstance(node.value, ast.Subscript)
-                        and self._attr_of(node.value.value)
-                        in PROCESS_SOURCES):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.process_names.add(target.id)
+                # binds a process; tape = tapes[core] an element of a
+                # hoisted table.
+                attr = self._attr_of(node.value.value)
+                if attr is None:
+                    continue
+                for target in node.targets:
+                    if not isinstance(target, ast.Name):
+                        continue
+                    if attr in PROCESS_SOURCES:
+                        self.process_names.add(target.id)
+                    else:
+                        self.element_of[target.id] = attr
 
     # -- pass 3: mutations -------------------------------------------------
 
@@ -212,6 +221,10 @@ class _MethodExtraction:
                 return
             if isinstance(base, ast.Name) and base.id in self.process_names:
                 self.mutated.add("process.%s()" % func.attr)
+            elif isinstance(base, ast.Name) and base.id in self.element_of:
+                # tape = tapes[core]; tape.fill(pos): a method call on an
+                # element of a hoisted table advances that element.
+                self.mutated.add(self.element_of[base.id])
         elif isinstance(func, ast.Subscript):
             # gauss_fns[core](mu, sigma): a draw through a hoisted
             # bound-method table advances that RNG's state.

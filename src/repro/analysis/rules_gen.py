@@ -26,9 +26,10 @@ reach a benchmark.
     into locals) — no imports, no ``global`` statements;
   - every call inside the kernel must target an allowlisted name
     (the math closures ``e_``/``lg_``/``cs_``/``sn_``/``sq_``, the
-    per-lane RNG draws ``rnd_<i>``, the timer-RNG draw ``tr_`` of
-    in-kernel sampler wakeups, ``acc_e``) or an allowlisted method
-    (``advance``, ``complete_execution``, ``append``) on a bound name;
+    per-lane RNG draws ``rnd_<i>``, the per-lane jitter-tape fills
+    ``jf_<i>``, the timer-RNG draw ``tr_`` of in-kernel sampler
+    wakeups, ``acc_e``) or an allowlisted method (``advance``,
+    ``complete_execution``, ``append``) on a bound name;
   - no name anywhere in the generated code may resolve to a global
     (checked with :mod:`symtable` — with empty ``__builtins__`` a
     global lookup is a latent ``NameError``);
@@ -64,9 +65,10 @@ TEMPLATE_ENTRY_POINTS = ("template_shapes", "generate_kernel_source")
 
 #: Plain-name callables the generated kernels may invoke.  ``tr_`` is
 #: the timer wheel's ``random``, drawn when a span kernel reschedules a
-#: sampler wakeup it took in-kernel.
+#: sampler wakeup it took in-kernel; ``jf_<i>`` fills lane ``i``'s
+#: shared jitter tape when the lane reaches its drawn end.
 ALLOWED_CALLS = re.compile(
-    r"^(e_|lg_|cs_|sn_|sq_|acc_e|tr_|rnd_\d+)$"
+    r"^(e_|lg_|cs_|sn_|sq_|acc_e|tr_|rnd_\d+|jf_\d+)$"
 )
 
 #: Methods the generated kernels may invoke (on plain bound names).

@@ -43,6 +43,7 @@ from repro.experiments.mixes import (
     single_bg_mixes,
 )
 from repro.sim.config import MachineConfig, default_executions
+from repro.sim.jitter import shared_jitter
 from repro.workloads.catalog import (
     foreground_names,
     rotate_pair_names,
@@ -510,15 +511,30 @@ def fig8(
 # ---------------------------------------------------------------------------
 
 
+def _mix_cells(
+    mix: Mix, executions: int, seed: int
+) -> Tuple[RunResult, List[RunResult]]:
+    """``mix``'s Baseline and its run under each of ``PAPER_POLICIES``.
+
+    All of them run inside one jitter scope, so every run after the
+    first reads the OS-jitter draws an earlier one made.
+    """
+    with shared_jitter():
+        baseline = measure_baseline(mix, executions=executions, seed=seed)
+        results = [
+            _run(mix, policy, executions, seed) for policy in PAPER_POLICIES
+        ]
+    return baseline, results
+
+
 def _mix_policy_rows(
     mixes: Sequence[Mix], executions: int, seed: int
 ) -> List[Tuple[object, ...]]:
     rows: List[Tuple[object, ...]] = []
     _prefetch(mixes, PAPER_POLICIES, executions, seed)
     for mix in mixes:
-        baseline = measure_baseline(mix, executions=executions, seed=seed)
-        for policy in PAPER_POLICIES:
-            result = _run(mix, policy, executions, seed)
+        baseline, results = _mix_cells(mix, executions, seed)
+        for policy, result in zip(PAPER_POLICIES, results):
             bg_rel = (
                 result.bg_instr_per_s / baseline.bg_instr_per_s
                 if baseline.bg_instr_per_s
@@ -583,12 +599,13 @@ def _summary(
 ) -> FigureResult:
     rows: List[Tuple[object, ...]] = []
     _prefetch(mixes, PAPER_POLICIES, executions, seed)
-    for policy in PAPER_POLICIES:
+    # Cells mix by mix (one jitter scope each), rows policy by policy.
+    cells = [_mix_cells(mix, executions, seed) for mix in mixes]
+    for index, policy in enumerate(PAPER_POLICIES):
         successes: List[float] = []
         bg_rels: List[float] = []
-        for mix in mixes:
-            baseline = measure_baseline(mix, executions=executions, seed=seed)
-            result = _run(mix, policy, executions, seed)
+        for baseline, results in cells:
+            result = results[index]
             successes.append(result.fg_success_ratio)
             if baseline.bg_instr_per_s > 0:
                 bg_rels.append(

@@ -50,6 +50,7 @@ from repro.experiments.mixes import Mix
 from repro.sim.batch import resolve_backend
 from repro.sim.config import MachineConfig, default_executions
 from repro.sim.counters import CounterSnapshot
+from repro.sim.jitter import shared_jitter
 from repro.sim.machine import Machine
 from repro.sim.process import ExecutionRecord, Process
 from repro.workloads.catalog import get_rotate_pair, get_workload
@@ -101,7 +102,10 @@ _PROFILE_CACHE: Dict[
 _BASELINE_CACHE: Dict[
     Tuple[str, MachineConfig, int, int, int, str], "RunResult"
 ] = {}
-_PARTITION_CACHE: Dict[Tuple[str, MachineConfig, int, str], int] = {}
+_PARTITION_CACHE: Dict[
+    Tuple[str, MachineConfig, int, Tuple[int, ...], int, int, float, str],
+    int,
+] = {}
 #: Fleet sessions that ran from tick 0 to done untouched by the control
 #: plane, keyed by :func:`node_record_key`, as ``(rounds to done,
 #: measured_records(), the clock tick the session saw each of those
@@ -914,19 +918,25 @@ def find_static_partition(
 
     Mirrors the paper's StaticBoth setup: sweep FG way counts with BG
     cores at minimum frequency and pick the smallest partition whose mean
-    FG time is within ``knee_tolerance`` of the sweep's best.
+    FG time is within ``knee_tolerance`` of the sweep's best.  The
+    sweep's runs share one jitter scope, so all but the first read the
+    OS-jitter draws an earlier one made.
     """
     config = config or MachineConfig()
     backend = resolve_backend()
-    key = (mix.name, config, seed, backend)
+    if candidates is None:
+        candidates = list(range(2, min(17, config.llc_ways - 1), 2))
+    candidates = tuple(candidates)
+    key = (
+        mix.name, config, seed, candidates, executions, warmup,
+        knee_tolerance, backend,
+    )
     cached = _PARTITION_CACHE.get(key)
     if cached is not None:
         return cached
-    if candidates is None:
-        candidates = list(range(2, min(17, config.llc_ways - 1), 2))
     disk = get_cache()
     disk_key = (
-        mix, config, seed, tuple(candidates), executions, warmup,
+        mix, config, seed, candidates, executions, warmup,
         knee_tolerance, backend,
     )
     hit, cached = disk.get("partition", disk_key)
@@ -937,18 +947,19 @@ def find_static_partition(
     sweep_policy = Policy(
         name="PartitionSweep", static_bg_grade=0, static_partition=True
     )
-    for ways in candidates:
-        result = run_policy(
-            mix,
-            sweep_policy,
-            deadlines_s=(),
-            executions=executions,
-            warmup=warmup,
-            config=config,
-            seed=seed,
-            static_fg_ways=ways,
-        )
-        means.append((ways, result.fg_stats.mean_s))
+    with shared_jitter():
+        for ways in candidates:
+            result = run_policy(
+                mix,
+                sweep_policy,
+                deadlines_s=(),
+                executions=executions,
+                warmup=warmup,
+                config=config,
+                seed=seed,
+                static_fg_ways=ways,
+            )
+            means.append((ways, result.fg_stats.mean_s))
     best = min(m for _, m in means)
     for ways, m in means:
         if m <= best * (1.0 + knee_tolerance):

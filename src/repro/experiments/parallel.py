@@ -84,6 +84,7 @@ from repro.sim.config import (
     env_workers,
     knob_fingerprint,
 )
+from repro.sim.jitter import shared_jitter
 
 _log = logging.getLogger(__name__)
 
@@ -145,15 +146,18 @@ class SweepResult:
 
 
 def _prepare_cell(args: Tuple) -> None:
-    """Worker: compute a mix's shared prerequisites (phase 1)."""
+    """Worker: compute a mix's shared prerequisites (phase 1), in one
+    jitter scope: the partition sweep reads the Baseline's draws."""
     mix, policies, executions, warmup, config, seed = args
-    measure_baseline(
-        mix, executions=executions, warmup=warmup, config=config, seed=seed
-    )
-    if any(p.static_partition for p in policies):
-        find_static_partition(mix, config=config, seed=seed)
-    if any(p.uses_runtime for p in policies):
-        get_profile(mix.fg_name, config)
+    with shared_jitter():
+        measure_baseline(
+            mix, executions=executions, warmup=warmup, config=config,
+            seed=seed,
+        )
+        if any(p.static_partition for p in policies):
+            find_static_partition(mix, config=config, seed=seed)
+        if any(p.uses_runtime for p in policies):
+            get_profile(mix.fg_name, config)
 
 
 def _policy_cell(args: Tuple) -> Tuple[Tuple, RunResult, float]:

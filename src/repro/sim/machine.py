@@ -17,6 +17,7 @@ from repro.sim.cache import SharedCache
 from repro.sim.config import MachineConfig
 from repro.sim.counters import CounterBank, CounterSnapshot
 from repro.sim.frequency import FrequencyGovernor
+from repro.sim.jitter import shared_tapes
 from repro.sim.memory import MemorySystem
 from repro.sim.perf import FIXED_POINT_ITERATIONS, MPKI_SCALE
 from repro.sim.process import STATE_RUNNING, ExecutionRecord, Process
@@ -63,17 +64,25 @@ class Machine:
         self.cache = SharedCache(self.config)
         self.memory = MemorySystem(self.config)
         self.counters = CounterBank(self.config.num_cores)
-        self._jitter_rngs = [
-            derive_rng(self.config.seed, "jitter-core-%d" % core)
-            for core in range(self.config.num_cores)
-        ]
         self._input_rng = derive_rng(self.config.seed, "input")
         # Hot-path state, hoisted once so tick() avoids per-tick method
         # dispatch and attribute chains (see docs/performance.md).
         num_cores = self.config.num_cores
-        self._gauss_fns = [rng.gauss for rng in self._jitter_rngs]
         self._sigma = self.config.os_jitter_sigma
         self._jitter_mu = -0.5 * self._sigma * self._sigma
+        # OS jitter: inside a shared_jitter scope each core reads its
+        # draws from the tape the scope's machines of this seed share
+        # (``_jit_pos``: draws read); outside one, the machine draws
+        # them from its own per-core RNGs.
+        self._jit_tapes = shared_tapes(
+            self.config.seed, num_cores, self._sigma
+        )
+        self._jit_pos = [0] * num_cores
+        self._jitter_rngs = [] if self._jit_tapes else [
+            derive_rng(self.config.seed, "jitter-core-%d" % core)
+            for core in range(num_cores)
+        ]
+        self._gauss_fns = [rng.gauss for rng in self._jitter_rngs]
         self._cnt_arrays = self.counters.hot_arrays()
         self._gov_freqs = self.governor.effective_frequencies()
         self._gov_pending = self.governor.pending_transitions()
@@ -307,9 +316,10 @@ class Machine:
         The layers above refer to the machine (a session, a runtime, a
         profiler), and the machine refers back to them only through its
         completion listeners, its attached sampler and its pending
-        timers.  Closing drops those, and the batch engine's span plans
-        with them, so a finished run is freed by reference counting
-        alone, without waiting for the cyclic garbage collector.
+        timers.  Closing drops those, the batch engine's span plans
+        with them, and the machine's jitter tapes, so a finished run is
+        freed by reference counting alone, without waiting for the
+        cyclic garbage collector.
         Counters, the clock, :meth:`now` and :meth:`backend_stats` stay
         readable; advancing a closed machine (:meth:`run_ticks`,
         :meth:`tick`, :meth:`dispatch_events`, :meth:`settle_cache`)
@@ -319,6 +329,7 @@ class Machine:
         self._completion_listeners.clear()
         self._sampler = None
         self.timers.clear()
+        self._jit_tapes = []
         if self._batch_engine is not None:
             self._batch_engine.close()
         # Unsettled, the next tick's or span's preamble calls
@@ -410,7 +421,7 @@ class Machine:
         This is the simulator's hot kernel: invariant lookups are hoisted
         into per-entry arrays before the fixed point, counters are
         accumulated through direct array references, and the timer wheel,
-        jitter RNG, and energy accounting are skipped outright when idle,
+        jitter draw, and energy accounting are skipped outright when idle,
         disabled, or noise-free.  Floating-point evaluation order matches
         the reference model in :mod:`repro.sim.perf` exactly (see
         ``tests/sim/test_machine_model_consistency.py``).
@@ -447,6 +458,8 @@ class Machine:
         eff = self._cache_eff
         gov_freqs = self._gov_freqs
         gauss_fns = self._gauss_fns
+        tapes = self._jit_tapes
+        jit_pos = self._jit_pos
         n = 0
         for core, proc in enumerate(self._procs_by_core):
             if proc is None or proc.state != STATE_RUNNING:
@@ -463,7 +476,17 @@ class Machine:
                 w = 0.0
             floor = phase.mpki_floor
             mpki = floor + (phase.mpki_peak - floor) * exp_(-w / phase.ways_scale)
-            jitter = exp_(gauss_fns[core](mu, sigma)) if sigma > 0 else 1.0
+            if sigma <= 0:
+                jitter = 1.0
+            elif tapes:
+                pos = jit_pos[core]
+                tape = tapes[core]
+                if pos == tape.end:
+                    tape.fill(pos)
+                jitter = tape.values[pos]
+                jit_pos[core] = pos + 1
+            else:
+                jitter = exp_(gauss_fns[core](mu, sigma))
             freq = gov_freqs[core]
             cores[n] = core
             procs_a[n] = proc

@@ -17,17 +17,26 @@ tick; on the contended shapes every Dirigent figure simulates (1 FG +
   building a new plan; back-to-back spans over the same lane set pay
   one cheap revalidation.
 * **Shape-specialized kernels** — for each distinct shape (lane count,
-  jitter on/off, FG/BG roles, cache grouping, energy on/off,
+  jitter mode, FG/BG roles, cache grouping, energy on/off,
   snap-vs-inertia occupancy) a Python kernel is *generated and
   ``exec``-compiled* with every lane unrolled into locals: no lists, no
   indexing, no per-tick attribute lookups.  Which cores the lanes run
   on and how many LLC ways each cache group holds are plan constants,
   so one kernel serves every core placement and partition size.  The
-  OS-jitter draw inlines CPython's ``random.Random.gauss`` (same
-  algorithm, same RNG stream, same draw order), and the cache
-  target/inertia update inlines ``SharedCache.tick_update`` for the
-  span-constant grouping.  A jitter-free kernel runs the same per-lane
-  code as a jittered one, minus the Gaussian draw.
+  cache target/inertia update inlines ``SharedCache.tick_update`` for
+  the span-constant grouping.
+* **OS jitter, drawn or read** — a machine inside a
+  :func:`repro.sim.jitter.shared_jitter` scope reads each lane's
+  jitter factor from its core's shared jitter tape at
+  ``tp_<i>[now + d_<i>]``, the draw the scalar kernel would make at
+  that tick: the prologue loads the tape cursor and the tape's drawn
+  end, a lane that reaches that end fills the next window at a segment
+  boundary, and the epilogue writes the cursor back.  A machine outside
+  any scope has no other reader of its stream, and drawing in place is
+  cheaper for a lone reader than filling a tape and reading it back:
+  its kernel inlines CPython's ``random.Random.gauss`` (same
+  algorithm, same RNG stream, same draw order).  A jitter-free kernel
+  runs the same per-lane code, minus the jitter factor.
 * **Per-lane miss-curve guard** — each lane keeps its last occupancy
   and miss-curve outputs in the plan (``prev_w``), so only lanes whose
   occupancy moved re-evaluate their miss curve (a per-core partial
@@ -52,8 +61,9 @@ equivalence suite (``tests/sim/test_batch_equivalence.py`` and
 reference.
 
 The planner declines three shapes: no running task, overlapping
-cache-mask groups, and a jitter RNG that is not ``random.Random``.
-The batch engine runs those one ``Machine.tick`` at a time.
+cache-mask groups, and, on a machine that draws its own jitter, a
+jitter RNG that is not ``random.Random``.  The batch engine runs those
+one ``Machine.tick`` at a time.
 """
 
 from __future__ import annotations
@@ -76,6 +86,12 @@ __all__ = [
 #: CPython's ``random.gauss`` angle scale (``2*pi``); bound once so the
 #: generated kernels and the interpreter use the very same constant.
 TWO_PI = 2.0 * math.pi
+
+#: Values of a span shape's ``jitter`` field: no OS jitter; each lane
+#: draws its factor from its core's RNG (a machine built outside any
+#: :func:`repro.sim.jitter.shared_jitter` scope); or each lane reads it
+#: from its core's shared jitter tape.
+JITTER_OFF, JITTER_DRAW, JITTER_TAPE = 0, 1, 2
 
 #: Per-lane model constants as ``(kernel local, SpanPlan list)``: the
 #: kernel prologue loads lane ``i``'s ``fl_<i>`` from ``plan.floor[i]``
@@ -213,11 +229,19 @@ def _generate_source(shape: tuple) -> str:
 
     add("def _factory(plan, e_, lg_, cs_, sn_, sq_, ms_):")
     # ---- per-plan constant bindings (closure cells of ``run``) ----
+    draw = jitter == JITTER_DRAW
+    tape = jitter == JITTER_TAPE
     for i in range(n):
         add("    proc_%d = plan.procs[%d]" % (i, i))
-        if jitter:
+        if draw:
             add("    rng_%d = plan.rngs[%d]" % (i, i))
             add("    rnd_%d = rng_%d.random" % (i, i))
+        elif tape:
+            # A fill appends to ``values`` in place, so the binding
+            # stays valid for the plan's life.
+            add("    ja_%d = plan.tapes[%d]" % (i, i))
+            add("    tp_%d = ja_%d.values" % (i, i))
+            add("    jf_%d = ja_%d.fill" % (i, i))
     for c in range(num_cores):
         add("    k_%d = plan.slots[%d]" % (c, c))
     for gi in range(len(groups)):
@@ -243,10 +267,12 @@ def _generate_source(shape: tuple) -> str:
     add("    scl = plan.scale")
     add("    rho_cap = plan.rho_cap")
     add("    inv_peak = plan.inv_peak")
-    if jitter:
+    if draw:
         add("    sigma = plan.sigma")
         add("    mu = plan.mu")
         add("    TWOPI = plan.two_pi")
+    elif tape:
+        add("    jpa = plan.jit_pos")
     if not snap:
         add("    alpha = plan.alpha")
     if has_energy:
@@ -276,8 +302,13 @@ def _generate_source(shape: tuple) -> str:
         add("        em_%d = proc_%d.execution_misses" % (i, i))
         if isfg[i]:
             add("        tt_%d = proc_%d._target_total" % (i, i))
-        if jitter:
+        if draw:
             add("        gn_%d = rng_%d.gauss_next" % (i, i))
+        elif tape:
+            # Lane ``i`` reads draw ``now + d_i`` of its tape, whose
+            # drawn part ends at tick ``jl_i``.
+            add("        d_%d = jpa[k_%d] - now" % (i, i))
+            add("        jl_%d = ja_%d.end - d_%d" % (i, i, i))
         add("        ci_%d = ci_a[k_%d]" % (i, i))
         add("        cc_%d = cc_a[k_%d]" % (i, i))
         add("        ca_%d = ca_a[k_%d]" % (i, i))
@@ -285,8 +316,18 @@ def _generate_source(shape: tuple) -> str:
     add("        completions = []")
     add("        now0 = now")
     add("        stop = now + span")
-    add("        lim = wk if wk < stop else stop")
     add("        mce = 0")
+
+    def emit_tape_end(ind: str) -> None:
+        # ``jl``: the first tick at which some lane reaches its tape's
+        # drawn end.
+        add(ind + "jl = jl_0")
+        for i in range(1, n):
+            add(ind + "if jl_%d < jl:" % i)
+            add(ind + "    jl = jl_%d" % i)
+
+    if tape:
+        emit_tape_end("        ")
 
     def emit_guards(ind: str) -> None:
         for i in range(n):
@@ -315,7 +356,7 @@ def _generate_source(shape: tuple) -> str:
 
     def emit_model_tick(ind: str, stolen_tick: bool) -> None:
         """One full-model tick; ``stolen_tick`` charges pending overhead."""
-        # -- per-lane miss curve (+ jitter draw), lane order --
+        # -- per-lane miss curve (+ jitter factor), lane order --
         for i in range(n):
             add(ind + "w = ef_%d" % i)
             add(ind + "if w < 0.0:")
@@ -326,7 +367,9 @@ def _generate_source(shape: tuple) -> str:
             add(ind + "    mp_%d = fl_%d + dl_%d * e_(-w / ws_%d)"
                 % (i, i, i, i))
             add(ind + "    co_%d = mp_%d * ms_" % (i, i))
-            if jitter:
+            if tape:
+                add(ind + "jt_%d = tp_%d[now + d_%d]" % (i, i, i))
+            elif draw:
                 # Inline CPython's random.Random.gauss (same algorithm,
                 # same stream, same draw order; gauss_next synced at the
                 # span boundary).
@@ -443,7 +486,20 @@ def _generate_source(shape: tuple) -> str:
     add(s1 + "    wk = now + pt")
     add(s1 + "    if jp > 0.0 and tr_() < jp:")
     add(s1 + "        wk += 1")
-    add(s1 + "    lim = wk if wk < stop else stop")
+    if tape:
+        # A lane at its tape's drawn end fills the next window there;
+        # such a tick starts a segment, whose peeled tick charges
+        # nothing new.
+        add(s1 + "if now == jl:")
+        for i in range(n):
+            add(s1 + "    if jl_%d == now:" % i)
+            add(s1 + "        jl_%d = jf_%d(now + d_%d) - d_%d"
+                % (i, i, i, i))
+        emit_tape_end(s1 + "    ")
+    add(s1 + "lim = wk if wk < stop else stop")
+    if tape:
+        add(s1 + "if jl < lim:")
+        add(s1 + "    lim = jl")
 
     # ================= peeled overhead tick =================
     # Only a segment's first tick can carry overhead (callbacks never
@@ -464,8 +520,9 @@ def _generate_source(shape: tuple) -> str:
     add(m1 + "if completions:")
     add(m1 + "    break")
 
-    # A segment ending anywhere but at the next wakeup before ``stop``
-    # (a guard trip, a completion, the span's end) ends the span.
+    # A segment ending anywhere but at the next wakeup or tape end
+    # before ``stop`` (a guard trip, a completion, the span's end) ends
+    # the span.
     add(s1 + "if completions or now != lim or now == stop:")
     add(s1 + "    break")
 
@@ -479,8 +536,10 @@ def _generate_source(shape: tuple) -> str:
         add("            coa[%d] = co_%d" % (i, i))
         add("            proc_%d.progress = p_%d" % (i, i))
         add("            proc_%d.execution_misses = em_%d" % (i, i))
-        if jitter:
+        if draw:
             add("            rng_%d.gauss_next = gn_%d" % (i, i))
+        elif tape:
+            add("            jpa[k_%d] = now + d_%d" % (i, i))
         add("            ci_a[k_%d] = ci_%d" % (i, i))
         add("            cc_a[k_%d] = cc_%d" % (i, i))
         add("            ca_a[k_%d] = ca_%d" % (i, i))
@@ -575,20 +634,29 @@ KERNEL_STATE = {
         "in-kernel wakeups add the sampler's overhead first"
     ),
     "_gauss_fns": "per-lane rnd_<i> draws replay CPython's gauss",
+    "_jit_pos": (
+        "shared-tape cursors: lane i reads tp_<i>[now + d_<i>] and the "
+        "epilogue writes the cursor back"
+    ),
+    "_jit_tapes": (
+        "lane i fills its shared tape through jf_<i> when it reaches "
+        "the tape's drawn end"
+    ),
 }
 
 
 def template_shapes() -> Tuple[tuple, ...]:
     """Representative span shapes covering the generator's feature matrix.
 
-    One shape per structurally distinct code path: jitter on/off (on
-    adds the Gaussian draw), snap vs inertia occupancy (inertia with an
-    idle core decays it), energy accounting, a zero-``apki`` lane and
-    multi-group cache partitions.  Every kernel carries the peeled
-    overhead tick, one guard per lane and the in-kernel sampler
-    wakeups, so none needs a template of its own; the FG lanes set the
-    sample row, so sampling kernels with and without jitter carry FG
-    lanes, one of them three (the x3 mixes).  ``repro lint`` audits the
+    One shape per structurally distinct code path: each jitter mode
+    (off, the in-kernel Gaussian draw, the shared-tape read), snap vs
+    inertia occupancy (inertia with an idle core decays it), energy
+    accounting, a zero-``apki`` lane and multi-group cache partitions.
+    Every kernel carries the peeled overhead tick, one guard per lane
+    and the in-kernel sampler wakeups, so none needs a template of its
+    own; the FG lanes set the sample row, so the sampling kernels of
+    every jitter mode carry FG lanes, one of them three (the x3
+    mixes).  ``repro lint`` audits the
     source generated for every one of these, so a codegen change that
     breaks the contract on any branch fails lint even if no benchmark
     happens to exercise it.
@@ -596,29 +664,33 @@ def template_shapes() -> Tuple[tuple, ...]:
     six = (0, 1, 2, 3, 4, 5)
     fg_of_six = (True, False, False, False, False, False)
     return (
-        # Canonical contended figure: 1 FG + 5 BG, jitter, inertia,
-        # energy accounting, one shared cache group.
-        (6, fg_of_six, (True,) * 6, True, False, (six,), True),
+        # Canonical contended figure: 1 FG + 5 BG, jitter drawn
+        # in-kernel, inertia, energy accounting, one shared cache group.
+        (6, fg_of_six, (True,) * 6, JITTER_DRAW, False, (six,), True),
         # Jitter-free with an idle core (inertia occupancy decays
         # toward zero).
-        (6, (True, False, False, False, False), (True,) * 5, False,
+        (6, (True, False, False, False, False), (True,) * 5, JITTER_OFF,
          False, ((0, 1, 2, 3, 4),), False),
         # Snap occupancy and split cache groups, as run right after a
         # runtime wakeup: overhead pending on the peeled tick, and BG
         # lanes pinned to full-program phases whose guards are
         # inactive (``inf`` bounds).
-        (6, fg_of_six, (True,) * 6, False, True,
+        (6, fg_of_six, (True,) * 6, JITTER_OFF, True,
          ((0, 1, 2), (3, 4, 5)), False),
         # A zero-apki BG lane: no cache weight, miss accumulation in
         # the access counter, its core treated as cache-idle.
         (6, fg_of_six, (True, True, True, True, True, False),
-         False, False, ((0, 1, 2, 3, 4),), True),
+         JITTER_OFF, False, ((0, 1, 2, 3, 4),), True),
         # Three FG copies beside three BG tasks (the x3 mixes): the
         # in-kernel sample row carries three instruction counters.
         (6, (True, True, True, False, False, False), (True,) * 6,
-         True, False, (six,), False),
+         JITTER_DRAW, False, (six,), False),
         # Minimal standalone FG (the baseline/standalone measurements).
-        (6, (True,), (True,), False, True, ((0,),), False),
+        (6, (True,), (True,), JITTER_OFF, True, ((0,),), False),
+        # A figure cell inside a shared_jitter scope: jitter read from
+        # the shared tapes, the FG alone in a static cache partition.
+        (6, fg_of_six, (True,) * 6, JITTER_TAPE, False,
+         ((0,), (1, 2, 3, 4, 5)), False),
     )
 
 
@@ -648,8 +720,8 @@ class SpanPlan:
     __slots__ = (
         "stats", "kernel", "stolen", "energy", "samples", "timer_random",
         "timer_jitter", "fg_cores",
-        "procs", "rngs", "floor", "delta", "wscale", "sens", "freq",
-        "fh", "cpi0", "apki", "phase_ids", "spec_epochs",
+        "procs", "rngs", "tapes", "jit_pos", "floor", "delta", "wscale",
+        "sens", "freq", "fh", "cpi0", "apki", "phase_ids", "spec_epochs",
         "prev_w", "mpki_a", "coef",
         "eff", "cnt_i", "cnt_c", "cnt_a", "cnt_m", "ips_prev", "clock",
         "dt", "sigma", "mu", "alpha", "base_ns", "scale", "rho_cap",
@@ -804,7 +876,8 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
 
     Returns None for shapes the compiled path does not cover (no
     running lanes, overlapping cache-mask groups, or a non-standard
-    jitter RNG); the batch engine ticks those in ``Machine.tick``.
+    jitter RNG on a machine that draws its jitter); the batch engine
+    ticks those in ``Machine.tick``.
     """
     m = machine
     config = m.config
@@ -815,8 +888,12 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
         return None
     cores = [proc.core for proc in procs]
     sigma = m._sigma
-    jitter = sigma > 0.0
-    if jitter:
+    if sigma <= 0.0:
+        jitter = JITTER_OFF
+    elif m._jit_tapes:
+        jitter = JITTER_TAPE
+    else:
+        jitter = JITTER_DRAW
         for core in cores:
             # The inline gauss replays CPython's exact algorithm; any
             # substituted RNG type falls back to ``Machine.tick``.
@@ -835,7 +912,12 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
     plan = SpanPlan()
     plan.stats = stats
     plan.procs = list(procs)
-    plan.rngs = [m._jitter_rngs[core] for core in cores]
+    plan.rngs = plan.tapes = None
+    if jitter == JITTER_DRAW:
+        plan.rngs = [m._jitter_rngs[core] for core in cores]
+    elif jitter == JITTER_TAPE:
+        plan.tapes = [m._jit_tapes[core] for core in cores]
+    plan.jit_pos = m._jit_pos
     for _, column in LANE_COLUMNS:
         setattr(plan, column, [0.0] * n)
     plan.phase_ids = [0] * n

@@ -18,12 +18,15 @@ of the contract are caught.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.analysis.rules_gen import audit_kernel_source
 from repro.sim import spanplan
 from repro.sim.batch import BACKEND_BATCH
 from repro.sim.config import MachineConfig
+from repro.sim.jitter import shared_jitter
 from repro.sim.machine import Machine
 from tests.conftest import make_bg, make_fg
 
@@ -67,11 +70,15 @@ class TestTemplatesConform:
         exec(compile(source, "<test>", "exec"), namespace)
         assert callable(namespace["_factory"])
 
-    def test_templates_cover_both_jitter_modes(self):
+    def test_templates_cover_every_jitter_mode(self):
+        # Off, drawn in-kernel (a machine outside any shared_jitter
+        # scope) and read from a shared tape (one inside a scope).
         jitters = {
             _fields(shape)["jitter"] for shape in spanplan.template_shapes()
         }
-        assert jitters == {True, False}
+        assert jitters == {
+            spanplan.JITTER_OFF, spanplan.JITTER_DRAW, spanplan.JITTER_TAPE,
+        }
 
     def test_templates_cover_stolen_and_energy(self):
         # Stolen time and phase guards are no longer shape axes: every
@@ -94,7 +101,7 @@ class TestTemplatesConform:
 
     def test_templates_cover_sampling_kernels(self):
         # Every span kernel takes sampler wakeups, so the audited matrix
-        # must hold a sampling kernel with and without jitter, with FG
+        # must hold a sampling kernel in every jitter mode, with FG
         # lanes whose counters the sample row carries, and one with
         # several FG lanes (the x3 mixes).
         kinds = set()
@@ -113,7 +120,9 @@ class TestTemplatesConform:
                 continue
             fg_lanes.add(sum(isfg))
             kinds.add(_fields(shape)["jitter"])
-        assert kinds == {True, False}
+        assert kinds == {
+            spanplan.JITTER_OFF, spanplan.JITTER_DRAW, spanplan.JITTER_TAPE,
+        }
         assert max(fg_lanes) > 1
 
 
@@ -123,14 +132,23 @@ class TestLiveKernelsConform:
             seed=5, os_jitter_sigma=0.015, cache_inertia_tau_s=0.15,
             timer_jitter_prob=0.0,
         )
-        machine = Machine(config, backend=BACKEND_BATCH)
-        machine.spawn(make_fg(input_noise=0.05), core=0, nice=-5)
-        for core in range(1, config.num_cores):
-            machine.spawn(make_bg(heavy=core % 2 == 0), core=core, nice=5)
-        machine.settle_cache()
-        machine.run_ticks(2_000)
-        stats = machine.backend_stats()
-        assert stats["compiled_ticks"] > 0
+        # One machine draws its jitter in-kernel, one inside a scope
+        # reads it from the shared tapes.
+        for scoped in (False, True):
+            with shared_jitter() if scoped else contextlib.nullcontext():
+                machine = Machine(config, backend=BACKEND_BATCH)
+                machine.spawn(make_fg(input_noise=0.05), core=0, nice=-5)
+                for core in range(1, config.num_cores):
+                    machine.spawn(make_bg(heavy=core % 2 == 0), core=core,
+                                  nice=5)
+                machine.settle_cache()
+                machine.run_ticks(2_000)
+            stats = machine.backend_stats()
+            assert stats["compiled_ticks"] > 0
+        jitters = {
+            _fields(shape)["jitter"] for shape in spanplan._KERNEL_CODE_CACHE
+        }
+        assert {spanplan.JITTER_DRAW, spanplan.JITTER_TAPE} <= jitters
 
         audited = 0
         for shape in spanplan._KERNEL_CODE_CACHE:
@@ -181,6 +199,22 @@ class TestDoctoredSourcesCaught:
         assert _violation_messages(template % ("tr_", "tr_")) == []
         for name in ("tr", "tr_0", "trx_", "rnd_", "timer_random", "an_",
                      "mn_", "ms_", "ln_", "memo_get"):
+            messages = _violation_messages(template % (name, name))
+            assert ("call to non-allowlisted name %r" % name) in messages
+
+    def test_tape_fills_are_allowlisted_per_lane(self):
+        # ``jf_<i>`` (lane ``i``'s closure-bound jitter-tape fill)
+        # passes; a fill name without a lane index does not.
+        template = (
+            "def _factory(plan, e_):\n"
+            "    %s = plan.tapes[0].fill\n"
+            "    def run(span):\n"
+            "        return %s(span)\n"
+            "    return run\n"
+        )
+        for name in ("jf_0", "jf_11"):
+            assert _violation_messages(template % (name, name)) == []
+        for name in ("jf_", "jf", "jf0", "jfx_0", "fill"):
             messages = _violation_messages(template % (name, name))
             assert ("call to non-allowlisted name %r" % name) in messages
 

@@ -611,6 +611,23 @@ class TestCov002KernelStateCoverage:
         assert rule_ids(findings) == ["COV002"]
         assert "'_leaky'" in findings[0].message
 
+    def test_flags_call_on_an_element_of_a_hoisted_table(self, tmp_path):
+        # The shared jitter tapes' shape: a method call on an element
+        # taken from a hoisted table advances that table's state.
+        machine = COV_MACHINE.replace(
+            "self._rho = 1.0",
+            "self._rho = 1.0\n"
+            "            tapes = self._tapes\n"
+            "            tape = tapes[0]\n"
+            "            tape.fill(dt)",
+        )
+        findings = lint_tree(tmp_path, {
+            "repro/sim/machine.py": machine,
+            "repro/sim/spanplan.py": self.SPANPLAN,
+        }, select={"COV002"})
+        assert rule_ids(findings) == ["COV002"]
+        assert "'_tapes'" in findings[0].message
+
     def test_flags_stale_registry_entry(self, tmp_path):
         spanplan = self.SPANPLAN.replace(
             '"_rho": "utilization",',

@@ -11,6 +11,7 @@ from repro.experiments.harness import (
     clear_caches,
     deadlines_for,
     fg_cores_of,
+    find_static_partition,
     bg_cores_of,
     get_profile,
     measure_baseline,
@@ -171,3 +172,22 @@ class TestStandalone:
     def test_standalone_mpki_positive(self):
         alone = measure_standalone("ferret", executions=EXECS, warmup=WARMUP)
         assert alone.mpki > 0
+
+
+class TestStaticPartition:
+    def test_memo_keys_on_every_sweep_parameter(self, mix, monkeypatch):
+        # With the result cache off only the in-memory memo answers:
+        # a second sweep over other candidates must not be served the
+        # first sweep's partition.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        first = find_static_partition(
+            mix, candidates=[2, 4], executions=2, warmup=1
+        )
+        second = find_static_partition(
+            mix, candidates=[12, 14], executions=2, warmup=1
+        )
+        assert first in (2, 4)
+        assert second in (12, 14)
+        assert find_static_partition(
+            mix, candidates=(2, 4), executions=2, warmup=1
+        ) == first
