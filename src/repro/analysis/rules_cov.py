@@ -29,10 +29,10 @@ registry the span kernels export:
   ``SHAPE_FIELDS`` declares, so a new shape axis cannot land without
   the audit learning about it.
 * ``COV003`` — the experiment harness's declared
-  ``CACHE_KEY_FIELDS`` registry vs its actual disk-cache
-  ``get``/``put`` call sites: undeclared namespaces, declared-but-
-  unused namespaces, and key tuples missing a declared identifier are
-  all errors.
+  ``CACHE_KEY_FIELDS`` registry vs its actual result-store
+  ``cached(...)`` and disk-cache ``get``/``put`` call sites: undeclared
+  namespaces, declared-but-unused namespaces, and key tuples missing a
+  declared identifier are all errors.
 
 The registry is read from the *analyzed* modules' ASTs when those
 modules are part of the run (so fixture trees are self-contained), and
@@ -80,6 +80,10 @@ SCALAR_ONLY_NAME = "SCALAR_ONLY_STATE"
 
 #: Receiver names treated as the disk cache in the harness (COV003).
 DISK_RECEIVERS = frozenset({"disk", "cache"})
+
+#: The result store's one entry point, ``cached(kind, key, compute)``
+#: (COV003): its key tuple feeds both the memo and the disk.
+STORE_CALL = "cached"
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +520,17 @@ def _tuple_symbols(tuple_node: ast.AST) -> Set[str]:
     return symbols
 
 
+def _is_cache_call(node: ast.Call) -> bool:
+    """A ``cached(kind, key, ...)`` or ``disk.get``/``put`` call."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == STORE_CALL
+    return (isinstance(func, ast.Attribute)
+            and func.attr in ("get", "put")
+            and isinstance(func.value, ast.Name)
+            and func.value.id in DISK_RECEIVERS)
+
+
 def _parse_key_fields(
     module: SourceModule,
 ) -> Optional[Dict[str, Sequence[str]]]:
@@ -533,15 +548,15 @@ def _parse_key_fields(
 
 @register
 class CacheKeyFieldCoverage(ProjectRule):
-    """COV003: disk-cache namespaces and key fields match the registry."""
+    """COV003: result-cache namespaces and key fields match the registry."""
 
     id = "COV003"
     severity = "error"
     description = (
-        "a disk-cache get/put in the experiment harness uses an "
-        "undeclared namespace, omits a declared key field, or the "
-        "CACHE_KEY_FIELDS registry declares a namespace no call site "
-        "uses"
+        "a cached(...) call or disk-cache get/put in the experiment "
+        "harness uses an undeclared namespace, omits a declared key "
+        "field, or the CACHE_KEY_FIELDS registry declares a namespace "
+        "no call site uses"
     )
 
     def check_project(
@@ -557,7 +572,7 @@ class CacheKeyFieldCoverage(ProjectRule):
                 path=str(harness.path), line=1, col=0,
                 message=(
                     "harness declares no module-level CACHE_KEY_FIELDS "
-                    "dict; every disk-cache namespace must declare the "
+                    "dict; every result-cache namespace must declare the "
                     "identifiers its key tuples fold in"
                 ),
             )
@@ -565,13 +580,7 @@ class CacheKeyFieldCoverage(ProjectRule):
         registry_line = _module_assign(harness, "CACHE_KEY_FIELDS").lineno
         used: Set[str] = set()
         for node in ast.walk(harness.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("get", "put")
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in DISK_RECEIVERS):
+            if not (isinstance(node, ast.Call) and _is_cache_call(node)):
                 continue
             if len(node.args) < 2:
                 continue
@@ -587,7 +596,7 @@ class CacheKeyFieldCoverage(ProjectRule):
                     path=str(harness.path), line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        "disk-cache namespace %r is not declared in "
+                        "result-cache namespace %r is not declared in "
                         "CACHE_KEY_FIELDS; declare its required key "
                         "fields" % namespace
                     ),
@@ -601,7 +610,7 @@ class CacheKeyFieldCoverage(ProjectRule):
                     col=node.col_offset,
                     message=(
                         "cannot resolve the key tuple of this %r "
-                        "disk-cache call to a tuple literal; use an "
+                        "cache call to a tuple literal; use an "
                         "inline tuple or a same-function `key = (...)` "
                         "assignment so the audit can see its fields"
                         % namespace
@@ -618,7 +627,7 @@ class CacheKeyFieldCoverage(ProjectRule):
                     path=str(harness.path), line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        "key tuple of this %r disk-cache call omits "
+                        "key tuple of this %r cache call omits "
                         "declared field(s) %s; cached results could be "
                         "served across differing values"
                         % (namespace, ", ".join(sorted(missing)))
@@ -630,7 +639,7 @@ class CacheKeyFieldCoverage(ProjectRule):
                 path=str(harness.path), line=registry_line, col=0,
                 message=(
                     "CACHE_KEY_FIELDS declares namespace %r but no "
-                    "disk-cache call site uses it; remove the stale "
+                    "cache call site uses it; remove the stale "
                     "row" % namespace
                 ),
             )

@@ -43,7 +43,7 @@ CONFIG_MODULE_SUFFIX = "repro/sim/config.py"
 HARNESS_MODULE_SUFFIX = "repro/experiments/harness.py"
 
 #: Variable names treated as cache-key tuples in the harness.
-CACHE_KEY_NAMES = ("key", "disk_key")
+CACHE_KEY_NAMES = ("key",)
 
 
 def _knob_registry() -> Tuple[Sequence, Set[str]]:
@@ -146,8 +146,8 @@ class ImportTimeEnvRead(Rule):
 def _cache_key_symbols(harness: SourceModule) -> Set[str]:
     """Identifiers appearing inside the harness's cache-key tuples.
 
-    A cache-key tuple is the value of an assignment to ``key`` /
-    ``disk_key``, or a tuple passed as the ``parts`` argument of a
+    A cache-key tuple is the value of an assignment to ``key``, or a
+    tuple passed as the key argument of a ``cached(...)`` call or of a
     ``.get``/``.put`` call on the disk cache.
     """
     tuples: List[ast.AST] = []
@@ -160,7 +160,7 @@ def _cache_key_symbols(harness: SourceModule) -> Set[str]:
                     tuples.append(node.value)
         elif isinstance(node, ast.Call):
             name = call_name(node)
-            if name and name.split(".")[-1] in ("get", "put"):
+            if name and name.split(".")[-1] in ("cached", "get", "put"):
                 for arg in node.args[1:2]:
                     if isinstance(arg, ast.Tuple):
                         tuples.append(arg)

@@ -7,20 +7,23 @@ them a durable home under ``.repro_cache/`` so repeated figure
 generation — and, crucially, parallel sweeps that fan cells out across
 worker processes — never recompute a cell twice.
 
-Keys are sha256 digests over the canonical ``repr`` of every key part
-plus a *code version tag* derived from the source bytes of the modules
-that determine simulation results; editing the simulator invalidates
-the whole cache automatically.  Values are pickled.  Writes go to a
-temporary file in the destination directory followed by an atomic
-``os.replace``, so concurrent writers (the parallel sweep engine) can
-race on the same cell safely: one of them wins, both are correct.
+Callers go through :func:`cached`, a process memo in front of the
+disk: both layers key a result on the one tuple its caller builds.
+
+Disk keys are sha256 digests over the canonical ``repr`` of every key
+part plus a *code version tag* derived from the source bytes of the
+modules that determine simulation results; editing the simulator
+invalidates the whole cache automatically.  Values are pickled.  Writes
+go to a temporary file in the destination directory followed by an
+atomic ``os.replace``, so concurrent writers (the parallel sweep engine)
+can race on the same cell safely: one of them wins, both are correct.
 
 Environment knobs:
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``.repro_cache`` in the
   working directory).
-* ``REPRO_CACHE=0`` (or ``off``/``false``) — disable reads and writes
-  entirely.
+* ``REPRO_CACHE=0`` (or ``off``/``false``) — disable disk reads and
+  writes; the process memo still answers.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import pickle
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TypeVar
 
 from repro.sim.config import DEFAULT_CACHE_DIR, cache_dir, cache_enabled
 
@@ -259,6 +262,39 @@ def get_cache() -> DiskCache:
     ):
         _ACTIVE = DiskCache(root, enabled)
     return _ACTIVE
+
+
+_T = TypeVar("_T")
+
+#: The process memo in front of the disk, keyed ``(kind,) + key``.
+_MEMO: Dict[Tuple, Any] = {}
+
+
+def cached(kind: str, key: Tuple, compute: Callable[[], _T]) -> _T:
+    """The result stored under ``key`` in the ``kind`` namespace.
+
+    Answers from the process memo, else from the disk cache, else runs
+    ``compute()`` and stores its value in both layers.  ``key`` must
+    hold every value the result depends on: it is the whole key of
+    both layers.
+    """
+    memo_key = (kind,) + key
+    try:
+        return _MEMO[memo_key]
+    except KeyError:
+        pass
+    disk = get_cache()
+    hit, value = disk.get(kind, key)
+    if not hit:
+        value = compute()
+        disk.put(kind, key, value)
+    _MEMO[memo_key] = value
+    return value
+
+
+def clear_memo() -> None:
+    """Drop the process memo; the disk keeps its entries."""
+    _MEMO.clear()
 
 
 def get_kernel_cache() -> SimpleNamespace:

@@ -6,8 +6,10 @@ under ``benchmarks/`` is a thin wrapper around these.  Absolute numbers
 come from the simulated substrate, so the reproduction target is the
 *shape*: who wins, by roughly what factor, and where crossovers fall.
 
-Runs are cached per process so aggregate figures (10, 13) reuse the
-per-mix runs of Figures 9a-9c.
+Default-option cells come from the harness's result store
+(:func:`repro.experiments.harness.run_policy_cached`), so aggregate
+figures (10, 13) reuse the per-mix runs of Figures 9a-9c; drivers over
+many mixes take theirs from :func:`_cells`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from repro.core.policies import (
     DIRIGENT,
     DIRIGENT_FREQ,
     PAPER_POLICIES,
+    STATIC_BOTH,
     Policy,
 )
-from repro.core.runtime import RuntimeOptions
 from repro.core.stats import harmonic_mean, mean
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
@@ -71,62 +73,36 @@ class FigureResult:
     notes: Tuple[str, ...] = ()
 
 
-_RUN_CACHE: Dict[Tuple[str, str, int, int], RunResult] = {}
-
-
-def _run(
-    mix: Mix,
-    policy: Policy,
-    executions: int,
-    seed: int = 0,
-    config: Optional[MachineConfig] = None,
-    runtime_options: Optional[RuntimeOptions] = None,
-) -> RunResult:
-    """run_policy with per-process memoization (default options only)."""
-    if runtime_options is not None or config is not None:
-        return run_policy(
-            mix,
-            policy,
-            executions=executions,
-            config=config,
-            seed=seed,
-            runtime_options=runtime_options,
-        )
-    key = (mix.name, policy.name, executions, seed)
-    result = _RUN_CACHE.get(key)
-    if result is None:
-        result = run_policy_cached(mix, policy, executions=executions, seed=seed)
-        _RUN_CACHE[key] = result
-    return result
-
-
-def _prefetch(
+def _cells(
     mixes: Sequence[Mix],
     policies: Sequence[Policy],
     executions: int,
     seed: int,
-) -> None:
-    """Warm the caches for a mix x policy sweep through the parallel engine.
+) -> Dict[Tuple[Mix, Policy], RunResult]:
+    """Every mix x policy cell's result, keyed ``(mix, policy)``.
 
-    With more than one worker available, all cells are computed by
-    :func:`repro.experiments.parallel.run_grid` (identical results to
-    the serial path) and seeded into the per-process memo; the figure
-    drivers then assemble rows from cache hits.  With one worker this is
-    a no-op and the drivers compute cells on demand, serially.
+    With more than one worker the cells come from one
+    :func:`repro.experiments.parallel.run_grid` sweep (identical results
+    to the serial path).  Every cell the sweep did not return, all of
+    them at one worker, comes from :func:`run_policy_cached`, mix by mix:
+    each mix's runs share one jitter scope, so every run after the first
+    reads the OS-jitter draws an earlier one made.
     """
-    workers = default_workers()
-    if workers <= 1:
-        return
-    sweep = run_grid(
-        mixes, policies, executions=executions, seed=seed, workers=workers
-    )
-    for (mix_name, policy_name), result in sweep.results.items():
-        _RUN_CACHE[(mix_name, policy_name, executions, seed)] = result
-
-
-def clear_run_cache() -> None:
-    """Drop memoized policy runs (tests)."""
-    _RUN_CACHE.clear()
+    swept: Dict[Tuple, RunResult] = {}
+    if default_workers() > 1:
+        swept = run_grid(mixes, policies, executions=executions,
+                         seed=seed).results
+    cells: Dict[Tuple[Mix, Policy], RunResult] = {}
+    for mix in mixes:
+        with shared_jitter():
+            for policy in policies:
+                result = swept.get((mix.name, policy.name))
+                if result is None:
+                    result = run_policy_cached(
+                        mix, policy, executions=executions, seed=seed
+                    )
+                cells[mix, policy] = result
+    return cells
 
 
 def _executions(executions: Optional[int]) -> int:
@@ -152,7 +128,7 @@ def fig1(
     mix = mix_by_name("ferret bwaves")
     standalone = measure_standalone(mix.fg_name, executions=n, seed=seed)
     baseline = measure_baseline(mix, executions=n, seed=seed)
-    ideal = _run(mix, DIRIGENT, n, seed)
+    ideal = run_policy_cached(mix, DIRIGENT, executions=n, seed=seed)
     series = {
         "Standalone": list(standalone.durations_s),
         "Contention": baseline.all_durations,
@@ -191,7 +167,7 @@ def fig2(executions: Optional[int] = None, seed: int = 0) -> FigureResult:
     n = _executions(executions)
     mix = mix_by_name("ferret rs")
     baseline = measure_baseline(mix, executions=n, seed=seed)
-    dirigent = _run(mix, DIRIGENT, n, seed)
+    dirigent = run_policy_cached(mix, DIRIGENT, executions=n, seed=seed)
     type_a = baseline.all_durations
     type_b = dirigent.all_durations
     period = reservation_for(type_a, 0.95) * 1.05
@@ -321,7 +297,7 @@ def fig4(executions: Optional[int] = None, seed: int = 0) -> FigureResult:
     for fg in foreground_names():
         alone = measure_standalone(fg, executions=n, seed=seed)
         mix = mix_by_name("%s bwaves" % fg)
-        contended = _run(mix, BASELINE, n, seed)
+        contended = measure_baseline(mix, executions=n, seed=seed)
         rows.append(
             (
                 fg,
@@ -360,7 +336,7 @@ def fig5(executions: Optional[int] = None, seed: int = 0) -> FigureResult:
     bg_labels = list(single_bg_names()) + list(rotate_pair_names())
     for bg in bg_labels:
         mix = mix_by_name("ferret %s" % bg)
-        result = _run(mix, BASELINE, n, seed)
+        result = measure_baseline(mix, executions=n, seed=seed)
         total_misses = result.fg_misses + result.bg_misses
         total_mpkfi = (
             total_misses / result.fg_instr * 1000.0 if result.fg_instr else 0.0
@@ -489,7 +465,9 @@ def fig8(
     rows = [
         (ways, round(m, 4), round(m / worst, 4)) for ways, m in means
     ]
-    dirigent = _run(mix, DIRIGENT, dirigent_executions, seed)
+    dirigent = run_policy_cached(
+        mix, DIRIGENT, executions=dirigent_executions, seed=seed
+    )
     converged = dirigent.partition_history[-1] if dirigent.partition_history else None
     history = dirigent.partition_history
     return FigureResult(
@@ -511,30 +489,15 @@ def fig8(
 # ---------------------------------------------------------------------------
 
 
-def _mix_cells(
-    mix: Mix, executions: int, seed: int
-) -> Tuple[RunResult, List[RunResult]]:
-    """``mix``'s Baseline and its run under each of ``PAPER_POLICIES``.
-
-    All of them run inside one jitter scope, so every run after the
-    first reads the OS-jitter draws an earlier one made.
-    """
-    with shared_jitter():
-        baseline = measure_baseline(mix, executions=executions, seed=seed)
-        results = [
-            _run(mix, policy, executions, seed) for policy in PAPER_POLICIES
-        ]
-    return baseline, results
-
-
 def _mix_policy_rows(
     mixes: Sequence[Mix], executions: int, seed: int
 ) -> List[Tuple[object, ...]]:
     rows: List[Tuple[object, ...]] = []
-    _prefetch(mixes, PAPER_POLICIES, executions, seed)
+    cells = _cells(mixes, PAPER_POLICIES, executions, seed)
     for mix in mixes:
-        baseline, results = _mix_cells(mix, executions, seed)
-        for policy, result in zip(PAPER_POLICIES, results):
+        baseline = cells[mix, BASELINE]
+        for policy in PAPER_POLICIES:
+            result = cells[mix, policy]
             bg_rel = (
                 result.bg_instr_per_s / baseline.bg_instr_per_s
                 if baseline.bg_instr_per_s
@@ -598,14 +561,12 @@ def _summary(
     paper_note: str,
 ) -> FigureResult:
     rows: List[Tuple[object, ...]] = []
-    _prefetch(mixes, PAPER_POLICIES, executions, seed)
-    # Cells mix by mix (one jitter scope each), rows policy by policy.
-    cells = [_mix_cells(mix, executions, seed) for mix in mixes]
-    for index, policy in enumerate(PAPER_POLICIES):
+    cells = _cells(mixes, PAPER_POLICIES, executions, seed)
+    for policy in PAPER_POLICIES:
         successes: List[float] = []
         bg_rels: List[float] = []
-        for baseline, results in cells:
-            result = results[index]
+        for mix in mixes:
+            baseline, result = cells[mix, BASELINE], cells[mix, policy]
             successes.append(result.fg_success_ratio)
             if baseline.bg_instr_per_s > 0:
                 bg_rels.append(
@@ -664,8 +625,8 @@ def fig11(
     """Figure 11: execution-time pdf curves for ferret with five RS BGs."""
     n = _executions(executions)
     mix = mix_by_name("ferret rs")
-    _prefetch([mix], PAPER_POLICIES, n, seed)
-    results = {p.name: _run(mix, p, n, seed) for p in PAPER_POLICIES}
+    cells = _cells([mix], PAPER_POLICIES, n, seed)
+    results = {p.name: cells[mix, p] for p in PAPER_POLICIES}
     lo = min(min(r.all_durations) for r in results.values())
     hi = max(max(r.all_durations) for r in results.values())
     rows: List[Tuple[object, ...]] = []
@@ -694,7 +655,7 @@ def fig12(executions: Optional[int] = None, seed: int = 0) -> FigureResult:
     rows: List[Tuple[object, ...]] = []
     config = MachineConfig()
     for policy in (DIRIGENT_FREQ, DIRIGENT):
-        result = _run(mix, policy, n, seed)
+        result = run_policy_cached(mix, policy, executions=n, seed=seed)
         total = sum(result.bg_grade_histogram.values())
         for grade in range(config.num_grades):
             count = result.bg_grade_histogram.get(grade, 0)
@@ -722,12 +683,11 @@ def fig14(executions: Optional[int] = None, seed: int = 0) -> FigureResult:
     n = _executions(executions)
     rows: List[Tuple[object, ...]] = []
     mixes = multi_fg_mixes()
-    _prefetch(mixes, PAPER_POLICIES, n, seed)
+    cells = _cells(mixes, PAPER_POLICIES, n, seed)
     for mix in mixes:
-        baseline = measure_baseline(mix, executions=n, seed=seed)
-        base_std = baseline.fg_stats.std_s
+        base_std = cells[mix, BASELINE].fg_stats.std_s
         for policy in PAPER_POLICIES:
-            result = _run(mix, policy, n, seed)
+            result = cells[mix, policy]
             rows.append(
                 (
                     mix.name,
@@ -818,26 +778,25 @@ def headline(executions: Optional[int] = None, seed: int = 0) -> FigureResult:
     """
     n = _executions(executions)
     mixes = all_single_fg_mixes()
-    _prefetch(mixes, PAPER_POLICIES, n, seed)
+    cells = _cells(
+        mixes, (BASELINE, STATIC_BOTH, DIRIGENT_FREQ, DIRIGENT), n, seed
+    )
     reductions: Dict[str, List[float]] = {"DirigentFreq": [], "Dirigent": []}
     bg_costs: Dict[str, List[float]] = {"DirigentFreq": [], "Dirigent": []}
     static_bg: List[float] = []
     dirigent_bg: List[float] = []
     for mix in mixes:
-        baseline = measure_baseline(mix, executions=n, seed=seed)
-        static_both = _run(
-            mix, [p for p in PAPER_POLICIES if p.name == "StaticBoth"][0], n, seed
-        )
-        for policy_name in ("DirigentFreq", "Dirigent"):
-            policy = [p for p in PAPER_POLICIES if p.name == policy_name][0]
-            result = _run(mix, policy, n, seed)
-            reductions[policy_name].append(
+        baseline = cells[mix, BASELINE]
+        static_both = cells[mix, STATIC_BOTH]
+        for policy in (DIRIGENT_FREQ, DIRIGENT):
+            result = cells[mix, policy]
+            reductions[policy.name].append(
                 std_reduction(baseline.fg_stats.std_s, result.fg_stats.std_s)
             )
-            bg_costs[policy_name].append(
+            bg_costs[policy.name].append(
                 1.0 - result.bg_instr_per_s / baseline.bg_instr_per_s
             )
-            if policy_name == "Dirigent":
+            if policy == DIRIGENT:
                 dirigent_bg.append(result.bg_instr_per_s)
                 static_bg.append(static_both.bg_instr_per_s)
     gain_vs_static = mean(

@@ -12,8 +12,11 @@ The harness mirrors the paper's methodology:
    after a warmup; BG performance is total BG instructions per second
    over the same measurement window, normalized to Baseline.
 
-Baseline runs, offline profiles, and static-partition sweeps are cached
-per (mix, machine-config) so figure drivers can share them.
+Offline profiles, standalone and Baseline runs, static-partition
+sweeps and default-option policy runs go through
+:func:`repro.experiments.diskcache.cached`, each under one key tuple
+that holds every value its result depends on, so figure drivers and
+sweep workers share them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.core.runtime import (
     RuntimeOptions,
 )
 from repro.errors import ExperimentError
-from repro.experiments.diskcache import get_cache
+from repro.experiments.diskcache import cached, clear_memo, get_cache
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -71,19 +74,17 @@ DEFAULT_WARMUP = 5
 #: driven to the end in one call stop on the same block boundaries.
 DRIVE_BLOCK_TICKS = 32
 
-# All result caches (in memory and on disk) fold the active simulation
-# backend into their keys, so results produced by one backend are never
-# served to a run under the other.
-
-#: Machine-readable registry of the disk-cache namespaces this module
+#: Machine-readable registry of the result-cache namespaces this module
 #: writes and the identifiers every key tuple for each namespace must
 #: fold in.  ``repro lint``'s ``COV003`` cross-checks it against the
-#: actual ``disk.get``/``disk.put`` call sites: an undeclared
-#: namespace, a declared-but-unused one, and a key tuple missing a
-#: required identifier are all errors — so a new result-relevant
-#: parameter cannot silently stay out of a cache key.  The symbol
-#: ``backend`` also matches a direct ``resolve_backend()`` call inside
-#: the tuple (the two spellings are the same value by construction).
+#: actual ``cached(...)`` call sites: an undeclared namespace, a
+#: declared-but-unused one, and a key tuple missing a required
+#: identifier are all errors — so a new result-relevant parameter
+#: cannot silently stay out of a cache key.  Every key folds the active
+#: simulation backend in, so results produced by one backend are never
+#: served to a run under the other.  The symbol ``backend`` also matches
+#: a direct ``resolve_backend()`` call inside the tuple (the two
+#: spellings are the same value by construction).
 CACHE_KEY_FIELDS = {
     "profile": ("fg_name", "config", "sampling_period_s", "backend"),
     "baseline": ("mix", "config", "executions", "warmup", "seed",
@@ -96,16 +97,6 @@ CACHE_KEY_FIELDS = {
             "backend"),
 }
 
-_PROFILE_CACHE: Dict[
-    Tuple[str, MachineConfig, float, str], ExecutionProfile
-] = {}
-_BASELINE_CACHE: Dict[
-    Tuple[str, MachineConfig, int, int, int, str], "RunResult"
-] = {}
-_PARTITION_CACHE: Dict[
-    Tuple[str, MachineConfig, int, Tuple[int, ...], int, int, float, str],
-    int,
-] = {}
 #: Fleet sessions that ran from tick 0 to done untouched by the control
 #: plane, keyed by :func:`node_record_key`, as ``(rounds to done,
 #: measured_records(), the clock tick the session saw each of those
@@ -283,18 +274,9 @@ def get_profile(
     """Offline profile of an FG benchmark (cached)."""
     config = config or MachineConfig()
     key = (fg_name, config, sampling_period_s, resolve_backend())
-    profile = _PROFILE_CACHE.get(key)
-    if profile is None:
-        disk = get_cache()
-        hit, profile = disk.get("profile", key)
-        if not hit:
-            profiler = OfflineProfiler(
-                machine_config=config, sampling_period_s=sampling_period_s
-            )
-            profile = profiler.profile(get_workload(fg_name))
-            disk.put("profile", key, profile)
-        _PROFILE_CACHE[key] = profile
-    return profile
+    return cached("profile", key, lambda: OfflineProfiler(
+        machine_config=config, sampling_period_s=sampling_period_s
+    ).profile(get_workload(fg_name)))
 
 
 def run_policy(
@@ -782,11 +764,6 @@ class StandaloneResult:
         return duration_stats(list(self.durations_s))
 
 
-_STANDALONE_CACHE: Dict[
-    Tuple[str, MachineConfig, int, int, int, str], StandaloneResult
-] = {}
-
-
 def measure_standalone(
     fg_name: str,
     executions: Optional[int] = None,
@@ -799,14 +776,15 @@ def measure_standalone(
         executions = default_executions()
     config = config or MachineConfig()
     key = (fg_name, config, executions, warmup, seed, resolve_backend())
-    cached = _STANDALONE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    disk = get_cache()
-    hit, cached = disk.get("standalone", key)
-    if hit:
-        _STANDALONE_CACHE[key] = cached
-        return cached
+    return cached("standalone", key, lambda: _run_standalone(
+        fg_name, executions, warmup, config, seed
+    ))
+
+
+def _run_standalone(
+    fg_name: str, executions: int, warmup: int, config: MachineConfig,
+    seed: int,
+) -> StandaloneResult:
     machine = Machine(
         config.with_seed(_derive_seed(config.seed, "alone:%s" % fg_name, seed))
     )
@@ -849,14 +827,11 @@ def measure_standalone(
             "standalone run of %r did not finish in time" % fg_name
         )
     delta = snaps["end"].delta(snaps["start"])
-    result = StandaloneResult(
+    return StandaloneResult(
         fg_name=fg_name,
         durations_s=tuple(r.duration_s for r in records[warmup:target]),
         mpki=delta.mpki,
     )
-    disk.put("standalone", key, result)
-    _STANDALONE_CACHE[key] = result
-    return result
 
 
 def measure_baseline(
@@ -870,25 +845,11 @@ def measure_baseline(
     if executions is None:
         executions = default_executions()
     config = config or MachineConfig()
-    backend = resolve_backend()
-    key = (mix.name, config, executions, warmup, seed, backend)
-    result = _BASELINE_CACHE.get(key)
-    if result is None:
-        disk = get_cache()
-        disk_key = (mix, config, executions, warmup, seed, backend)
-        hit, result = disk.get("baseline", disk_key)
-        if not hit:
-            result = run_policy(
-                mix,
-                BASELINE,
-                executions=executions,
-                warmup=warmup,
-                config=config,
-                seed=seed,
-            )
-            disk.put("baseline", disk_key, result)
-        _BASELINE_CACHE[key] = result
-    return result
+    key = (mix, config, executions, warmup, seed, resolve_backend())
+    return cached("baseline", key, lambda: run_policy(
+        mix, BASELINE, executions=executions, warmup=warmup, config=config,
+        seed=seed,
+    ))
 
 
 def deadlines_for(
@@ -923,26 +884,22 @@ def find_static_partition(
     OS-jitter draws an earlier one made.
     """
     config = config or MachineConfig()
-    backend = resolve_backend()
     if candidates is None:
         candidates = list(range(2, min(17, config.llc_ways - 1), 2))
     candidates = tuple(candidates)
     key = (
-        mix.name, config, seed, candidates, executions, warmup,
-        knee_tolerance, backend,
+        mix, config, seed, candidates, executions, warmup, knee_tolerance,
+        resolve_backend(),
     )
-    cached = _PARTITION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    disk = get_cache()
-    disk_key = (
-        mix, config, seed, candidates, executions, warmup,
-        knee_tolerance, backend,
-    )
-    hit, cached = disk.get("partition", disk_key)
-    if hit:
-        _PARTITION_CACHE[key] = cached
-        return cached
+    return cached("partition", key, lambda: _partition_knee(
+        mix, config, seed, candidates, executions, warmup, knee_tolerance
+    ))
+
+
+def _partition_knee(
+    mix: Mix, config: MachineConfig, seed: int, candidates: Tuple[int, ...],
+    executions: int, warmup: int, knee_tolerance: float,
+) -> int:
     means: List[Tuple[int, float]] = []
     sweep_policy = Policy(
         name="PartitionSweep", static_bg_grade=0, static_partition=True
@@ -963,8 +920,6 @@ def find_static_partition(
     best = min(m for _, m in means)
     for ways, m in means:
         if m <= best * (1.0 + knee_tolerance):
-            disk.put("partition", disk_key, ways)
-            _PARTITION_CACHE[key] = ways
             return ways
     raise ExperimentError("partition sweep produced no knee")  # unreachable
 
@@ -977,7 +932,7 @@ def run_policy_cached(
     config: Optional[MachineConfig] = None,
     seed: int = 0,
 ) -> RunResult:
-    """:func:`run_policy` with persistent disk caching.
+    """:func:`run_policy` through the result cache.
 
     Only default-option runs (no deadline overrides, no runtime-option
     overrides, harness-chosen static partition) are cacheable — those
@@ -994,29 +949,16 @@ def run_policy_cached(
             mix, executions=executions, warmup=warmup, config=config,
             seed=seed,
         )
-    disk = get_cache()
-    disk_key = (mix, policy, executions, warmup, config, seed, resolve_backend())
-    hit, result = disk.get("run", disk_key)
-    if hit:
-        return result
-    result = run_policy(
-        mix,
-        policy,
-        executions=executions,
-        warmup=warmup,
-        config=config,
+    key = (mix, policy, executions, warmup, config, seed, resolve_backend())
+    return cached("run", key, lambda: run_policy(
+        mix, policy, executions=executions, warmup=warmup, config=config,
         seed=seed,
-    )
-    disk.put("run", disk_key, result)
-    return result
+    ))
 
 
 def clear_caches() -> None:
     """Drop all cached results, in memory and on disk (tests, CLI)."""
-    _PROFILE_CACHE.clear()
-    _BASELINE_CACHE.clear()
-    _PARTITION_CACHE.clear()
-    _STANDALONE_CACHE.clear()
+    clear_memo()
     _NODE_RECORDS.clear()
     get_cache().clear()
 

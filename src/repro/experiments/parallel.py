@@ -7,15 +7,17 @@ its static-partition sweep, and the FG benchmark's offline profile.  The
 engine therefore schedules in two phases:
 
 1. **Prepare**: one cell per (mix, seed) computes the shared
-   prerequisites and publishes them through the persistent disk cache
-   (:mod:`repro.experiments.diskcache`).
+   prerequisites and publishes them through the result store
+   (:func:`repro.experiments.diskcache.cached`).
 2. **Policy cells**: all (mix, policy) cells fan out; each worker reads
-   the warm prerequisites from disk and stores its result there too.
+   the warm prerequisites from the store and stores its result there
+   too.
 
-Workers communicate exclusively through the content-addressed disk
-cache, so results are *identical* to a serial sweep: every cell derives
-its RNG streams from ``(config.seed, mix.name, seed)`` alone, never
-from worker identity or scheduling order
+Workers communicate exclusively through the result store (the worker's
+own memo, then the content-addressed disk cache; with the disk off a
+cell recomputes what its worker lacks), so results are *identical* to a
+serial sweep: every cell derives its RNG streams from ``(config.seed,
+mix.name, seed)`` alone, never from worker identity or scheduling order
 (``tests/experiments/test_parallel.py`` asserts equality).
 
 Both phases follow one dispatch rule: each cell is one pool task, at
@@ -43,8 +45,8 @@ on where it ran.
 **Pool reuse.** Repeated small sweeps (policy tournaments, fleet grids)
 would pay a fresh pool on every call.  A module-level
 :class:`WorkerPool` keeps the executor alive across consecutive
-:func:`run_grid` calls, and with it each worker's in-process caches
-(compiled span kernels, profiles, baselines).  The pool's generation key
+:func:`run_grid` calls, and with it each worker's compiled span
+kernels and result-store memo.  The pool's generation key
 folds in the worker count, the code-version tag, and a fingerprint of
 every declared env knob; any change — or a broken/timed-out pool —
 retires the workers and respawns.  Reuse is result-neutral.

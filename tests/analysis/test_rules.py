@@ -739,6 +739,44 @@ class TestCov003CacheKeyFieldCoverage:
         assert rule_ids(findings) == ["COV003"]
         assert "'orphan'" in findings[0].message
 
+    STORE_HARNESS = """\
+        CACHE_KEY_FIELDS = {
+            "run": ("mix", "seed"),
+        }
+
+
+        def run_cached(mix, seed):
+            key = (mix, seed)
+            return cached("run", key, lambda: mix)
+    """
+
+    def test_store_call_with_declared_fields_is_clean(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "repro/experiments/harness.py": self.STORE_HARNESS,
+        }, select={"COV003"})
+        assert findings == []
+
+    def test_flags_store_call_missing_key_field(self, tmp_path):
+        harness = self.STORE_HARNESS.replace("key = (mix, seed)",
+                                             "key = (mix,)")
+        findings = lint_tree(tmp_path, {
+            "repro/experiments/harness.py": harness,
+        }, select={"COV003"})
+        assert rule_ids(findings) == ["COV003"]
+        assert "seed" in findings[0].message
+        assert findings[0].line == 8  # anchored at the cached(...) call
+
+    def test_flags_store_call_with_undeclared_namespace(self, tmp_path):
+        harness = self.STORE_HARNESS.replace('cached("run", key',
+                                             'cached("rogue", key')
+        findings = lint_tree(tmp_path, {
+            "repro/experiments/harness.py": harness,
+        }, select={"COV003"})
+        messages = [finding.message for finding in findings]
+        assert any("'rogue'" in m and "not declared" in m for m in messages)
+        # ... which also leaves the declared "run" row unused.
+        assert any("'run'" in m for m in messages)
+
     def test_missing_registry_is_an_error(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "repro/experiments/harness.py": """\

@@ -32,6 +32,24 @@ def _isolated_disk_cache(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = previous
 
 
+@pytest.fixture
+def run_calls(monkeypatch):
+    """Policy names of the ``harness.run_policy`` calls this process
+    makes while the test runs (a forked sweep worker counts into its
+    own copy)."""
+    from repro.experiments import harness
+
+    calls = []
+    real = harness.run_policy
+
+    def counted(mix, policy, *args, **kwargs):
+        calls.append(policy.name)
+        return real(mix, policy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_policy", counted)
+    return calls
+
+
 def make_phase(
     name="p",
     instructions=2e8,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.figures import clear_run_cache
 from repro.experiments.harness import clear_caches
 
 EXECS = 6
@@ -12,10 +11,8 @@ EXECS = 6
 @pytest.fixture(autouse=True)
 def fresh_caches():
     clear_caches()
-    clear_run_cache()
     yield
     clear_caches()
-    clear_run_cache()
 
 
 class TestFig1:

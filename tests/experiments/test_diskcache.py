@@ -10,6 +10,7 @@ from repro.experiments import harness
 from repro.experiments.diskcache import (
     DiskCache,
     cache_key,
+    clear_memo,
     code_version_tag,
     get_cache,
 )
@@ -160,7 +161,7 @@ class TestHarnessIntegration:
         mix = mix_by_name("ferret bwaves")
         first = harness.measure_baseline(mix, executions=2, warmup=1)
         # Drop only the in-memory layer; keep disk.
-        harness._BASELINE_CACHE.clear()
+        clear_memo()
         disk = get_cache()
         hits_before = disk.hits
         second = harness.measure_baseline(mix, executions=2, warmup=1)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.figures import FigureResult, clear_run_cache
+from repro.experiments.figures import FigureResult
 from repro.experiments.harness import clear_caches
 from repro.experiments.mixes import Mix
+from repro.experiments.parallel import last_sweep, shutdown_pool
 
 EXECS = 5
 
@@ -18,10 +19,8 @@ REDUCED = [
 @pytest.fixture(autouse=True)
 def fresh_caches():
     clear_caches()
-    clear_run_cache()
     yield
     clear_caches()
-    clear_run_cache()
 
 
 class TestMixPolicyRows:
@@ -57,22 +56,34 @@ class TestSummary:
             assert 0.0 <= success <= 1.0
             assert bg > 0
 
-    def test_summary_reuses_cached_runs(self):
-        figures._summary("figX", "reduced", REDUCED, EXECS, 0, "note")
-        cached = len(figures._RUN_CACHE)
-        figures._summary("figY", "reduced", REDUCED, EXECS, 0, "note")
-        assert len(figures._RUN_CACHE) == cached
+    def test_summary_reuses_cached_runs(self, run_calls):
+        first = figures._summary("figX", "reduced", REDUCED, EXECS, 0, "note")
+        run_calls.clear()
+        second = figures._summary("figX", "reduced", REDUCED, EXECS, 0,
+                                  "note")
+        assert second == first
+        assert run_calls == []
 
-
-class TestRunHelper:
-    def test_custom_options_bypass_cache(self):
-        from repro.core.policies import BASELINE
-        from repro.core.runtime import RuntimeOptions
-
-        figures._run(REDUCED[0], BASELINE, EXECS)
-        cached = len(figures._RUN_CACHE)
-        figures._run(
-            REDUCED[0], BASELINE, EXECS,
-            runtime_options=RuntimeOptions(),
-        )
-        assert len(figures._RUN_CACHE) == cached  # not cached
+    def test_parallel_rows_equal_serial_with_the_disk_off(
+        self, monkeypatch, run_calls
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = figures._summary("figX", "reduced", REDUCED, 3, 0, "note")
+        clear_caches()
+        run_calls.clear()
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        shutdown_pool()
+        try:
+            parallel = figures._summary("figX", "reduced", REDUCED, 3, 0,
+                                        "note")
+            sweep = last_sweep()
+        finally:
+            shutdown_pool()
+        assert parallel == serial
+        # With the disk off, every cell reaches the rows through the
+        # sweep's results: this process simulates nothing.
+        assert run_calls == []
+        assert (sweep.mode, sweep.workers) == ("parallel", 2)
+        assert len(sweep.results) == len(REDUCED) * 5
+        assert sweep.retried == sweep.failed == 0

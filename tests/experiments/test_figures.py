@@ -8,7 +8,7 @@ executions.
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.figures import FIGURES, FigureResult, clear_run_cache
+from repro.experiments.figures import FIGURES, FigureResult
 from repro.experiments.harness import clear_caches
 
 EXECS = 6
@@ -17,10 +17,8 @@ EXECS = 6
 @pytest.fixture(autouse=True)
 def fresh_caches():
     clear_caches()
-    clear_run_cache()
     yield
     clear_caches()
-    clear_run_cache()
 
 
 class TestRegistry:
@@ -98,8 +96,27 @@ class TestFig15:
 
 
 class TestRunCache:
-    def test_repeated_driver_calls_reuse_runs(self):
-        figures.fig12(executions=EXECS)
-        before = dict(figures._RUN_CACHE)
-        figures.fig12(executions=EXECS)
-        assert list(figures._RUN_CACHE) == list(before)
+    def test_repeated_driver_calls_reuse_runs(self, run_calls):
+        first = figures.fig12(executions=EXECS)
+        run_calls.clear()
+        assert figures.fig12(executions=EXECS) == first
+        assert run_calls == []
+
+    def test_clear_caches_drops_the_runs(self, monkeypatch, run_calls):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        first = figures.fig12(executions=2)
+        clear_caches()
+        run_calls.clear()
+        assert figures.fig12(executions=2) == first
+        assert {"DirigentFreq", "Dirigent"} <= set(run_calls)
+
+    def test_cells_of_another_backend_are_simulated(
+        self, monkeypatch, run_calls
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "batch")
+        batch = figures.fig12(executions=2)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "scalar")
+        run_calls.clear()
+        assert figures.fig12(executions=2) == batch
+        assert {"DirigentFreq", "Dirigent"} <= set(run_calls)

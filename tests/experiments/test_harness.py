@@ -91,6 +91,18 @@ class TestBaselineAndDeadlines:
         two = measure_baseline(mix, executions=EXECS, warmup=WARMUP)
         assert one is two
 
+    def test_baseline_keys_on_the_mix_not_its_name(self, monkeypatch):
+        # With the result cache off only the in-memory memo answers:
+        # two mixes that share a display name get their own Baselines.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        first = Mix(name="custom", fg_name="ferret", bg_name="rs")
+        second = Mix(name="custom", fg_name="raytrace", bg_name="bwaves")
+        one = measure_baseline(first, executions=2, warmup=1)
+        two = measure_baseline(second, executions=2, warmup=1)
+        assert one.mix == first
+        assert two.mix == second
+        assert two.deadlines_s != one.deadlines_s
+
     def test_deadlines_match_baseline_stats(self, mix):
         base = measure_baseline(mix, executions=EXECS, warmup=WARMUP)
         deadlines = deadlines_for(mix, executions=EXECS, warmup=WARMUP)
