@@ -137,17 +137,22 @@ E2E_PLAN_BUILDS_MAX = 7
 E2E_PLAN_BUILDS_BEFORE = 98
 
 #: What the Dirigent control loop does over that run's
-#: ``run_to_end()``: decision wakeups (run live, through the timer
-#: wheel), sample-only wakeups the span kernels took and the runtime
-#: replayed, and ``CounterSnapshot`` records built.  Deterministic.  The
-#: wakeup counts are the same as before the control loop was trimmed
-#: (``*_BEFORE``); the snapshots fell from 2,754 to 464 once BG
-#: intrusiveness read each BG core's misses without a snapshot (one per
-#: BG core per decision: 458 decisions x 5 BG cores).  The snapshot
-#: count is gated so per-core snapshots cannot creep back.
-E2E_DECISION_WAKEUPS_BEFORE = 458
+#: ``run_to_end()``: live wakeups (fired by the timer wheel), wakeups
+#: the span kernels took and the runtime folded, and ``CounterSnapshot``
+#: records built.  Deterministic.  No wakeup of the run shares its tick
+#: with another event, so the kernels take every one of the 2,290,
+#: decisions included, and none runs live.  While the kernels took only
+#: the sample-only wakeups, the 458 decisions ran live and the kernels
+#: took 1,832 (``*_BEFORE``).  Live decisions read each task's counters
+#: through a snapshot: 464 snapshots, 6 once decisions fold in-kernel
+#: rows (the runtime's start reads).  BG intrusiveness once read a
+#: snapshot per BG core per decision too (2,754,
+#: ``E2E_SNAPSHOTS_BEFORE``).  Both maxima are gated so live wakeups
+#: and per-sample snapshots cannot creep back.
+E2E_LIVE_WAKEUPS_MAX = 0
+E2E_LIVE_WAKEUPS_BEFORE = 458
 E2E_KERNEL_WAKEUPS_BEFORE = 1832
-E2E_SNAPSHOTS_MAX = 464
+E2E_SNAPSHOTS_MAX = 6
 E2E_SNAPSHOTS_BEFORE = 2754
 
 #: The fleet chaos catalog at the CI smoke size (``repro chaos --fleet
@@ -313,10 +318,9 @@ def _end_to_end_spans() -> dict:
 
     A ``PolicySession`` on ``ferret rs`` runs to the end the way
     ``run_policy`` drives it.  Returns the spans it opened, the span
-    plans it built and the sample-only wakeups its span kernels took
-    (the machine's fast-path counters), the wakeups the runtime ran
-    live (each one a decision here) and the ``CounterSnapshot`` records
-    built while it ran.
+    plans it built and the wakeups its span kernels took (the machine's
+    fast-path counters), the wakeups the timer wheel fired live and the
+    ``CounterSnapshot`` records built while it ran.
     """
     with _session_backend(BACKEND_BATCH):
         harness.clear_caches()
@@ -332,7 +336,7 @@ def _end_to_end_spans() -> dict:
         "spans": stats["spans"],
         "plan_builds": stats["plan_builds"],
         "kernel_wakeups": stats["kernel_wakeups"],
-        "decision_wakeups": runtime.invocations - stats["kernel_wakeups"],
+        "live_wakeups": runtime.invocations - stats["kernel_wakeups"],
         "counter_snapshots": snapshots[0],
     }
 
@@ -658,8 +662,8 @@ def run_benchmark() -> dict:
                 "plan_builds_before": E2E_PLAN_BUILDS_BEFORE,
                 "kernel_wakeups": e2e_counts["kernel_wakeups"],
                 "kernel_wakeups_before": E2E_KERNEL_WAKEUPS_BEFORE,
-                "decision_wakeups": e2e_counts["decision_wakeups"],
-                "decision_wakeups_before": E2E_DECISION_WAKEUPS_BEFORE,
+                "live_wakeups": e2e_counts["live_wakeups"],
+                "live_wakeups_before": E2E_LIVE_WAKEUPS_BEFORE,
                 "counter_snapshots": e2e_counts["counter_snapshots"],
                 "counter_snapshots_before": E2E_SNAPSHOTS_BEFORE,
                 "machines_alive": scalar_alive + batch_alive,
@@ -669,19 +673,20 @@ def run_benchmark() -> dict:
                     "kernels_compiled_before: the same run while lane "
                     "cores and LLC way counts were span-shape fields; "
                     "spans / kernel_wakeups: spans opened and Dirigent "
-                    "sample-only wakeups taken inside span kernels (and "
-                    "replayed through the runtime) by one batch "
+                    "wakeups, decisions included, taken inside span "
+                    "kernels (and folded by the runtime) by one batch "
                     "PolicySession of the same run, driven to the end as "
                     "run_policy drives it; spans_before: the same count "
                     "while a plain span followed every decision and "
                     "32-tick drive blocks ended spans; plan_builds: span "
                     "plans that session built; plan_builds_before: the "
                     "same count while every (phase, frequency) state "
-                    "built its own plan; decision_wakeups: "
-                    "wakeups the runtime ran live in that session (each "
-                    "one decides); counter_snapshots: CounterSnapshot "
-                    "records built while it ran; the *_before wakeup "
-                    "counts are unchanged by the control-loop trim, "
+                    "built its own plan; live_wakeups: "
+                    "wakeups the timer wheel fired in that session; "
+                    "counter_snapshots: CounterSnapshot records built "
+                    "while it ran; the *_before wakeup counts are the "
+                    "counts while the kernels took only sample-only "
+                    "wakeups and every decision ran live, "
                     "counter_snapshots_before is the count while BG "
                     "intrusiveness built a snapshot per BG core per "
                     "decision; "
@@ -791,6 +796,7 @@ def check_stable_floors(artifact: dict) -> None:
     assert e2e["spans"] <= E2E_SPANS_MAX, e2e
     assert e2e["plan_builds"] <= E2E_PLAN_BUILDS_MAX, e2e
     assert e2e["kernel_wakeups"] > 0, e2e
+    assert e2e["live_wakeups"] <= E2E_LIVE_WAKEUPS_MAX, e2e
     assert e2e["counter_snapshots"] <= E2E_SNAPSHOTS_MAX, e2e
     assert e2e["machines_alive"] == 0, e2e
     assert artifact["fleet"]["ticks"] <= FLEET_TICKS_MAX, artifact["fleet"]

@@ -182,9 +182,10 @@ def _run_bench(args) -> int:
     e2e = backends["end_to_end_dirigent"]
     print("Dirigent span plans:           %d built for %d spans (was %d)"
           % (e2e["plan_builds"], e2e["spans"], e2e["plan_builds_before"]))
-    print("Dirigent control loop:         %d decision wakeups, %d "
-          "replayed samples, %d counter snapshots (was %d)"
-          % (e2e["decision_wakeups"], e2e["kernel_wakeups"],
+    print("Dirigent control loop:         %d live wakeups, %d in-kernel "
+          "(was %d / %d), %d counter snapshots (was %d)"
+          % (e2e["live_wakeups"], e2e["kernel_wakeups"],
+             e2e["live_wakeups_before"], e2e["kernel_wakeups_before"],
              e2e["counter_snapshots"], e2e["counter_snapshots_before"]))
     solver = backends["fast_path"]["contended_noisy"]
     print("contended-noisy solver:        %d rho iterations over %d "

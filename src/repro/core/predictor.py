@@ -33,7 +33,7 @@ Two interpretations of the Equation 2 scaling factor are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.profile import ExecutionProfile
 from repro.core.stats import ExponentialMovingAverage
@@ -155,48 +155,99 @@ class CompletionTimePredictor:
     def observe(self, time_s: float, progress: float) -> None:
         """Record a progress sample (cumulative instructions since start).
 
-        Crossing profiled segment boundaries is detected here; crossing
-        times are interpolated assuming a uniform progress rate between
-        samples — the paper's fixed-rate-within-segment assumption.
+        The one-sample case of :meth:`fold`, so a negative progress read
+        is left alone (the runtime counts those before they reach the
+        predictor).  Crossing profiled segment boundaries is detected
+        here; crossing times are interpolated assuming a uniform
+        progress rate between samples — the paper's
+        fixed-rate-within-segment assumption.
+        """
+        self.fold(((time_s, progress),))
+
+    def fold(
+        self,
+        rows: Sequence[Sequence[float]],
+        column: int = 1,
+        base: float = 0.0,
+        start: int = 0,
+        midpoint: bool = False,
+    ) -> int:
+        """Observe samples ``start``, ``start + 1``, ... in order.
+
+        Sample ``j`` is a counter read at ``rows[j][0]`` showing
+        ``rows[j][column] - base`` progress (cumulative since the
+        execution started).  The fold stops early and returns the
+        sample's index at a sample the caller has to look at:
+
+        * one whose progress is not ``>= 0``: left unobserved (the
+          runtime counts it as a negative progress read);
+        * one the predictor ignores, after counting it: a stale or
+          duplicate read (timer coalescing), a zero-delta read, or a
+          read rejected by the outlier band;
+        * with ``midpoint``, the first one after which
+          :meth:`past_midpoint` holds.
+
+        Returns ``len(rows)`` when every sample was observed.
         """
         if not self.in_execution:
             raise ProfileError("observe() outside an execution")
         last_t = self._last_t
         last_progress = self._last_progress
-        if time_s < last_t or progress < last_progress:
-            # Stale or duplicate sample (timer coalescing); ignore.
-            self.stale_samples += 1
-            return
-        delta_p = progress - last_progress
-        if delta_p <= 0:
-            self.zero_delta_samples += 1
-            self._last_t = time_s
-            return
-        if self.reject_outliers:
-            # Same-timestamp samples (timer coalescing) carry no rate
-            # information and are handled by the rate==0 path below.
-            dt = time_s - last_t
-            if dt > 0.0 and delta_p > self._outlier_rate * dt:
-                # Corrupt counter read: drop it without advancing the
-                # sample cursor, so the next honest read supersedes it.
-                self.rejected_samples += 1
-                return
-        rate = delta_p / (time_s - last_t) if time_s > last_t else 0.0
         bounds = self._bounds
+        num_bounds = len(bounds)
         index = self._segment_index
         entry_t = self._segment_entry_t
-        while index < len(bounds) and progress >= bounds[index]:
-            if rate > 0:
-                cross_t = last_t + (bounds[index] - last_progress) / rate
-            else:
-                cross_t = time_s
-            self._close_segment(index, cross_t - entry_t)
-            index += 1
-            entry_t = cross_t
+        reject = self.reject_outliers
+        outlier_rate = self._outlier_rate
+        total = self._total_progress
+        close = self._close_segment
+        end = len(rows)
+        j = start
+        while j < end:
+            row = rows[j]
+            time_s = row[0]
+            value = row[column] - base
+            if not value >= 0:
+                break
+            if time_s < last_t or value < last_progress:
+                # Stale or duplicate sample (timer coalescing); ignore.
+                self.stale_samples += 1
+                break
+            delta_p = value - last_progress
+            if delta_p <= 0:
+                self.zero_delta_samples += 1
+                last_t = time_s
+                break
+            if reject:
+                # Same-timestamp samples (timer coalescing) carry no
+                # rate information and are handled by the rate==0 path
+                # below.
+                dt = time_s - last_t
+                if dt > 0.0 and delta_p > outlier_rate * dt:
+                    # Corrupt counter read: drop it without advancing
+                    # the sample cursor, so the next honest read
+                    # supersedes it.
+                    self.rejected_samples += 1
+                    break
+            rate = delta_p / (time_s - last_t) if time_s > last_t else 0.0
+            while index < num_bounds and value >= bounds[index]:
+                if rate > 0:
+                    cross_t = last_t + (bounds[index] - last_progress) / rate
+                else:
+                    cross_t = time_s
+                close(index, cross_t - entry_t)
+                index += 1
+                entry_t = cross_t
+            last_t = time_s
+            last_progress = value
+            if midpoint and last_progress / total >= 0.5:
+                break
+            j += 1
         self._segment_index = index
         self._segment_entry_t = entry_t
-        self._last_t = time_s
-        self._last_progress = progress
+        self._last_t = last_t
+        self._last_progress = last_progress
+        return j
 
     def predict(self, now_s: float) -> float:
         """Predicted *total* execution time of the current execution.

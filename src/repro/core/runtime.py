@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.actuation import GuardedSystem
 from repro.core.coarse import CoarseGrainController, ExecutionSample
@@ -191,6 +193,13 @@ class SuspectWindow:
         if not self.full:
             self.full = len(flags) == self.size
 
+    def push_zeros(self, count: int) -> None:
+        """Append ``count`` zero flags to a full window."""
+        flags = self._flags
+        for _ in range(count):
+            self.count -= flags.popleft()
+            flags.append(0)
+
     def clear(self) -> None:
         """Empty the window."""
         self._flags.clear()
@@ -316,9 +325,9 @@ class DirigentRuntime:
         #: (paused cores are excluded), for Figure 12.
         self.bg_grade_histogram: Dict[int, int] = {}
         self.invocations = 0
-        # Health-monitor state (see _close_sample).
+        # Health-monitor state (see _monitor).
         self._suspects = SuspectWindow(self._opts.health_window)
-        self._anomaly_base = 0
+        self._failures_counted = 0
         self._last_wakeup_s: Optional[float] = None
         self._mode_entered_s = 0.0
         self._safe_entered_sample = 0
@@ -436,19 +445,95 @@ class DirigentRuntime:
         )
         now = system.now()
         read = system.read_counters
+        reads = []
         for task in self._tasks:
             snap = read(task.core)
-            self._observe(task, snap.time_s, snap.instructions, now)
-        self._record_bg_grades(1)
-        self._close_sample(now)
-        at_decision = self._sample_count % self._opts.decision_every == 0
+            if task.progress_fn is not None:
+                reads.append((((snap.time_s, task.progress_fn()),), 1, 0.0))
+            else:
+                reads.append((((snap.time_s, snap.instructions),), 1,
+                              task.instruction_base))
+        self._fold((now,), reads)
+        system.schedule_wakeup(
+            self._opts.sampling_period_s, self._on_wakeup
+        )
+
+    def _fold(
+        self,
+        nows: Sequence[float],
+        reads: Sequence[Tuple[Sequence[Sequence[float]], int, float]],
+    ) -> None:
+        """Fold samples into the runtime, then run the decision tail.
+
+        Every sample goes through here: a live wakeup's as a fold of
+        one, the rows a span kernel took as one fold per span
+        (:meth:`replay_samples`).  ``nows[j]`` is the time of sample
+        ``j``; ``reads`` holds, for each task in task order, ``(rows,
+        column, base)``: sample ``j`` read the task's counters at
+        ``rows[j][0]`` (a faulty read may be older than the sample),
+        and they show ``rows[j][column] - base`` progress (see
+        :meth:`CompletionTimePredictor.fold`).
+
+        First task by task: the task's predictor folds its reads in
+        order (:meth:`CompletionTimePredictor.fold`), and the runtime
+        counts negative progress reads and makes the midpoint
+        prediction at the sample that crosses the midpoint.  Then sample
+        by sample, the health monitor (:meth:`_monitor`).  Folding task
+        by task is the order of one wakeup per sample because a
+        sample's observes are independent across tasks, and a mode
+        change touches nothing they read.  Last, when the last sample
+        completes a decision period, the decision: the safe-policy
+        assert, or predictions plus a fine-grain decision.
+        """
+        count = len(nows)
+        # Sample index of every sensing anomaly a read shows.
+        marks: List[int] = []
+        record = self._record_predictions
+        for task, (rows, column, base) in zip(self._tasks, reads):
+            predictor = task.predictor
+            if not predictor.in_execution:
+                for j, row in enumerate(rows):
+                    if row[column] - base < 0:
+                        self.negative_progress_samples += 1
+                        marks.append(j)
+                continue
+            midpoint = record and task.midpoint_prediction is None
+            zeros = predictor.zero_delta_samples
+            j = predictor.fold(rows, column, base, 0, midpoint)
+            while j < count:
+                value = rows[j][column] - base
+                if value >= 0:
+                    if midpoint and predictor.past_midpoint():
+                        task.midpoint_prediction = predictor.predict(nows[j])
+                        midpoint = False
+                    elif (task.progress_fn is None
+                          or predictor.zero_delta_samples == zeros):
+                        # A read the predictor ignored.  Zero-delta is
+                        # anomalous only for hardware counters (a
+                        # running core always retires instructions);
+                        # heartbeat progress legitimately stalls
+                        # between beats.
+                        marks.append(j)
+                    else:
+                        zeros = predictor.zero_delta_samples
+                elif value < 0:
+                    self.negative_progress_samples += 1
+                    marks.append(j)
+                j = predictor.fold(rows, column, base, j + 1, midpoint)
+        self.invocations += count
+        self._sample_count += count
+        self._record_bg_grades(count)
+        if self._hardening:
+            self._monitor(nows, marks)
+        if self._sample_count % self._opts.decision_every:
+            return
+        now = nows[-1]
         if self.mode == "safe":
             # Decisions are suspended under the static safe policy; just
             # re-assert it against drift (a faulty actuator may have
             # silently dropped the original writes).
-            if at_decision:
-                self._assert_safe_policy()
-        elif self._fine is not None and at_decision:
+            self._assert_safe_policy()
+        elif self._fine is not None:
             statuses = [
                 FgStatus(
                     pid=task.pid,
@@ -462,40 +547,11 @@ class DirigentRuntime:
             if statuses:
                 self._fine.decide(statuses, self._bg_intrusiveness())
 
-        system.schedule_wakeup(
-            self._opts.sampling_period_s, self._on_wakeup
-        )
+    def _monitor(self, nows: Sequence[float], marks: List[int]) -> None:
+        """Fold the samples just observed into the suspect window.
 
-    def _observe(
-        self, task: ManagedTask, time_s: float, instructions: float,
-        now: float,
-    ) -> None:
-        """Fold one task's counter read at ``time_s`` into its predictor.
-
-        Every sample runs this once per task, in task order: a live
-        wakeup with the counters it reads, a replayed one with the
-        counts the simulator buffered (:meth:`replay_samples`).
-        """
-        if task.progress_fn is not None:
-            progress = task.progress_fn()
-        else:
-            progress = instructions - task.instruction_base
-        if progress >= 0:
-            predictor = task.predictor
-            if predictor.in_execution:
-                predictor.observe(time_s, progress)
-                if (
-                    task.midpoint_prediction is None
-                    and self._record_predictions
-                    and predictor.past_midpoint()
-                ):
-                    task.midpoint_prediction = predictor.predict(now)
-        elif progress < 0:
-            self.negative_progress_samples += 1
-
-    def _close_sample(self, now: float) -> None:
-        """Count the sample every task has just observed, then fold its
-        anomaly evidence into the suspect window (when hardened).
+        ``marks`` holds the sample index of each sensing anomaly the
+        fold's reads showed.
 
         A sample is *suspect* when any sensing or actuation anomaly was
         observed since the previous one: a read the predictor ignored
@@ -505,33 +561,47 @@ class DirigentRuntime:
         grossly late.  On a healthy machine none of these occur, so the
         window holds only zeros and the mode never leaves "normal".
         """
-        self.invocations += 1
-        self._sample_count += 1
-        if not self._hardening:
-            return
+        band = self._late_band
         last = self._last_wakeup_s
-        if last is not None and now - last > self._late_band:
-            self.late_wakeups += 1
-        self._last_wakeup_s = now
-        total = self.negative_progress_samples + self.late_wakeups
-        for task in self._tasks:
-            predictor = task.predictor
-            total += predictor.stale_samples + predictor.rejected_samples
-            if task.progress_fn is None:
-                # Zero-delta is anomalous only for hardware counters (a
-                # running core always retires instructions); heartbeat
-                # progress legitimately stalls between beats.
-                total += predictor.zero_delta_samples
-        if self.guarded is not None:
-            total += self.guarded.actuations_failed
-        suspect = 1 if total > self._anomaly_base else 0
-        self._anomaly_base = total
         window = self._suspects
-        window.push(suspect)
-        self.health_samples += 1
-        self.suspect_samples += suspect
-        if window.full:
-            self._evaluate_mode(now)
+        guarded = self.guarded  # present whenever hardened
+        counted = self._failures_counted
+        if (not marks and guarded.actuations_failed == counted
+                and self.mode == "normal" and window.full
+                and window.count / window.size
+                < self._opts.degraded_threshold):
+            # A healthy span: unless a wakeup came late, every flag is
+            # 0, so the density cannot rise and the mode stays normal.
+            for now in nows:
+                if now - last > band:
+                    break
+                last = now
+            else:
+                window.push_zeros(len(nows))
+                self.health_samples += len(nows)
+                self._last_wakeup_s = last
+                return
+            last = self._last_wakeup_s
+        for j, now in enumerate(nows):
+            # Actuations that failed since the previous sample closed
+            # (decisions, completions, a mode change) count here.
+            failed = guarded.actuations_failed
+            anomalies = failed - counted
+            counted = failed
+            if last is not None and now - last > band:
+                self.late_wakeups += 1
+                anomalies += 1
+            last = now
+            if marks:
+                anomalies += marks.count(j)
+            suspect = 1 if anomalies else 0
+            window.push(suspect)
+            self.health_samples += 1
+            self.suspect_samples += suspect
+            if window.full:
+                self._evaluate_mode(now)
+        self._last_wakeup_s = last
+        self._failures_counted = counted
 
     # ------------------------------------------------------------------
     # In-kernel sampling (see Machine.attach_sampler)
@@ -560,16 +630,19 @@ class DirigentRuntime:
         )
 
     def sample_budget(self) -> int:
-        """How many upcoming wakeups provably cannot actuate.
+        """How many upcoming wakeups a simulator may take in its kernel.
 
-        Those wakeups only sample, so a simulator may take them inside
-        its span kernel and replay them through :meth:`replay_samples`.
-        A wakeup can actuate when it decides (every ``decision_every``
-        samples) or when its health update moves the runtime into or
-        out of safe mode.  So the budget is 0 outside "normal" mode, and
-        otherwise stops before the next decision and before the suspect
-        window could reach the safe threshold even if every sample in
-        between were suspect.
+        Every wakeup up to the next one that may act, that one
+        included.  A wakeup can act when it decides (every
+        ``decision_every`` samples) or when its health update moves the
+        runtime into or out of safe mode.  So the budget is 0 outside
+        "normal" mode; otherwise it ends at the next decision, or at the
+        first wakeup whose health update could reach the safe threshold
+        even if every sample before it were suspect, whichever comes
+        first.  The simulator takes each granted wakeup like a live one
+        (overhead charged, counters read, next wakeup scheduled), ends
+        its span at the acting one, before that tick runs, and hands
+        the rows to :meth:`replay_samples`.
         """
         if not self._running or self.mode != "normal":
             return 0
@@ -583,31 +656,27 @@ class DirigentRuntime:
                 (suspects + budget) / window >= opts.safe_threshold
             ):
                 budget -= 1
-        return budget
+        return budget + 1
 
     def replay_samples(self, samples: Sequence[Sequence[float]]) -> None:
-        """Replay wakeups a simulator took inside its span kernel.
+        """Fold the wakeups a simulator took inside one span kernel.
 
         Each sample is ``(time_s, instructions of each task in task
         order)``, read at a wakeup granted by :meth:`sample_budget`; the
         simulator has already charged its overhead and rescheduled the
-        next wakeup.  Each runs the very routines a live wakeup runs
-        (:meth:`_observe` per task, then :meth:`_close_sample`), except
-        the BG-grade histogram: the samples come from one span, inside
-        which nothing can pause, resume or re-grade a BG task (only
-        timer callbacks and completion listeners actuate, and the
-        budget stops before safe mode), so every sample would record the
-        same grades.  They are recorded once, weighted by the count.
+        next wakeup.  They go through the routine a live wakeup runs
+        (:meth:`_fold`), so when the last one is the acting wakeup, its
+        decision runs here, at its tick, before the tick's model.  The
+        BG-grade histogram is recorded once, weighted by the count:
+        inside one span nothing can pause, resume or re-grade a BG task
+        (only timer callbacks and completion listeners actuate, and an
+        acting wakeup ends the span), so every sample would record the
+        same grades.
         """
-        self._record_bg_grades(len(samples))
-        columns = self._sample_columns
-        observe = self._observe
-        close = self._close_sample
-        for sample in samples:
-            now = sample[0]
-            for column, task in columns:
-                observe(task, now, sample[column], now)
-            close(now)
+        self._fold([sample[0] for sample in samples], [
+            (samples, column, task.instruction_base)
+            for column, task in self._sample_columns
+        ])
 
     def _record_bg_grades(self, weight: int) -> None:
         """Count each running BG core's grade ``weight`` times."""

@@ -33,9 +33,12 @@ import logging
 import os
 import pickle
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.sim.config import DEFAULT_CACHE_DIR, cache_dir, cache_enabled
 
@@ -269,6 +272,12 @@ _T = TypeVar("_T")
 #: The process memo in front of the disk, keyed ``(kind,) + key``.
 _MEMO: Dict[Tuple, Any] = {}
 
+_MISSING = object()
+
+#: Open :func:`recording` blocks: each collects the memo entries the
+#: :func:`cached` calls inside it return.
+_RECORDERS: List[Dict[Tuple, Any]] = []
+
 
 def cached(kind: str, key: Tuple, compute: Callable[[], _T]) -> _T:
     """The result stored under ``key`` in the ``kind`` namespace.
@@ -279,17 +288,36 @@ def cached(kind: str, key: Tuple, compute: Callable[[], _T]) -> _T:
     both layers.
     """
     memo_key = (kind,) + key
-    try:
-        return _MEMO[memo_key]
-    except KeyError:
-        pass
-    disk = get_cache()
-    hit, value = disk.get(kind, key)
-    if not hit:
-        value = compute()
-        disk.put(kind, key, value)
-    _MEMO[memo_key] = value
+    value = _MEMO.get(memo_key, _MISSING)
+    if value is _MISSING:
+        disk = get_cache()
+        hit, value = disk.get(kind, key)
+        if not hit:
+            value = compute()
+            disk.put(kind, key, value)
+        _MEMO[memo_key] = value
+    for entries in _RECORDERS:
+        entries[memo_key] = value
     return value
+
+
+@contextmanager
+def recording() -> Iterator[Dict[Tuple, Any]]:
+    """Collect the memo entries every :func:`cached` call inside the
+    block returns, computed or not, for :func:`seed_memo` in another
+    process (a sweep's prepare cell hands its worker's to the policy
+    cells, which may run on workers that lack them)."""
+    entries: Dict[Tuple, Any] = {}
+    _RECORDERS.append(entries)
+    try:
+        yield entries
+    finally:
+        _RECORDERS.remove(entries)
+
+
+def seed_memo(entries: Dict[Tuple, Any]) -> None:
+    """Add memo entries another process recorded (see :func:`recording`)."""
+    _MEMO.update(entries)
 
 
 def clear_memo() -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import BASELINE, Policy
 from repro.core.profile import ExecutionProfile, OfflineProfiler
@@ -36,12 +36,6 @@ from repro.core.runtime import (
 )
 from repro.errors import ExperimentError
 from repro.experiments.diskcache import cached, clear_memo, get_cache
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultReport,
-    FaultySystem,
-)
 from repro.experiments.metrics import (
     DEADLINE_SIGMA_FACTOR,
     DurationStats,
@@ -58,6 +52,11 @@ from repro.sim.machine import Machine
 from repro.sim.process import ExecutionRecord, Process
 from repro.workloads.catalog import get_rotate_pair, get_workload
 from repro.workloads.rotate import spawn_rotating_background
+
+if TYPE_CHECKING:
+    # Fault injection is imported where a plan is applied: most runs
+    # have none, and a figure process never loads it.
+    from repro.faults import FaultInjector, FaultPlan, FaultReport
 
 # The default execution count comes from
 # repro.sim.config.default_executions(), which re-reads REPRO_EXECUTIONS
@@ -389,6 +388,8 @@ class PolicySession:
         self._injector: Optional[FaultInjector] = None
         runtime_system = machine
         if fault_plan is not None and not fault_plan.is_zero:
+            from repro.faults import FaultInjector, FaultySystem
+
             self._injector = FaultInjector(
                 fault_plan,
                 seed=_derive_seed(
@@ -702,6 +703,8 @@ class PolicySession:
         """Fault/degradation accounting for this run (None without a plan)."""
         if self._fault_plan is None:
             return None
+        from repro.faults import FaultReport
+
         injector = self._injector
         runtime = self.runtime
         report = FaultReport(

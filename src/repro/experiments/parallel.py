@@ -57,18 +57,18 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.policies import Policy
-from repro.experiments.diskcache import code_version_tag
+from repro.experiments.diskcache import (
+    code_version_tag,
+    recording,
+    seed_memo,
+)
 from repro.experiments.harness import (
     DEFAULT_WARMUP,
     RunResult,
@@ -87,6 +87,13 @@ from repro.sim.config import (
     knob_fingerprint,
 )
 from repro.sim.jitter import shared_jitter
+
+if TYPE_CHECKING:
+    # The pool is imported where one is created, waited on or retired:
+    # a serial sweep, and every process that only renders figures,
+    # never loads it.
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
 _log = logging.getLogger(__name__)
 
@@ -147,11 +154,17 @@ class SweepResult:
         return self.results[(mix.name, policy.name, seed)]
 
 
-def _prepare_cell(args: Tuple) -> None:
+def _prepare_cell(args: Tuple) -> Tuple[Tuple, Dict[Tuple, object]]:
     """Worker: compute a mix's shared prerequisites (phase 1), in one
-    jitter scope: the partition sweep reads the Baseline's draws."""
+    jitter scope: the partition sweep reads the Baseline's draws.
+
+    Returns ``((mix name, seed), memo entries)``: every cached result
+    the cell used, for the mix's policy cells to seed their worker's
+    memo with.  With the disk cache off that memo is the only place
+    another worker could find them.
+    """
     mix, policies, executions, warmup, config, seed = args
-    with shared_jitter():
+    with recording() as entries, shared_jitter():
         measure_baseline(
             mix, executions=executions, warmup=warmup, config=config,
             seed=seed,
@@ -160,11 +173,16 @@ def _prepare_cell(args: Tuple) -> None:
             find_static_partition(mix, config=config, seed=seed)
         if any(p.uses_runtime for p in policies):
             get_profile(mix.fg_name, config)
+    return (mix.name, seed), entries
 
 
 def _policy_cell(args: Tuple) -> Tuple[Tuple, RunResult, float]:
-    """Worker: run one (mix, policy, seed) cell (phase 2)."""
-    mix, policy, executions, warmup, config, seed, key = args
+    """Worker: run one (mix, policy, seed) cell (phase 2), first seeding
+    the memo with its mix's prerequisites when the prepare phase handed
+    them over."""
+    mix, policy, executions, warmup, config, seed, memo, key = args
+    if memo:
+        seed_memo(memo)
     start = time.perf_counter()
     result = run_policy_cached(
         mix,
@@ -204,6 +222,8 @@ class WorkerPool:
         if self._pool is not None and self._key == key:
             return self._pool, True
         self.discard()
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         self._pool = pool
         self._key = key
@@ -300,7 +320,7 @@ def run_grid(
     seed_list = list(seeds) if seeded else [seed]
     # Mix-major, so a serial sweep meets each mix's cells back to back.
     cells = [
-        (mix, policy, executions, warmup, config, cell_seed,
+        (mix, policy, executions, warmup, config, cell_seed, None,
          (mix.name, policy.name) + ((cell_seed,) if seeded else ()))
         for mix in mixes for policy in policies for cell_seed in seed_list
     ]
@@ -316,8 +336,15 @@ def run_grid(
         # platform): run serially below, keeping the cause.
         sweep = SweepResult(fallback_reason=sweep.fallback_reason)
     sweep.workers = 1
-    for cell in cells:
-        _record(sweep, _policy_cell(cell))
+    per_mix = len(policies) * len(seed_list)
+    for first in range(0, len(cells), per_mix):
+        group = cells[first:first + per_mix]
+        # One jitter scope per mix: its cells read each core's stream
+        # as drawn once.  A lone cell draws in-kernel, which costs a
+        # lone reader less than filling a tape and reading it back.
+        with shared_jitter() if len(group) > 1 else nullcontext():
+            for cell in group:
+                _record(sweep, _policy_cell(cell))
     return _finish_sweep(sweep, start)
 
 
@@ -380,7 +407,7 @@ def _run_parallel(
     # Baseline/partition prerequisites are per-seed too.
     prepare: Dict[Tuple, Tuple] = {}
     if any(not _is_baseline(p) for p in policies):
-        for mix, _policy, executions, warmup, config, seed, _key in cells:
+        for mix, _policy, executions, warmup, config, seed, _, _ in cells:
             prepare.setdefault(
                 (mix.name, seed),
                 (mix, tuple(policies), executions, warmup, config, seed),
@@ -397,7 +424,7 @@ def _run_parallel(
     broken: Optional[BaseException] = None
     try:
         try:
-            _, _, broken = dispatch.run(
+            prepared, _, broken = dispatch.run(
                 lambda args: pool.submit(_prepare_cell, args),
                 list(prepare.values()),
             )
@@ -408,6 +435,15 @@ def _run_parallel(
         if broken is not None:
             _fall_back(sweep, broken)
             return None
+        # Each policy cell carries its mix's prerequisites (a prepare
+        # cell that timed out hands over none).
+        memos = dict(prepared)
+        cells = [
+            (mix, policy, executions, warmup, config, seed,
+             memos.get((mix.name, seed)), key)
+            for mix, policy, executions, warmup, config, seed, _, key
+            in cells
+        ]
         rows, lost, broken = dispatch.run(
             lambda cell: pool.submit(_policy_cell, cell), cells
         )
@@ -456,6 +492,9 @@ class _Dispatch:
         values in completion order, the lost tasks, and the
         ``BrokenProcessPool`` that ended the loop early (or None).
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         results: List = []
         lost: List[Tuple] = []
         inflight: Dict[Future, Tuple[Tuple, Optional[float]]] = {}

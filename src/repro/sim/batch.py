@@ -26,12 +26,15 @@ completions with exactly the scalar kernel's logic, exiting the span
 whenever such an event actually occurs.
 
 One timer is not an event either: the wakeup of a periodic sampler
-attached with :meth:`Machine.attach_sampler` (the Dirigent runtime)
-while its ``sample_budget()`` says the wakeup only samples.  The span
-kernels take such wakeups themselves — buffer the counter reads, charge
-the overhead, draw the next wakeup — and :meth:`SpanPlan.run` hands the
-samples back to the sampler, so spans end only at decision wakeups and
-real machine events.
+attached with :meth:`Machine.attach_sampler` (the Dirigent runtime),
+while its ``sample_budget()`` grants it and no other event is due at
+its tick.  The span kernels take such wakeups themselves — buffer the
+counter reads, charge the overhead, draw the next wakeup — and end the
+span at the last granted one, the wakeup that may act (a decision).
+:meth:`SpanPlan.run` hands the rows back to the sampler, which folds
+them and makes that decision at its tick, before the tick runs; so
+spans end at decisions and real machine events, and a decision that
+shares its tick with another event fires as a timer.
 
 **One fast path, one reference.**  The span kernels perform the same
 floating-point operations in the same order as ``Machine.tick`` (see
@@ -190,12 +193,17 @@ class BatchEngine:
         """Run one compiled span that takes ``sampler``'s wakeups itself.
 
         Applies when the earliest timer is the sampler's wakeup, falls
-        inside this ``run_ticks`` call, and only samples
-        (``sampler.sample_budget()``); no other event may be due now,
-        and the span must compile with the sampler's task cores as its
-        FG lanes.  Returns the ticks executed (possibly 0: a sample
-        taken at a tick the kernel could not run), or None — with the
-        timer wheel untouched — when the plain path must run instead.
+        inside this ``run_ticks`` call, and ``sampler.sample_budget()``
+        grants it; no other event may be due now, and the span must
+        compile with the sampler's task cores as its FG lanes.  The
+        kernel takes the granted wakeups due before the span's horizon
+        (the next other event), so a wakeup that shares its tick with
+        another event stays on the wheel.  Returns the ticks executed
+        (possibly 0: a wakeup taken at the span's first tick, the
+        acting one or one at a tick the kernel could not run; the
+        caller then runs that tick in ``Machine.tick``), or None — with
+        the timer wheel untouched — when the plain path must run
+        instead.
         """
         allowed = sampler.sample_budget()
         if not allowed:

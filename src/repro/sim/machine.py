@@ -288,21 +288,30 @@ class Machine:
         self._stolen_s[core] += seconds
 
     def attach_sampler(self, sampler) -> None:
-        """Let the batch engine take ``sampler``'s sample-only wakeups.
+        """Let the batch engine take ``sampler``'s wakeups in-kernel.
 
         ``sampler`` is a periodic monitor driving this machine directly
         (the Dirigent runtime, which attaches itself on start).  It
         schedules every wakeup with a callback equal to
         ``sampler.sample_wakeup`` (one bound method, or any binding of
-        the same method to the sampler); a wakeup granted by
-        ``sampler.sample_budget()`` only charges ``invocation_overhead_s``
-        to the pinned core, reads the task cores' instruction counters
-        and reschedules itself one ``sampling_period_s`` later (the
-        ``sampler.sample_terms`` tuple).  The span kernels do exactly
-        that in-kernel and hand the buffered reads to
-        ``sampler.replay_samples``, so a span need not end at such a
-        wakeup.  Only the batch engine's compiled spans use this;
-        ``tick`` and the scalar backend fire every wakeup as a timer.
+        the same method to the sampler).  A wakeup first charges
+        ``invocation_overhead_s`` to the pinned core, reads the task
+        cores' instruction counters and reschedules itself one
+        ``sampling_period_s`` later (the ``sampler.sample_terms``
+        tuple); ``sampler.sample_budget()`` grants the wakeups up to the
+        next one that may act, that one included.  The span kernels do
+        exactly that in-kernel for each granted wakeup that is the only
+        event due at its tick, end the span at the last one, before its
+        tick runs, and hand the buffered reads to
+        ``sampler.replay_samples``, which may then act at that tick.
+        Only the batch engine's compiled spans use this; ``tick`` and
+        the scalar backend fire every wakeup as a timer.
+
+        The kernel reschedules an acting wakeup before the sampler
+        acts, where the timer reschedules after, so nothing the sampler
+        does when it acts may touch the timer wheel: it may actuate
+        (DVFS, pause and resume, cache partitions, overhead charged on
+        synchronous retries) but schedule no timer.
         """
         self._sampler = sampler
 

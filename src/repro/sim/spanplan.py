@@ -43,12 +43,14 @@ tick; on the contended shapes every Dirigent figure simulates (1 FG +
   recompute; recomputing a pure function on an equal input is
   bit-identical, so skipping it is too).
 * **In-kernel sampler wakeups** — every span kernel can take the
-  sample-only wakeups of a sampler attached with
+  wakeups of a sampler attached with
   :meth:`repro.sim.machine.Machine.attach_sampler` (the Dirigent
-  runtime) without ending the span: it buffers the FG counters,
-  charges the wakeup's overhead through the next segment's peeled
-  tick, and redraws the timer; :meth:`SpanPlan.run` requeues the timer
-  and replays the buffered samples through the sampler.
+  runtime): it buffers the FG counters, charges the wakeup's overhead
+  through the next segment's peeled tick, and redraws the timer.  The
+  last granted wakeup, the one that may act, ends the span before its
+  tick runs; :meth:`SpanPlan.run` requeues the timer and hands the
+  buffered rows to the sampler, which folds them and acts at that
+  tick.
 
 **Bit-exactness.**  Every generated kernel performs the same
 floating-point operations in the same order as ``Machine.tick``:
@@ -119,9 +121,9 @@ class SpanStats:
     * ``kernels_compiled``: distinct span shapes compiled to code;
     * ``rho_iterations``: fixed-point iterations run by compiled
       kernels (compiled ticks times the unrolled iteration count);
-    * ``kernel_wakeups``: an attached sampler's sample-only wakeups the
-      span kernels took themselves (buffered, then replayed through
-      the sampler) instead of ending a span to fire them as timers.
+    * ``kernel_wakeups``: an attached sampler's wakeups the span
+      kernels took themselves (buffered, then folded by the sampler),
+      decisions included, instead of firing them as timers.
     """
 
     __slots__ = (
@@ -193,13 +195,14 @@ def _generate_source(shape: tuple) -> str:
     The signature is ``run(span, rho, now, wk, nw, pt, pc, ov, g_0,
     ...)``.  The kernel may take an attached sampler's wakeups itself
     (see :meth:`repro.sim.machine.Machine.attach_sampler`): the next
-    one is due at absolute tick ``wk``, ``nw`` of them may be taken,
-    each reschedules ``pt`` ticks later (plus the timer wheel's jitter
-    draw from the closure-bound ``tr_``) and charges ``ov`` seconds to
-    core ``pc``.  A taken wakeup appends ``(time_s, FG lanes'
-    instruction counters)`` to the closure-bound buffer ``sb``; the
-    kernel returns the next wakeup tick last.  Spans without a sampler
-    pass ``wk = now + span`` and ``nw = 0``.
+    one is due at absolute tick ``wk``, ``nw >= 1`` of them may be
+    taken, each reschedules ``pt`` ticks later (plus the timer wheel's
+    jitter draw from the closure-bound ``tr_``) and charges ``ov``
+    seconds to core ``pc``.  A taken wakeup appends ``(time_s, FG
+    lanes' instruction counters)`` to the closure-bound buffer ``sb``;
+    the ``nw``-th ends the span at its tick, before the tick's model.
+    The kernel returns the next wakeup tick last.  Spans without a
+    sampler pass ``wk = now + span`` (never reached) and ``nw = 0``.
 
     Wakeups split the span into segments.  Each segment's first tick
     is peeled out of the loop and charges each lane's pending runtime
@@ -470,22 +473,24 @@ def _generate_source(shape: tuple) -> str:
 
     # ================= in-kernel sampler wakeup =================
     # What the sampler's timer callback would do at the top of this
-    # tick, in TimerWheel.schedule's order.  A wakeup beyond the budget
-    # (``nw == 0``) or at ``stop`` ends the span: the plain path fires
-    # it.
+    # tick, in TimerWheel.schedule's order.  The last of the ``nw``
+    # granted wakeups is the one that may act: taken, it ends the span
+    # before this tick's model runs, so the sampler acts at this tick
+    # as the timer would.  A wakeup at ``stop`` shares its tick with
+    # another event (or lies past the span) and is never taken.
     row = ["now * dt"] + ["ci_%d" % i for i in range(n) if isfg[i]]
     s1 = "            "
     m1 = s1 + "    "
     add("        while True:")
     add(s1 + "if now == wk:")
-    add(s1 + "    if not nw:")
-    add(s1 + "        break")
-    add(s1 + "    nw -= 1")
     add(s1 + "    sb.append((%s,))" % ", ".join(row))
     add(s1 + "    sta[pc] = sta[pc] + ov")
     add(s1 + "    wk = now + pt")
     add(s1 + "    if jp > 0.0 and tr_() < jp:")
     add(s1 + "        wk += 1")
+    add(s1 + "    nw -= 1")
+    add(s1 + "    if not nw:")
+    add(s1 + "        break")
     if tape:
         # A lane at its tape's drawn end fills the next window there;
         # such a tick starts a segment, whose peeled tick charges
@@ -626,7 +631,7 @@ KERNEL_STATE = {
     "governor": "event ticks stay outside spans (batch-engine horizon)",
     "timers": (
         "event ticks stay outside spans; a sampler's wakeups taken "
-        "in-kernel are requeued by SpanPlan.run"
+        "in-kernel (its acting one last) are requeued by SpanPlan.run"
     ),
     "_energy": "acc_e closure accumulates per span tick",
     "_stolen_s": (
@@ -781,9 +786,10 @@ class SpanPlan:
         pinned_core, overhead_s)`` when the batch engine took the
         attached sampler's wakeup timer (fire tick ``fire_tick``) off
         the timer wheel: the kernel takes up to ``budget`` wakeups
-        itself, and this method hands the timer back to the wheel and
-        replays the buffered samples through the sampler before any
-        completion listener runs — the order the plain path observes.
+        itself, ending the span at the last, and this method hands the
+        timer back to the wheel and the buffered rows to the sampler
+        (which may act at the span's last tick) before any completion
+        listener runs — the order the plain path observes.
         """
         if not m._settled:
             m.settle_cache()

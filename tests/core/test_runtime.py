@@ -1,6 +1,8 @@
 """Unit tests for the Dirigent runtime loop (on the FakeSystem)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.profile import ExecutionProfile, ProfileSegment
 from repro.core.runtime import (
@@ -261,12 +263,13 @@ class TestInKernelSampling:
             budgets.append(runtime.sample_budget())
             system.set_counters(0, instructions=1.1e7 * i)
             system.fire_next_wakeup()
-        assert budgets == [4, 3, 2, 1, 0, 4, 3, 2, 1, 0]
+        # Each grant runs up to and including the next decision.
+        assert budgets == [5, 4, 3, 2, 1, 5, 4, 3, 2, 1]
 
     def test_nothing_taken_outside_normal_mode_or_once_stopped(self):
         system, task, runtime = build()
         runtime.start()
-        assert runtime.sample_budget() == 4
+        assert runtime.sample_budget() == 5
         for mode in ("degraded", "safe"):
             runtime.mode = mode
             assert runtime.sample_budget() == 0
@@ -276,12 +279,13 @@ class TestInKernelSampling:
 
     def test_suspects_near_the_safe_threshold_shrink_the_budget(self):
         # Window 40, safe threshold 0.35 = 14 suspects: even if every
-        # sample taken in-kernel were suspect, the window must stay
-        # below it (entering safe mode actuates).
+        # sample taken in-kernel before the last granted one were
+        # suspect, the window must stay below it (entering safe mode
+        # actuates), so the last one is the first that could reach it.
         system, task, runtime = build(hardening=True)
         runtime.start()
-        for suspects, budget in ((0, 4), (10, 3), (12, 1), (13, 0),
-                                 (14, 0)):
+        for suspects, budget in ((0, 5), (10, 4), (12, 2), (13, 1),
+                                 (14, 1)):
             window = runtime._suspects
             window.clear()
             for flag in [1] * suspects + [0] * (40 - suspects):
@@ -292,7 +296,7 @@ class TestInKernelSampling:
         unhardened.start()
         for flag in [1] * 40:
             unhardened._suspects.push(flag)
-        assert unhardened.sample_budget() == 4
+        assert unhardened.sample_budget() == 5
 
     def test_suspect_window_counts_what_it_holds(self):
         window = SuspectWindow(3)
@@ -303,6 +307,11 @@ class TestInKernelSampling:
             assert list(window) == pushed[-3:]
             assert window.count == sum(pushed[-3:])
             assert len(window) == min(len(pushed), 3)
+        for k in (2, 3):
+            window.push_zeros(k)
+            pushed.extend([0] * k)
+            assert list(window) == pushed[-3:]
+            assert window.count == sum(pushed[-3:])
         window.clear()
         assert list(window) == [] and window.count == 0
 
@@ -387,6 +396,11 @@ class TestInKernelSampling:
         # Replayed as the span kernel hands them over: several spans.
         for start in range(0, len(rows), 7):
             replayed.replay_samples(rows[start:start + 7])
+        # And as k one-row folds.
+        _, single_tasks, single = build_three()
+        for row in rows:
+            single.replay_samples([row])
+        assert _fold_state(single) == _fold_state(replayed)
 
         assert len(live._suspects) == 40
         assert live.degraded_entries == 1
@@ -416,3 +430,123 @@ class TestInKernelSampling:
         assert sum(t.predictor.zero_delta_samples for t in live_tasks) == 2
         assert sum(t.predictor.rejected_samples for t in live_tasks) == 2
         assert replayed.sample_budget() == live.sample_budget() == 0
+
+
+def _fold_state(runtime):
+    """Everything a fold of samples leaves behind, task by task."""
+    tasks = []
+    for task in runtime.tasks:
+        p = task.predictor
+        tasks.append((
+            p._last_t, p._last_progress, p._segment_index,
+            p._segment_entry_t, p._alpha_ma.value, p._rate_ma.value,
+            list(p._measured), p.stale_samples, p.zero_delta_samples,
+            p.rejected_samples, p.hold_penalty_updates,
+            task.midpoint_prediction,
+        ))
+    fine = runtime.fine_controller
+    return (
+        tasks, runtime.invocations, runtime._sample_count, runtime.mode,
+        list(runtime._suspects), runtime._suspects.count,
+        runtime._failures_counted, runtime._last_wakeup_s,
+        runtime.sensor_anomalies(), runtime.suspect_samples,
+        runtime.health_samples, runtime.degraded_entries,
+        runtime.safe_entries, list(runtime.bg_grade_histogram.items()),
+        runtime.sample_budget(),
+        None if fine is None else list(fine.decisions),
+        runtime._sys.actions, dict(runtime._sys.grades),
+        dict(runtime._sys.paused),
+    )
+
+
+_READ_KINDS = st.sampled_from(
+    [None] * 8 + ["zero", "stale", "outlier", "negative"]
+)
+
+
+class TestFold:
+    """A fold of k sample rows against k one-row folds."""
+
+    @staticmethod
+    def _runtime():
+        system = FakeSystem(pid_to_core={1: 0, 2: 1, 11: 3, 12: 4})
+        tasks = [
+            ManagedTask(pid=pid, core=pid - 1, profile=profile(),
+                        deadline_s=0.06, ema_weight=0.2)
+            for pid in (1, 2)
+        ]
+        runtime = DirigentRuntime(
+            system, tasks, [11, 12],
+            options=RuntimeOptions(hardening=True, health_window=12),
+        )
+        runtime.start()
+        return runtime
+
+    def test_a_healthy_span_pushes_zero_flags(self):
+        # No anomaly, no late wakeup, normal mode below the degraded
+        # density: the span's flags are all 0, and old flags leave.
+        runtime = self._runtime()
+        window = runtime._suspects
+        for flag in [1] + [0] * 11:
+            window.push(flag)
+        period = RuntimeOptions().sampling_period_s
+        rows = [(k * period, 2.4e6 * k, 2.5e6 * k) for k in (1, 2, 3)]
+        runtime.replay_samples(rows)
+        assert list(window) == [0] * 12 and window.count == 0
+        assert runtime.health_samples == 3
+        assert runtime.suspect_samples == runtime.late_wakeups == 0
+        assert runtime.mode == "normal"
+        assert runtime._last_wakeup_s == rows[-1][0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reads=st.lists(st.tuples(_READ_KINDS, _READ_KINDS),
+                       min_size=10, max_size=70),
+        gaps=st.lists(st.sampled_from([1.0] * 6 + [1.6, 3.0]),
+                      min_size=70, max_size=70),
+        spans=st.lists(st.integers(min_value=1, max_value=5),
+                       min_size=70, max_size=70),
+    )
+    def test_a_fold_of_k_rows_equals_k_one_row_folds(
+        self, reads, gaps, spans
+    ):
+        # Stale, zero-delta, outlier, negative and late reads drive the
+        # window, so the mode degrades (and reaches safe mode) inside
+        # folds, and decisions actuate.  Each fold takes at most what
+        # sample_budget() grants (one row once it is 0), as a span
+        # kernel does.
+        period = RuntimeOptions().sampling_period_s
+        counts = [0.0, 0.0]
+        now = 0.0
+        rows = []
+        for k, kinds in enumerate(reads):
+            now += gaps[k] * period
+            row = [now]
+            for i, kind in enumerate(kinds):
+                if kind == "zero":
+                    value = counts[i]
+                elif kind == "stale":
+                    value = counts[i] - 5e5
+                elif kind == "outlier":
+                    value = counts[i] + 1e9
+                elif kind == "negative":
+                    value = -1e6
+                else:
+                    counts[i] += 2.4e6 * gaps[k] * (1.0 + 0.05 * i)
+                    value = counts[i]
+                row.append(value)
+            rows.append(tuple(row))
+
+        single = self._runtime()
+        for row in rows:
+            single.replay_samples([row])
+        spanned = self._runtime()
+        start = 0
+        for span in spans:
+            if start == len(rows):
+                break
+            span = min(span, max(1, spanned.sample_budget()))
+            spanned.replay_samples(rows[start:start + span])
+            start += span
+        assert start == len(rows)
+        assert _fold_state(spanned) == _fold_state(single)

@@ -1,5 +1,8 @@
 """Unit tests for the figure-driver helpers on reduced mix sets."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.experiments import figures
@@ -87,3 +90,39 @@ class TestSummary:
         assert (sweep.mode, sweep.workers) == ("parallel", 2)
         assert len(sweep.results) == len(REDUCED) * 5
         assert sweep.retried == sweep.failed == 0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="counting calls in workers needs the fork start method",
+    )
+    def test_parallel_sweep_runs_each_prerequisite_once_with_the_disk_off(
+        self, monkeypatch, tmp_path
+    ):
+        # A prepare cell hands its mix's Baseline, partition and profile
+        # to the mix's policy cells, so no worker recomputes one it
+        # lacks: each mix's Baseline, partition sweep and five policy
+        # cells run once across all processes (13 per mix).
+        from repro.experiments import harness
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = figures._summary("figX", "reduced", REDUCED, 3, 0, "note")
+        clear_caches()
+        log = tmp_path / "run_policy_calls"
+        real = harness.run_policy
+
+        def logged(mix, policy, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write("%d %s\n" % (os.getpid(), policy.name))
+            return real(mix, policy, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_policy", logged)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        shutdown_pool()
+        try:
+            parallel = figures._summary("figX", "reduced", REDUCED, 3, 0,
+                                        "note")
+        finally:
+            shutdown_pool()
+        assert parallel == serial
+        assert len(log.read_text().splitlines()) == 26

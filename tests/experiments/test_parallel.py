@@ -139,6 +139,45 @@ class TestRunGrid:
         assert _snapshot(cold) == _snapshot(warm)
         assert warm.elapsed_s < cold.elapsed_s
 
+    def test_serial_sweep_draws_each_mix_jitter_once(self, monkeypatch):
+        # One jitter scope around the mix's cells: every machine of the
+        # sweep (Baseline, partition sweep, profile, policy runs) reads
+        # tapes, one per (seed, core), and nothing draws in-kernel.
+        from repro.core.policies import PAPER_POLICIES
+        from repro.sim import machine as machine_mod
+        from repro.sim.jitter import JitterTape
+
+        mix = mix_by_name(MIXES[0])
+        tapes = []
+        tape_init = JitterTape.__init__
+
+        def init(tape, seed, core, sigma):
+            tapes.append((seed, core, sigma))
+            tape_init(tape, seed, core, sigma)
+
+        own_draws = []
+        derive = machine_mod.derive_rng
+
+        def derive_rng(seed, stream):
+            if stream.startswith("jitter-core-"):
+                own_draws.append((seed, stream))
+            return derive(seed, stream)
+
+        monkeypatch.setattr(JitterTape, "__init__", init)
+        monkeypatch.setattr(machine_mod, "derive_rng", derive_rng)
+        scoped = run_grid([mix], PAPER_POLICIES, executions=2, warmup=1,
+                          workers=1)
+        assert tapes and len(tapes) == len(set(tapes))
+        assert own_draws == []
+        monkeypatch.undo()
+        harness.clear_caches()
+        cells = {}
+        for policy in PAPER_POLICIES:
+            cells.update(_snapshot(run_grid(
+                [mix], [policy], executions=2, warmup=1, workers=1
+            )))
+        assert _snapshot(scoped) == cells
+
     def test_sweep_result_get_accessor(self):
         mix = mix_by_name(MIXES[0])
         sweep = run_grid([mix], [BASELINE], executions=2, warmup=1, workers=1)
@@ -290,7 +329,11 @@ class TestDegradedDispatch:
         def _no_pool(*args, **kwargs):
             raise OSError("no semaphores here")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _no_pool)
+        # The pool class is looked up where the pool is created.
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _no_pool)
         with caplog.at_level(logging.WARNING,
                              logger="repro.experiments.parallel"):
             sweep, expected = self._grid()

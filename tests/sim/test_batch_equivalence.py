@@ -373,6 +373,8 @@ def _runtime_observables(session):
         runtime.health_samples,
         runtime.degraded_entries,
         runtime.safe_entries,
+        # Every decision: its tick, its action and what it read.
+        list(runtime.fine_controller.decisions),
         result.durations_s,
         result.fg_instr,
         result.bg_instr,
@@ -380,17 +382,20 @@ def _runtime_observables(session):
     )
 
 
-def _sample_only(runtime):
-    every = runtime.options.decision_every
-    return runtime.invocations - runtime.invocations // every
+def _every_wakeup(runtime):
+    # No wakeup of a Dirigent run shares its tick with another event (a
+    # decision's DVFS change applies one tick later), so the kernels
+    # take every one, decisions included.
+    return runtime.invocations
 
 
 class TestInKernelWakeupEquivalence:
-    """Dirigent's sample-only wakeups run inside the span kernels.
+    """Dirigent's wakeups run inside the span kernels, decisions too.
 
-    The batch backend buffers them in-kernel and replays them through
-    the runtime's sampling routine; every runtime observable must match
-    the scalar reference, which fires each wakeup as a timer.
+    The batch backend buffers them in-kernel and folds them through the
+    runtime's sampling routine, which makes the decision at the acting
+    wakeup's tick; every runtime observable must match the scalar
+    reference, which fires each wakeup as a timer.
     """
 
     @pytest.fixture(autouse=True)
@@ -412,16 +417,19 @@ class TestInKernelWakeupEquivalence:
         batch = _drive_session(monkeypatch, BACKEND_BATCH, mix, config)
         assert _runtime_observables(scalar) == _runtime_observables(batch)
         stats = batch.machine.backend_stats()
-        assert stats["kernel_wakeups"] == _sample_only(batch.runtime) > 0
+        assert stats["kernel_wakeups"] == _every_wakeup(batch.runtime) > 0
+        # Decisions made at in-kernel wakeups actuated at their tick.
+        actions = {d.action for d in batch.runtime.fine_controller.decisions}
+        assert actions - {"none", "hold"}
 
     @pytest.mark.parametrize("mix", ["ferret rs", "raytrace x3 rs"])
     def test_no_plain_span_ends_at_a_sample_only_wakeup(
         self, monkeypatch, mix
     ):
         # Every wakeup sample_budget() grants is the sampling kernel's
-        # to take, the one right after a decision wakeup included: a
-        # plain span may end at the runtime's wakeup only when the
-        # wakeup decides (or the run itself ends there).
+        # to take, decision wakeups and the one right after them
+        # included: a plain span may end at the runtime's wakeup only
+        # when nothing is granted (or the run itself ends there).
         from repro.sim.batch import BatchEngine
 
         monkeypatch.setenv(ENV_BACKEND, BACKEND_BATCH)
@@ -473,7 +481,7 @@ class TestInKernelWakeupEquivalence:
         traced = _drive_session(monkeypatch, BACKEND_BATCH, "ferret rs")
         assert _runtime_observables(traced) == _runtime_observables(plain)
         stats = traced.machine.backend_stats()
-        assert stats["kernel_wakeups"] == _sample_only(traced.runtime) > 0
+        assert stats["kernel_wakeups"] == _every_wakeup(traced.runtime) > 0
 
     def test_faulted_runs_take_nothing_in_kernel(self, monkeypatch):
         from repro.faults import scenario
@@ -536,4 +544,4 @@ class TestInKernelWakeupEquivalence:
             assert taken == 0
         else:
             assert machine._sampler is runtime
-            assert taken == _sample_only(runtime)
+            assert taken == _every_wakeup(runtime)

@@ -591,10 +591,13 @@ class _Sampler:
     """A minimal periodic sampler honoring ``Machine.attach_sampler``.
 
     Every ``every``-th wakeup is a decision: it steps its core's DVFS
-    grade, so it must fire as a timer at its exact tick.  The rest only
-    charge overhead, read the FG counters and reschedule, exactly like
-    the Dirigent runtime's sample-only wakeups.  ``events`` is shared
-    with other timers to pin firing order.
+    grade at its own tick.  The rest only charge overhead, read the FG
+    counters and reschedule, exactly like the Dirigent runtime's
+    sample-only wakeups.  Each grant runs up to the next decision, which
+    a span kernel takes too and hands over last, so the decision runs
+    after the rows are folded, as the runtime's does.  ``events`` is
+    shared with other timers to pin firing order; ``live`` lists the
+    ticks of the wakeups that fired as timers.
     """
 
     def __init__(self, machine, events, *, every=5, core=1, cores=(0,)):
@@ -604,6 +607,7 @@ class _Sampler:
         self.core = core
         self.cores = cores
         self.count = 0
+        self.live = []
         self.period_s = 5e-3
         self.overhead_s = 1e-4
         self._wakeup = self._on_wakeup
@@ -619,25 +623,32 @@ class _Sampler:
         return (self.period_s, self.core, self.overhead_s, self.cores)
 
     def sample_budget(self):
-        return self.every - 1 - self.count % self.every
+        return self.every - self.count % self.every
 
     def replay_samples(self, samples):
         for row in samples:
             self._sample(tuple(row))
+        self._decide()
 
     def _on_wakeup(self):
         m = self.machine
+        self.live.append(m.clock.tick)
         m.charge_overhead(self.core, self.overhead_s)
         self._sample((m.now(),) + tuple(
             m.read_counters(core).instructions for core in self.cores
         ))
-        if self.count % self.every == 0:
-            m.step_frequency(self.core, 1 if self.count % 2 else -1)
+        self._decide()
         m.schedule_wakeup(self.period_s, self._wakeup)
 
     def _sample(self, row):
         self.count += 1
         self.events.append(("sample",) + row)
+
+    def _decide(self):
+        if self.count % self.every == 0:
+            self.machine.step_frequency(
+                self.core, 1 if self.count % 2 else -1
+            )
 
 
 class TestInKernelWakeups:
@@ -676,9 +687,10 @@ class TestInKernelWakeups:
         assert batch._stolen_s == scalar._stolen_s
         _assert_identical(scalar, batch)
         stats = batch.backend_stats()
-        # Every sample-only wakeup ran in-kernel: a silent fallback to
-        # the plain path fails here.
-        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
+        # Every wakeup, decisions included, ran in-kernel: a silent
+        # fallback to the plain path fails here.
+        assert stats["kernel_wakeups"] == smp_b.count
+        assert smp_b.live == []
 
     def test_several_fg_lanes_fill_the_sample_row(self):
         def build(backend):
@@ -701,7 +713,7 @@ class TestInKernelWakeups:
         assert all(len(event) == 5 for event in ev_b)
         _assert_identical(scalar, batch)
         stats = batch.backend_stats()
-        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
+        assert stats["kernel_wakeups"] == smp_b.count
 
     def test_foreign_timer_on_sample_ticks_fires_in_scalar_order(self):
         # A second periodic timer shares the wheel (and its jitter RNG)
@@ -742,18 +754,94 @@ class TestInKernelWakeups:
         _assert_identical(scalar, batch)
         assert batch.backend_stats()["kernel_wakeups"] > 0
 
+    def test_decision_tick_shared_with_a_timer_or_transition_stays_live(
+        self,
+    ):
+        # Decisions land on ticks 25, 50, 75, ... (no timer jitter).  A
+        # foreign timer fires at tick 50, and one at tick 72 steps core
+        # 3 with a 3-tick transition that applies at tick 75: those two
+        # decisions are not alone on their ticks, so they fire as
+        # timers; every other wakeup runs in-kernel.
+        def build(backend):
+            config = MachineConfig(seed=9, timer_jitter_prob=0.0,
+                                   freq_transition_ticks=3)
+            machine = Machine(config, backend=backend)
+            machine.spawn(make_fg(input_noise=0.05), core=0, nice=-5)
+            for core in range(1, config.num_cores):
+                machine.spawn(make_bg(heavy=core % 2 == 0), core=core,
+                              nice=5)
+            machine.settle_cache()
+            return machine
+
+        (scalar, ev_s, _), (batch, ev_b, smp_b) = self._pair(build)
+        for machine, events in ((scalar, ev_s), (batch, ev_b)):
+            def at_50(machine=machine, events=events):
+                events.append(("foreign", machine.clock.tick))
+
+            def at_72(machine=machine, events=events):
+                events.append(("foreign", machine.clock.tick))
+                machine.step_frequency(3, -1)
+
+            dt = machine.config.tick_s
+            machine.schedule_wakeup(50 * dt, at_50)
+            machine.schedule_wakeup(72 * dt, at_72)
+            machine.run_ticks(400)
+        assert ev_s == ev_b
+        _assert_identical(scalar, batch)
+        assert smp_b.live == [50, 75]
+        assert batch.backend_stats()["kernel_wakeups"] == smp_b.count - 2
+
+    def test_acting_wakeup_at_a_spans_first_tick(self, monkeypatch):
+        # A run_ticks call that ends at a decision tick leaves that
+        # wakeup to the next call, whose first span takes it before
+        # running any tick (0 ticks executed); Machine.tick then runs
+        # that tick after the decision.
+        from repro.sim.batch import BatchEngine
+
+        sampled_span = BatchEngine._sampled_span
+        first_tick = []
+
+        def spy(engine, m, sampler, budget):
+            before = sampler.count
+            executed = sampled_span(engine, m, sampler, budget)
+            if executed == 0 and sampler.count == before + 1:
+                first_tick.append((m.clock.tick, sampler.count))
+            return executed
+
+        monkeypatch.setattr(BatchEngine, "_sampled_span", spy)
+        (scalar, ev_s, smp_s), (batch, ev_b, smp_b) = self._pair(
+            lambda backend: _machine(backend)
+        )
+        for _ in range(12):
+            # Run up to the next decision tick, then a little past it.
+            period = batch.clock.ticks_for(smp_b.period_s)
+            step = (batch.timers.next_deadline() - batch.clock.tick
+                    + (smp_b.sample_budget() - 1) * period)
+            for machine in (scalar, batch):
+                machine.run_ticks(step)
+                machine.run_ticks(3)
+        assert ev_s == ev_b
+        _assert_identical(scalar, batch)
+        assert first_tick
+        assert all(count % smp_b.every == 0 for _, count in first_tick)
+        assert batch.backend_stats()["kernel_wakeups"] == smp_b.count
+
     def test_zero_budget_and_unrecognized_timers_take_the_plain_path(self):
-        # A budget of 0 (every wakeup decides), and a sampler naming a
-        # callback other than the one it schedules (a method of another
-        # function; a fresh binding of the scheduled method would count
-        # as it), both leave every wakeup to the plain path: results
-        # match scalar and nothing runs in-kernel.
+        # A budget of 0 (as the runtime's outside normal mode), and a
+        # sampler naming a callback other than the one it schedules (a
+        # method of another function; a fresh binding of the scheduled
+        # method would count as it), both leave every wakeup to the
+        # plain path: results match scalar and nothing runs in-kernel.
+        class Halted(_Sampler):
+            def sample_budget(self):
+                return 0
+
         class Unnamed(_Sampler):
             @property
             def sample_wakeup(self):
                 return self._sample
 
-        for sampler_cls, every in ((_Sampler, 1), (Unnamed, 5)):
+        for sampler_cls, every in ((Halted, 1), (Unnamed, 5)):
             runs = []
             for backend in (BACKEND_SCALAR, BACKEND_BATCH):
                 machine = _machine(backend)
@@ -790,7 +878,7 @@ class TestInKernelWakeups:
         assert ev_s == ev_b
         _assert_identical(scalar, batch)
         stats = batch.backend_stats()
-        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5 > 0
+        assert stats["kernel_wakeups"] == smp_b.count > 0
 
     def test_sample_on_a_guard_trip_tick_is_requeued_and_replayed(self):
         # Wakeups every tick-rounded period while the FG crosses phase
@@ -830,7 +918,7 @@ class TestInKernelWakeups:
         assert records[BACKEND_SCALAR] == records[BACKEND_BATCH]
         _assert_identical(scalar, batch)
         stats = batch.backend_stats()
-        assert stats["kernel_wakeups"] == smp_b.count - smp_b.count // 5
+        assert stats["kernel_wakeups"] == smp_b.count
 
 
 class TestPropertyEquivalence:

@@ -143,3 +143,31 @@ class TestNoNumpy:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == ""
+
+
+class TestColdStart:
+    def test_figures_import_loads_no_pool_or_fault_injection(self):
+        # A process that renders figures never creates a worker pool or
+        # applies a fault plan, so it must not pay for importing them.
+        script = textwrap.dedent("""\
+            import sys
+
+            import repro.experiments.figures
+
+            print(",".join(sorted(
+                name for name in sys.modules
+                if name.startswith(("concurrent.futures", "multiprocessing",
+                                    "repro.faults"))
+            )))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""
