@@ -16,8 +16,10 @@ Structure:
 * :class:`SourceModule` — a parsed file plus the derived indexes rules
   share: suppression comments, import-time node marking, and a parent
   map.
-* :func:`analyze_paths` — the driver: collect files, parse, run every
-  registered rule, filter suppressed findings.
+* :func:`run_analysis` — the driver: one full pass that reads and
+  parses each collected file once, runs every selected rule, and
+  filters suppressed findings; :func:`analyze_paths` returns just the
+  findings.
 
 Suppressions are inline comments on the offending line::
 
@@ -276,8 +278,7 @@ class Rule:
     severity: str = "error"
     description: str = ""
     #: "module" for per-file rules, "project" for whole-set rules;
-    #: surfaced by ``--list-rules`` and used by the incremental cache
-    #: (module-rule findings cache per file, project rules per run).
+    #: surfaced by ``--list-rules``.
     kind: str = "module"
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
@@ -463,7 +464,6 @@ class AnalysisResult:
     findings: List[Finding]
     checked_files: int
     rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
-    cache_stats: Optional[Dict[str, object]] = None
 
     @property
     def suppressed(self) -> int:
@@ -471,28 +471,16 @@ class AnalysisResult:
         return sum(stats.suppressed for stats in self.rule_stats.values())
 
 
-def _stats_for(rule_stats: Dict[str, RuleStats], rule_id: str) -> RuleStats:
-    stats = rule_stats.get(rule_id)
-    if stats is None:
-        stats = rule_stats[rule_id] = RuleStats()
-    return stats
-
-
 def run_analysis(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[Path] = None,
-    cache=None,
 ) -> AnalysisResult:
     """Run ``rules`` (default: all registered) over ``paths``.
 
     Findings come back sorted by (path, line, rule) with inline
     suppressions already filtered out; files that fail to parse yield a
     synthetic ``PARSE`` error finding instead of aborting the run.
-    ``cache`` (a :class:`repro.analysis.cache.LintCache`) reuses
-    module-rule findings for files whose content hash is unchanged and
-    the whole project-rule pass when *no* analyzed file changed — a
-    fully warm run never parses a single file.
     """
     if rules is None:
         rules = default_rules()
@@ -501,124 +489,46 @@ def run_analysis(
     rule_stats: Dict[str, RuleStats] = {r.id: RuleStats() for r in rules}
     findings: List[Finding] = []
 
-    entries: List[tuple] = []  # (path, relkey, text, content_sha)
-    for path in collect_files([Path(p) for p in paths]):
-        text = path.read_text(encoding="utf-8")
-        entries.append((path, module_relpath(path, root), text,
-                        _content_sha(text)))
-
-    project_key = None
-    cached_project = None
-    if cache is not None and project_rules:
-        project_key = _content_sha("\x1f".join(
-            sorted("%s=%s" % (relkey, sha)
-                   for _, relkey, _, sha in entries)
-        ))
-        cached_project = cache.lookup_project(project_key)
-    # Project rules need the parsed module set, so a project-cache miss
-    # forces parsing even content-unchanged files (their module-rule
-    # findings still come from the cache).
-    need_all_modules = bool(project_rules) and cached_project is None
-
+    files = collect_files([Path(p) for p in paths])
     modules: List[SourceModule] = []
-    files_reused = 0
-    for path, relkey, text, sha in entries:
-        cached_mod = cache.lookup_module(relkey, sha) if cache else None
-        if cached_mod is not None:
-            mod_findings, suppressed_by_rule = cached_mod
-            files_reused += 1
-            findings.extend(mod_findings)
-            for finding in mod_findings:
-                _stats_for(rule_stats, finding.rule).findings += 1
-            for rule_id, count in suppressed_by_rule.items():
-                _stats_for(rule_stats, rule_id).suppressed += count
-            if not need_all_modules:
-                continue
+    for path in files:
         try:
-            module = load_module(path, root=root)
+            modules.append(load_module(path, root=root))
         except SyntaxError as exc:
-            if cached_mod is None:
-                parse_finding = Finding(
-                    rule="PARSE",
-                    severity="error",
-                    path=str(path),
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message="file does not parse: %s" % exc.msg,
-                )
-                findings.append(parse_finding)
-                _stats_for(rule_stats, "PARSE").findings += 1
-                if cache is not None:
-                    cache.store_module(relkey, sha, [parse_finding], {})
-            continue
-        modules.append(module)
-        if cached_mod is not None:
-            continue  # parsed only for the project pass
-        mod_findings = []
-        suppressed_by_rule: Dict[str, int] = {}
-        for rule in module_rules:
-            stats = rule_stats[rule.id]
-            started = time.perf_counter()
-            for finding in rule.check_module(module):
-                if module.suppressed(finding):
-                    stats.suppressed += 1
-                    suppressed_by_rule[rule.id] = (
-                        suppressed_by_rule.get(rule.id, 0) + 1
-                    )
-                else:
-                    mod_findings.append(finding)
-                    stats.findings += 1
-            stats.time_s += time.perf_counter() - started
-        findings.extend(mod_findings)
-        if cache is not None:
-            cache.store_module(relkey, sha, mod_findings,
-                               suppressed_by_rule)
+            findings.append(Finding(
+                rule="PARSE",
+                severity="error",
+                path=str(path),
+                line=exc.lineno or 1,
+                col=exc.offset or 0,
+                message="file does not parse: %s" % exc.msg,
+            ))
+            rule_stats.setdefault("PARSE", RuleStats()).findings += 1
+    by_path = {str(m.path): m for m in modules}
 
-    if cached_project is not None:
-        project_findings, suppressed_by_rule = cached_project
-        findings.extend(project_findings)
-        for finding in project_findings:
-            _stats_for(rule_stats, finding.rule).findings += 1
-        for rule_id, count in suppressed_by_rule.items():
-            _stats_for(rule_stats, rule_id).suppressed += count
-    else:
-        by_path = {str(m.path): m for m in modules}
-        project_findings = []
-        suppressed_by_rule = {}
-        for rule in project_rules:
-            stats = rule_stats[rule.id]
-            started = time.perf_counter()
-            for finding in rule.check_project(modules):
-                module = by_path.get(finding.path)
-                if module is not None and module.suppressed(finding):
-                    stats.suppressed += 1
-                    suppressed_by_rule[rule.id] = (
-                        suppressed_by_rule.get(rule.id, 0) + 1
-                    )
-                else:
-                    project_findings.append(finding)
-                    stats.findings += 1
-            stats.time_s += time.perf_counter() - started
-        findings.extend(project_findings)
-        if cache is not None and project_key is not None:
-            cache.store_project(project_key, project_findings,
-                                suppressed_by_rule)
+    def keep(rule: Rule, candidates: Iterable[Finding]) -> None:
+        stats = rule_stats[rule.id]
+        started = time.perf_counter()
+        for finding in candidates:
+            module = by_path.get(finding.path)
+            if module is not None and module.suppressed(finding):
+                stats.suppressed += 1
+            else:
+                findings.append(finding)
+                stats.findings += 1
+        stats.time_s += time.perf_counter() - started
+
+    for module in modules:
+        for rule in module_rules:
+            keep(rule, rule.check_module(module))
+    for rule in project_rules:
+        keep(rule, rule.check_project(modules))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    cache_stats = None
-    if cache is not None:
-        cache_stats = {
-            "enabled": True,
-            "files_reused": files_reused,
-            "files_analyzed": len(entries) - files_reused,
-            "project_reused": cached_project is not None,
-        }
-        cache.save()
     return AnalysisResult(
         findings=findings,
-        checked_files=len(entries),
+        checked_files=len(files),
         rule_stats=rule_stats,
-        cache_stats=cache_stats,
     )
 
 
@@ -629,12 +539,6 @@ def analyze_paths(
 ) -> List[Finding]:
     """:func:`run_analysis` returning just the finding list."""
     return run_analysis(paths, rules=rules, root=root).findings
-
-
-def _content_sha(text: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def iter_rule_info(rules: Iterable[Rule]) -> Iterator[Dict[str, str]]:

@@ -6,19 +6,16 @@ Three formats:
   finding plus a summary line; for humans and CI logs.
 * **json** — a stable machine-readable document (``version`` field,
   findings as objects, severity tallies, per-rule timing/suppression
-  stats, cache and baseline accounting); for the CI gate and editor
-  integrations.  Consumers should key on ``summary.errors`` for the
-  pass/fail decision, mirroring the CLI's exit code.
+  stats); for the CI gate and editor integrations.  Consumers should
+  key on ``summary.errors`` for the pass/fail decision, mirroring the
+  CLI's exit code.
 * **sarif** — a SARIF 2.1.0 log (one run, the analyzer as the tool
   driver, every rule as tool metadata); for code-scanning UIs and the
   CI artifact upload.
 
 JSON document history: version 1 had ``findings`` + ``summary``
 (findings/errors/warnings/checked_files); version 2 adds
-``summary.suppressed``, baseline accounting (``summary.baselined``,
-``summary.stale_baseline_entries`` when a baseline is active), the
-per-rule ``rule_stats`` map, and the ``cache`` block when the
-incremental cache is enabled.
+``summary.suppressed`` and the per-rule ``rule_stats`` map.
 """
 
 from __future__ import annotations
@@ -55,8 +52,7 @@ def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
 
 def render_text(findings: Sequence[Finding],
                 checked_files: Optional[int] = None,
-                suppressed: Optional[int] = None,
-                baselined: Optional[int] = None) -> str:
+                suppressed: Optional[int] = None) -> str:
     """Human-readable report, one row per finding plus a summary."""
     lines: List[str] = []
     for finding in findings:
@@ -68,12 +64,7 @@ def render_text(findings: Sequence[Finding],
     checked = "" if checked_files is None else (
         " in %d files" % checked_files
     )
-    extras = []
-    if suppressed:
-        extras.append("%d suppressed" % suppressed)
-    if baselined:
-        extras.append("%d baselined" % baselined)
-    extra = " (%s)" % ", ".join(extras) if extras else ""
+    extra = " (%d suppressed)" % suppressed if suppressed else ""
     if summary["findings"]:
         lines.append("%d finding(s)%s: %d error(s), %d warning(s)%s" % (
             summary["findings"], checked, summary["errors"],
@@ -87,10 +78,7 @@ def render_text(findings: Sequence[Finding],
 def render_json(findings: Sequence[Finding],
                 checked_files: Optional[int] = None,
                 suppressed: Optional[int] = None,
-                rule_stats: Optional[Dict[str, object]] = None,
-                cache_stats: Optional[Dict[str, object]] = None,
-                baselined: Optional[int] = None,
-                stale_baseline: Optional[int] = None) -> str:
+                rule_stats: Optional[Dict[str, object]] = None) -> str:
     """Machine-readable report (sorted keys, trailing-newline-free)."""
     document: Dict[str, object] = {
         "version": JSON_VERSION,
@@ -102,14 +90,8 @@ def render_json(findings: Sequence[Finding],
         summary["checked_files"] = checked_files
     if suppressed is not None:
         summary["suppressed"] = suppressed
-    if baselined is not None:
-        summary["baselined"] = baselined
-    if stale_baseline is not None:
-        summary["stale_baseline_entries"] = stale_baseline
     if rule_stats is not None:
         document["rule_stats"] = rule_stats
-    if cache_stats is not None:
-        document["cache"] = cache_stats
     return json.dumps(document, indent=2, sort_keys=True)
 
 
@@ -183,20 +165,14 @@ def render(findings: Sequence[Finding], fmt: str,
            checked_files: Optional[int] = None,
            suppressed: Optional[int] = None,
            rule_stats: Optional[Dict[str, object]] = None,
-           cache_stats: Optional[Dict[str, object]] = None,
-           baselined: Optional[int] = None,
-           stale_baseline: Optional[int] = None,
            rules: Optional[Iterable[Rule]] = None,
            root: Optional[Path] = None) -> str:
     """Dispatch on ``fmt`` (one of :data:`FORMATS`)."""
     if fmt == "json":
         return render_json(findings, checked_files,
-                           suppressed=suppressed, rule_stats=rule_stats,
-                           cache_stats=cache_stats, baselined=baselined,
-                           stale_baseline=stale_baseline)
+                           suppressed=suppressed, rule_stats=rule_stats)
     if fmt == "text":
-        return render_text(findings, checked_files,
-                           suppressed=suppressed, baselined=baselined)
+        return render_text(findings, checked_files, suppressed=suppressed)
     if fmt == "sarif":
         return render_sarif(findings, rules=rules, root=root)
     raise ValueError("unknown format %r (expected one of %s)"

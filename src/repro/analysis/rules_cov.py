@@ -36,8 +36,9 @@ registry the span kernels export:
 
 The registry is read from the *analyzed* modules' ASTs when those
 modules are part of the run (so fixture trees are self-contained), and
-from the live package otherwise (so ``repro lint --changed`` with only
-``machine.py`` in the set still cross-checks).  Like the other project
+from the live package otherwise (so ``repro lint
+src/repro/sim/machine.py``, an explicit partial path, still
+cross-checks).  Like the other project
 rules, each rule skips silently when its subject module is not in the
 analyzed set.
 
@@ -348,7 +349,7 @@ def parse_scalar_only(module: SourceModule) -> Set[str]:
 
 
 def _live_registry_keys(module_name: str, attr: str) -> Optional[Set[str]]:
-    """Registry keys from the live package (``--changed`` runs)."""
+    """Registry keys from the live package (partial-path runs)."""
     try:
         import importlib
 

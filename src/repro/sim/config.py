@@ -48,10 +48,12 @@ class MachineConfig:
         mem_base_latency_ns: Unloaded LLC-miss penalty in nanoseconds.
         mem_contention_scale: Strength of queueing-induced latency
             inflation; the loaded penalty is
-            ``base * (1 + scale * rho / (1 - rho))``.
+            ``base * (1 + scale * rho / (1 - rho))``.  At least 0: below
+            it load would shorten the penalty, and the first tick fails.
         mem_rho_cap: Upper bound on modeled bandwidth utilization to keep
             the queueing term finite.
-        cache_line_bytes: Line size used to convert misses to bandwidth.
+        cache_line_bytes: Line size used to convert misses to bandwidth;
+            at least 1 (at 0 misses would carry no memory traffic).
         tick_s: Simulator tick length in seconds.
         cache_inertia_tau_s: Time constant of the exponential approach of
             actual cache occupancy to its post-repartition target ("cache
@@ -61,7 +63,8 @@ class MachineConfig:
         timer_jitter_prob: Probability that a timer fires one tick late,
             modeling sleep-timer error (the paper's ``dT_i != dT``).
         freq_transition_ticks: Ticks before a frequency change takes
-            effect.
+            effect; at least 1, so a change requested during a tick
+            applies on a later tick under every backend.
         seed: Root seed for all stochastic streams of the machine.
     """
 
@@ -102,8 +105,12 @@ class MachineConfig:
             raise ConfigurationError("mem_peak_gbps must be positive")
         if self.mem_base_latency_ns <= 0:
             raise ConfigurationError("mem_base_latency_ns must be positive")
+        if self.mem_contention_scale < 0:
+            raise ConfigurationError("mem_contention_scale must be >= 0")
         if not 0.0 < self.mem_rho_cap < 1.0:
             raise ConfigurationError("mem_rho_cap must be in (0, 1)")
+        if self.cache_line_bytes < 1:
+            raise ConfigurationError("cache_line_bytes must be >= 1")
         if self.tick_s <= 0:
             raise ConfigurationError("tick_s must be positive")
         if self.cache_inertia_tau_s < 0:
@@ -112,6 +119,8 @@ class MachineConfig:
             raise ConfigurationError("os_jitter_sigma must be >= 0")
         if not 0.0 <= self.timer_jitter_prob <= 1.0:
             raise ConfigurationError("timer_jitter_prob must be in [0, 1]")
+        if self.freq_transition_ticks < 1:
+            raise ConfigurationError("freq_transition_ticks must be >= 1")
 
     @property
     def min_freq_ghz(self) -> float:

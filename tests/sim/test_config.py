@@ -114,6 +114,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MachineConfig(timer_jitter_prob=-0.1)
 
+    def test_negative_contention_scale_rejected(self):
+        with pytest.raises(ConfigurationError, match="mem_contention_scale"):
+            MachineConfig(mem_contention_scale=-0.5)
+        assert MachineConfig(mem_contention_scale=0.0).mem_contention_scale == 0.0
+
+    def test_nonpositive_cache_line_rejected(self):
+        with pytest.raises(ConfigurationError, match="cache_line_bytes"):
+            MachineConfig(cache_line_bytes=0)
+        with pytest.raises(ConfigurationError, match="cache_line_bytes"):
+            MachineConfig(cache_line_bytes=-64)
+
+    def test_zero_freq_transition_ticks_rejected(self):
+        # At 0 the batch engine applies a timer-requested DVFS change one
+        # tick earlier than the scalar reference, so the backends diverge.
+        with pytest.raises(ConfigurationError, match="freq_transition_ticks"):
+            MachineConfig(freq_transition_ticks=0)
+        with pytest.raises(ConfigurationError, match="freq_transition_ticks"):
+            MachineConfig(freq_transition_ticks=-1)
+        assert MachineConfig(freq_transition_ticks=1).freq_transition_ticks == 1
+
 
 class TestEnvKnobAccessors:
     """The typed environment-knob funnel (read late, never at import)."""
