@@ -12,8 +12,9 @@ Usage (via the package CLI)::
 Every run is one full pass over the paths it is given.  Exit status is
 0 when no error-severity finding survives inline suppression, 1
 otherwise — the CI static-analysis job gates on exactly this — and 2
-for a usage error (an unknown option, a missing path or an unknown
-``--select`` token), so a typo never reads as a violation.
+for a usage error (an unknown option, a missing path, a path holding
+no Python file or an unknown ``--select`` token), so a typo never
+reads as a clean pass or a violation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import argparse
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.core import Rule, default_rules, run_analysis
+from repro.analysis.core import (
+    Rule, collect_files, default_rules, run_analysis,
+)
 from repro.analysis.reporters import FORMATS, render, render_rule_list
 
 
@@ -118,6 +121,9 @@ def run_lint(argv: Optional[Sequence[str]] = None) -> int:
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         parser.error("no such path: %s" % ", ".join(missing))
+    empty = [str(p) for p in paths if not collect_files([p])]
+    if empty:
+        parser.error("no Python file in: %s" % ", ".join(empty))
 
     result = run_analysis(paths, rules=rules, root=root)
     print(render(

@@ -28,7 +28,7 @@ reach a benchmark.
     (the math closures ``e_``/``lg_``/``cs_``/``sn_``/``sq_``, the
     per-lane RNG draws ``rnd_<i>``, the per-lane jitter-tape fills
     ``jf_<i>``, the timer-RNG draw ``tr_`` of in-kernel sampler
-    wakeups, ``acc_e``) or an allowlisted method (``advance``,
+    wakeups) or an allowlisted method (``advance``,
     ``complete_execution``, ``append``) on a bound name;
   - no name anywhere in the generated code may resolve to a global
     (checked with :mod:`symtable` — with empty ``__builtins__`` a
@@ -68,7 +68,7 @@ TEMPLATE_ENTRY_POINTS = ("template_shapes", "generate_kernel_source")
 #: sampler wakeup it took in-kernel; ``jf_<i>`` fills lane ``i``'s
 #: shared jitter tape when the lane reaches its drawn end.
 ALLOWED_CALLS = re.compile(
-    r"^(e_|lg_|cs_|sn_|sq_|acc_e|tr_|rnd_\d+|jf_\d+)$"
+    r"^(e_|lg_|cs_|sn_|sq_|tr_|rnd_\d+|jf_\d+)$"
 )
 
 #: Methods the generated kernels may invoke (on plain bound names).

@@ -68,8 +68,6 @@ class RuntimeOptions:
         coarse_window: Execution-statistics window of the coarse
             controller.
         coarse_decision_every: FG executions per coarse invocation.
-        record_predictions: Capture one midpoint prediction per execution
-            (used by the accuracy experiments, Figures 6 and 7).
         hardening: Run the graceful-degradation machinery (outlier
             rejection, verified actuation, health monitor).  ``None``
             resolves the ``REPRO_DEGRADED_MODE`` kill switch at
@@ -102,7 +100,6 @@ class RuntimeOptions:
     initial_fg_ways: int = 2
     coarse_window: int = 10
     coarse_decision_every: int = 7
-    record_predictions: bool = True
     hardening: Optional[bool] = None
     health_window: int = 40
     degraded_threshold: float = 0.15
@@ -272,8 +269,7 @@ class DirigentRuntime:
             (pid, system.core_of(pid)) for pid in self._bg_pids
         ]
         self._opts = options or RuntimeOptions()
-        # Per-sample constants, read once (the options are frozen).
-        self._record_predictions = self._opts.record_predictions
+        # A per-sample constant, read once (the options are frozen).
         self._late_band = LATE_WAKEUP_FACTOR * self._opts.sampling_period_s
         # The runtime thread is pinned to a core shared with a BG task.
         self._pinned_core = self._bg_cores[0][1] if self._bg_cores else 0
@@ -488,7 +484,6 @@ class DirigentRuntime:
         count = len(nows)
         # Sample index of every sensing anomaly a read shows.
         marks: List[int] = []
-        record = self._record_predictions
         for task, (rows, column, base) in zip(self._tasks, reads):
             predictor = task.predictor
             if not predictor.in_execution:
@@ -497,7 +492,7 @@ class DirigentRuntime:
                         self.negative_progress_samples += 1
                         marks.append(j)
                 continue
-            midpoint = record and task.midpoint_prediction is None
+            midpoint = task.midpoint_prediction is None
             zeros = predictor.zero_delta_samples
             j = predictor.fold(rows, column, base, 0, midpoint)
             while j < count:

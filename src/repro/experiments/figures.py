@@ -31,6 +31,7 @@ from repro.experiments.harness import (
     RunResult,
     measure_baseline,
     measure_standalone,
+    partition_sweep,
     run_policy,
     run_policy_cached,
 )
@@ -446,21 +447,7 @@ def fig8(
     controller converges to.
     """
     mix = mix_by_name("streamcluster pca")
-    sweep_policy = Policy(
-        name="PartitionSweep", static_bg_grade=0, static_partition=True
-    )
-    means: List[Tuple[int, float]] = []
-    for ways in ways_range:
-        result = run_policy(
-            mix,
-            sweep_policy,
-            deadlines_s=(),
-            executions=executions,
-            warmup=3,
-            seed=seed,
-            static_fg_ways=ways,
-        )
-        means.append((ways, result.fg_stats.mean_s))
+    means = partition_sweep(mix, ways_range, executions, 3, seed=seed)
     worst = means[0][1]
     rows = [
         (ways, round(m, 4), round(m / worst, 4)) for ways, m in means

@@ -880,11 +880,9 @@ def find_static_partition(
 ) -> int:
     """Best static FG partition: the knee of a short exhaustive sweep.
 
-    Mirrors the paper's StaticBoth setup: sweep FG way counts with BG
-    cores at minimum frequency and pick the smallest partition whose mean
-    FG time is within ``knee_tolerance`` of the sweep's best.  The
-    sweep's runs share one jitter scope, so all but the first read the
-    OS-jitter draws an earlier one made.
+    Mirrors the paper's StaticBoth setup: :func:`partition_sweep` over
+    the candidate FG way counts, then the smallest partition whose mean
+    FG time is within ``knee_tolerance`` of the sweep's best.
     """
     config = config or MachineConfig()
     if candidates is None:
@@ -899,16 +897,27 @@ def find_static_partition(
     ))
 
 
-def _partition_knee(
-    mix: Mix, config: MachineConfig, seed: int, candidates: Tuple[int, ...],
-    executions: int, warmup: int, knee_tolerance: float,
-) -> int:
-    means: List[Tuple[int, float]] = []
+def partition_sweep(
+    mix: Mix,
+    ways: Sequence[int],
+    executions: int,
+    warmup: int,
+    config: Optional[MachineConfig] = None,
+    seed: int = 0,
+) -> List[Tuple[int, float]]:
+    """``(way count, mean FG time)`` for each static FG partition in ``ways``.
+
+    Each run holds the FG partition at that way count with the BG cores
+    at minimum frequency (the paper's StaticBoth setup).  The runs share
+    one jitter scope, so all but the first read the OS-jitter draws an
+    earlier one made.
+    """
     sweep_policy = Policy(
         name="PartitionSweep", static_bg_grade=0, static_partition=True
     )
+    means: List[Tuple[int, float]] = []
     with shared_jitter():
-        for ways in candidates:
+        for count in ways:
             result = run_policy(
                 mix,
                 sweep_policy,
@@ -917,9 +926,17 @@ def _partition_knee(
                 warmup=warmup,
                 config=config,
                 seed=seed,
-                static_fg_ways=ways,
+                static_fg_ways=count,
             )
-            means.append((ways, result.fg_stats.mean_s))
+            means.append((count, result.fg_stats.mean_s))
+    return means
+
+
+def _partition_knee(
+    mix: Mix, config: MachineConfig, seed: int, candidates: Tuple[int, ...],
+    executions: int, warmup: int, knee_tolerance: float,
+) -> int:
+    means = partition_sweep(mix, candidates, executions, warmup, config, seed)
     best = min(m for _, m in means)
     for ways, m in means:
         if m <= best * (1.0 + knee_tolerance):

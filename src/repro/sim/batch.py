@@ -40,10 +40,11 @@ shares its tick with another event fires as a timer.
 floating-point operations in the same order as ``Machine.tick`` (see
 :mod:`repro.sim.spanplan`).  Every tick they cannot run — an event
 tick, a tick where a span made no progress, and the shapes the planner
-declines (an idle machine, overlapping cache-mask groups, a substituted
-jitter RNG on a machine that draws its own jitter rather than reading a
-shared jitter tape) — goes through ``Machine.tick`` itself.  Equivalence is
-enforced by ``tests/sim/test_batch_equivalence.py`` and
+declines (an idle machine, overlapping cache-mask groups, snap-to-target
+occupancy, a lane in a phase without LLC accesses, a substituted jitter
+RNG on a machine that draws its own jitter) — goes through
+``Machine.tick`` itself.  Equivalence is enforced by
+``tests/sim/test_batch_equivalence.py`` and
 ``tests/sim/test_spanplan.py``.
 
 Backend selection is environment-driven: ``REPRO_SIM_BACKEND=scalar``
@@ -240,10 +241,9 @@ class BatchEngine:
 
     def _dispatch_span(self, m, span: int) -> int:
         """Run up to ``span`` ticks in the compiled kernel; returns ticks
-        executed, or 0 when the planner declines the machine's shape (no
-        running task, overlapping cache-mask groups, a substituted
-        jitter RNG on a machine drawing its own jitter) and
-        ``run_ticks`` must tick it in ``Machine.tick``.
+        executed, or 0 when the planner declines the machine's shape
+        (see :mod:`repro.sim.spanplan`) and ``run_ticks`` must tick it
+        in ``Machine.tick``.
         """
         plan = self._planner.plan_for_span(m)
         if plan is None:

@@ -16,7 +16,7 @@ time scale control.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.config import MachineConfig
@@ -268,15 +268,15 @@ class SharedCache:
         active_bits: int,
         groups: List[Tuple[int, List[int]]],
         disjoint: bool,
-        alpha_entry: Optional[Tuple[float, float]],
+        alpha_entry: Tuple[float, float],
     ) -> None:
         """Install span-final occupancy state from a compiled kernel.
 
         The kernel updated ``self._effective`` in place tick by tick;
-        this writes back the matching weights, targets, and grouping
-        exactly as a trailing :meth:`tick_update` would have left them
-        (``alpha_entry`` is None in snap mode, where ``tick_update``
-        never touches the alpha cache).
+        this writes back the matching weights, targets, grouping and
+        ``(dt, alpha)`` inertia entry exactly as a trailing
+        :meth:`tick_update` would have left them.  Kernels run only
+        with cache inertia on, so there is always an alpha entry.
         """
         self._weights[:] = weights
         self._target[:] = targets
@@ -285,8 +285,7 @@ class SharedCache:
         self._groups_disjoint = disjoint
         self._groups_dirty = False
         self._active_bits = active_bits
-        if alpha_entry is not None:
-            self._alpha_cache = alpha_entry
+        self._alpha_cache = alpha_entry
 
     def _rebuild_groups(self) -> None:
         """Recompute the mask/active-core grouping (rare; see below).

@@ -10,21 +10,20 @@ tick; on the contended shapes every Dirigent figure simulates (1 FG +
 
 * **Span plan** — one structure-of-arrays plan per *lane set* (the
   running processes, each pinned to its core, under one cache-mask
-  epoch) holds the per-lane model constants, the cache grouping, and
-  the persistent per-lane miss-curve state.  The constants are lists
-  the kernel loads in its prologue, so a phase crossing or a DVFS
-  grade change rewrites the moved lane's entries in place instead of
-  building a new plan; back-to-back spans over the same lane set pay
-  one cheap revalidation.
+  epoch) holds the per-lane model constants and the cache grouping.
+  The constants are lists the kernel loads in its prologue, so a phase
+  crossing or a DVFS grade change rewrites the moved lane's entries in
+  place instead of building a new plan; back-to-back spans over the
+  same lane set pay one cheap revalidation.
 * **Shape-specialized kernels** — for each distinct shape (lane count,
-  jitter mode, FG/BG roles, cache grouping, energy on/off,
-  snap-vs-inertia occupancy) a Python kernel is *generated and
-  ``exec``-compiled* with every lane unrolled into locals: no lists, no
-  indexing, no per-tick attribute lookups.  Which cores the lanes run
-  on and how many LLC ways each cache group holds are plan constants,
-  so one kernel serves every core placement and partition size.  The
-  cache target/inertia update inlines ``SharedCache.tick_update`` for
-  the span-constant grouping.
+  FG/BG roles, jitter mode, cache grouping) a Python kernel is
+  *generated and ``exec``-compiled* with every lane unrolled into
+  locals: no lists, no indexing, no per-tick attribute lookups.  Which
+  cores the lanes run on and how many LLC ways each cache group holds
+  are plan constants, so one kernel serves every core placement and
+  partition size.  Every tick evaluates each lane's miss curve, as
+  ``Machine.tick`` does, and the cache target/inertia update inlines
+  ``SharedCache.tick_update`` for the span-constant grouping.
 * **OS jitter, drawn or read** — a machine inside a
   :func:`repro.sim.jitter.shared_jitter` scope reads each lane's
   jitter factor from its core's shared jitter tape at
@@ -37,11 +36,6 @@ tick; on the contended shapes every Dirigent figure simulates (1 FG +
   its kernel inlines CPython's ``random.Random.gauss`` (same
   algorithm, same RNG stream, same draw order).  A jitter-free kernel
   runs the same per-lane code, minus the jitter factor.
-* **Per-lane miss-curve guard** — each lane keeps its last occupancy
-  and miss-curve outputs in the plan (``prev_w``), so only lanes whose
-  occupancy moved re-evaluate their miss curve (a per-core partial
-  recompute; recomputing a pure function on an equal input is
-  bit-identical, so skipping it is too).
 * **In-kernel sampler wakeups** — every span kernel can take the
   wakeups of a sampler attached with
   :meth:`repro.sim.machine.Machine.attach_sampler` (the Dirigent
@@ -62,10 +56,16 @@ equivalence suite (``tests/sim/test_batch_equivalence.py`` and
 ``tests/sim/test_spanplan.py``) pins all of this against the scalar
 reference.
 
-The planner declines three shapes: no running task, overlapping
-cache-mask groups, and, on a machine that draws its own jitter, a
-jitter RNG that is not ``random.Random``.  The batch engine runs those
-one ``Machine.tick`` at a time.
+An attached energy model stays outside the kernels:
+:meth:`SpanPlan.run` feeds it once per executed tick, since a span's
+frequencies and busy cores are constant.
+
+The kernels cover the shapes product machines run.  The planner
+declines the rest: no running task, overlapping cache-mask groups,
+snap-to-target occupancy (``cache_inertia_tau_s <= 0``), a lane in a
+phase without LLC accesses (``apki <= 0``), and, on a machine that
+draws its own jitter, a jitter RNG that is not ``random.Random``.  The
+batch engine runs those one ``Machine.tick`` at a time.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ class SpanStats:
 
     * ``spans``: spans the batch engine ran in compiled kernels;
     * ``compiled_ticks``: ticks executed by compiled kernels;
-    * ``misscurve_evals``: per-lane miss-curve re-evaluations (the
-      per-core partial recomputes; lanes whose occupancy did not move
-      skip this);
     * ``plan_builds`` / ``plan_reuses``: spans that built a new plan
       (a new lane set, cache-mask epoch or cache grouping) / that
       reused one, rewriting the lane constants that moved;
@@ -129,7 +126,6 @@ class SpanStats:
     __slots__ = (
         "spans",
         "compiled_ticks",
-        "misscurve_evals",
         "plan_builds",
         "plan_reuses",
         "kernels_compiled",
@@ -152,22 +148,24 @@ class SpanStats:
 #
 # A *shape* is everything the generated code depends on structurally:
 #
-#   (num_cores, isfg, apki_pos, jitter, snap, groups, has_energy)
+#   (num_cores, isfg, jitter, groups)
 #
-# with ``groups`` the cache grouping in lane indices.  All constants
-# stay *outside* the shape, so kernels are shared across plans that
-# differ only in model constants, in which cores the lanes run on (the
-# ``k_<slot>`` core indices: lane slots first, then the idle cores in
-# core order), or in the groups' way counts (``wy_<group>``).  The
-# factory binds the per-plan constants as closure cells; the per-lane
-# phase and frequency constants (``LANE_COLUMNS``) are plan lists
-# rewritten in place, so ``run`` loads them into locals in its
-# prologue and one plan serves every phase and DVFS state of its lane
-# set.  Neither which lanes can cross a phase
-# boundary nor whether overhead is pending is part of the shape: every
-# lane takes a guard bound (``inf`` when it cannot cross one) and every
-# kernel peels its first tick to charge pending overhead, so both vary
-# per span without multiplying the compiled kernels.
+# with ``groups`` the cache grouping in lane indices; every lane has
+# cache weight (the planner declines ``apki <= 0`` lanes), so the
+# groups partition the lanes.  All constants stay *outside* the shape,
+# so kernels are shared across plans that differ only in model
+# constants, in which cores the lanes run on (the ``k_<slot>`` core
+# indices: lane slots first, then the idle cores in core order), or in
+# the groups' way counts (``wy_<group>``).  The factory binds the
+# per-plan constants as closure cells; the per-lane phase and
+# frequency constants (``LANE_COLUMNS``) are plan lists rewritten in
+# place, so ``run`` loads them into locals in its prologue and one plan
+# serves every phase and DVFS state of its lane set.  Neither which
+# lanes can cross a phase boundary nor whether overhead is pending is
+# part of the shape: every lane takes a guard bound (``inf`` when it
+# cannot cross one) and every kernel peels its first tick to charge
+# pending overhead, so both vary per span without multiplying the
+# compiled kernels.
 
 #: Compiled code per shape, per process: each sweep worker compiles on
 #: demand, and a reused pool's workers keep theirs across sweeps.
@@ -217,15 +215,14 @@ def _generate_source(shape: tuple) -> str:
     cannot cross a boundary passes ``inf``, which its ``p >= g`` test
     never reaches.
 
-    The kernel returns ``(ticks executed, rho, miss-curve evaluations,
-    completions, next wakeup tick)``.
+    The kernel returns ``(ticks executed, rho, completions, next wakeup
+    tick)``.
     """
-    num_cores, isfg, apki_pos, jitter, snap, groups, has_energy = shape
+    num_cores, isfg, jitter, groups = shape
     n = len(isfg)
     # Core slots: slot ``i < n`` is lane ``i``'s core, the idle cores
-    # follow in core order; ``k_<slot>`` binds the core index.  Slots of
-    # lanes with cache weight hold a cache target; the rest decay.
-    weighted = {i for i in range(n) if apki_pos[i]}
+    # follow in core order; ``k_<slot>`` binds the core index.  Lane
+    # slots hold a cache target; the idle slots decay.
 
     lines: List[str] = []
     add = lines.append
@@ -253,9 +250,6 @@ def _generate_source(shape: tuple) -> str:
     # planner rewrites in place; ``run`` loads them in its prologue.
     for name, column in LANE_COLUMNS:
         add("    %sa = plan.%s" % (name, column))
-    add("    pwa = plan.prev_w")
-    add("    mpa = plan.mpki_a")
-    add("    coa = plan.coef")
     add("    eff = plan.eff")
     add("    ci_a = plan.cnt_i")
     add("    cc_a = plan.cnt_c")
@@ -276,12 +270,7 @@ def _generate_source(shape: tuple) -> str:
         add("    TWOPI = plan.two_pi")
     elif tape:
         add("    jpa = plan.jit_pos")
-    if not snap:
-        add("    alpha = plan.alpha")
-    if has_energy:
-        add("    acc_e = plan.energy_accumulate")
-        add("    frl = plan.freqs_list")
-        add("    bsl = plan.busy_list")
+    add("    alpha = plan.alpha")
     add("    sta = plan.stolen")
     add("    sb = plan.samples")
     add("    tr_ = plan.timer_random")
@@ -295,12 +284,7 @@ def _generate_source(shape: tuple) -> str:
         add("        ef_%d = eff[k_%d]" % (c, c))
     for i in range(n):
         for name, _ in LANE_COLUMNS:
-            # A lane without cache weight never reads its apki.
-            if name != "ap" or apki_pos[i]:
-                add("        %s_%d = %sa[%d]" % (name, i, name, i))
-        add("        pw_%d = pwa[%d]" % (i, i))
-        add("        mp_%d = mpa[%d]" % (i, i))
-        add("        co_%d = coa[%d]" % (i, i))
+            add("        %s_%d = %sa[%d]" % (name, i, name, i))
         add("        p_%d = proc_%d.progress" % (i, i))
         add("        em_%d = proc_%d.execution_misses" % (i, i))
         if isfg[i]:
@@ -319,7 +303,6 @@ def _generate_source(shape: tuple) -> str:
     add("        completions = []")
     add("        now0 = now")
     add("        stop = now + span")
-    add("        mce = 0")
 
     def emit_tape_end(ind: str) -> None:
         # ``jl``: the first tick at which some lane reaches its tape's
@@ -364,12 +347,9 @@ def _generate_source(shape: tuple) -> str:
             add(ind + "w = ef_%d" % i)
             add(ind + "if w < 0.0:")
             add(ind + "    w = 0.0")
-            add(ind + "if w != pw_%d:" % i)
-            add(ind + "    pw_%d = w" % i)
-            add(ind + "    mce += 1")
-            add(ind + "    mp_%d = fl_%d + dl_%d * e_(-w / ws_%d)"
+            add(ind + "mp_%d = fl_%d + dl_%d * e_(-w / ws_%d)"
                 % (i, i, i, i))
-            add(ind + "    co_%d = mp_%d * ms_" % (i, i))
+            add(ind + "co_%d = mp_%d * ms_" % (i, i))
             if tape:
                 add(ind + "jt_%d = tp_%d[now + d_%d]" % (i, i, i))
             elif draw:
@@ -409,8 +389,7 @@ def _generate_source(shape: tuple) -> str:
         # -- per-lane accumulation, weights, FG completion --
         for i in range(n):
             jt = " * jt_%d" % i if jitter else ""
-            if apki_pos[i]:
-                add(ind + "wt_%d = ap_%d * ips_%d" % (i, i, i))
+            add(ind + "wt_%d = ap_%d * ips_%d" % (i, i, i))
             if stolen_tick:
                 # Scalar order: weights first, then the overhead charge;
                 # a fully-stolen tick skips the lane's accumulation.
@@ -435,14 +414,10 @@ def _generate_source(shape: tuple) -> str:
                 add(bind + "in_%d = ips_%d * dt" % (i, i))
                 add(bind + "mi_%d = t_%d * dt" % (i, i))
                 acc = "aa_%d" % i
-                if apki_pos[i]:
-                    add(bind + "aa_%d = in_%d * ap_%d * ms_" % (i, i, i))
+                add(bind + "aa_%d = in_%d * ap_%d * ms_" % (i, i, i))
                 add(bind + "ci_%d = ci_%d + in_%d" % (i, i, i))
                 add(bind + "cc_%d = cc_%d + fh_%d%s * dt" % (i, i, i, jt))
-            if apki_pos[i]:
-                add(bind + "ca_%d = ca_%d + %s" % (i, i, acc))
-            else:
-                add(bind + "ca_%d = ca_%d + %s" % (i, i, mis))
+            add(bind + "ca_%d = ca_%d + %s" % (i, i, acc))
             add(bind + "cm_%d = cm_%d + %s" % (i, i, mis))
             if isfg[i]:
                 emit_completion(bind, i, inst, mis)
@@ -450,19 +425,13 @@ def _generate_source(shape: tuple) -> str:
                 add(bind + "p_%d = p_%d + %s" % (i, i, inst))
                 add(bind + "em_%d = em_%d + %s" % (i, i, mis))
 
-        if has_energy:
-            add(ind + "acc_e(dt, frl, bsl)")
-
         # -- inline SharedCache.tick_update for the span grouping --
         for gi, lanes_g in enumerate(groups):
             add(ind + "tot = %s" % " + ".join("wt_%d" % l for l in lanes_g))
             for l in lanes_g:
                 add(ind + "tg_%d = wy_%d * wt_%d / tot" % (l, gi, l))
         for c in range(num_cores):
-            if snap:
-                add(ind + "ef_%d = %s"
-                    % (c, "tg_%d" % c if c in weighted else "0.0"))
-            elif c in weighted:
+            if c < n:
                 add(ind + "ef_%d = ef_%d + alpha * (tg_%d - ef_%d)"
                     % (c, c, c, c))
             else:
@@ -536,9 +505,6 @@ def _generate_source(shape: tuple) -> str:
     for c in range(num_cores):
         add("            eff[k_%d] = ef_%d" % (c, c))
     for i in range(n):
-        add("            pwa[%d] = pw_%d" % (i, i))
-        add("            mpa[%d] = mp_%d" % (i, i))
-        add("            coa[%d] = co_%d" % (i, i))
         add("            proc_%d.progress = p_%d" % (i, i))
         add("            proc_%d.execution_misses = em_%d" % (i, i))
         if draw:
@@ -551,14 +517,14 @@ def _generate_source(shape: tuple) -> str:
         add("            cm_a[k_%d] = cm_%d" % (i, i))
         add("            ipv[k_%d] = ips_%d" % (i, i))
     for c in range(num_cores):
-        if c in weighted:
+        if c < n:
             add("            wb[k_%d] = wt_%d" % (c, c))
             add("            tb[k_%d] = tg_%d" % (c, c))
         else:
             add("            wb[k_%d] = 0.0" % c)
             add("            tb[k_%d] = 0.0" % c)
     add("            clock.tick = now")
-    add("        return (now - now0, rho, mce, completions, wk)")
+    add("        return (now - now0, rho, completions, wk)")
     add("    return run")
     add("")
     return "\n".join(lines)
@@ -579,24 +545,20 @@ def _generate_source(shape: tuple) -> str:
 def generate_kernel_source(shape: tuple) -> str:
     """Render the kernel source for one shape, without compiling.
 
-    Shapes are the 7-tuple ``(num_cores, isfg, apki_pos, jitter, snap,
-    groups, has_energy)`` described above (``groups`` must partition
-    the ``apki_pos`` lanes).  This is the exact string
-    :func:`_compile_kernel` would ``exec``-compile — the static analyzer
-    and the tests audit it directly.
+    Shapes are the 4-tuple ``(num_cores, isfg, jitter, groups)``
+    described above (``groups`` must partition the lanes).  This is the
+    exact string :func:`_compile_kernel` would ``exec``-compile — the
+    static analyzer and the tests audit it directly.
     """
     return _generate_source(shape)
 
 
-#: Field names of the 7-tuple span shapes, positionally.  ``repro
+#: Field names of the 4-tuple span shapes, positionally.  ``repro
 #: lint``'s ``COV002`` asserts every ``template_shapes()`` entry has
 #: exactly this arity, so adding a shape axis without extending this
 #: registry (and the audit) fails lint instead of silently compiling
 #: kernels the analyzer no longer understands.
-SHAPE_FIELDS = (
-    "num_cores", "isfg", "apki_pos", "jitter", "snap", "groups",
-    "has_energy",
-)
+SHAPE_FIELDS = ("num_cores", "isfg", "jitter", "groups")
 
 #: Machine-readable registry of the scalar hot-state surface the
 #: span-compiled kernels mirror (plain machine attributes,
@@ -633,7 +595,10 @@ KERNEL_STATE = {
         "event ticks stay outside spans; a sampler's wakeups taken "
         "in-kernel (its acting one last) are requeued by SpanPlan.run"
     ),
-    "_energy": "acc_e closure accumulates per span tick",
+    "_energy": (
+        "SpanPlan.run feeds it once per executed tick, after the kernel "
+        "(frequencies and busy cores are span constants)"
+    ),
     "_stolen_s": (
         "every span segment peels its first tick to charge it; "
         "in-kernel wakeups add the sampler's overhead first"
@@ -654,9 +619,8 @@ def template_shapes() -> Tuple[tuple, ...]:
     """Representative span shapes covering the generator's feature matrix.
 
     One shape per structurally distinct code path: each jitter mode
-    (off, the in-kernel Gaussian draw, the shared-tape read), snap vs
-    inertia occupancy (inertia with an idle core decays it), energy
-    accounting, a zero-``apki`` lane and multi-group cache partitions.
+    (off, the in-kernel Gaussian draw, the shared-tape read), idle
+    cores whose occupancy decays, and multi-group cache partitions.
     Every kernel carries the peeled overhead tick, one guard per lane
     and the in-kernel sampler wakeups, so none needs a template of its
     own; the FG lanes set the sample row, so the sampling kernels of
@@ -670,32 +634,25 @@ def template_shapes() -> Tuple[tuple, ...]:
     fg_of_six = (True, False, False, False, False, False)
     return (
         # Canonical contended figure: 1 FG + 5 BG, jitter drawn
-        # in-kernel, inertia, energy accounting, one shared cache group.
-        (6, fg_of_six, (True,) * 6, JITTER_DRAW, False, (six,), True),
-        # Jitter-free with an idle core (inertia occupancy decays
-        # toward zero).
-        (6, (True, False, False, False, False), (True,) * 5, JITTER_OFF,
-         False, ((0, 1, 2, 3, 4),), False),
-        # Snap occupancy and split cache groups, as run right after a
-        # runtime wakeup: overhead pending on the peeled tick, and BG
-        # lanes pinned to full-program phases whose guards are
-        # inactive (``inf`` bounds).
-        (6, fg_of_six, (True,) * 6, JITTER_OFF, True,
-         ((0, 1, 2), (3, 4, 5)), False),
-        # A zero-apki BG lane: no cache weight, miss accumulation in
-        # the access counter, its core treated as cache-idle.
-        (6, fg_of_six, (True, True, True, True, True, False),
-         JITTER_OFF, False, ((0, 1, 2, 3, 4),), True),
+        # in-kernel, one shared cache group.
+        (6, fg_of_six, JITTER_DRAW, (six,)),
+        # Jitter-free with an idle core (its occupancy decays toward
+        # zero).
+        (6, (True, False, False, False, False), JITTER_OFF,
+         ((0, 1, 2, 3, 4),)),
+        # Split cache groups, as run right after a runtime wakeup:
+        # overhead pending on the peeled tick, and BG lanes pinned to
+        # full-program phases whose guards are inactive (``inf``
+        # bounds).
+        (6, fg_of_six, JITTER_OFF, ((0, 1, 2), (3, 4, 5))),
         # Three FG copies beside three BG tasks (the x3 mixes): the
         # in-kernel sample row carries three instruction counters.
-        (6, (True, True, True, False, False, False), (True,) * 6,
-         JITTER_DRAW, False, (six,), False),
+        (6, (True, True, True, False, False, False), JITTER_DRAW, (six,)),
         # Minimal standalone FG (the baseline/standalone measurements).
-        (6, (True,), (True,), JITTER_OFF, True, ((0,),), False),
+        (6, (True,), JITTER_OFF, ((0,),)),
         # A figure cell inside a shared_jitter scope: jitter read from
         # the shared tapes, the FG alone in a static cache partition.
-        (6, fg_of_six, (True,) * 6, JITTER_TAPE, False,
-         ((0,), (1, 2, 3, 4, 5)), False),
+        (6, fg_of_six, JITTER_TAPE, ((0,), (1, 2, 3, 4, 5))),
     )
 
 
@@ -714,24 +671,17 @@ class SpanPlan:
     (:data:`LANE_COLUMNS`) are lists the kernel loads in its prologue,
     and :meth:`refresh` rewrites a lane's entries in place when its
     phase or DVFS grade moves.  ``phase_ids`` / ``spec_epochs`` record
-    the phase each lane's constants were loaded from.  ``prev_w`` /
-    ``mpki_a`` / ``coef`` persist *across* spans — a lane whose
-    occupancy did not move between spans keeps its miss-curve outputs
-    (recomputing a pure function on an equal input is bit-identical, so
-    skipping it is too); a phase change resets the lane's ``prev_w`` so
-    its next tick re-evaluates the new curve.
+    the phase each lane's constants were loaded from.
     """
 
     __slots__ = (
-        "stats", "kernel", "stolen", "energy", "samples", "timer_random",
+        "stats", "kernel", "stolen", "samples", "timer_random",
         "timer_jitter", "fg_cores",
         "procs", "rngs", "tapes", "jit_pos", "floor", "delta", "wscale",
         "sens", "freq", "fh", "cpi0", "apki", "phase_ids", "spec_epochs",
-        "prev_w", "mpki_a", "coef",
         "eff", "cnt_i", "cnt_c", "cnt_a", "cnt_m", "ips_prev", "clock",
         "dt", "sigma", "mu", "alpha", "base_ns", "scale", "rho_cap",
         "inv_peak", "two_pi",
-        "energy_accumulate", "freqs_list", "busy_list",
         "wbuf", "tbuf", "active_bits", "groups_commit", "disjoint",
         "guard_procs", "bounds", "slots", "ways",
     )
@@ -740,14 +690,13 @@ class SpanPlan:
         """Bring the lane constants up to the lanes' current state.
 
         A lane whose DVFS grade moved gets its frequency columns
-        rewritten; the miss curve does not depend on frequency, so its
-        ``prev_w`` stays.  A lane whose phase (or phase program) moved
-        gets its phase constants reloaded and its ``prev_w`` reset; the
-        guard set is then recomputed and every bound reset to ``inf``,
-        so a lane that left the guard set (an FG entering its last
-        phase) cannot keep a stale finite bound.  Returns False when a
-        lane's ``apki > 0`` flipped: that changes the cache grouping
-        and the kernel's shape, so the caller builds a new plan.
+        rewritten.  A lane whose phase (or phase program) moved gets its
+        phase constants reloaded; the guard set is then recomputed and
+        every bound reset to ``inf``, so a lane that left the guard set
+        (an FG entering its last phase) cannot keep a stale finite
+        bound.  Returns False when a lane entered a phase with ``apki
+        <= 0``, a lane the planner declines: the caller re-plans, and
+        the re-plan declines.
         """
         procs = self.procs
         phase_ids = self.phase_ids
@@ -758,8 +707,7 @@ class SpanPlan:
         for i, proc in enumerate(procs):
             if (proc._phase_index != phase_ids[i]
                     or proc._spec_epoch != spec_epochs[i]):
-                apki = proc._spec.phases[proc._phase_index].apki
-                if (apki > 0) != (self.apki[i] > 0):
+                if proc._spec.phases[proc._phase_index].apki <= 0:
                     return False
                 _load_phase(self, i, proc)
                 moved = True
@@ -793,10 +741,6 @@ class SpanPlan:
         """
         if not m._settled:
             m.settle_cache()
-        if self.freqs_list is not None:
-            # Re-snapshot so idle cores' frequencies match the list the
-            # scalar kernel would rebuild each tick.
-            self.freqs_list[:] = m._gov_freqs
         # Lanes that cannot cross a phase boundary keep their ``inf``
         # bound; the rest are refreshed from the live phase cursors.
         bounds = self.bounds
@@ -810,15 +754,14 @@ class SpanPlan:
                 bounds[i] = progress - offset + proc._phase_end
         now = m.clock.tick
         if sampling is None:
-            executed, rho, mce, completions, _ = self.kernel(
+            executed, rho, completions, _ = self.kernel(
                 span, m._rho, now, now + span, 0, 0, 0, 0.0, *bounds
             )
         else:
-            executed, rho, mce, completions, wake = self.kernel(
+            executed, rho, completions, wake = self.kernel(
                 span, m._rho, now, *sampling[1:], *bounds
             )
         stats = self.stats
-        stats.misscurve_evals += mce
         if executed:
             stats.compiled_ticks += executed
             stats.rho_iterations += _FIXED_POINT_ITERATIONS * executed
@@ -826,9 +769,18 @@ class SpanPlan:
             m.memory.observe(rho)
             m.cache.span_commit(
                 self.wbuf, self.tbuf, self.active_bits,
-                self.groups_commit, self.disjoint,
-                None if self.alpha is None else (self.dt, self.alpha),
+                self.groups_commit, self.disjoint, (self.dt, self.alpha),
             )
+            energy = m._energy
+            if energy is not None:
+                # Frequencies and busy cores are span constants, so one
+                # call per executed tick accounts what Machine.tick
+                # would have, before any decision moves a frequency.
+                freqs = m._gov_freqs
+                lanes = self.slots[:len(self.procs)]
+                busy = [core in lanes for core in range(len(freqs))]
+                for _ in range(executed):
+                    energy.accumulate(self.dt, freqs, busy)
         if sampling is not None:
             samples = self.samples
             taken = len(samples)
@@ -856,7 +808,6 @@ def _load_phase(plan: SpanPlan, i: int, proc) -> None:
     plan.apki[i] = phase.apki
     plan.phase_ids[i] = proc._phase_index
     plan.spec_epochs[i] = proc._spec_epoch
-    plan.prev_w[i] = -1.0
 
 
 def _guard_lanes(procs) -> List[tuple]:
@@ -881,7 +832,8 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
     cursors synced) of ``machine`` into a SpanPlan.
 
     Returns None for shapes the compiled path does not cover (no
-    running lanes, overlapping cache-mask groups, or a non-standard
+    running lanes, snap-to-target occupancy, a lane in a phase without
+    LLC accesses, overlapping cache-mask groups, or a non-standard
     jitter RNG on a machine that draws its jitter); the batch engine
     ticks those in ``Machine.tick``.
     """
@@ -890,7 +842,7 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
     num_cores = config.num_cores
     gov_freqs = m._gov_freqs
     n = len(procs)
-    if n == 0:
+    if n == 0 or config.cache_inertia_tau_s <= 0:
         return None
     cores = [proc.core for proc in procs]
     sigma = m._sigma
@@ -908,9 +860,10 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
     active_bits = 0
     lane_index = {}
     for i, proc in enumerate(procs):
+        if proc._spec.phases[proc._phase_index].apki <= 0:
+            return None
         lane_index[cores[i]] = i
-        if proc._spec.phases[proc._phase_index].apki > 0:
-            active_bits |= 1 << cores[i]
+        active_bits |= 1 << cores[i]
     groups_cores, disjoint = m.cache.span_grouping(active_bits)
     if not disjoint:
         return None
@@ -928,13 +881,10 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
         setattr(plan, column, [0.0] * n)
     plan.phase_ids = [0] * n
     plan.spec_epochs = [0] * n
-    plan.prev_w = [-1.0] * n
     for i, proc in enumerate(procs):
         _load_phase(plan, i, proc)
         plan.freq[i] = freq = gov_freqs[cores[i]]
         plan.fh[i] = freq * 1e9
-    plan.mpki_a = [0.0] * n
-    plan.coef = [0.0] * n
     plan.eff = m._cache_eff
     cnt_i, cnt_c, cnt_a, cnt_m = m._cnt_arrays
     plan.cnt_i = cnt_i
@@ -946,9 +896,7 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
     plan.dt = config.tick_s
     plan.sigma = sigma
     plan.mu = m._jitter_mu
-    cache = m.cache
-    snap = cache._tau <= 0
-    plan.alpha = None if snap else cache.inertia_alpha(config.tick_s)
+    plan.alpha = m.cache.inertia_alpha(config.tick_s)
     memory = m.memory
     plan.base_ns = memory.base_latency_ns
     plan.scale = memory.contention_scale
@@ -965,21 +913,6 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
         (ways, list(cores_g)) for ways, cores_g in groups_cores
     ]
     plan.disjoint = disjoint
-
-    energy = m._energy
-    plan.energy = energy
-    if energy is not None:
-        plan.energy_accumulate = energy.accumulate
-        plan.freqs_list = list(gov_freqs)
-        busy = [False] * num_cores
-        for core in cores:
-            busy[core] = True
-        plan.busy_list = busy
-    else:
-        plan.energy_accumulate = None
-        plan.freqs_list = None
-        plan.busy_list = None
-
     plan.guard_procs = _guard_lanes(procs)
     plan.bounds = [math.inf] * n
 
@@ -990,14 +923,11 @@ def _build_plan(machine, procs: List, stats: SpanStats) -> Optional[SpanPlan]:
     shape = (
         num_cores,
         tuple(proc.is_fg for proc in procs),
-        tuple(apki > 0 for apki in plan.apki),
         jitter,
-        snap,
         tuple(
             tuple(lane_index[c] for c in cores_g)
             for _, cores_g in groups_cores
         ),
-        energy is not None,
     )
     plan.stolen = m._stolen_s
     # In-kernel sampler wakeups: the buffer SpanPlan.run replays, and
@@ -1036,9 +966,10 @@ class SpanPlanner:
     grade changes do not change it: :meth:`SpanPlan.refresh` rewrites
     the moved lanes' constants in the live plan.  The planner checks
     the previous span's plan first, then a dict keyed by the running
-    processes; a new lane set, a new energy model or a lane whose
-    ``apki > 0`` flipped builds a new plan.  Mask epochs only grow, so
-    every plan is dropped when the epoch moves.
+    processes, and builds a plan for a new lane set.  A lane entering a
+    phase with ``apki <= 0`` drops its lane set's plan: the planner
+    declines such lanes until they leave that phase.  Mask epochs only
+    grow, so every plan is dropped when the epoch moves.
 
     A planner serves one machine, which every call passes in: plans
     hold that machine's state arrays, but neither the planner nor its
@@ -1077,8 +1008,7 @@ class SpanPlanner:
         plan = self._last
         if plan is None or plan.procs != procs:
             plan = self._plans.get(tuple(procs))
-        if (plan is not None and plan.energy is m._energy
-                and plan.refresh(m._gov_freqs)):
+        if plan is not None and plan.refresh(m._gov_freqs):
             self._last = plan
             self._stats.plan_reuses += 1
             return plan

@@ -46,10 +46,11 @@ def _lanes(shape):
 
 
 def _shape_id(shape):
-    """Readable test id for a span shape."""
+    """Readable test id for a span shape: lanes, jitter mode, FG lanes
+    and cache groups."""
     f = _fields(shape)
-    return "lanes%d-j%d-s%d-e%d" % (
-        _lanes(shape), f["jitter"], f["snap"], f["has_energy"],
+    return "lanes%d-j%d-fg%d-g%d" % (
+        _lanes(shape), f["jitter"], sum(f["isfg"]), len(f["groups"]),
     )
 
 
@@ -81,12 +82,17 @@ class TestTemplatesConform:
         }
 
     def test_templates_cover_stolen_and_energy(self):
-        # Stolen time and phase guards are no longer shape axes: every
-        # span kernel peels its first tick to charge pending overhead
-        # and takes one guard bound per lane, after the sampler
-        # arguments (next wakeup, budget, period, pinned core,
-        # overhead).  Energy stays an axis.
+        # Stolen time and phase guards are not shape axes: every span
+        # kernel peels its first tick to charge pending overhead and
+        # takes one guard bound per lane, after the sampler arguments
+        # (next wakeup, budget, period, pinned core, overhead).  Energy
+        # is not an axis either: SpanPlan.run feeds the model after the
+        # kernel, so no kernel calls it.
         shapes = spanplan.template_shapes()
+        assert spanplan.SHAPE_FIELDS == (
+            "num_cores", "isfg", "jitter", "groups",
+        )
+        assert {len(shape) for shape in shapes} == {4}
         for shape in shapes:
             source = spanplan.generate_kernel_source(shape)
             assert "sta = plan.stolen" in source
@@ -95,9 +101,7 @@ class TestTemplatesConform:
                 "def run(span, rho, now, wk, nw, pt, pc, ov%s):" % guards
                 in source
             )
-        assert {_fields(shape)["has_energy"] for shape in shapes} == {
-            True, False,
-        }
+            assert "energy" not in source
 
     def test_templates_cover_sampling_kernels(self):
         # Every span kernel takes sampler wakeups, so the audited matrix
@@ -187,8 +191,9 @@ class TestDoctoredSourcesCaught:
         # ``tr_`` (the closure-bound timer-RNG draw of in-kernel
         # wakeups) passes; any other plain-name call is still flagged,
         # including ``ms_``, which the factory binds as the MPKI-scale
-        # constant and no kernel calls, and ``ln_`` / ``memo_get``,
-        # which no kernel binds since the fixed-point memo went.
+        # constant and no kernel calls, ``ln_`` / ``memo_get``, which
+        # no kernel binds since the fixed-point memo went, and
+        # ``acc_e``, since the energy model left the kernels.
         template = (
             "def _factory(plan, e_):\n"
             "    %s = plan.timer_random\n"
@@ -198,7 +203,7 @@ class TestDoctoredSourcesCaught:
         )
         assert _violation_messages(template % ("tr_", "tr_")) == []
         for name in ("tr", "tr_0", "trx_", "rnd_", "timer_random", "an_",
-                     "mn_", "ms_", "ln_", "memo_get"):
+                     "mn_", "ms_", "ln_", "memo_get", "acc_e"):
             messages = _violation_messages(template % (name, name))
             assert ("call to non-allowlisted name %r" % name) in messages
 

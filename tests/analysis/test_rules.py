@@ -658,7 +658,7 @@ class TestCov002KernelStateCoverage:
         self, tmp_path, monkeypatch
     ):
         # Re-adding the lane -> core axis the span shape dropped gives
-        # an 8-field template against the 7 declared.
+        # a 5-field template against the 4 declared.
         from repro.sim import spanplan
 
         shape = spanplan.template_shapes()[0]
@@ -669,7 +669,7 @@ class TestCov002KernelStateCoverage:
             "repro/sim/spanplan.py": self.SPANPLAN,
         }, select={"COV002"})
         assert rule_ids(findings) == ["COV002"]
-        assert "has 8 fields but SHAPE_FIELDS declares 7" in (
+        assert "has 5 fields but SHAPE_FIELDS declares 4" in (
             findings[0].message
         )
 

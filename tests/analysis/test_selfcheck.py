@@ -99,6 +99,29 @@ class TestCliSurface:
         assert excinfo.value.code == 2
         assert "no such path: %s" % missing in capsys.readouterr().err
 
+    def test_file_that_is_not_python_errors(self, tmp_path, capsys):
+        # ``repro lint README.md`` would otherwise report "no findings
+        # in 0 files" and exit 0.
+        readme = tmp_path / "README.md"
+        readme.write_text("# notes\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(readme)])
+        assert excinfo.value.code == 2
+        assert "no Python file in: %s" % readme in capsys.readouterr().err
+
+    def test_directory_without_python_files_errors(self, tmp_path, capsys):
+        # Beside a Python file: every path given must hold one.  A file
+        # under a skipped directory does not count.
+        (tmp_path / "ok.py").write_text("X = 1\n")
+        docs = tmp_path / "docs"
+        (docs / "__pycache__").mkdir(parents=True)
+        (docs / "guide.md").write_text("# guide\n")
+        (docs / "__pycache__" / "stale.py").write_text("X = 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(tmp_path / "ok.py"), str(docs)])
+        assert excinfo.value.code == 2
+        assert "no Python file in: %s" % docs in capsys.readouterr().err
+
     def test_select_family_filters(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(
             "import os\nimport time\n"
